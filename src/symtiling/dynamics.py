@@ -1,18 +1,23 @@
-"""The pair billiard map on two tilings, orbit iteration, and orbit
+"""The pair billiard map on two grids, orbit iteration, and orbit
 classification.
 
-A state is a particle on a tiling A plus a particle on a tiling B.  One
-step moves each particle along the direction of the edge currently
-holding the other particle, to its first hit on its own tiling.  The
-travel sign is fixed by requiring the chord to leave the particle's own
-edge on the side the particle is facing; transversality of the two
-tilings makes that choice unambiguous.
+A state is a particle on a grid A plus a particle on a grid B.  One step
+moves each particle along the direction of the edge currently holding
+the other particle, to its first hit on its own grid.  The travel sign
+is fixed by requiring the chord to leave the particle's own edge on the
+side the particle is facing; transversality of the two grids makes that
+choice unambiguous.
 
-Recurrence detection is exact over rationals: a state is keyed by its
-position within the period lattice (edge axis, fractional position along
-the edge, facing side), so both literal periodicity and periodicity up
-to a common lattice translation (a drift orbit) become provable
-verdicts.  In float mode the same tests run with a closure tolerance.
+Recurrence detection is one keyed lookup.  A state is keyed by its
+position within the period lattices (edge axis, position along the
+edge, facing side of each particle), so both literal periodicity and
+periodicity up to a common lattice translation (a drift orbit) are
+found by comparing a state only with the earlier states under its key.
+Over rationals the key and the comparison are exact and the verdict is
+proved; in float mode positions are snapped to steps of the closure
+tolerance and the comparison allows that tolerance.
+
+Sunburst orbits have a closed form and live in `weave`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import Escaped, NonTransverseEdges, VertexHit
+from .errors import NonTransverseEdges, VertexHit
 from .exact import Vec2, bit_length
-from .tilings import GridTiling, Particle, Sunburst
+from .tilings import Particle
 
 PERIODIC = "periodic"
 UNBOUNDED_DRIFT = "unbounded-drift"
@@ -46,10 +51,11 @@ class PairState:
 class Termination:
     """Why an orbit run stopped.
 
-    kind is one of 'periodic', 'translation', 'vertex', 'escaped',
-    'max-steps'.  period and drift are set for the first two kinds; drift
-    is the common translation in A-local integer coordinates.  residual
-    is the float-mode closure error (0 in exact mode).
+    kind is one of 'periodic', 'translation', 'vertex', 'max-steps'.
+    period, drift and residual are set for the two recurrence kinds:
+    drift (translation only) is the common translation in A-local
+    integer coordinates, and residual is the float-mode closure error
+    (0 in exact mode).  location is the vertex hit, for 'vertex'.
     """
 
     kind: str
@@ -113,56 +119,34 @@ def _side(tiling, particle: Particle) -> int:
         particle.direction) > 0 else -1
 
 
-def _signature(tiling, particle: Particle):
-    """Hashable state key, invariant under period-lattice translations."""
-    if isinstance(tiling, GridTiling):
-        loc = tiling.to_local(particle.point)
-        along = loc.y if particle.edge.axis == "v" else loc.x
-        frac = along - particle.edge.cell
-        return (particle.edge.axis, frac, _side(tiling, particle))
-    return (particle.edge, particle.point.x, particle.point.y,
-            _side(tiling, particle))
-
-
-def _integer_components(v: Vec2):
-    xi, yi = int(v.x), int(v.y)
-    if v.x != xi or v.y != yi:
-        return None
-    return (xi, yi)
-
-
-def _drift_of(a_tiling, v: Vec2):
-    if isinstance(a_tiling, GridTiling):
-        return _integer_components(a_tiling.to_local(v))
-    return (0, 0) if v.is_zero() else None
-
-
-def _float_match(a_tiling, b_tiling, now, prev, tol):
-    """Closure residual between two loosely keyed states, or None.
-
-    Returns (residual, drift_ints) where drift_ints is the common
-    translation rounded to A-local integers.
+def _key(tiling, particle: Particle, tol):
+    """(edge axis, position along the edge, facing side): invariant under
+    period-lattice translations.  For tol > 0 the position is snapped to
+    floor(position / tol).
     """
-    va = now[1] - prev[1]
-    vb = now[2] - prev[2]
-    gap = vb - va
-    residual = max(abs(float(gap.x)), abs(float(gap.y)))
-    ints = None
-    for tiling, v in ((a_tiling, va), (b_tiling, vb)):
-        if isinstance(tiling, GridTiling):
-            loc = tiling.to_local(v)
-            cand = (round(float(loc.x)), round(float(loc.y)))
-            residual = max(residual, abs(float(loc.x) - cand[0]),
-                           abs(float(loc.y) - cand[1]))
-            if tiling is a_tiling:
-                ints = cand
-        else:
-            residual = max(residual, abs(float(v.x)), abs(float(v.y)))
-            if tiling is a_tiling:
-                ints = (0, 0)
-    if residual > tol:
-        return None
-    return residual, ints
+    loc = tiling.to_local(particle.point)
+    frac = (loc.y if particle.edge.axis == "v" else loc.x) - particle.edge.cell
+    if tol > 0:
+        frac = math.floor(frac / tol)
+    return particle.edge.axis, frac, _side(tiling, particle)
+
+
+def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
+    """(residual, drift) of now against prev, in the scalars' arithmetic.
+
+    The residual is the largest of the gap between the two particles'
+    translations and the distance of each translation, in its own
+    grid-local coordinates, from the nearest integer vector.  drift is
+    the A-local integer vector nearest the A translation.
+    """
+    va = now.a.point - prev.a.point
+    vb = now.b.point - prev.b.point
+    la, lb = a_tiling.to_local(va), b_tiling.to_local(vb)
+    drift = (round(la.x), round(la.y))
+    residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
+                   abs(la.x - drift[0]), abs(la.y - drift[1]),
+                   abs(lb.x - round(lb.x)), abs(lb.y - round(lb.y)))
+    return residual, drift
 
 
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
@@ -170,15 +154,21 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
               ) -> OrbitRecord:
     """Iterate the pair map until recurrence, a singularity, or max_steps.
 
-    Exact inputs get exact recurrence detection: a repeat of the state
-    signature is confirmed only when both particles moved by one and the
-    same translation, integral in both period lattices.  Zero translation
-    is a periodic orbit, nonzero a drift orbit.  Vertex hits and escapes
-    terminate the run and are recorded rather than raised.
+    Every state is filed under its key (edge axis, position along the
+    edge, facing side of each particle).  A state recurs when an earlier
+    state under a matching key has a closure residual of at most tol:
+    both particles moved by one and the same translation, integral in
+    both period lattices.  Exact inputs use tol = 0, so the key is exact
+    and a recurrence is proved.  Float inputs use tol = closure_tol; the
+    key then snaps positions to steps of tol and the neighbouring steps
+    are probed too, so no pair of states within tol is missed.  The
+    earliest matching state wins.  Zero translation is a periodic orbit,
+    nonzero a drift orbit.  Vertex hits terminate the run and are
+    recorded rather than raised.
     """
     exact = (start.a.point.is_exact() and start.b.point.is_exact()
-             and getattr(a_tiling, "exact", False)
-             and getattr(b_tiling, "exact", False))
+             and a_tiling.exact and b_tiling.exact)
+    tol = 0 if exact else closure_tol
 
     states = [start] if keep_states else None
     a_points = []
@@ -188,7 +178,6 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     lo_x = lo_y = math.inf
     hi_x = hi_y = -math.inf
     seen = {}
-    history = []
     termination = None
     state = start
     index = 0
@@ -208,44 +197,26 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
                                bit_length(st.b.point.x),
                                bit_length(st.b.point.y)))
 
+    def probes(key):
+        if tol <= 0:
+            return (key,)
+        axis, frac, side = key
+        return [(axis, frac + d, side) for d in (-1, 0, 1)]
+
     def check_recurrence(st: PairState, idx: int):
-        key = (_signature(a_tiling, st.a), _signature(b_tiling, st.b))
-        entry = (idx, st.a.point, st.b.point, st.a.direction, st.b.direction)
-        if exact:
-            for prev in seen.get(key, ()):
-                if prev[3] != st.a.direction or prev[4] != st.b.direction:
-                    continue
-                va = st.a.point - prev[1]
-                vb = st.b.point - prev[2]
-                if va != vb:
-                    continue
-                drift = _drift_of(a_tiling, va)
-                if drift is None:
-                    continue
-                kind = "periodic" if va.is_zero() else "translation"
-                return Termination(kind, idx, period=idx - prev[0],
-                                   drift=None if va.is_zero() else drift,
-                                   residual=0.0)
-            seen.setdefault(key, []).append(entry)
-            return None
-        loose = (st.a.edge if not isinstance(a_tiling, GridTiling)
-                 else st.a.edge.axis,
-                 st.b.edge if not isinstance(b_tiling, GridTiling)
-                 else st.b.edge.axis,
-                 _side(a_tiling, st.a), _side(b_tiling, st.b))
-        for prev_loose, prev in history:
-            if prev_loose != loose:
+        ka, kb = _key(a_tiling, st.a, tol), _key(b_tiling, st.b, tol)
+        candidates = sorted(prev for pa in probes(ka) for pb in probes(kb)
+                            for prev in seen.get((pa, pb), ()))
+        seen.setdefault((ka, kb), []).append((idx, st))
+        for prev_idx, prev in candidates:
+            residual, drift = _closure(a_tiling, b_tiling, st, prev)
+            if residual > tol:
                 continue
-            hit = _float_match(a_tiling, b_tiling, entry, prev, closure_tol)
-            if hit is None:
-                continue
-            residual, ints = hit
-            if ints == (0, 0):
-                return Termination("periodic", idx, period=idx - prev[0],
-                                   residual=residual)
-            return Termination("translation", idx, period=idx - prev[0],
-                               drift=ints, residual=residual)
-        history.append((loose, entry))
+            if drift == (0, 0):
+                return Termination("periodic", idx, period=idx - prev_idx,
+                                   residual=float(residual))
+            return Termination("translation", idx, period=idx - prev_idx,
+                               drift=drift, residual=float(residual))
         return None
 
     record_state(start)
@@ -256,9 +227,6 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         except VertexHit as hit:
             termination = Termination("vertex", index + 1,
                                       location=hit.location)
-            break
-        except Escaped:
-            termination = Termination("escaped", index + 1)
             break
         index += 1
         if keep_states:
@@ -293,8 +261,6 @@ def classify(record: OrbitRecord) -> Classification:
     if t.kind == "vertex":
         return Classification(SINGULAR, {"step": t.step,
                                          "location": t.location})
-    if t.kind == "escaped":
-        return Classification(INCONCLUSIVE, {"escaped_at": t.step})
     n = len(record.bit_lengths)
     if n < 4:
         return Classification(INCONCLUSIVE, {"steps": n - 1})
@@ -334,8 +300,7 @@ def phase_portrait(a_tiling, b_tiling, edge_a, edge_b, resolution,
     if a_tiling.direction_of(edge_a).cross(b_tiling.direction_of(edge_b)) == 0:
         raise NonTransverseEdges("portrait edges are parallel")
     w, h = resolution
-    exact = getattr(a_tiling, "exact", False) and getattr(
-        b_tiling, "exact", False)
+    exact = a_tiling.exact and b_tiling.exact
 
     def frac(i, n):
         return Fraction(2 * i + 1, 2 * n) if exact else (2 * i + 1) / (2 * n)

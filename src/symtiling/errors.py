@@ -9,20 +9,12 @@ class GeometryError(Exception):
     """Degenerate geometric input or a failed geometric precondition."""
 
 
-class ParallelLines(GeometryError):
-    """Line intersection requested for parallel (or identical) lines."""
-
-
 class VertexHit(GeometryError):
     """A ray's first hit is a tiling vertex; the orbit is singular there."""
 
     def __init__(self, location):
         super().__init__(f"ray hits a tiling vertex near {location}")
         self.location = location
-
-
-class Escaped(GeometryError):
-    """A ray leaves the tiling without meeting any further edge."""
 
 
 class NonTransverseEdges(GeometryError):
@@ -35,10 +27,6 @@ class InvalidSunburst(GeometryError):
 
 class DegenerateStep(GeometryError):
     """A sunburst orbit step missed its target ray (weave condition broken)."""
-
-
-class NotOrientedWeave(GeometryError):
-    """Operation requires an oriented weave pair."""
 
 
 class EmptyInterval(GeometryError):

@@ -1,4 +1,4 @@
-"""Planar geometry kernel: rational scalars, vectors, lines.
+"""Planar geometry kernel: rational scalars and vectors.
 
 Scalars are polymorphic.  The same Vec2 works over `fractions.Fraction`
 (exact mode, the default for square grids, where every predicate is
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .errors import ParallelLines
 
 
 def rational(value) -> Fraction:
@@ -65,18 +63,11 @@ class Vec2:
         """Rotation by +90 degrees."""
         return Vec2(-self.y, self.x)
 
-    def conj(self) -> "Vec2":
-        """Mirror across the x axis; conj of a unit vector inverts its rotation."""
-        return Vec2(self.x, -self.y)
-
     def norm2(self):
         return self.x * self.x + self.y * self.y
 
     def norm(self) -> float:
         return math.hypot(float(self.x), float(self.y))
-
-    def as_floats(self) -> "Vec2":
-        return Vec2(float(self.x), float(self.y))
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
@@ -110,10 +101,6 @@ def rotate(v: Vec2, u: Vec2) -> Vec2:
     return Vec2(v.x * u.x - v.y * u.y, v.x * u.y + v.y * u.x)
 
 
-def rotate_back(v: Vec2, u: Vec2) -> Vec2:
-    return rotate(v, u.conj())
-
-
 def unit_from_angle(theta: float) -> Vec2:
     return Vec2(math.cos(theta), math.sin(theta))
 
@@ -121,36 +108,3 @@ def unit_from_angle(theta: float) -> Vec2:
 def angle_of(v: Vec2) -> float:
     return math.atan2(float(v.y), float(v.x))
 
-
-@dataclass(frozen=True, eq=False)
-class Line:
-    """Infinite line through `point` with direction `direction`.
-
-    Lines compare equal as point sets, independent of representation.
-    """
-
-    point: Vec2
-    direction: Vec2
-
-    def __post_init__(self):
-        if self.direction.is_zero():
-            raise ValueError("line direction must be nonzero")
-
-    def contains(self, p: Vec2) -> bool:
-        return self.direction.cross(p - self.point) == 0
-
-    def __eq__(self, other):
-        if not isinstance(other, Line):
-            return NotImplemented
-        return (self.direction.cross(other.direction) == 0
-                and self.contains(other.point)
-                and other.contains(self.point))
-
-
-def intersect_lines(l1: Line, l2: Line) -> Vec2:
-    """The unique intersection point; ParallelLines if directions align."""
-    den = l1.direction.cross(l2.direction)
-    if den == 0:
-        raise ParallelLines("lines are parallel or identical")
-    s = (l2.point - l1.point).cross(l2.direction) / den
-    return l1.point + l1.direction * s

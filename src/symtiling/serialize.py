@@ -13,7 +13,8 @@ from fractions import Fraction
 from .dynamics import OrbitRecord, PairState, Termination
 from .exact import Vec2
 from .linkage import Polygon
-from .tilings import GridEdge, Sunburst
+from .tilings import GridEdge, Particle, Sunburst
+from .weave import ray_angles, sunburst_from_angles
 
 
 def scalar_to_json(x):
@@ -68,8 +69,6 @@ def particle_to_json(p):
 
 
 def particle_from_json(data):
-    from .tilings import Particle
-
     return Particle(vec_from_json(data["point"]),
                     edge_from_json(data["edge"]),
                     vec_from_json(data["direction"]))
@@ -136,14 +135,10 @@ def orbit_record_from_json(data) -> OrbitRecord:
 
 def sunburst_to_json(s: Sunburst):
     """Angle list in radians; ray lengths are not part of the format."""
-    from .weave import ray_angles
-
     return list(ray_angles(s))
 
 
 def sunburst_from_json(angles) -> Sunburst:
-    from .weave import sunburst_from_angles
-
     return sunburst_from_angles(angles)
 
 

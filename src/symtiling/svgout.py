@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 
+from .exact import Vec2
+
 PALETTE = (
     "#e45756", "#4c78a8", "#f58518", "#54a24b", "#b279a2",
     "#ff9da6", "#9d755d", "#72b7b2", "#eeca3b", "#bab0ac",
@@ -135,8 +137,6 @@ def _bounds(points):
 
 def _grid_backdrop(canvas, tiling, points, shift=0.0, pad=1):
     """Draws the grid lines of a tiling behind a cloud of world points."""
-    from .exact import Vec2
-
     local = [tiling.to_local(Vec2(*_xy(p))) for p in points]
     lx = [float(p.x) for p in local]
     ly = [float(p.y) for p in local]

@@ -1,5 +1,7 @@
-"""Tilings traversed by the billiard map: affine images of the integer
-grid, and sunbursts (finite fans of rays through the origin).
+"""Tilings of the pair game: affine images of the integer grid, which
+the billiard map in `dynamics` steps on, and sunbursts (finite fans of
+rays through the origin), whose paired orbits `weave` follows in closed
+form.
 
 Grid queries run in grid-local coordinates, where the edge set is the
 integer grid itself.  A first-hit query then only compares the next
@@ -12,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import Escaped, InvalidSunburst, VertexHit
+from .errors import InvalidSunburst, VertexHit
 from .exact import Vec2, rational_circle_point
 
 
@@ -110,18 +112,17 @@ class GridTiling:
         direction = self.direction_of(edge).perp() * side
         return Particle(self.point_on(edge, frac), edge, direction)
 
-    def first_hit(self, start: Vec2, travel: Vec2, min_advance=None):
+    def first_hit(self, start: Vec2, travel: Vec2):
         """First crossing of the open ray start + s * travel, s > 0, with a
         grid line.  Returns (point, edge) with the point in world
         coordinates and the edge labelled in grid-local coordinates.
 
         Raises VertexHit when the nearest crossing is a grid vertex.  In
-        float mode, crossings with s below min_advance are treated as the
-        start's own edge and skipped.
+        float mode one tolerance of 1e-9 serves both tests: crossings with
+        s at most 1e-9 are the start's own edge and skipped, and a
+        crossing within 1e-9 of a vertex is a vertex hit.
         """
         exact = self.exact and start.is_exact() and travel.is_exact()
-        if min_advance is None:
-            min_advance = 0 if exact else 1e-9
         tol = 0 if exact else 1e-9
         ls = self.to_local(start)
         lt = self.to_local(travel)
@@ -134,7 +135,7 @@ class GridTiling:
             step = 1 if d > 0 else -1
             n = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
             s = (n - p0) / d
-            if s <= min_advance:
+            if s <= tol:
                 n += step
                 s = (n - p0) / d
             if best is None or s < best[0]:
@@ -178,57 +179,9 @@ class Sunburst:
     def n(self) -> int:
         return len(self.rays)
 
-    def direction_of(self, edge: int) -> Vec2:
-        return self.rays[edge]
-
-    def edge_directions(self):
-        return self.rays
-
-    def particle_on(self, edge: int, radius, side: int = 1) -> Particle:
-        ray = self.rays[edge]
-        point = ray * (radius / ray.norm())
-        return Particle(point, edge, ray.perp() * side)
-
-    def first_hit(self, start: Vec2, travel: Vec2, min_advance=None):
-        """First crossing of the open ray start + s * travel, s > 0, with
-        one of the sunburst rays.  Returns (point, ray index); a crossing
-        at the origin raises VertexHit, no crossing raises Escaped.
-        """
-        exact = self.exact and start.is_exact() and travel.is_exact()
-        if min_advance is None:
-            min_advance = 0 if exact else 1e-12
-        utol = 0 if exact else 1e-12
-        best = None
-        for i, r in enumerate(self.rays):
-            den = travel.cross(r)
-            if den == 0:
-                continue
-            s = -start.cross(r) / den
-            if s <= min_advance:
-                continue
-            hit = start + travel * s
-            u = hit.dot(r) / r.norm2()
-            if u < -utol or (utol == 0 and u < 0):
-                continue
-            at_origin = u <= utol
-            if best is None or s < best[0]:
-                best = (s, i, hit, at_origin)
-        if best is None:
-            raise Escaped("ray meets no sunburst ray")
-        s, i, hit, at_origin = best
-        if at_origin:
-            raise VertexHit((float(hit.x), float(hit.y)))
-        return hit, i
-
 
 def is_transverse(a, b) -> bool:
-    """No edge direction of one tiling is a positive multiple of an edge
-    direction of the other.
-
-    Grid edges contribute both orientations, so for two grids this is the
-    usual parallel-free condition; sunburst rays are oriented, so a ray
-    and its reverse do not clash.
-    """
+    """No edge of one grid is parallel to an edge of the other."""
     for u in a.edge_directions():
         for v in b.edge_directions():
             if u.cross(v) == 0 and u.dot(v) > 0:

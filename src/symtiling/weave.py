@@ -71,8 +71,12 @@ class SunburstPair:
             return self.b
         return rotated_sunburst(self.b, self.phase)
 
-    def with_phase(self, phase: float) -> "SunburstPair":
-        return SunburstPair(self.a, self.b, phase)
+    def swapped(self) -> "SunburstPair":
+        """The pair with roles exchanged: the phased B-rays carry the
+        orbit and A[j] is the chord from B[j] to B[j+1].
+        """
+        a = self.a.rays
+        return SunburstPair(self.rotated_b, Sunburst(a[-1:] + a[:-1]))
 
 
 def is_oriented_weave(pair: SunburstPair) -> bool:
@@ -114,33 +118,6 @@ def orbit_points(pair: SunburstPair, r0=1.0, steps=None, start=None):
         if s <= 0:
             raise DegenerateStep(
                 f"step {j} leaves ray A[{(j + 1) % n}] at nonpositive radius")
-        p = nxt * s
-        points.append(p)
-    return points
-
-
-def b_orbit_points(pair: SunburstPair, r0=1.0, steps=None):
-    """The b-projection: points on the phased B-rays, the step from
-    B[j] to B[j+1] traveling parallel to A[j].
-    """
-    rays = pair.rotated_b.rays
-    chords = pair.a.rays
-    n = pair.n
-    if steps is None:
-        steps = n
-    p = _unit(rays[0]) * r0
-    points = [p]
-    for j in range(steps):
-        nxt = rays[(j + 1) % n]
-        chord = chords[j % n]
-        den = nxt.cross(chord)
-        if den == 0:
-            raise DegenerateStep(f"chord A[{j % n}] is parallel to ray "
-                                 f"B[{(j + 1) % n}]")
-        s = p.cross(chord) / den
-        if s <= 0:
-            raise DegenerateStep(
-                f"b-step {j} leaves ray B[{(j + 1) % n}] at nonpositive radius")
         p = nxt * s
         points.append(p)
     return points
@@ -202,20 +179,7 @@ def left_times_right_holonomy(pair: SunburstPair) -> float:
     """Product of the a-side holonomy and the b-side holonomy (the
     latter computed over the role-swapped orbit).
     """
-    left = holonomy_product(pair).h
-    b = [_unit(r) for r in pair.rotated_b.rays]
-    a = [_unit(r) for r in pair.a.rays]
-    n = pair.n
-    right = 1.0
-    for j in range(n):
-        chord = a[j]
-        num = b[j].cross(chord)
-        den = b[(j + 1) % n].cross(chord)
-        if den == 0:
-            raise DegenerateStep(f"chord A[{j}] is parallel to ray "
-                                 f"B[{(j + 1) % n}]")
-        right *= num / den
-    return left * right
+    return holonomy_product(pair).h * holonomy_product(pair.swapped()).h
 
 
 @dataclass(frozen=True)
@@ -234,9 +198,6 @@ class PhaseInterval:
 
     def contains(self, theta: float) -> bool:
         return 0.0 < (theta - self.lo) % TWO_PI < self.width
-
-    def midpoint(self) -> float:
-        return (self.lo + 0.5 * self.width) % TWO_PI
 
 
 def phase_arcs(a: Sunburst, b: Sunburst):
