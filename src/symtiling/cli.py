@@ -17,6 +17,8 @@ from fractions import Fraction
 from random import Random
 from typing import Optional
 
+import numpy as np
+
 from . import dynamics, moduli, pipeline, serialize, svgout, weave
 from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
                        UNBOUNDED_DRIFT, PairState, classify, phase_portrait,
@@ -314,15 +316,9 @@ def cmd_moduli_embed(args) -> int:
     if poly.n == 5:
         center = moduli.to_disk(moduli.cyclic_fixed_point(form), form)
         disk_points.append(tuple(center))
-        walls = moduli.pentagon_walls(form)
-        order = moduli.pentagon_wall_order()
-        corners = []
-        for i in range(5):
-            wa = walls[order[i]]
-            wb = walls[order[(i + 1) % 5]]
-            corner = moduli.wall_intersection(form, wa, wb)
-            corners.append(tuple(moduli.to_disk(
-                moduli.HyperbolicPoint(5, tuple(corner)), form)))
+        corners = [tuple(moduli.to_disk(
+            moduli.HyperbolicPoint(5, tuple(corner)), form))
+            for corner in moduli.pentagon_report(form)["vertices"]]
         chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
     if args.json:
         serialize.write_json({
@@ -344,15 +340,12 @@ def cmd_pentagon_verify(args) -> int:
     angle_residual = max(abs(a - math.pi / 2) for a in report["angles"])
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     side_residual = max(abs(math.cosh(s) - golden) for s in report["sides"])
-    ortho = []
-    walls = moduli.pentagon_walls(form)
-    order = moduli.pentagon_wall_order()
-    for i in range(5):
-        wa = walls[order[i]]
-        wb = walls[order[(i + 1) % 5]]
-        ortho.append(abs(float(wa @ form.quotient_gram @ wb)))
+    walls, order = report["walls"], report["order"]
+    ortho = [abs(form.pairing(walls[order[i]], walls[order[(i + 1) % 5]]))
+             for i in range(5)]
+    eig = np.linalg.eigvalsh(form.quotient_gram)
     out = {
-        "signature": [1, 2],
+        "signature": [int(np.sum(eig > 0)), int(np.sum(eig < 0))],
         "angles": list(report["angles"]),
         "sides": list(report["sides"]),
         "angle_residual": angle_residual,

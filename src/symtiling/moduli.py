@@ -6,10 +6,16 @@ d_k = (cos 2 pi k/N, sin 2 pi k/N), encoded by the signed offset s_k of
 the line {x : n_k . x = s_k} against the left normal n_k = rot90(d_k).
 A choice of one line per family cuts out an equiangular N-gon whose
 k-th vertex is the intersection of lines k and k+1.  Signed area is a
-quadratic form in the offsets; its radical is the translation plane,
-and on the quotient it has Lorentz signature (1, N-3).  Unit-area
-convex polygons then live on a hyperboloid sheet: a hyperbolic space of
-dimension N-3, with the butterfly moves acting as reflections.
+quadratic form in the offsets (Bavard-Ghys 1992; Thurston, "Shapes of
+polyhedra", 1998).  With theta = 2 pi/N its Gram matrix is the
+circulant with diagonal -cot theta and both cyclic neighbours
+1/(2 sin theta), so its eigenvalues are
+(cos(2 pi j/N) - cos theta)/sin theta, j = 0..N-1: positive for j = 0,
+zero for j = +-1 (the translations) and negative otherwise.  On the
+quotient by translations the form thus has Lorentz signature (1, N-3).
+Unit-area convex polygons then live on a hyperboloid sheet: a
+hyperbolic space of dimension N-3, with the butterfly moves acting as
+reflections.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NonPositiveArea, ParallelWitnessLines,
+from .errors import (NonPositiveArea, NotConvex, ParallelWitnessLines,
                      SignatureMismatch)
 from .exact import Vec2
 from .linkage import Polygon
@@ -45,8 +51,8 @@ def translation_offsets(n: int) -> np.ndarray:
 
 def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
     """Intersection of the lines of families i and j at offsets s."""
-    nm = family_normals(n)
-    m = np.array([nm[i % n], nm[j % n]])
+    ang = TWO_PI * np.array([i % n, j % n]) / n
+    m = np.column_stack([-np.sin(ang), np.cos(ang)])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det) < 1e-12:
         raise ParallelWitnessLines(f"families {i % n} and {j % n} are parallel")
@@ -56,8 +62,11 @@ def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
 
 
 def vertices_from_offsets(s) -> np.ndarray:
-    n = len(s)
-    return np.array([line_intersection(n, s, k, k + 1) for k in range(n)])
+    """Vertex k solves lines k and k+1, with determinant sin(2 pi/N)."""
+    s = np.asarray(s, dtype=float)
+    d = family_directions(len(s))
+    return ((s[:, None] * np.roll(d, -1, axis=0)
+             - np.roll(s, -1)[:, None] * d) / math.sin(TWO_PI / len(s)))
 
 
 def polygon_from_offsets(s) -> Polygon:
@@ -75,13 +84,13 @@ def signed_area(s) -> float:
 def signed_edge_lengths(s) -> np.ndarray:
     """Length of edge k measured along its counterclockwise traversal
     direction, which is -d_k under the left-normal convention; all
-    positive iff the offsets cut out a convex polygon.
+    positive iff the offsets cut out a convex polygon.  With
+    theta = 2 pi/N it is (s_{k-1} + s_{k+1} - 2 cos theta s_k)/sin theta.
     """
-    n = len(s)
-    v = vertices_from_offsets(s)
-    d = family_directions(n)
-    prev = np.roll(v, 1, axis=0)
-    return -np.sum((v - prev) * d, axis=1)
+    s = np.asarray(s, dtype=float)
+    theta = TWO_PI / len(s)
+    return ((np.roll(s, 1) + np.roll(s, -1) - 2.0 * math.cos(theta) * s)
+            / math.sin(theta))
 
 
 def is_convex_offsets(s) -> bool:
@@ -89,11 +98,18 @@ def is_convex_offsets(s) -> bool:
 
 
 def random_convex_offsets(rng, n: int, spread: float = 0.35) -> np.ndarray:
-    """Random offsets near the regular polygon, rejected until convex."""
-    while True:
-        s = 1.0 + np.array([rng.uniform(-spread, spread) for _ in range(n)])
-        if is_convex_offsets(s):
-            return s
+    """Random offsets near the regular polygon (all offsets 1).
+
+    The spread is capped at (1 - cos theta)/(1 + |cos theta|), below
+    which every draw is convex by the edge-length formula.
+    """
+    c = math.cos(TWO_PI / n)
+    spread = min(spread, (1.0 - c) / (1.0 + abs(c)))
+    s = 1.0 + np.array([rng.uniform(-spread, spread) for _ in range(n)])
+    if not is_convex_offsets(s):
+        raise NotConvex(f"offsets drawn with spread {spread:.6g} are not "
+                        "convex")
+    return s
 
 
 @dataclass(frozen=True)
@@ -138,20 +154,20 @@ class AreaForm:
 
 @lru_cache(maxsize=None)
 def area_form(n: int, gauge: tuple = (0, 1)) -> AreaForm:
-    """Gram matrix of signed area by polarization over basis offsets,
-    with self-checks: the radical must be exactly the translation plane
-    and the quotient signature must be (1, N-3).
+    """Gram matrix of signed area, with theta = 2 pi/N: the circulant
+    with diagonal -cot theta, both cyclic neighbours 1/(2 sin theta)
+    and zeros elsewhere.  Its eigenvalues
+    (cos(2 pi j/N) - cos theta)/sin theta are positive only for j = 0
+    and vanish only for j = +-1, whose eigenvectors span the
+    translations; hence the quotient signature (1, N-3).  Self-checks
+    confirm both facts numerically, which also catches a gauge pair
+    that does not fix the translations.
     """
     if n < 4:
         raise ValueError("area form needs at least 4 families")
-    basis_areas = [signed_area(np.eye(n)[i]) for i in range(n)]
-    gram = np.empty((n, n))
-    for i in range(n):
-        gram[i, i] = basis_areas[i]
-        for j in range(i + 1, n):
-            both = signed_area(np.eye(n)[i] + np.eye(n)[j])
-            gram[i, j] = gram[j, i] = (both - basis_areas[i]
-                                       - basis_areas[j]) / 2.0
+    theta = TWO_PI / n
+    c = cyclic_matrix(n)
+    gram = (c + c.T) / (2.0 * math.sin(theta)) - np.eye(n) / math.tan(theta)
     t = translation_offsets(n)
     if np.max(np.abs(gram @ t)) > 1e-9:
         raise SignatureMismatch("translations do not annihilate the form")
@@ -198,20 +214,14 @@ def quotient_map(form: AreaForm, matrix: np.ndarray) -> np.ndarray:
     """The map induced on gauge coordinates by a translation-equivariant
     linear map of offset space.
     """
-    cols = []
-    for i in form.keep:
-        cols.append(form.reduce(matrix @ np.eye(form.n)[i]))
-    return np.column_stack(cols)
+    return form.reduce(matrix[:, list(form.keep)])
 
 
 def cyclic_matrix(n: int) -> np.ndarray:
     """Offset relabeling (Cs)_k = s_{k+1}; geometrically a rotation of
     the polygon by -2 pi / N, hence an area isometry.
     """
-    m = np.zeros((n, n))
-    for k in range(n):
-        m[k, (k + 1) % n] = 1.0
-    return m
+    return np.roll(np.eye(n), 1, axis=1)
 
 
 @dataclass(frozen=True)
@@ -255,15 +265,19 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint,
 def wall_normal(form: AreaForm, k: int) -> np.ndarray:
     """Unit spacelike Q-normal of the fixed hyperplane of butterfly k in
     the quotient, oriented positively against the regular polygon.
+
+    Butterfly k moves only offset k and sends e_k to -e_k, so its
+    mirror's normal is the class of e_k, with Q(e_k) = -cot(2 pi/N).
+    That vanishes exactly when the witness lines k-1 and k+1 are
+    parallel (N = 4).
     """
-    bq = quotient_map(form, butterfly_matrix(form.n, k))
-    dim = len(form.keep)
-    u, svals, vt = np.linalg.svd(bq + np.eye(dim))
-    w = vt[-1]
-    if svals[-1] > 1e-9:
-        raise SignatureMismatch(f"butterfly {k} has no -1 eigenvector")
+    n = form.n
+    w = form.reduce(np.eye(n)[k % n])
     q = form.pairing(w, w)
-    if q >= 0:
+    if abs(q) <= 1e-12:
+        raise ParallelWitnessLines(
+            f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
+    if q > 0:
         raise SignatureMismatch(f"butterfly {k} mirror normal is not "
                                 "spacelike")
     w = w / math.sqrt(-q)
@@ -278,9 +292,7 @@ def wall_intersection(form: AreaForm, wa: np.ndarray, wb: np.ndarray
     perpendicular foot), for three-dimensional quotients.
     """
     g = form.quotient_gram
-    system = np.array([wa @ g, wb @ g])
-    u, svals, vt = np.linalg.svd(system)
-    v = vt[-1]
+    v = np.cross(g @ wa, g @ wb)
     q = form.pairing(v, v)
     if q <= 0:
         raise SignatureMismatch("walls do not meet on the hyperboloid")
@@ -324,28 +336,13 @@ def pentagon_report(form: AreaForm = None):
 
 
 def cyclic_fixed_point(form: AreaForm = None) -> HyperbolicPoint:
-    """Fixed point of the induced cyclic relabeling isometry: its unique
-    timelike eigendirection, normalized onto the positive sheet.
+    """Fixed point of the induced cyclic relabeling isometry on the
+    positive sheet: the regular polygon, since relabeling leaves the
+    all-ones offset vector unchanged.
     """
     if form is None:
         form = area_form(5)
-    cq = quotient_map(form, cyclic_matrix(form.n))
-    vals, vecs = np.linalg.eig(cq)
-    best = None
-    for i, lam in enumerate(vals):
-        if abs(lam.imag) > 1e-9 or abs(lam.real - 1.0) > 1e-6:
-            continue
-        v = vecs[:, i].real
-        q = form.pairing(v, v)
-        if q > 0 and (best is None or q > best[0]):
-            best = (q, v)
-    if best is None:
-        raise SignatureMismatch("cyclic map has no timelike fixed direction")
-    q, v = best
-    v = v / math.sqrt(q)
-    if form.pairing(reference_point(form), v) < 0:
-        v = -v
-    return HyperbolicPoint(form.n, tuple(v))
+    return HyperbolicPoint(form.n, tuple(reference_point(form)))
 
 
 def chart_c_coordinate(s) -> float:

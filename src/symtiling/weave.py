@@ -241,7 +241,9 @@ def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:
 
 
 def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
-    return math.log(holonomy_product(SunburstPair(a, b, theta)).h)
+    """Summed per step: the product h underflows near the interval ends."""
+    report = holonomy_product(SunburstPair(a, b, theta))
+    return math.fsum(math.log(f) for f in report.step_factors)
 
 
 def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:

@@ -1,12 +1,15 @@
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from symtiling import cli, serialize
+from symtiling import cli, moduli, serialize
 from symtiling.dynamics import run_orbit
+from symtiling.linkage import regular_equilateral
 from symtiling.tilings import GridTiling
 
 GREEN = bytes(cli.VERDICT_COLORS["periodic"])
@@ -195,6 +198,20 @@ def test_moduli_embed(tmp_path):
     assert x * x + y * y < 1.0
     assert len(payload["point"]["coords"]) == 3
     ET.parse(spath)
+
+
+def test_regular_60_gon_converts_and_embeds(tmp_path):
+    ppath = tmp_path / "poly.json"
+    jpath = tmp_path / "out.json"
+    serialize.write_json(serialize.polygon_to_json(regular_equilateral(60)),
+                         ppath)
+    start = time.perf_counter()
+    assert cli.main(["linkage-convert", str(ppath)]) == 0
+    assert cli.main(["moduli-embed", str(ppath), "--json", str(jpath)]) == 0
+    assert time.perf_counter() - start < 30.0
+    coords = np.array(json.loads(jpath.read_text())["point"]["coords"])
+    ref = moduli.reference_point(moduli.area_form(60))
+    assert np.max(np.abs(coords - ref)) <= 1e-9
 
 
 def test_pentagon_verify(capsys):

@@ -20,6 +20,20 @@ from symtiling.moduli import (HyperbolicPoint, area_form, butterfly,
                               wall_normal)
 
 
+def oracle_polarized_gram(n):
+    """Gram matrix of signed area by polarizing the shoelace area over
+    pairs of basis offsets."""
+    basis = np.eye(n)
+    diag = [signed_area(basis[i]) for i in range(n)]
+    gram = np.empty((n, n))
+    for i in range(n):
+        gram[i, i] = diag[i]
+        for j in range(i + 1, n):
+            both = signed_area(basis[i] + basis[j])
+            gram[i, j] = gram[j, i] = (both - diag[i] - diag[j]) / 2.0
+    return gram
+
+
 def test_family_frames():
     for n in (3, 5, 8):
         d = family_directions(n)
@@ -46,9 +60,11 @@ def test_translation_offsets_span_translations():
 
 def test_signed_area_matches_shoelace():
     rng = random.Random(8)
-    for _ in range(40):
-        n = rng.randint(4, 9)
+    for n in [rng.randint(4, 9) for _ in range(40)] + [6, 12, 50, 200]:
         s = random_convex_offsets(rng, n)
+        lines = [line_intersection(n, s, k, k + 1) for k in range(n)]
+        assert np.allclose(vertices_from_offsets(s), lines, rtol=0,
+                           atol=1e-12 * n)
         poly = polygon_from_offsets(s)
         assert abs(signed_area(s) - poly.signed_area()) <= 1e-9
         assert signed_area(s) > 0
@@ -74,8 +90,9 @@ def test_parallel_families_have_no_intersection():
 
 def test_gram_matrix_reproduces_area():
     rng = random.Random(23)
-    for n in (4, 5, 6, 9):
+    for n in (*range(4, 13), 30):
         form = area_form(n)
+        assert np.max(np.abs(form.gram - oracle_polarized_gram(n))) <= 1e-12
         for _ in range(20):
             s = np.array([rng.uniform(-1, 2) for _ in range(n)])
             assert abs(form.value(s) - signed_area(s)) <= 1e-9
@@ -92,6 +109,12 @@ def test_radical_and_signature():
         qeigs = np.linalg.eigvalsh(form.quotient_gram)
         assert np.sum(qeigs > 1e-9) == 1
         assert np.sum(qeigs < -1e-9) == n - 3
+    for n in (*range(4, 13), 30, 64, 101, 200):
+        theta = 2.0 * math.pi / n
+        closed = np.sort((np.cos(theta * np.arange(n)) - math.cos(theta))
+                         / math.sin(theta))
+        eigs = np.linalg.eigvalsh(area_form(n).gram)
+        assert np.max(np.abs(eigs - closed)) <= 1e-12 * max(1.0, closed[-1])
 
 
 def test_reduce_is_translation_invariant_and_embeds_back():
@@ -143,10 +166,12 @@ def test_square_butterfly_has_parallel_witness_lines():
         butterfly_matrix(4, 0)
     with pytest.raises(ParallelWitnessLines):
         butterfly(np.ones(4), 2)
+    with pytest.raises(ParallelWitnessLines):
+        wall_normal(area_form(4), 0)
 
 
 def test_butterflies_are_lorentz_reflections():
-    for n in (5, 7):
+    for n in (5, 6, 7):
         form = area_form(n)
         for k in range(n):
             m = butterfly_matrix(n, k)
@@ -157,6 +182,9 @@ def test_butterflies_are_lorentz_reflections():
             qg = form.quotient_gram
             assert np.max(np.abs(q.T @ qg @ q - qg)) <= 1e-10
             assert np.allclose(q @ q, np.eye(n - 2), atol=1e-10)
+            w = wall_normal(form, k)
+            assert np.max(np.abs(q @ w + w)) <= 1e-12
+            assert abs(form.pairing(w, w) + 1.0) <= 1e-12
 
 
 def test_nonconsecutive_butterflies_commute():
