@@ -12,10 +12,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
-from typing import Optional
 
 import numpy as np
 
@@ -41,28 +39,10 @@ VERDICT_COLORS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved parameters of one CLI run, embedded in JSON outputs so a
+def _run_config(args) -> dict:
+    """The parsed flags of one CLI run, embedded in JSON outputs so a
     record documents how to reproduce itself."""
-
-    command: str
-    t: Optional[str] = None
-    angle: Optional[str] = None
-    n: Optional[int] = None
-    seed: Optional[int] = None
-    max_steps: Optional[int] = None
-    tol: Optional[float] = None
-    resolution: Optional[str] = None
-    float_mode: bool = False
-    start: Optional[dict] = None
-
-    def to_json(self):
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-    @classmethod
-    def from_json(cls, data) -> "ExperimentConfig":
-        return cls(**data)
+    return {k: v for k, v in vars(args).items() if k != "func"}
 
 
 def parse_rational(text: str) -> Fraction:
@@ -167,14 +147,9 @@ def cmd_grid_orbit(args) -> int:
     record = run_orbit(a, b, state, max_steps=args.max_steps,
                        closure_tol=args.tol, keep_states=False)
     verdict = classify(record)
-    config = ExperimentConfig(
-        command="grid-orbit", t=args.t,
-        angle=args.angle if getattr(args, "float", False) else None,
-        seed=args.seed, max_steps=args.max_steps, tol=args.tol,
-        float_mode=bool(getattr(args, "float", False)),
-        start=serialize.pair_state_to_json(state))
     payload = serialize.orbit_record_to_json(record)
-    payload["config"] = config.to_json()
+    payload["config"] = dict(_run_config(args),
+                             start=serialize.pair_state_to_json(state))
     payload["verdict"] = verdict.verdict
     if args.json:
         serialize.write_json(payload, args.json)
@@ -190,19 +165,15 @@ def cmd_grid_portrait(args) -> int:
                           parse_edge(args.edge_b),
                           parse_resolution(args.resolution),
                           max_steps=args.max_steps, closure_tol=args.tol)
-    write_ppm(args.out, rows)
+    if args.out:
+        write_ppm(args.out, rows)
     counts = {}
     for row in rows:
         for v in row:
             counts[v] = counts.get(v, 0) + 1
     print(" ".join(f"{k}={counts[k]}" for k in sorted(counts)))
     if args.json:
-        config = ExperimentConfig(
-            command="grid-portrait", t=args.t,
-            seed=args.seed, max_steps=args.max_steps, tol=args.tol,
-            resolution=args.resolution,
-            float_mode=bool(getattr(args, "float", False)))
-        serialize.write_json({"config": config.to_json(), "rows": rows},
+        serialize.write_json({"config": _run_config(args), "rows": rows},
                              args.json)
     return 0
 
@@ -232,11 +203,11 @@ def cmd_sunburst_solve(args) -> int:
         a = _load_sunburst(args.files[0])
         b = (_load_sunburst(args.files[1]) if len(args.files) > 1
              else regular_sunburst(a.n))
-    elif args.balanced:
-        a = random_balanced_sunburst(rng, args.n)
+    elif args.free:
+        a = _random_free_sunburst(rng, args.n)
         b = regular_sunburst(args.n)
     else:
-        a = _random_free_sunburst(rng, args.n)
+        a = random_balanced_sunburst(rng, args.n)
         b = regular_sunburst(args.n)
     try:
         interval = weave_interval(a, b)
@@ -259,9 +230,7 @@ def cmd_sunburst_solve(args) -> int:
           f"interval=({interval.lo:.6f}, {interval.hi:.6f})")
     if args.json:
         serialize.write_json({
-            "config": ExperimentConfig(
-                command="sunburst-solve", n=a.n, seed=args.seed,
-                tol=args.tol).to_json(),
+            "config": _run_config(args),
             "a": serialize.sunburst_to_json(a),
             "b": serialize.sunburst_to_json(b),
             "theta": theta,
@@ -290,9 +259,7 @@ def cmd_linkage_convert(args) -> int:
           f"closure={sol.residual:.3e} convex={sol.polygon.is_convex()}")
     if args.json:
         serialize.write_json({
-            "config": ExperimentConfig(
-                command="linkage-convert", n=poly.n, seed=args.seed,
-                tol=args.tol).to_json(),
+            "config": _run_config(args),
             "input": serialize.polygon_to_json(poly),
             "equiangular": serialize.polygon_to_json(sol.polygon),
             "phase": sol.phase,
@@ -305,13 +272,13 @@ def cmd_linkage_convert(args) -> int:
 
 def cmd_moduli_embed(args) -> int:
     poly = _input_polygon(args)
-    check_equilateral(poly)
     form = moduli.area_form(poly.n)
     point = pipeline.equilateral_to_hyperbolic(poly, tol=args.tol, form=form)
     disk = moduli.to_disk(point, form)
     print(f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
-          f"disk=({disk[0]:.9f}, {disk[1]:.9f})")
-    disk_points = [tuple(disk)]
+          f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
+    # The figure is a disk: n = 4 draws its one coordinate on the x axis.
+    disk_points = [tuple(np.append(disk, 0.0)[:2])]
     chords = []
     if poly.n == 5:
         center = moduli.to_disk(moduli.cyclic_fixed_point(form), form)
@@ -322,12 +289,10 @@ def cmd_moduli_embed(args) -> int:
         chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
     if args.json:
         serialize.write_json({
-            "config": ExperimentConfig(
-                command="moduli-embed", n=poly.n, seed=args.seed,
-                tol=args.tol).to_json(),
+            "config": _run_config(args),
             "input": serialize.polygon_to_json(poly),
             "point": serialize.hyperbolic_point_to_json(point),
-            "disk": [float(disk[0]), float(disk[1])],
+            "disk": [float(c) for c in disk],
         }, args.json)
     if args.out:
         svgout.disk_figure(disk_points, chords).write(args.out)
@@ -362,10 +327,12 @@ def cmd_pentagon_verify(args) -> int:
     return 0 if out["passed"] else 2
 
 
-def _add_common(sub, tol=1e-9):
-    sub.add_argument("--seed", type=int, default=None)
+def _add_common(sub, tol=1e-9, seed=True, out=True):
+    if seed:
+        sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--tol", type=float, default=tol)
-    sub.add_argument("--out", default=None, help="SVG or PPM output path")
+    if out:
+        sub.add_argument("--out", default=None, help="SVG or PPM output path")
     sub.add_argument("--json", default=None, help="JSON output path")
 
 
@@ -401,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     portrait.add_argument("--resolution", default="64x64")
     portrait.add_argument("--edge-a", default="v:0:0")
     portrait.add_argument("--edge-b", default="v:0:0")
-    _add_common(portrait)
+    _add_common(portrait, seed=False)
     portrait.set_defaults(func=cmd_grid_portrait)
 
     solve = subs.add_parser(
@@ -411,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON angle lists: first sunburst, then optional "
                             "second (default regular)")
     solve.add_argument("--n", type=int, default=5)
-    solve.add_argument("--balanced", action="store_true", default=True)
-    solve.add_argument("--free", dest="balanced", action="store_false",
-                       help="draw an unconstrained random sunburst")
+    solve.add_argument("--free", action="store_true",
+                       help="draw an unconstrained random sunburst instead "
+                            "of a balanced one")
     _add_common(solve, tol=1e-12)
     solve.set_defaults(func=cmd_sunburst_solve)
 
@@ -428,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     embed = subs.add_parser(
         "moduli-embed",
-        help="embed an equilateral polygon in the hyperbolic moduli space")
+        help="embed an equilateral polygon in the hyperbolic moduli space; "
+             "for n >= 6 the SVG shows the first two disk coordinates")
     embed.add_argument("files", nargs="*",
                        help="JSON vertex list of an equilateral polygon")
     embed.add_argument("--n", type=int, default=5)
@@ -438,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = subs.add_parser(
         "pentagon-verify",
         help="check the right-angled wall pentagon numerically")
-    _add_common(verify)
+    _add_common(verify, seed=False, out=False)
     verify.set_defaults(func=cmd_pentagon_verify)
 
     return parser

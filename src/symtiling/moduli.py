@@ -257,9 +257,12 @@ def to_hyperbolic(s, form: AreaForm = None) -> HyperbolicPoint:
 
 def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint,
                         form: AreaForm = None) -> float:
+    """On the unit sheet Q(p - q) = -4 sinh^2(d/2), which stays accurate
+    near d = 0, where acosh of the pairing loses half the digits."""
     if form is None:
         form = area_form(p.n)
-    return math.acosh(max(form.pairing(p.as_array(), q.as_array()), 1.0))
+    v = p.as_array() - q.as_array()
+    return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -form.pairing(v, v))))
 
 
 def wall_normal(form: AreaForm, k: int) -> np.ndarray:
@@ -373,7 +376,8 @@ def lorentz_frame(form: AreaForm) -> np.ndarray:
 
 
 def to_disk(p: HyperbolicPoint, form: AreaForm = None) -> np.ndarray:
-    """Poincare disk projection of a positive-sheet point (N = 5)."""
+    """Poincare disk projection of a positive-sheet point: N - 3
+    coordinates, so the disk figures of N >= 6 show the first two."""
     if form is None:
         form = area_form(p.n)
     y = lorentz_frame(form) @ p.as_array()

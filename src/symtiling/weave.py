@@ -11,6 +11,11 @@ visits the A-rays in counterclockwise order, the step from ray j to
 ray j+1 traveling parallel to B[j+1] (indices mod N).  After one full
 loop the radius is multiplied by the holonomy h; h = 1 closes the orbit
 into a convex polygon inscribed in the A-rays.
+
+Step j scales the radius by sin(c_j + phase) / sin(d_j + phase), with
+c_j the angle from A[j] to B[j+1] and d_j that from A[j+1] to B[j+1];
+so log h and its slope are closed forms in the phase, which the phase
+solver's bracketed Newton iteration uses.
 """
 
 from __future__ import annotations
@@ -130,26 +135,29 @@ class HolonomyReport:
     method: str
 
 
+def _phase_offsets(a: Sunburst, b: Sunburst):
+    """Per step j, the angles c_j from A[j] to B[j+1] and d_j from
+    A[j+1] to B[j+1], before the phase rotation of B.
+    """
+    alpha, beta = ray_angles(a), ray_angles(b)
+    beta = beta[1:] + beta[:1]
+    return ([bj - aj for aj, bj in zip(alpha, beta)],
+            [bj - aj for aj, bj in zip(alpha[1:] + alpha[:1], beta)])
+
+
 def holonomy_product(pair: SunburstPair) -> HolonomyReport:
     """Closed-form holonomy: per step j the radius ratio is
-    cross(A[j], B[j+1]) / cross(A[j+1], B[j+1]) over unit rays.
+    cross(A[j], B[j+1]) / cross(A[j+1], B[j+1]) over unit rays, that is
+    sin(c_j + phase) / sin(d_j + phase).
     """
-    a = [_unit(r) for r in pair.a.rays]
-    b = [_unit(r) for r in pair.rotated_b.rays]
-    n = pair.n
     factors = []
-    for j in range(n):
-        chord = b[(j + 1) % n]
-        num = a[j].cross(chord)
-        den = a[(j + 1) % n].cross(chord)
+    for j, (cj, dj) in enumerate(zip(*_phase_offsets(pair.a, pair.b))):
+        den = math.sin(dj + pair.phase)
         if den == 0:
-            raise DegenerateStep(f"chord B[{(j + 1) % n}] is parallel to "
-                                 f"ray A[{(j + 1) % n}]")
-        factors.append(num / den)
-    h = 1.0
-    for f in factors:
-        h *= f
-    return HolonomyReport(h, tuple(factors), "product")
+            k = (j + 1) % pair.n
+            raise DegenerateStep(f"chord B[{k}] is parallel to ray A[{k}]")
+        factors.append(math.sin(cj + pair.phase) / den)
+    return HolonomyReport(math.prod(factors), tuple(factors), "product")
 
 
 def holonomy_iteration(pair: SunburstPair) -> HolonomyReport:
@@ -250,46 +258,32 @@ def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
     """The unique phase in the weave interval with holonomy 1.
 
     log h decreases strictly in the phase across the interval, blowing
-    up to +inf at the clockwise end and down to -inf at the other, so
-    bisection brackets the root; a final secant polish tightens it to
-    |log h| <= tol.
+    up to +inf at the clockwise end and down to -inf at the other: its
+    slope, the sum of cot(c_j + phase) - cot(d_j + phase), is negative
+    because c_j = d_j + gap_j with both angles in (0, pi).  Newton steps
+    from the midpoint keep a sign bracket and bisect it whenever a step
+    leaves it, until |log h| <= tol.
     """
     interval = weave_interval(a, b)
     pad = interval.width * 1e-9
     lo, hi = interval.lo + pad, interval.hi - pad
-    flo, fhi = log_holonomy(a, b, lo), log_holonomy(a, b, hi)
-    if not (flo > 0 > fhi):
+    if not (log_holonomy(a, b, lo) > 0 > log_holonomy(a, b, hi)):
         raise DegenerateStep("holonomy does not change sign over the "
                              "weave interval")
-    best, fbest = lo, flo
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = log_holonomy(a, b, mid)
-        if abs(fmid) < abs(fbest):
-            best, fbest = mid, fmid
-        if abs(fmid) <= tol or hi - lo < 1e-15:
+    c, d = _phase_offsets(a, b)
+    theta = 0.5 * (lo + hi)
+    for _ in range(100):
+        f = log_holonomy(a, b, theta)
+        if abs(f) <= tol:
             break
-        if fmid > 0:
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    for _ in range(8):
-        if abs(fbest) <= tol:
-            break
-        den = fhi - flo
-        if den == 0:
-            break
-        cand = hi - fhi * (hi - lo) / den
-        if not (lo < cand < hi):
-            cand = 0.5 * (lo + hi)
-        fcand = log_holonomy(a, b, cand)
-        if abs(fcand) < abs(fbest):
-            best, fbest = cand, fcand
-        if fcand > 0:
-            lo, flo = cand, fcand
-        else:
-            hi, fhi = cand, fcand
-    return best % TWO_PI
+        lo, hi = (theta, hi) if f > 0 else (lo, theta)
+        slope = math.fsum(1.0 / math.tan(cj + theta)
+                          - 1.0 / math.tan(dj + theta)
+                          for cj, dj in zip(c, d))
+        theta -= f / slope
+        if not lo < theta < hi:
+            theta = 0.5 * (lo + hi)
+    return theta % TWO_PI
 
 
 def is_balanced(s: Sunburst, tol: float = 1e-12) -> bool:
@@ -339,17 +333,20 @@ def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
             return pair
 
 
-def random_balanced_sunburst(rng, n: int, margin: float = 0.15,
+def random_balanced_sunburst(rng, n: int, margin: float = 0.12,
                              tol: float = 1e-13) -> Sunburst:
     """Random sunburst whose unit rays sum to zero.
 
     Samples counterclockwise angles with comfortable gaps, then projects
     onto the two balance constraints by Gauss-Newton; rejects draws
-    whose projection spoils the gap margins.
+    whose projection spoils the gap margins, which are margin times the
+    regular gap 2 pi / n.  Raises InvalidSunburst after 100 rejected
+    attempts.
     """
     if n < 3:
         raise InvalidSunburst("a sunburst needs at least 3 rays")
-    while True:
+    margin *= TWO_PI / n
+    for _ in range(100):
         weights = [rng.uniform(0.35, 1.0) for _ in range(n)]
         total = sum(weights)
         acc = rng.uniform(0.0, TWO_PI)
@@ -357,7 +354,6 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.15,
         for w in weights:
             acc += w * TWO_PI / total
             ang.append(acc)
-        ok = True
         for _ in range(60):
             rx = sum(math.cos(t) for t in ang)
             ry = sum(math.sin(t) for t in ang)
@@ -368,19 +364,15 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.15,
             jyy = sum(math.cos(t) ** 2 for t in ang)
             det = jxx * jyy - jxy * jxy
             if abs(det) < 1e-12:
-                ok = False
                 break
             lx = (jyy * rx - jxy * ry) / det
             ly = (-jxy * rx + jxx * ry) / det
             ang = [t - (-math.sin(t) * lx + math.cos(t) * ly) for t in ang]
-        else:
-            ok = False
-        if not ok or math.hypot(sum(math.cos(t) for t in ang),
-                                sum(math.sin(t) for t in ang)) > tol:
-            continue
         gaps = [(ang[(i + 1) % n] - ang[i]) % TWO_PI for i in range(n)]
-        if abs(sum(gaps) - TWO_PI) > 1e-9 or min(gaps) < margin:
-            continue
-        if max(gaps) >= math.pi - margin:
-            continue
-        return sunburst_from_angles(ang)
+        if (math.hypot(sum(math.cos(t) for t in ang),
+                       sum(math.sin(t) for t in ang)) <= tol
+                and abs(sum(gaps) - TWO_PI) <= 1e-9
+                and margin <= min(gaps) and max(gaps) < math.pi - margin):
+            return sunburst_from_angles(ang)
+    raise InvalidSunburst(f"no balanced {n}-ray sunburst within the gap "
+                          "margins in 100 attempts")

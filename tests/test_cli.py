@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,68 @@ def test_angle_and_edge_parsing():
     assert cli.parse_resolution("64") == (64, 64)
     with pytest.raises(ValueError):
         cli.parse_resolution("3x0")
+
+
+def test_grid_portrait_config_records_every_flag(tmp_path):
+    jpath = tmp_path / "p.json"
+    assert cli.main(["grid-portrait", "--float", "--angle", "pi/5",
+                     "--edge-a", "h:0:0", "--resolution", "2x2",
+                     "--max-steps", "20", "--out", str(tmp_path / "p.ppm"),
+                     "--json", str(jpath)]) == 0
+    config = json.loads(jpath.read_text())["config"]
+    assert config["command"] == "grid-portrait"
+    assert config["float"] is True
+    assert config["angle"] == "pi/5"
+    assert (config["edge_a"], config["edge_b"]) == ("h:0:0", "v:0:0")
+    assert config["resolution"] == "2x2" and config["max_steps"] == 20
+
+
+def test_grid_portrait_without_out_prints_counts(capsys):
+    assert cli.main(["grid-portrait", "--resolution", "2x2",
+                     "--max-steps", "20"]) == 0
+    assert "=" in capsys.readouterr().out
+
+
+def test_sunburst_solve_config_records_free(tmp_path):
+    jpath = tmp_path / "s.json"
+    assert cli.main(["sunburst-solve", "--free", "--n", "5", "--seed", "2",
+                     "--json", str(jpath)]) == 0
+    config = json.loads(jpath.read_text())["config"]
+    assert config["free"] is True
+    assert (config["n"], config["seed"]) == (5, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sunburst-solve", "--balanced"],
+    ["grid-portrait", "--seed", "1"],
+    ["pentagon-verify", "--seed", "1"],
+    ["pentagon-verify", "--out", "x.svg"],
+])
+def test_parser_rejects_flags_that_do_nothing(argv):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(argv)
+
+
+def test_sunburst_solve_large_n_returns(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "symtiling", "sunburst-solve", "--n", "200",
+         "--seed", "1"], env=env, cwd=tmp_path, capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "convex=True" in done.stdout
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_moduli_embed_writes_every_disk_coordinate(tmp_path, capsys, n):
+    jpath = tmp_path / "disk.json"
+    spath = tmp_path / "disk.svg"
+    assert cli.main(["moduli-embed", "--n", str(n), "--seed", "4",
+                     "--json", str(jpath), "--out", str(spath)]) == 0
+    disk = json.loads(jpath.read_text())["disk"]
+    assert len(disk) == n - 3
+    assert sum(c * c for c in disk) < 1.0
+    printed = capsys.readouterr().out.split("disk=(")[1]
+    assert printed.count(",") == n - 4
+    ET.parse(spath)

@@ -239,6 +239,19 @@ def test_hyperboloid_embedding_and_distance_axioms():
         assert dac <= dab + dbc + 1e-9
 
 
+def test_distance_is_accurate_near_zero():
+    rng = random.Random(31)
+    form = area_form(5)
+    pts = [to_hyperbolic(random_convex_offsets(rng, 5), form)
+           for _ in range(120)]
+    for p in pts:
+        assert hyperbolic_distance(p, p, form) <= 1e-12
+    for p, q in zip(pts, pts[1:]):
+        cosh = form.pairing(p.as_array(), q.as_array())
+        assert math.isclose(hyperbolic_distance(p, q, form),
+                            math.acosh(cosh), rel_tol=1e-9)
+
+
 def test_scaling_offsets_does_not_move_the_point():
     rng = random.Random(6)
     form = area_form(5)

@@ -4,7 +4,6 @@ import random
 from fractions import Fraction
 
 from symtiling import serialize
-from symtiling.cli import ExperimentConfig
 from symtiling.dynamics import PairState, Termination, run_orbit
 from symtiling.exact import Vec2
 from symtiling.linkage import Polygon, random_convex_equilateral
@@ -117,11 +116,3 @@ def test_write_and_read_json(tmp_path):
     serialize.write_json(payload, path)
     assert serialize.read_json(path) == payload
 
-
-def test_experiment_config_roundtrip():
-    config = ExperimentConfig(command="grid-orbit", t="7/11", seed=3,
-                              max_steps=500, tol=1e-9, float_mode=False)
-    data = json.loads(json.dumps(config.to_json()))
-    back = ExperimentConfig.from_json(data)
-    assert back == config
-    assert "angle" not in data

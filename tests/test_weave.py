@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from symtiling import weave
 from symtiling.errors import DegenerateStep, EmptyInterval, InvalidSunburst
 from symtiling.exact import Vec2, unit_from_angle
 from symtiling.weave import (SunburstPair, holonomy,
@@ -247,3 +248,85 @@ def test_calculus_inequality_discrete():
             count += 1
             j += 1
     assert count > 4000
+
+
+def oracle_bisect_phase(a, b, tol=1e-12):
+    """The holonomy-1 phase by bisection on log_holonomy over the padded
+    weave interval, then a secant polish: a check on solve_phase that
+    does not use the closed-form slope."""
+    interval = weave_interval(a, b)
+    pad = interval.width * 1e-9
+    lo, hi = interval.lo + pad, interval.hi - pad
+    flo, fhi = log_holonomy(a, b, lo), log_holonomy(a, b, hi)
+    assert flo > 0 > fhi
+    best, fbest = lo, flo
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        fmid = log_holonomy(a, b, mid)
+        if abs(fmid) < abs(fbest):
+            best, fbest = mid, fmid
+        if abs(fmid) <= tol or hi - lo < 1e-15:
+            break
+        if fmid > 0:
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    for _ in range(8):
+        if abs(fbest) <= tol or fhi == flo:
+            break
+        cand = hi - fhi * (hi - lo) / (fhi - flo)
+        if not (lo < cand < hi):
+            cand = 0.5 * (lo + hi)
+        fcand = log_holonomy(a, b, cand)
+        if abs(fcand) < abs(fbest):
+            best, fbest = cand, fcand
+        if fcand > 0:
+            lo, flo = cand, fcand
+        else:
+            hi, fhi = cand, fcand
+    return best % TWO_PI
+
+
+def test_solve_phase_matches_bisection_oracle():
+    rng = random.Random(211)
+    for n in list(range(3, 13)) * 4 + [50, 200] * 3:
+        a = random_balanced_sunburst(rng, n)
+        b = regular_sunburst(n)
+        theta = solve_phase(a, b)
+        assert abs(log_holonomy(a, b, theta)) <= 1e-12
+        gap = math.remainder(theta - oracle_bisect_phase(a, b), TWO_PI)
+        assert abs(gap) <= 1e-10, (n, gap)
+
+
+def test_solve_phase_needs_few_holonomy_evaluations(monkeypatch):
+    calls = [0]
+    plain = weave.log_holonomy
+
+    def counted(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    monkeypatch.setattr(weave, "log_holonomy", counted)
+    rng = random.Random(223)
+    for n in (5, 32, 200):
+        b = regular_sunburst(n)
+        bursts = [random_balanced_sunburst(rng, n) for _ in range(5)]
+        calls[0] = 0
+        for a in bursts:
+            solve_phase(a, b)
+        assert calls[0] / len(bursts) <= 12, (n, calls[0])
+
+
+def test_random_balanced_sunburst_scales_with_n():
+    rng = random.Random(227)
+    for n in (42, 100, 200):
+        s = random_balanced_sunburst(rng, n)
+        assert s.n == n and is_balanced(s)
+        gaps = [(t1 - t0) % TWO_PI
+                for t0, t1 in zip(ray_angles(s), ray_angles(s)[1:])]
+        assert min(gaps) >= 0.12 * TWO_PI / n
+
+
+def test_random_balanced_sunburst_gives_up_after_bounded_attempts():
+    with pytest.raises(InvalidSunburst, match="100 attempts"):
+        random_balanced_sunburst(random.Random(229), 5, margin=1.0)
