@@ -29,8 +29,8 @@ from .moduli import (AreaForm, HyperbolicPoint, area_form, butterfly,
                      polygon_from_offsets, random_convex_offsets,
                      signed_area, signed_edge_lengths, to_disk, to_hyperbolic,
                      vertices_from_offsets, wall_intersection, wall_normal)
-from .pipeline import (RelabelReport, cyclic_relabel, equilateral_to_hyperbolic,
-                       offsets_from_equiangular)
+from .pipeline import (RelabelReport, cyclic_relabel, equiangular_offsets,
+                       equilateral_to_hyperbolic)
 from .tilings import GridEdge, GridTiling, Particle, Sunburst, is_transverse
 from .weave import (HolonomyReport, PhaseInterval, SunburstPair, holonomy,
                     holonomy_iteration, holonomy_product, is_balanced,

@@ -17,16 +17,15 @@ from random import Random
 
 import numpy as np
 
-from . import dynamics, moduli, pipeline, serialize, svgout, weave
+from . import moduli, pipeline, serialize, svgout
 from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
                        UNBOUNDED_DRIFT, PairState, classify, phase_portrait,
                        run_orbit)
 from .errors import EmptyInterval, GeometryError
 from .exact import Vec2
-from .linkage import (Polygon, check_equilateral, random_convex_equilateral,
-                      solve_equiangular)
+from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
-from .weave import (SunburstPair, holonomy, is_balanced, orbit_points,
+from .weave import (SunburstPair, holonomy, orbit_points,
                     random_balanced_sunburst, regular_sunburst, solve_phase,
                     weave_interval)
 
@@ -86,13 +85,15 @@ def parse_resolution(text: str):
 def build_tilings(args):
     """Standard grid paired with its rotated copy, exact or float."""
     a = GridTiling.standard()
-    if getattr(args, "float", False) and getattr(args, "angle", None):
+    if args.angle is not None:
+        if not args.float:
+            raise ValueError("--angle needs --float")
         theta = parse_angle(args.angle)
         b = GridTiling.rotated(Vec2(math.cos(theta), math.sin(theta)))
     else:
         t = parse_rational(args.t)
         b = GridTiling.from_parameter(t)
-        if getattr(args, "float", False):
+        if args.float:
             b = GridTiling(Vec2(float(b.e1.x), float(b.e1.y)),
                            Vec2(float(b.e2.x), float(b.e2.y)))
     return a, b
@@ -117,7 +118,7 @@ def start_state(a, b, args) -> PairState:
                      b.particle_on(parse_edge(args.edge_b), fb, sb))
 
 
-def write_ppm(path, rows, colors=VERDICT_COLORS):
+def write_ppm(path, rows):
     """P6 raster of verdict strings; rows run bottom-up, as in the
     mathematical frame, so the last row lands at the top of the image."""
     h = len(rows)
@@ -125,7 +126,7 @@ def write_ppm(path, rows, colors=VERDICT_COLORS):
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (w, h))
         for row in reversed(rows):
-            fh.write(b"".join(bytes(colors[v]) for v in row))
+            fh.write(b"".join(bytes(VERDICT_COLORS[v]) for v in row))
 
 
 def _summary(cls) -> str:
@@ -253,10 +254,10 @@ def _input_polygon(args) -> Polygon:
 
 def cmd_linkage_convert(args) -> int:
     poly = _input_polygon(args)
-    side = check_equilateral(poly)
     sol = solve_equiangular(poly, tol=args.tol)
-    print(f"n={poly.n} side={side:.6g} phase={sol.phase:.12f} "
-          f"closure={sol.residual:.3e} convex={sol.polygon.is_convex()}")
+    print(f"n={poly.n} side={poly.edge_lengths()[0]:.6g} "
+          f"phase={sol.phase:.12f} closure={sol.residual:.3e} "
+          f"convex={sol.polygon.is_convex()}")
     if args.json:
         serialize.write_json({
             "config": _run_config(args),
@@ -281,8 +282,6 @@ def cmd_moduli_embed(args) -> int:
     disk_points = [tuple(np.append(disk, 0.0)[:2])]
     chords = []
     if poly.n == 5:
-        center = moduli.to_disk(moduli.cyclic_fixed_point(form), form)
-        disk_points.append(tuple(center))
         corners = [tuple(moduli.to_disk(
             moduli.HyperbolicPoint(5, tuple(corner)), form))
             for corner in moduli.pentagon_report(form)["vertices"]]
@@ -319,11 +318,9 @@ def cmd_pentagon_verify(args) -> int:
         "right_angled": angle_residual <= args.tol,
         "passed": angle_residual <= args.tol and max(ortho) <= args.tol,
     }
-    text = json.dumps(out, indent=2)
-    print(text)
+    print(json.dumps(out, indent=2))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        serialize.write_json(out, args.json)
     return 0 if out["passed"] else 2
 
 
@@ -396,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     embed = subs.add_parser(
         "moduli-embed",
         help="embed an equilateral polygon in the hyperbolic moduli space; "
-             "for n >= 6 the SVG shows the first two disk coordinates")
+             "the regular polygon is the disk centre, and for n >= 6 the "
+             "SVG shows the j = 2 Fourier mode")
     embed.add_argument("files", nargs="*",
                        help="JSON vertex list of an equilateral polygon")
     embed.add_argument("--n", type=int, default=5)

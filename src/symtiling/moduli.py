@@ -16,6 +16,12 @@ quotient by translations the form thus has Lorentz signature (1, N-3).
 Unit-area convex polygons then live on a hyperboloid sheet: a
 hyperbolic space of dimension N-3, with the butterfly moves acting as
 reflections.
+
+Both coordinate systems on that space are closed forms.  Quotient
+coordinates translate the polygon until s_0 = s_1 = 0 and keep
+s_2..s_{N-1}.  The disk chart reads the real Fourier modes j != +-1,
+which are the form's eigenvectors: mode 0 is the timelike axis through
+the regular polygon, so the regular polygon sits at the centre.
 """
 
 from __future__ import annotations
@@ -116,34 +122,37 @@ def random_convex_offsets(rng, n: int, spread: float = 0.35) -> np.ndarray:
 class AreaForm:
     """Signed area as a quadratic form on offset space.
 
-    gram is the full N x N Gram matrix; the radical (translations) is
-    quotiented away by fixing the two gauge offsets to zero, leaving
-    the keep-indices as coordinates with Gram matrix quotient_gram of
-    signature (1, N-3).
+    gram is the full N x N Gram matrix.  The radical (translations) is
+    quotiented away by translating until s_0 = s_1 = 0, which leaves the
+    keep-indices 2..N-1 as coordinates with Gram matrix quotient_gram of
+    signature (1, N-3).  frame maps those coordinates to the Fourier
+    frame, where the form is diag(1, -1, ..., -1).
     """
 
     n: int
     gram: np.ndarray
-    gauge: tuple
     keep: tuple
     quotient_gram: np.ndarray
+    frame: np.ndarray
 
     def value(self, s) -> float:
         s = np.asarray(s, dtype=float)
         return float(s @ self.gram @ s)
 
     def reduce(self, s) -> np.ndarray:
-        """Quotient coordinates: translate until the gauge offsets
-        vanish, then read off the kept components.
+        """Quotient coordinates: translate by the v that zeroes s_0 and
+        s_1, v = ((s_1 - cos theta s_0)/sin theta, -s_0) with
+        theta = 2 pi/N, then read off the kept components.  They are
+        s_k + (sin((k-1) theta) s_0 - sin(k theta) s_1)/sin theta.  An
+        N x m matrix is reduced column by column.
         """
         s = np.asarray(s, dtype=float)
         t = translation_offsets(self.n)
-        g = list(self.gauge)
-        v = np.linalg.solve(t[g], -s[g])
-        return (s + t @ v)[list(self.keep)]
+        v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
+        return (s + t @ v)[2:]
 
     def embed(self, x) -> np.ndarray:
-        """Offset vector with zero gauge components representing x."""
+        """Offset vector with s_0 = s_1 = 0 representing x."""
         s = np.zeros(self.n)
         s[list(self.keep)] = np.asarray(x, dtype=float)
         return s
@@ -152,16 +161,37 @@ class AreaForm:
         return float(np.asarray(x) @ self.quotient_gram @ np.asarray(y))
 
 
+def _fourier_frame(n: int) -> np.ndarray:
+    """Rows: the orthonormal real Fourier modes j != +-1, each scaled by
+    sqrt|lambda_j| with lambda_j = (cos j theta - cos theta)/sin theta
+    and restricted to columns 2..N-1.  They come in the order j = 0,
+    then the cos and sin modes of 2 <= j < N/2, then (-1)^k for even N.
+    The translations are the modes +-1, so every other mode reads the
+    same value off any translate of the offsets.
+    """
+    theta = TWO_PI / n
+    k = np.arange(n)
+    modes = [(0, np.full(n, 1.0 / math.sqrt(n)))]
+    for j in range(2, (n + 1) // 2):
+        modes.append((j, math.sqrt(2.0 / n) * np.cos(j * theta * k)))
+        modes.append((j, math.sqrt(2.0 / n) * np.sin(j * theta * k)))
+    if n % 2 == 0:
+        modes.append((n // 2, (-1.0) ** k / math.sqrt(n)))
+    return np.array([
+        math.sqrt(abs(math.cos(j * theta) - math.cos(theta))
+                  / math.sin(theta)) * u[2:] for j, u in modes])
+
+
 @lru_cache(maxsize=None)
-def area_form(n: int, gauge: tuple = (0, 1)) -> AreaForm:
+def area_form(n: int) -> AreaForm:
     """Gram matrix of signed area, with theta = 2 pi/N: the circulant
     with diagonal -cot theta, both cyclic neighbours 1/(2 sin theta)
     and zeros elsewhere.  Its eigenvalues
     (cos(2 pi j/N) - cos theta)/sin theta are positive only for j = 0
     and vanish only for j = +-1, whose eigenvectors span the
     translations; hence the quotient signature (1, N-3).  Self-checks
-    confirm both facts numerically, which also catches a gauge pair
-    that does not fix the translations.
+    confirm both facts numerically.  The Fourier disk frame is built
+    here too, once per N.
     """
     if n < 4:
         raise ValueError("area form needs at least 4 families")
@@ -174,7 +204,7 @@ def area_form(n: int, gauge: tuple = (0, 1)) -> AreaForm:
     null_dim = int(np.sum(np.abs(np.linalg.eigvalsh(gram)) <= 1e-9))
     if null_dim != 2:
         raise SignatureMismatch(f"radical dimension {null_dim}, expected 2")
-    keep = tuple(i for i in range(n) if i not in gauge)
+    keep = tuple(range(2, n))
     quotient = gram[np.ix_(keep, keep)]
     eig = np.linalg.eigvalsh(quotient)
     plus = int(np.sum(eig > 1e-9))
@@ -182,7 +212,7 @@ def area_form(n: int, gauge: tuple = (0, 1)) -> AreaForm:
     if (plus, minus) != (1, n - 3):
         raise SignatureMismatch(
             f"quotient signature ({plus},{minus}), expected (1,{n - 3})")
-    return AreaForm(n, gram, tuple(gauge), keep, quotient)
+    return AreaForm(n, gram, keep, quotient, _fourier_frame(n))
 
 
 def butterfly_matrix(n: int, k: int) -> np.ndarray:
@@ -211,8 +241,8 @@ def butterfly(s, k: int) -> np.ndarray:
 
 
 def quotient_map(form: AreaForm, matrix: np.ndarray) -> np.ndarray:
-    """The map induced on gauge coordinates by a translation-equivariant
-    linear map of offset space.
+    """The map induced on quotient coordinates by a
+    translation-equivariant linear map of offset space.
     """
     return form.reduce(matrix[:, list(form.keep)])
 
@@ -226,7 +256,7 @@ def cyclic_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HyperbolicPoint:
-    """Point on the unit-area sheet in gauge coordinates."""
+    """Point on the unit-area sheet in quotient coordinates."""
 
     n: int
     coords: tuple
@@ -244,7 +274,7 @@ def reference_point(form: AreaForm) -> np.ndarray:
 
 
 def to_hyperbolic(s, form: AreaForm = None) -> HyperbolicPoint:
-    """Gauge-reduce and normalize to unit area."""
+    """Reduce to quotient coordinates and normalize to unit area."""
     s = np.asarray(s, dtype=float)
     if form is None:
         form = area_form(len(s))
@@ -358,27 +388,13 @@ def chart_c_coordinate(s) -> float:
     return float(p[0] - q[0])
 
 
-def lorentz_frame(form: AreaForm) -> np.ndarray:
-    """Rows map gauge coordinates to a frame where Q = diag(1,-1,...);
-    the first row is the timelike axis through the reference point's
-    sign choice.
-    """
-    vals, vecs = np.linalg.eigh(form.quotient_gram)
-    order = np.argsort(-vals)
-    rows = []
-    for idx in order:
-        scale = math.sqrt(abs(vals[idx]))
-        rows.append(vecs[:, idx] * scale)
-    frame = np.array(rows)
-    if (frame[0] @ reference_point(form)) < 0:
-        frame[0] = -frame[0]
-    return frame
-
-
 def to_disk(p: HyperbolicPoint, form: AreaForm = None) -> np.ndarray:
-    """Poincare disk projection of a positive-sheet point: N - 3
-    coordinates, so the disk figures of N >= 6 show the first two."""
+    """Poincare ball projection of a positive-sheet point in the Fourier
+    frame: N - 3 coordinates, with the regular polygon at the centre.
+    For N >= 6 the first two are the j = 2 mode, the polygon's affine
+    deformation, which the disk figures show.
+    """
     if form is None:
         form = area_form(p.n)
-    y = lorentz_frame(form) @ p.as_array()
+    y = form.frame @ p.as_array()
     return y[1:] / (1.0 + y[0])

@@ -1,61 +1,36 @@
 """End-to-end map from convex equilateral polygons to hyperbolic moduli.
 
 Composes the pieces: solve the holonomy-1 phase to get the equiangular
-partner polygon, rotate it so its edge lines fall into the canonical
-root-of-unity families, read off the line offsets, and normalize onto
-the unit-area hyperboloid sheet.  The output is invariant under plane
+partner polygon, read its line offsets in the canonical root-of-unity
+families straight off the solved orbit, and normalize onto the
+unit-area hyperboloid sheet.  The output is invariant under plane
 isometries of the input and under the orbit's dilation freedom.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .exact import Vec2
-from .linkage import Polygon, solve_equiangular
+from .linkage import EquiangularSolution, Polygon, solve_equiangular
 from .moduli import (AreaForm, HyperbolicPoint, area_form, cyclic_matrix,
-                     family_directions, family_normals, hyperbolic_distance,
-                     quotient_map, to_hyperbolic)
-
-TWO_PI = 2.0 * math.pi
+                     hyperbolic_distance, quotient_map, to_hyperbolic)
+from .weave import regular_sunburst
 
 
-def offsets_from_equiangular(poly: Polygon, tol: float = 1e-6) -> np.ndarray:
-    """Offsets of the rotated copy of an equiangular polygon whose edge
-    lines sit in the canonical direction families.
+def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
+    """Line offsets in the canonical families of the solved polygon p
+    turned by pi - phase: s_k = cross(p_{k-1}, b_k), with b the regular
+    sunburst at the solved phase.
 
-    Edge j runs from vertex j to vertex j+1; after the aligning rotation
-    its traversal direction is -d_k for family k = j+1 mod N, matching
-    the left-normal offset convention.  A misaligned input (not
-    equiangular in traversal order) raises ValueError.
+    Edge k-1 -> k of the orbit is parallel to b_k, and the turn sends
+    b_k to -d_k, the traversal direction of family k under the
+    left-normal convention; a rotation keeps cross products.
     """
-    n = poly.n
-    e = poly.edge_vectors()
-    phi0 = math.atan2(float(e[0].y), float(e[0].x))
-    rho = (TWO_PI / n + math.pi) - phi0
-    rotated = poly.rotated(rho)
-    verts = np.array([[float(v.x), float(v.y)] for v in rotated.vertices])
-    d = family_directions(n)
-    nm = family_normals(n)
-    scale = max(1.0, float(np.max(np.abs(verts))))
-    s = np.empty(n)
-    for j in range(n):
-        k = (j + 1) % n
-        a = verts[j]
-        b = verts[(j + 1) % n]
-        u = b - a
-        u = u / np.hypot(*u)
-        if float(u @ d[k]) > -1.0 + tol:
-            raise ValueError(f"edge {j} does not align with family {k}")
-        sa = float(nm[k] @ a)
-        sb = float(nm[k] @ b)
-        if abs(sa - sb) > tol * scale:
-            raise ValueError(f"edge {j} endpoints disagree on offset {k}")
-        s[k] = (sa + sb) / 2.0
-    return s
+    p = sol.polygon.vertices
+    b = regular_sunburst(len(p), sol.phase).rays
+    return np.array([float(p[k - 1].cross(b[k])) for k in range(len(p))])
 
 
 def equilateral_to_hyperbolic(poly: Polygon, tol: float = 1e-12,
@@ -63,10 +38,9 @@ def equilateral_to_hyperbolic(poly: Polygon, tol: float = 1e-12,
                               form: AreaForm = None) -> HyperbolicPoint:
     """Hyperbolic moduli point of a convex equilateral polygon."""
     sol = solve_equiangular(poly, tol, radius)
-    s = offsets_from_equiangular(sol.polygon)
     if form is None:
         form = area_form(poly.n)
-    return to_hyperbolic(s, form)
+    return to_hyperbolic(equiangular_offsets(sol), form)
 
 
 class RelabelReport(NamedTuple):

@@ -18,11 +18,7 @@ from .weave import ray_angles, sunburst_from_angles
 
 
 def scalar_to_json(x):
-    if isinstance(x, bool):
-        return x
-    if isinstance(x, int):
-        return x
-    if isinstance(x, float):
+    if isinstance(x, (int, float)):
         return x
     return str(Fraction(x))
 
@@ -42,9 +38,7 @@ def vec_from_json(data) -> Vec2:
 
 
 def point_to_json(p):
-    """Vec2 or plain pair; trace points are stored as float pairs."""
-    if hasattr(p, "x"):
-        return vec_to_json(p)
+    """A trace point, which orbit records store as a float pair."""
     return [scalar_to_json(p[0]), scalar_to_json(p[1])]
 
 

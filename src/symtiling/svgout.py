@@ -22,6 +22,7 @@ PALETTE = (
 GRID_COLOR = "#d8d8d8"
 A_COLOR = "#4c78a8"
 B_COLOR = "#e45756"
+PIXELS = 720    # the longer side of every rendered figure
 
 
 def _xy(p):
@@ -42,26 +43,24 @@ class Canvas:
         self._xs.extend((x - pad, x + pad))
         self._ys.extend((y - pad, y + pad))
 
-    def polyline(self, points, color="#333333", width=1.0, opacity=1.0,
-                 closed=False, fill="none"):
+    def polyline(self, points, color="#333333", width=1.0, closed=False):
         pts = [_xy(p) for p in points]
         if len(pts) < 2:
             return
         for x, y in pts:
             self._see(x, y)
-        self._shapes.append(("poly", pts, closed, color, width, opacity, fill))
+        self._shapes.append(("poly", pts, closed, color, width))
 
-    def polygon(self, points, color="#333333", width=1.0, fill="none",
-                opacity=1.0):
-        self.polyline(points, color, width, opacity, closed=True, fill=fill)
+    def polygon(self, points, color="#333333", width=1.0):
+        self.polyline(points, color, width, closed=True)
 
-    def segment(self, a, b, color="#333333", width=1.0, opacity=1.0):
-        self.polyline((a, b), color, width, opacity)
+    def segment(self, a, b, color="#333333", width=1.0):
+        self.polyline((a, b), color, width)
 
-    def circle(self, center, radius, color="#333333", width=1.0, fill="none"):
+    def circle(self, center, radius, color="#333333", width=1.0):
         x, y = _xy(center)
         self._see(x, y, pad=radius)
-        self._shapes.append(("circle", x, y, radius, color, width, fill))
+        self._shapes.append(("circle", x, y, radius, color, width))
 
     def dot(self, center, size=2.0, color="#222222"):
         """Filled marker whose radius is size stroke units."""
@@ -81,13 +80,13 @@ class Canvas:
         my = 0.05 * scale + 0.5 * max(0.0, scale * 1e-3 - h)
         return xmin - mx, ymin - my, w + 2 * mx, h + 2 * my
 
-    def render(self, pixels=720):
+    def render(self):
         xmin, ymin, w, h = self._frame()
         unit = 0.0018 * math.hypot(w, h)
         if w >= h:
-            pw, ph = pixels, max(1, round(pixels * h / w))
+            pw, ph = PIXELS, max(1, round(PIXELS * h / w))
         else:
-            pw, ph = max(1, round(pixels * w / h)), pixels
+            pw, ph = max(1, round(PIXELS * w / h)), PIXELS
         out = [
             '<?xml version="1.0" encoding="UTF-8"?>',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -97,20 +96,18 @@ class Canvas:
         for shape in self._shapes:
             kind = shape[0]
             if kind == "poly":
-                _, pts, closed, color, width, opacity, fill = shape
+                _, pts, closed, color, width = shape
                 coords = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
                 tag = "polygon" if closed else "polyline"
-                style = (f'fill="{fill}" stroke="{color}" '
-                         f'stroke-width="{_f(width * unit)}" '
-                         f'stroke-linejoin="round" stroke-linecap="round"')
-                if opacity != 1.0:
-                    style += f' stroke-opacity="{_f(opacity)}"'
-                out.append(f'<{tag} points="{coords}" {style}/>')
+                out.append(f'<{tag} points="{coords}" fill="none" '
+                           f'stroke="{color}" '
+                           f'stroke-width="{_f(width * unit)}" '
+                           f'stroke-linejoin="round" stroke-linecap="round"/>')
             elif kind == "circle":
-                _, x, y, r, color, width, fill = shape
+                _, x, y, r, color, width = shape
                 out.append(
                     f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(r)}" '
-                    f'fill="{fill}" stroke="{color}" '
+                    f'fill="none" stroke="{color}" '
                     f'stroke-width="{_f(width * unit)}"/>')
             elif kind == "dot":
                 _, x, y, size, color = shape
@@ -120,9 +117,9 @@ class Canvas:
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
-    def write(self, path, pixels=720):
+    def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.render(pixels))
+            fh.write(self.render())
 
 
 def _f(x: float) -> str:
@@ -135,13 +132,13 @@ def _bounds(points):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def _grid_backdrop(canvas, tiling, points, shift=0.0, pad=1):
+def _grid_backdrop(canvas, tiling, points, shift=0.0):
     """Draws the grid lines of a tiling behind a cloud of world points."""
     local = [tiling.to_local(Vec2(*_xy(p))) for p in points]
     lx = [float(p.x) for p in local]
     ly = [float(p.y) for p in local]
-    x0, x1 = math.floor(min(lx)) - pad, math.ceil(max(lx)) + pad
-    y0, y1 = math.floor(min(ly)) - pad, math.ceil(max(ly)) + pad
+    x0, x1 = math.floor(min(lx)) - 1, math.ceil(max(lx)) + 1
+    y0, y1 = math.floor(min(ly)) - 1, math.ceil(max(ly)) + 1
 
     def world(x, y):
         p = tiling.to_world(Vec2(x, y))
@@ -153,7 +150,7 @@ def _grid_backdrop(canvas, tiling, points, shift=0.0, pad=1):
         canvas.segment(world(x0, y), world(x1, y), GRID_COLOR, 0.6)
 
 
-def orbit_figure(record, a_tiling, b_tiling, grid=True) -> Canvas:
+def orbit_figure(record, a_tiling, b_tiling) -> Canvas:
     """Both factor projections of a pair orbit, drawn side by side."""
     canvas = Canvas()
     a_pts = [_xy(p) for p in record.a_points]
@@ -162,9 +159,8 @@ def orbit_figure(record, a_tiling, b_tiling, grid=True) -> Canvas:
     bx0, by0, bx1, by1 = _bounds(b_pts)
     gap = 0.12 * max(ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0, 1.0)
     shift = (ax1 - bx0) + gap + 2.0
-    if grid:
-        _grid_backdrop(canvas, a_tiling, record.a_points)
-        _grid_backdrop(canvas, b_tiling, record.b_points, shift=shift)
+    _grid_backdrop(canvas, a_tiling, record.a_points)
+    _grid_backdrop(canvas, b_tiling, record.b_points, shift=shift)
     shifted = [(x + shift, y) for x, y in b_pts]
     if len(a_pts) >= 2:
         canvas.polyline(a_pts, A_COLOR, 1.0)
@@ -208,20 +204,20 @@ def sunburst_figure(pair, points) -> Canvas:
     return canvas
 
 
-def disk_figure(points, chords=(), labels_colored=True) -> Canvas:
-    """Points of the Poincare disk, with optional straight chords."""
+def disk_figure(points, chords=()) -> Canvas:
+    """Points of the Poincare disk, with optional straight chords; the
+    gray dot marks the centre."""
     canvas = Canvas()
     canvas.circle((0.0, 0.0), 1.0, "#333333", 1.0)
     canvas.dot((0.0, 0.0), 1.0, "#bbbbbb")
     for a, b in chords:
         canvas.segment(_xy(a), _xy(b), "#999999", 0.8)
     for i, p in enumerate(points):
-        color = PALETTE[i % len(PALETTE)] if labels_colored else "#222222"
-        canvas.dot(_xy(p), 2.6, color)
+        canvas.dot(_xy(p), 2.6, PALETTE[i % len(PALETTE)])
     return canvas
 
 
-def polygon_figure(polys, colors=None) -> Canvas:
+def polygon_figure(polys) -> Canvas:
     """One or more polygons drawn side by side."""
     canvas = Canvas()
     shift = 0.0
@@ -229,8 +225,8 @@ def polygon_figure(polys, colors=None) -> Canvas:
         pts = [_xy(v) for v in poly.vertices]
         x0, y0, x1, y1 = _bounds(pts)
         dx = shift - x0
-        color = (colors[i] if colors else PALETTE[i % len(PALETTE)])
-        canvas.polygon([(x + dx, y) for x, y in pts], color, 1.4)
+        canvas.polygon([(x + dx, y) for x, y in pts],
+                       PALETTE[i % len(PALETTE)], 1.4)
         for x, y in pts:
             canvas.dot((x + dx, y), 1.6, "#333333")
         shift += (x1 - x0) + 0.35 * max(x1 - x0, 1.0)

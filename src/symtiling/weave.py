@@ -171,13 +171,13 @@ def holonomy_iteration(pair: SunburstPair) -> HolonomyReport:
     return HolonomyReport(radii[-1], factors, "iteration")
 
 
-def holonomy(pair: SunburstPair, check_tol: float = 1e-12) -> HolonomyReport:
+def holonomy(pair: SunburstPair) -> HolonomyReport:
     """Product-formula holonomy, cross-checked against the orbit
-    iteration to check_tol relative error.
+    iteration to 1e-12 relative error.
     """
     prod = holonomy_product(pair)
     it = holonomy_iteration(pair)
-    if abs(prod.h - it.h) > check_tol * abs(it.h):
+    if abs(prod.h - it.h) > 1e-12 * abs(it.h):
         raise ArithmeticError(
             f"holonomy mismatch: product {prod.h!r} vs iteration {it.h!r}")
     return prod

@@ -285,6 +285,18 @@ def test_parser_rejects_flags_that_do_nothing(argv):
         cli.build_parser().parse_args(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["grid-orbit", "--angle", "pi/4", "--max-steps", "20"],
+    ["grid-portrait", "--angle", "pi/4", "--resolution", "2x2",
+     "--max-steps", "20"],
+])
+def test_angle_without_float_exits_two(tmp_path, capsys, argv):
+    jpath = tmp_path / "run.json"
+    assert cli.main(argv + ["--json", str(jpath)]) == 2
+    assert "--angle needs --float" in capsys.readouterr().err
+    assert not jpath.exists()
+
+
 def test_sunburst_solve_large_n_returns(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -132,19 +132,56 @@ def test_reduce_is_translation_invariant_and_embeds_back():
             assert abs(form.pairing(x, x) - form.value(s)) <= 1e-9
 
 
-def test_gauge_choice_does_not_change_distances():
+def oracle_gauge_reduce(s, gauge):
+    """Coordinates left after solving for the translation that zeroes
+    the two gauge offsets, and the Gram matrix of the kept offsets: the
+    solve-based reduction that the closed form replaced."""
+    n = len(s)
+    t = translation_offsets(n)
+    g = list(gauge)
+    keep = [i for i in range(n) if i not in gauge]
+    x = (s + t @ np.linalg.solve(t[g], -s[g]))[keep]
+    return x, area_form(n).gram[np.ix_(keep, keep)]
+
+
+def test_closed_form_reduce_matches_the_gauge_solve_oracle():
     rng = random.Random(47)
-    n = 5
-    fa = area_form(n, (0, 1))
-    fb = area_form(n, (2, 4))
-    for _ in range(20):
-        s1 = random_convex_offsets(rng, n)
-        s2 = random_convex_offsets(rng, n)
-        da = hyperbolic_distance(to_hyperbolic(s1, fa), to_hyperbolic(s2, fa),
-                                 fa)
-        db = hyperbolic_distance(to_hyperbolic(s1, fb), to_hyperbolic(s2, fb),
-                                 fb)
-        assert abs(da - db) <= 1e-7
+
+    def distance(x, y, gram):
+        v = x - y
+        return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -(v @ gram @ v))))
+
+    for n in (5, 7):
+        form = area_form(n)
+        for _ in range(20):
+            s1 = random_convex_offsets(rng, n)
+            s2 = random_convex_offsets(rng, n)
+            x, _ = oracle_gauge_reduce(s1, (0, 1))
+            assert np.allclose(form.reduce(s1), x, rtol=1e-12, atol=1e-12)
+            closed = hyperbolic_distance(to_hyperbolic(s1, form),
+                                         to_hyperbolic(s2, form), form)
+            for gauge in ((0, 1), (2, 4)):
+                x1, gram = oracle_gauge_reduce(s1 / math.sqrt(form.value(s1)),
+                                               gauge)
+                x2, _ = oracle_gauge_reduce(s2 / math.sqrt(form.value(s2)),
+                                            gauge)
+                assert abs(distance(x1, x2, gram) - closed) <= 1e-9
+
+
+def test_fourier_frame_diagonalizes_the_quotient_form():
+    for n in (*range(4, 13), 30, 64, 200):
+        form = area_form(n)
+        signs = np.diag([1.0] + [-1.0] * (n - 3))
+        q = form.quotient_gram
+        assert form.frame.shape == (n - 2, n - 2)
+        assert np.max(np.abs(form.frame.T @ signs @ form.frame - q)) <= (
+            1e-12 * max(1.0, np.max(np.abs(q))))
+
+
+def test_regular_polygon_is_the_disk_centre():
+    for n in (*range(4, 13), 32):
+        form = area_form(n)
+        assert np.linalg.norm(to_disk(cyclic_fixed_point(form), form)) <= 1e-12
 
 
 def test_butterfly_reflects_vertex_through_neighbor_intersection():
@@ -314,17 +351,24 @@ def test_chart_coordinate_is_translation_invariant_linear():
 
 
 def test_disk_projection_is_an_isometry():
+    """Disk distances match the hyperboloid's: the Mobius form on the
+    one- and two-dimensional disks, the Poincare ball form above."""
     rng = random.Random(10)
-    form = area_form(5)
-    pts = []
-    for _ in range(10):
-        s = random_convex_offsets(rng, 5)
-        p = to_hyperbolic(s, form)
-        z = to_disk(p, form)
-        assert np.linalg.norm(z) < 1.0
-        pts.append((p, complex(z[0], z[1])))
-    for _ in range(30):
-        (p, z), (q, w) = rng.sample(pts, 2)
-        mobius = abs(z - w) / abs(1.0 - z * w.conjugate())
-        d_disk = 2.0 * math.atanh(mobius)
-        assert abs(d_disk - hyperbolic_distance(p, q, form)) <= 1e-9
+    for n in (4, 5, 6, 9, 32):
+        form = area_form(n)
+        pts = []
+        for _ in range(10):
+            p = to_hyperbolic(random_convex_offsets(rng, n), form)
+            z = to_disk(p, form)
+            assert len(z) == n - 3 and np.linalg.norm(z) < 1.0
+            pts.append((p, z))
+        for _ in range(30):
+            (p, z), (q, w) = rng.sample(pts, 2)
+            if n <= 5:
+                z, w = (complex(*np.append(v, 0.0)[:2]) for v in (z, w))
+                d_disk = 2.0 * math.atanh(abs(z - w)
+                                          / abs(1.0 - z * w.conjugate()))
+            else:
+                d_disk = 2.0 * math.asinh(np.linalg.norm(z - w) / math.sqrt(
+                    (1.0 - z @ z) * (1.0 - w @ w)))
+            assert abs(d_disk - hyperbolic_distance(p, q, form)) <= 1e-9

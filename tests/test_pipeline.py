@@ -7,10 +7,59 @@ from symtiling.exact import Vec2
 from symtiling.linkage import (Polygon, random_convex_equilateral,
                                regular_equilateral, solve_equiangular)
 from symtiling.moduli import (area_form, cyclic_fixed_point,
+                              family_directions, family_normals,
                               hyperbolic_distance, pentagon_walls,
                               vertices_from_offsets)
-from symtiling.pipeline import (cyclic_relabel, equilateral_to_hyperbolic,
-                                offsets_from_equiangular)
+from symtiling.pipeline import (cyclic_relabel, equiangular_offsets,
+                                equilateral_to_hyperbolic)
+
+TWO_PI = 2.0 * math.pi
+
+
+def oracle_offsets_from_equiangular(poly: Polygon, tol: float = 1e-6
+                                    ) -> np.ndarray:
+    """Offsets of the rotated copy of an equiangular polygon whose edge
+    lines sit in the canonical direction families.
+
+    Edge j runs from vertex j to vertex j+1; after the aligning rotation
+    its traversal direction is -d_k for family k = j+1 mod N, matching
+    the left-normal offset convention.  A misaligned input (not
+    equiangular in traversal order) raises ValueError.
+    """
+    n = poly.n
+    e = poly.edge_vectors()
+    phi0 = math.atan2(float(e[0].y), float(e[0].x))
+    rho = (TWO_PI / n + math.pi) - phi0
+    rotated = poly.rotated(rho)
+    verts = np.array([[float(v.x), float(v.y)] for v in rotated.vertices])
+    d = family_directions(n)
+    nm = family_normals(n)
+    scale = max(1.0, float(np.max(np.abs(verts))))
+    s = np.empty(n)
+    for j in range(n):
+        k = (j + 1) % n
+        a = verts[j]
+        b = verts[(j + 1) % n]
+        u = b - a
+        u = u / np.hypot(*u)
+        if float(u @ d[k]) > -1.0 + tol:
+            raise ValueError(f"edge {j} does not align with family {k}")
+        sa = float(nm[k] @ a)
+        sb = float(nm[k] @ b)
+        if abs(sa - sb) > tol * scale:
+            raise ValueError(f"edge {j} endpoints disagree on offset {k}")
+        s[k] = (sa + sb) / 2.0
+    return s
+
+
+def test_offsets_match_the_rotation_oracle():
+    rng = random.Random(7)
+    for n in (4, 5, 6, 7, 8, 32):
+        for _ in range(4):
+            sol = solve_equiangular(random_convex_equilateral(rng, n))
+            s = equiangular_offsets(sol)
+            oracle = oracle_offsets_from_equiangular(sol.polygon)
+            assert np.max(np.abs(s - oracle)) <= 1e-11
 
 
 def test_offsets_reproduce_the_aligned_polygon():
@@ -19,7 +68,7 @@ def test_offsets_reproduce_the_aligned_polygon():
         n = rng.randint(4, 8)
         poly = random_convex_equilateral(rng, n)
         sol = solve_equiangular(poly)
-        s = offsets_from_equiangular(sol.polygon)
+        s = equiangular_offsets(sol)
         verts = vertices_from_offsets(s)
         area = 0.5 * abs(sum(
             verts[i][0] * verts[(i + 1) % n][1]
