@@ -31,14 +31,14 @@ from .moduli import (AreaForm, HyperbolicPoint, area_form, butterfly,
                      vertices_from_offsets, wall_intersection, wall_normal)
 from .pipeline import (RelabelReport, cyclic_relabel, equiangular_offsets,
                        equilateral_to_hyperbolic)
-from .tilings import GridEdge, GridTiling, Particle, Sunburst, is_transverse
-from .weave import (HolonomyReport, PhaseInterval, SunburstPair, holonomy,
-                    holonomy_iteration, holonomy_product, is_balanced,
-                    is_oriented_weave, is_regular, left_times_right_holonomy,
-                    log_holonomy, orbit_points, phase_arcs,
-                    random_balanced_sunburst, random_oriented_weave,
-                    ray_angles, regular_sunburst, rotated_sunburst,
-                    solve_phase, sunburst_from_angles, weave_interval)
+from .tilings import GridEdge, GridTiling, Particle, is_transverse
+from .weave import (HolonomyReport, PhaseInterval, Sunburst, SunburstPair,
+                    holonomy, holonomy_iteration, holonomy_product,
+                    is_balanced, is_oriented_weave, is_regular,
+                    left_times_right_holonomy, log_holonomy, orbit_points,
+                    phase_arcs, random_balanced_sunburst,
+                    random_oriented_weave, regular_sunburst, solve_phase,
+                    weave_interval)
 
 __version__ = "0.1.0"
 

@@ -21,11 +21,11 @@ from . import moduli, pipeline, serialize, svgout
 from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
                        UNBOUNDED_DRIFT, PairState, classify, phase_portrait,
                        run_orbit)
-from .errors import EmptyInterval, GeometryError
+from .errors import EmptyInterval, GeometryError, InvalidSunburst
 from .exact import Vec2
 from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
-from .weave import (SunburstPair, holonomy, orbit_points,
+from .weave import (Sunburst, SunburstPair, holonomy, orbit_points,
                     random_balanced_sunburst, regular_sunburst, solve_phase,
                     weave_interval)
 
@@ -179,12 +179,10 @@ def cmd_grid_portrait(args) -> int:
     return 0
 
 
-def _load_sunburst(path):
-    return serialize.sunburst_from_json(serialize.read_json(path))
-
-
 def _random_free_sunburst(rng, n):
-    while True:
+    """Random gaps, redrawn while they do not form a sunburst; raises
+    InvalidSunburst after 100 rejected attempts."""
+    for _ in range(100):
         gaps = [0.25 + rng.random() for _ in range(n)]
         total = sum(gaps)
         angles = []
@@ -193,17 +191,18 @@ def _random_free_sunburst(rng, n):
             angles.append(acc)
             acc += 2.0 * math.pi * g / total
         try:
-            return serialize.sunburst_from_json(angles)
-        except GeometryError:
+            return Sunburst(angles)
+        except InvalidSunburst:
             continue
+    raise InvalidSunburst(f"no free {n}-ray sunburst in 100 attempts")
 
 
 def cmd_sunburst_solve(args) -> int:
     rng = Random(args.seed)
     if args.files:
-        a = _load_sunburst(args.files[0])
-        b = (_load_sunburst(args.files[1]) if len(args.files) > 1
-             else regular_sunburst(a.n))
+        a = Sunburst(serialize.read_json(args.files[0]))
+        b = (Sunburst(serialize.read_json(args.files[1]))
+             if len(args.files) > 1 else regular_sunburst(a.n))
     elif args.free:
         a = _random_free_sunburst(rng, args.n)
         b = regular_sunburst(args.n)
@@ -232,8 +231,8 @@ def cmd_sunburst_solve(args) -> int:
     if args.json:
         serialize.write_json({
             "config": _run_config(args),
-            "a": serialize.sunburst_to_json(a),
-            "b": serialize.sunburst_to_json(b),
+            "a": list(a.angles),
+            "b": list(b.angles),
             "theta": theta,
             "holonomy": serialize.holonomy_report_to_json(report),
             "interval": serialize.phase_interval_to_json(interval),

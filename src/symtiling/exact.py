@@ -105,6 +105,3 @@ def unit_from_angle(theta: float) -> Vec2:
     return Vec2(math.cos(theta), math.sin(theta))
 
 
-def angle_of(v: Vec2) -> float:
-    return math.atan2(float(v.y), float(v.x))
-

@@ -16,9 +16,8 @@ from typing import NamedTuple
 
 from .errors import NotConvex, NotEquilateral
 from .exact import Vec2, rotate, unit_from_angle
-from .tilings import Sunburst
-from .weave import (SunburstPair, orbit_points, random_balanced_sunburst,
-                    regular_sunburst, solve_phase)
+from .weave import (Sunburst, SunburstPair, orbit_points,
+                    random_balanced_sunburst, regular_sunburst, solve_phase)
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,17 +92,18 @@ def random_convex_equilateral(rng, n: int) -> Polygon:
     burst = random_balanced_sunburst(rng, n)
     p = Vec2(0.0, 0.0)
     verts = []
-    for r in burst.rays:
+    for t in burst.angles:
         verts.append(p)
-        p = p + r
+        p = p + unit_from_angle(t)
     return Polygon(verts)
 
 
 def check_equilateral(poly: Polygon, tol: float = 1e-12) -> float:
     """Common edge length; raises unless all edges agree to tol
-    (relative) and the polygon is strictly convex counterclockwise.
+    (relative) and the polygon has at least 3 vertices and is strictly
+    convex counterclockwise.
     """
-    if not poly.is_convex():
+    if poly.n < 3 or not poly.is_convex():
         raise NotConvex("polygon is not strictly convex counterclockwise")
     lengths = poly.edge_lengths()
     side = lengths[0]
@@ -114,17 +114,17 @@ def check_equilateral(poly: Polygon, tol: float = 1e-12) -> float:
 
 
 def directions_to_sunburst(poly: Polygon, tol: float = 1e-12) -> Sunburst:
-    """The balanced sunburst of unit edge directions of a convex
-    equilateral polygon.
+    """The balanced sunburst of edge directions of a convex equilateral
+    polygon: one angle per edge vector, after the polygon is checked.
     """
-    side = check_equilateral(poly, tol)
-    return Sunburst(e * (1.0 / side) for e in poly.edge_vectors())
+    check_equilateral(poly, tol)
+    return Sunburst(math.atan2(float(e.y), float(e.x))
+                    for e in poly.edge_vectors())
 
 
 class EquiangularSolution(NamedTuple):
     polygon: Polygon
     phase: float
-    sunburst: Sunburst
     residual: float
 
 
@@ -136,12 +136,11 @@ def solve_equiangular(poly: Polygon, tol: float = 1e-12, radius: float = 1.0
     direction ray; residual is the closure error of the orbit loop.
     """
     burst = directions_to_sunburst(poly)
-    n = poly.n
-    phase = solve_phase(burst, regular_sunburst(n), tol)
-    pts = orbit_points(SunburstPair(burst, regular_sunburst(n), phase),
-                       r0=radius)
+    regular = regular_sunburst(poly.n)
+    phase = solve_phase(burst, regular, tol)
+    pts = orbit_points(SunburstPair(burst, regular, phase), r0=radius)
     residual = (pts[-1] - pts[0]).norm()
-    return EquiangularSolution(Polygon(pts[:n]), phase, burst, residual)
+    return EquiangularSolution(Polygon(pts[:poly.n]), phase, residual)
 
 
 def equilateral_to_equiangular(poly: Polygon, tol: float = 1e-12,

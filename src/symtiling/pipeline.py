@@ -13,24 +13,27 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .exact import unit_from_angle
 from .linkage import EquiangularSolution, Polygon, solve_equiangular
 from .moduli import (AreaForm, HyperbolicPoint, area_form, cyclic_matrix,
                      hyperbolic_distance, quotient_map, to_hyperbolic)
-from .weave import regular_sunburst
+from .weave import TWO_PI
 
 
 def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
     """Line offsets in the canonical families of the solved polygon p
-    turned by pi - phase: s_k = cross(p_{k-1}, b_k), with b the regular
-    sunburst at the solved phase.
+    turned by pi - phase: s_k = cross(p_{k-1}, b_k), with b_k the unit
+    vector at angle phase + 2 pi k / n, ray k of the regular sunburst
+    at the solved phase.
 
     Edge k-1 -> k of the orbit is parallel to b_k, and the turn sends
     b_k to -d_k, the traversal direction of family k under the
     left-normal convention; a rotation keeps cross products.
     """
     p = sol.polygon.vertices
-    b = regular_sunburst(len(p), sol.phase).rays
-    return np.array([float(p[k - 1].cross(b[k])) for k in range(len(p))])
+    n = len(p)
+    return np.array([float(p[k - 1].cross(
+        unit_from_angle(sol.phase + TWO_PI * k / n))) for k in range(n)])
 
 
 def equilateral_to_hyperbolic(poly: Polygon, tol: float = 1e-12,

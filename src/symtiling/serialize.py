@@ -1,8 +1,10 @@
-"""JSON wire formats for orbits, sunbursts, polygons and reports.
+"""JSON wire formats for orbits, polygons and reports.
 
 Rational scalars travel as "p/q" strings so a record written in exact
 mode replays bit for bit; floats pass through as JSON numbers, which
-Python prints with enough digits to round-trip exactly.
+Python prints with enough digits to round-trip exactly.  A sunburst
+travels as its plain list of ray angles in radians, which is what
+`weave.Sunburst` takes and stores.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from fractions import Fraction
 from .dynamics import OrbitRecord, PairState, Termination
 from .exact import Vec2
 from .linkage import Polygon
-from .tilings import GridEdge, Particle, Sunburst
-from .weave import ray_angles, sunburst_from_angles
+from .tilings import GridEdge, Particle
 
 
 def scalar_to_json(x):
@@ -127,20 +128,14 @@ def orbit_record_from_json(data) -> OrbitRecord:
     )
 
 
-def sunburst_to_json(s: Sunburst):
-    """Angle list in radians; ray lengths are not part of the format."""
-    return list(ray_angles(s))
-
-
-def sunburst_from_json(angles) -> Sunburst:
-    return sunburst_from_angles(angles)
-
-
 def polygon_to_json(poly: Polygon):
     return [vec_to_json(v) for v in poly.vertices]
 
 
 def polygon_from_json(data) -> Polygon:
+    if not (isinstance(data, list)
+            and all(isinstance(v, list) and len(v) == 2 for v in data)):
+        raise ValueError("a polygon is a list of [x, y] vertex pairs")
     return Polygon([vec_from_json(v) for v in data])
 
 

@@ -182,10 +182,8 @@ def sunburst_figure(pair, points) -> Canvas:
     n = pair.n
     pts = [_xy(p) for p in points[:n]]
     rmax = max(math.hypot(x, y) for x, y in pts)
-    for ray in pair.a.rays:
-        x, y = _xy(ray)
-        r = math.hypot(x, y)
-        tip = (1.12 * rmax * x / r, 1.12 * rmax * y / r)
+    for t in pair.a.angles:
+        tip = (1.12 * rmax * math.cos(t), 1.12 * rmax * math.sin(t))
         canvas.segment((0.0, 0.0), tip, "#aaaaaa", 0.8)
     for j in range(n):
         color = PALETTE[(j + 1) % n % len(PALETTE)]
@@ -195,10 +193,8 @@ def sunburst_figure(pair, points) -> Canvas:
     cx = 2.7 * rmax
     rosette = 0.8 * rmax
     canvas.circle((cx, 0.0), rosette * 1.15, "#dddddd", 0.8)
-    for k, ray in enumerate(pair.rotated_b.rays):
-        x, y = _xy(ray)
-        r = math.hypot(x, y)
-        tip = (cx + rosette * x / r, rosette * y / r)
+    for k, t in enumerate(pair.b_angles):
+        tip = (cx + rosette * math.cos(t), rosette * math.sin(t))
         canvas.segment((cx, 0.0), tip, PALETTE[k % len(PALETTE)], 1.8)
     canvas.dot((cx, 0.0), 1.6, "#333333")
     return canvas

@@ -1,7 +1,6 @@
 """Tilings of the pair game: affine images of the integer grid, which
-the billiard map in `dynamics` steps on, and sunbursts (finite fans of
-rays through the origin), whose paired orbits `weave` follows in closed
-form.
+the billiard map in `dynamics` steps on.  Sunbursts, the finite fans of
+rays whose paired orbits follow in closed form, live in `weave`.
 
 Grid queries run in grid-local coordinates, where the edge set is the
 integer grid itself.  A first-hit query then only compares the next
@@ -14,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidSunburst, VertexHit
+from .errors import VertexHit
 from .exact import Vec2, rational_circle_point
 
 
@@ -146,38 +145,6 @@ class GridTiling:
         if _near_integer(cross, tol):
             raise VertexHit((float(point.x), float(point.y)))
         return point, GridEdge(axis, int(n), math.floor(cross))
-
-
-class Sunburst:
-    """N rays from the origin, counterclockwise, spanning the plane.
-
-    Rays are direction vectors of any positive length.  Consecutive rays
-    must turn counterclockwise by less than pi and the list must wrap
-    around the circle exactly once; in particular the rays are never
-    contained in a closed halfplane.
-    """
-
-    def __init__(self, rays):
-        rays = tuple(r.exactify() for r in rays)
-        if len(rays) < 3:
-            raise InvalidSunburst("a sunburst needs at least 3 rays")
-        n = len(rays)
-        total = 0.0
-        for i in range(n):
-            a, b = rays[i], rays[(i + 1) % n]
-            if a.is_zero() or a.cross(b) <= 0:
-                raise InvalidSunburst(
-                    f"rays {i} and {(i + 1) % n} do not turn counterclockwise "
-                    "by less than pi")
-            total += math.atan2(float(a.cross(b)), float(a.dot(b)))
-        if round(total / (2.0 * math.pi)) != 1:
-            raise InvalidSunburst("rays wrap around the circle more than once")
-        self.rays = rays
-        self.exact = all(r.is_exact() for r in rays)
-
-    @property
-    def n(self) -> int:
-        return len(self.rays)
 
 
 def is_transverse(a, b) -> bool:

@@ -1,6 +1,9 @@
-"""Sunburst pair analysis: weave predicates, spiral holonomy, the phase
-interval, and the phase solver that closes the orbit into a convex
-polygon.
+"""Sunbursts and their pairs: weave predicates, spiral holonomy, the
+phase interval, and the phase solver that closes the orbit into a
+convex polygon.
+
+A sunburst is the list of its ray angles, and every quantity here is a
+function of those angles; vectors are built only to iterate the orbit.
 
 Conventions.  Both sunbursts list N rays counterclockwise.  For an
 oriented weave, ray B[i] (after applying the pair's phase rotation)
@@ -22,36 +25,51 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from numbers import Real
 
 from .errors import DegenerateStep, EmptyInterval, InvalidSunburst
-from .exact import Vec2, angle_of, rotate, unit_from_angle
-from .tilings import Sunburst
+from .exact import unit_from_angle
 
 TWO_PI = 2.0 * math.pi
 
 
-def regular_sunburst(n: int, phase: float = 0.0) -> Sunburst:
-    """Unit rays at the n-th roots of unity, rotated by phase."""
-    return Sunburst(unit_from_angle(phase + TWO_PI * k / n) for k in range(n))
+class Sunburst:
+    """N rays from the origin, given by their angles in radians.
+
+    The angles are stored as floats in the caller's order, unwrapped.
+    Each counterclockwise turn from one ray to the next, taken mod
+    2 pi, lies strictly between 0 and pi, and the turns add up to one
+    full circle; so the rays are never contained in a closed halfplane.
+    """
+
+    def __init__(self, angles):
+        angles = tuple(angles)
+        if len(angles) < 3:
+            raise InvalidSunburst("a sunburst needs at least 3 rays")
+        if not all(isinstance(t, Real) and math.isfinite(t) for t in angles):
+            raise InvalidSunburst("ray angles must be finite real numbers")
+        angles = tuple(map(float, angles))
+        n = len(angles)
+        total = 0.0
+        for i in range(n):
+            turn = (angles[(i + 1) % n] - angles[i]) % TWO_PI
+            if not 0.0 < turn < math.pi:
+                raise InvalidSunburst(
+                    f"rays {i} and {(i + 1) % n} do not turn counterclockwise "
+                    "by less than pi")
+            total += turn
+        if round(total / TWO_PI) != 1:
+            raise InvalidSunburst("rays wrap around the circle more than once")
+        self.angles = angles
+
+    @property
+    def n(self) -> int:
+        return len(self.angles)
 
 
-def sunburst_from_angles(angles) -> Sunburst:
-    return Sunburst(unit_from_angle(t) for t in angles)
-
-
-def ray_angles(s: Sunburst):
-    return [angle_of(r) for r in s.rays]
-
-
-def rotated_sunburst(s: Sunburst, theta: float) -> Sunburst:
-    u = unit_from_angle(theta)
-    return Sunburst(rotate(r, u) for r in s.rays)
-
-
-def _unit(v: Vec2) -> Vec2:
-    n = v.norm()
-    return Vec2(float(v.x) / n, float(v.y) / n)
+def regular_sunburst(n: int) -> Sunburst:
+    """Rays at the n-th roots of unity."""
+    return Sunburst(TWO_PI * k / n for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -70,48 +88,44 @@ class SunburstPair:
     def n(self) -> int:
         return self.a.n
 
-    @cached_property
-    def rotated_b(self) -> Sunburst:
-        if self.phase == 0.0:
-            return self.b
-        return rotated_sunburst(self.b, self.phase)
+    @property
+    def b_angles(self):
+        """The B angles turned by the phase."""
+        return tuple(t + self.phase for t in self.b.angles)
 
     def swapped(self) -> "SunburstPair":
         """The pair with roles exchanged: the phased B-rays carry the
         orbit and A[j] is the chord from B[j] to B[j+1].
         """
-        a = self.a.rays
-        return SunburstPair(self.rotated_b, Sunburst(a[-1:] + a[:-1]))
+        a = self.a.angles
+        return SunburstPair(Sunburst(self.b_angles), Sunburst(a[-1:] + a[:-1]))
 
 
 def is_oriented_weave(pair: SunburstPair) -> bool:
     """Each phased B-ray strictly inside the cone from A[i] to -A[i-1]."""
-    a = pair.a.rays
-    b = pair.rotated_b.rays
-    return all(a[i].cross(b[i]) > 0 and a[i - 1].cross(b[i]) > 0
+    a = pair.a.angles
+    b = pair.b_angles
+    return all(math.sin(b[i] - a[i]) > 0 and math.sin(b[i] - a[i - 1]) > 0
                for i in range(pair.n))
 
 
-def orbit_points(pair: SunburstPair, r0=1.0, steps=None, start=None):
+def orbit_points(pair: SunburstPair, r0=1.0, steps=None):
     """The a-projection of the orbit: points on rays A[0], A[1], ...
 
-    Starts at distance r0 along ray A[0] (or at an explicit start point
-    on that ray, which keeps exact scalars exact) and runs the given
-    number of steps, one full loop by default.  Each step intersects the
-    chord through the current point parallel to the phased ray B[j+1]
-    with the next A-ray; a nonpositive intersection coefficient means
-    the pair is not woven and raises DegenerateStep.
+    Iterates unit ray vectors, independently of the sine-ratio product.
+    Starts at distance r0 along ray A[0] and runs the given number of
+    steps, one full loop by default.  Each step intersects the chord
+    through the current point parallel to the phased ray B[j+1] with
+    the next A-ray; a nonpositive intersection coefficient means the
+    pair is not woven and raises DegenerateStep.
     """
-    rays = pair.a.rays
-    chords = pair.rotated_b.rays
+    rays = [unit_from_angle(t) for t in pair.a.angles]
+    chords = [unit_from_angle(t) for t in pair.b_angles]
     n = pair.n
     if steps is None:
         steps = n
-    if start is None:
-        a0 = rays[0]
-        start = _unit(a0) * r0
-    points = [start]
-    p = start
+    p = rays[0] * r0
+    points = [p]
     for j in range(steps):
         nxt = rays[(j + 1) % n]
         chord = chords[(j + 1) % n]
@@ -139,7 +153,7 @@ def _phase_offsets(a: Sunburst, b: Sunburst):
     """Per step j, the angles c_j from A[j] to B[j+1] and d_j from
     A[j+1] to B[j+1], before the phase rotation of B.
     """
-    alpha, beta = ray_angles(a), ray_angles(b)
+    alpha, beta = a.angles, b.angles
     beta = beta[1:] + beta[:1]
     return ([bj - aj for aj, bj in zip(alpha, beta)],
             [bj - aj for aj, bj in zip(alpha[1:] + alpha[:1], beta)])
@@ -213,11 +227,9 @@ def phase_arcs(a: Sunburst, b: Sunburst):
     cone from A[i] to -A[i-1].  Each arc is (lo, width) with width =
     pi minus the gap from A[i-1] to A[i], hence always below pi.
     """
-    n = a.n
-    alpha = ray_angles(a)
-    beta = ray_angles(b)
+    alpha, beta = a.angles, b.angles
     arcs = []
-    for i in range(n):
+    for i in range(a.n):
         gap = (alpha[i] - alpha[i - 1]) % TWO_PI
         lo = (alpha[i] - beta[i]) % TWO_PI
         arcs.append((lo, math.pi - gap))
@@ -288,18 +300,15 @@ def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
 
 def is_balanced(s: Sunburst, tol: float = 1e-12) -> bool:
     """Unit ray directions summing to zero (up to tol)."""
-    sx = sum(float(u.x) for u in map(_unit, s.rays))
-    sy = sum(float(u.y) for u in map(_unit, s.rays))
-    return math.hypot(sx, sy) <= tol
+    return math.hypot(sum(map(math.cos, s.angles)),
+                      sum(map(math.sin, s.angles))) <= tol
 
 
 def is_regular(s: Sunburst, tol: float = 1e-12) -> bool:
     """All consecutive ray gaps equal to 2 pi / N (up to tol)."""
-    n = s.n
-    target = TWO_PI / n
-    ang = ray_angles(s)
-    return all(abs((ang[(i + 1) % n] - ang[i]) % TWO_PI - target) <= tol
-               for i in range(n))
+    t = s.angles
+    return all(abs((t[i] - t[i - 1]) % TWO_PI - TWO_PI / s.n) <= tol
+               for i in range(s.n))
 
 
 def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
@@ -327,8 +336,7 @@ def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
         bgaps[-1] += TWO_PI
         if min(bgaps) <= 0.0 or max(bgaps) >= math.pi:
             continue
-        pair = SunburstPair(sunburst_from_angles(alpha),
-                            sunburst_from_angles(beta))
+        pair = SunburstPair(Sunburst(alpha), Sunburst(beta))
         if is_oriented_weave(pair):
             return pair
 
@@ -373,6 +381,6 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.12,
                        sum(math.sin(t) for t in ang)) <= tol
                 and abs(sum(gaps) - TWO_PI) <= 1e-9
                 and margin <= min(gaps) and max(gaps) < math.pi - margin):
-            return sunburst_from_angles(ang)
+            return Sunburst(ang)
     raise InvalidSunburst(f"no balanced {n}-ray sunburst within the gap "
                           "margins in 100 attempts")

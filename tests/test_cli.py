@@ -297,15 +297,59 @@ def test_angle_without_float_exits_two(tmp_path, capsys, argv):
     assert not jpath.exists()
 
 
-def test_sunburst_solve_large_n_returns(tmp_path):
+def run_module(tmp_path, argv, timeout):
+    """The CLI as a fresh `python -m symtiling` process."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-m", "symtiling", "sunburst-solve", "--n", "200",
-         "--seed", "1"], env=env, cwd=tmp_path, capture_output=True,
-        text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", "symtiling"] + argv,
+                          env=env, cwd=tmp_path, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def test_sunburst_solve_large_n_returns(tmp_path):
+    done = run_module(tmp_path, ["sunburst-solve", "--n", "200", "--seed",
+                                 "1"], timeout=60)
     assert done.returncode == 0, done.stderr
     assert "convex=True" in done.stdout
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sunburst-solve", "--n", "2"], 2),
+    (["sunburst-solve", "--free", "--n", "2"], 2),
+    (["linkage-convert", "--n", "2"], 2),
+    (["moduli-embed", "--n", "2"], 2),
+    (["sunburst-solve", "--free", "--n", "200"], 0),
+    (["linkage-convert", "--n", "200"], 0),
+    (["moduli-embed", "--n", "200"], 0),
+])
+def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
+    done = run_module(tmp_path, argv + ["--seed", "1"], timeout=20)
+    assert done.returncode == code, done.stderr
+
+
+@pytest.mark.parametrize("command, data", [
+    ("sunburst-solve", {"a": 1}),
+    ("sunburst-solve", [0, "x", 2]),
+    ("sunburst-solve", [0, 2, 4, None]),
+    ("linkage-convert", []),
+    ("moduli-embed", [[0, 0], [1, 0], [0.5]]),
+])
+def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sunburst_solve_writes_the_input_angles_back(tmp_path):
+    angles = [0.5, 2.0, 3.5, 5.0]
+    apath = tmp_path / "a.json"
+    jpath = tmp_path / "out.json"
+    serialize.write_json(angles, apath)
+    assert cli.main(["sunburst-solve", str(apath), "--json", str(jpath)]) == 0
+    written = json.loads(jpath.read_text())["a"]
+    assert len(written) == 4
+    assert all(abs(w - t) <= 1e-15 for w, t in zip(written, angles))
 
 
 @pytest.mark.parametrize("n", [4, 6])

@@ -9,8 +9,8 @@ from symtiling.exact import Vec2
 from symtiling.linkage import Polygon, random_convex_equilateral
 from symtiling.tilings import GridEdge, GridTiling
 from symtiling.weave import (holonomy, random_balanced_sunburst,
-                             random_oriented_weave, ray_angles,
-                             regular_sunburst, weave_interval)
+                             random_oriented_weave, regular_sunburst,
+                             weave_interval)
 
 
 def test_scalar_wire_format():
@@ -74,17 +74,6 @@ def test_orbit_record_roundtrip_exact_and_float():
     assert not fback.exact
     assert fback.a_points == frec.a_points
     assert fback.termination == frec.termination
-
-
-def test_sunburst_angle_list_roundtrip():
-    rng = random.Random(12)
-    s = random_balanced_sunburst(rng, 7)
-    wire = serialize.sunburst_to_json(s)
-    assert len(wire) == 7
-    assert all(isinstance(x, float) for x in wire)
-    back = serialize.sunburst_from_json(json.loads(json.dumps(wire)))
-    for left, right in zip(ray_angles(back), ray_angles(s)):
-        assert abs(math.remainder(left - right, 2 * math.pi)) <= 1e-15
 
 
 def test_polygon_roundtrip():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from symtiling.errors import InvalidSunburst, VertexHit
-from symtiling.exact import Vec2, rational_circle_point, unit_from_angle
-from symtiling.tilings import (GridEdge, GridTiling, Sunburst, is_transverse)
+from symtiling.errors import VertexHit
+from symtiling.exact import Vec2, rational_circle_point
+from symtiling.tilings import GridEdge, GridTiling, is_transverse
 
 
 def rand_fraction(rng, span=8, den=40):
@@ -114,24 +114,6 @@ def test_rotated_grid_has_unit_rational_basis():
 def test_singular_basis_rejected():
     with pytest.raises(ValueError):
         GridTiling(Vec2(1, 2), Vec2(2, 4))
-
-
-def test_sunburst_validation():
-    n = 5
-    Sunburst([unit_from_angle(2 * math.pi * k / n) for k in range(n)])
-    with pytest.raises(InvalidSunburst):
-        Sunburst([Vec2(1.0, 0.0), Vec2(0.0, 1.0)])
-    with pytest.raises(InvalidSunburst):
-        Sunburst([Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(1.0, 1.0)])
-    with pytest.raises(InvalidSunburst):
-        Sunburst([unit_from_angle(k * 4 * math.pi / 5) for k in range(5)])
-
-
-def test_sunburst_accepts_scaled_rays():
-    rays = [Vec2(2, 0), Vec2(0, 1), Vec2(-3, -3)]
-    s = Sunburst([r.exactify() for r in rays])
-    assert s.n == 3
-    assert s.exact
 
 
 def test_transversality():

@@ -5,18 +5,31 @@ import pytest
 
 from symtiling import weave
 from symtiling.errors import DegenerateStep, EmptyInterval, InvalidSunburst
-from symtiling.exact import Vec2, unit_from_angle
-from symtiling.weave import (SunburstPair, holonomy,
+from symtiling.exact import unit_from_angle
+from symtiling.weave import (Sunburst, SunburstPair, holonomy,
                              holonomy_iteration, holonomy_product,
                              is_balanced, is_oriented_weave, is_regular,
                              left_times_right_holonomy, log_holonomy,
                              orbit_points, phase_arcs,
                              random_balanced_sunburst, random_oriented_weave,
-                             ray_angles, regular_sunburst, rotated_sunburst,
-                             solve_phase, sunburst_from_angles,
-                             weave_interval)
+                             regular_sunburst, solve_phase, weave_interval)
 
 TWO_PI = 2.0 * math.pi
+
+
+def test_sunburst_validation():
+    s = Sunburst([3.0, 3.0 + 2.5, 3.0 + 5.0, 3.0 + 6.0])
+    assert s.n == 4 and s.angles == (3.0, 5.5, 8.0, 9.0)
+    assert Sunburst([1, 2, 3, 4, 5]).angles == (1.0, 2.0, 3.0, 4.0, 5.0)
+    for angles in ([0.0, 2.0],
+                   [0.0, 2.0, 2.0, 4.0],
+                   [0.0, math.pi, 1.5 * math.pi],
+                   [0.0, 1.0, 4.5],
+                   [k * 4 * math.pi / 5 for k in range(5)],
+                   [0.0, math.nan, 4.0],
+                   [0.0, 2.0, math.inf]):
+        with pytest.raises(InvalidSunburst):
+            Sunburst(angles)
 
 
 def test_regular_pair_symmetric_phase_is_a_weave():
@@ -79,12 +92,12 @@ def test_orbit_points_land_on_rays_with_positive_radii():
         pair = random_oriented_weave(rng, n)
         pts = orbit_points(pair, steps=2 * n)
         for j, p in enumerate(pts):
-            ray = pair.a.rays[j % n]
+            ray = unit_from_angle(pair.a.angles[j % n])
             assert abs(float(ray.cross(p))) <= 1e-9 * max(1.0, p.norm())
             assert float(ray.dot(p)) > 0
         bpts = orbit_points(pair.swapped(), steps=2 * n)
         for j, p in enumerate(bpts):
-            ray = pair.rotated_b.rays[j % n]
+            ray = unit_from_angle(pair.b_angles[j % n])
             assert abs(float(ray.cross(p))) <= 1e-9 * max(1.0, p.norm())
             assert float(ray.dot(p)) > 0
 
@@ -112,7 +125,7 @@ def test_phase_arcs_widths():
         b = regular_sunburst(n)
         arcs = phase_arcs(a, b)
         assert len(arcs) == n
-        ang = ray_angles(a)
+        ang = a.angles
         for i, (lo, width) in enumerate(arcs):
             gap = (ang[i] - ang[i - 1]) % TWO_PI
             assert abs(width - (math.pi - gap)) <= 1e-12
@@ -148,7 +161,7 @@ def test_regular_regular_interval_length():
 
 
 def test_empty_interval_carries_arcs():
-    a = sunburst_from_angles([0.0, 2.8, 5.6])
+    a = Sunburst([0.0, 2.8, 5.6])
     b = regular_sunburst(3)
     try:
         interval = weave_interval(a, b)
@@ -213,22 +226,13 @@ def test_balanced_and_regular_predicates():
         s = regular_sunburst(n)
         assert is_balanced(s)
         assert is_regular(s)
-    tilted = sunburst_from_angles([0.0, 1.9, 4.0])
+    tilted = Sunburst([0.0, 1.9, 4.0])
     assert not is_regular(tilted)
-    r = 1.0 / math.sqrt(2.0)
-    from symtiling.tilings import Sunburst
-    skew = Sunburst([Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-r, -r)])
+    skew = Sunburst([0.0, 0.5 * math.pi, 1.25 * math.pi])
     assert not is_balanced(skew)
     rng = random.Random(7)
     for _ in range(20):
         assert is_balanced(random_balanced_sunburst(rng, rng.randint(3, 10)))
-
-
-def test_rotated_sunburst_shifts_angles():
-    s = regular_sunburst(5, phase=0.3)
-    r = rotated_sunburst(s, 0.45)
-    for before, after in zip(ray_angles(s), ray_angles(r)):
-        assert abs(math.remainder(after - before - 0.45, TWO_PI)) <= 1e-12
 
 
 def test_calculus_inequality_continuous():
@@ -323,7 +327,7 @@ def test_random_balanced_sunburst_scales_with_n():
         s = random_balanced_sunburst(rng, n)
         assert s.n == n and is_balanced(s)
         gaps = [(t1 - t0) % TWO_PI
-                for t0, t1 in zip(ray_angles(s), ray_angles(s)[1:])]
+                for t0, t1 in zip(s.angles, s.angles[1:])]
         assert min(gaps) >= 0.12 * TWO_PI / n
 
 
