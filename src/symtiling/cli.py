@@ -148,9 +148,8 @@ def cmd_grid_orbit(args) -> int:
     record = run_orbit(a, b, state, max_steps=args.max_steps,
                        closure_tol=args.tol, keep_states=False)
     verdict = classify(record)
-    payload = serialize.orbit_record_to_json(record)
-    payload["config"] = dict(_run_config(args),
-                             start=serialize.pair_state_to_json(state))
+    payload = serialize.encode(record)
+    payload["config"] = _run_config(args)
     payload["verdict"] = verdict.verdict
     if args.json:
         serialize.write_json(payload, args.json)
@@ -231,13 +230,13 @@ def cmd_sunburst_solve(args) -> int:
     if args.json:
         serialize.write_json({
             "config": _run_config(args),
-            "a": list(a.angles),
-            "b": list(b.angles),
+            "a": a.angles,
+            "b": b.angles,
             "theta": theta,
-            "holonomy": serialize.holonomy_report_to_json(report),
-            "interval": serialize.phase_interval_to_json(interval),
+            "holonomy": report,
+            "interval": interval,
             "closure": closure,
-            "points": serialize.polygon_to_json(poly),
+            "points": poly.vertices,
         }, args.json)
     if args.out:
         svgout.sunburst_figure(pair, pts).write(args.out)
@@ -260,8 +259,8 @@ def cmd_linkage_convert(args) -> int:
     if args.json:
         serialize.write_json({
             "config": _run_config(args),
-            "input": serialize.polygon_to_json(poly),
-            "equiangular": serialize.polygon_to_json(sol.polygon),
+            "input": poly.vertices,
+            "equiangular": sol.polygon.vertices,
             "phase": sol.phase,
             "closure": sol.residual,
         }, args.json)
@@ -288,9 +287,9 @@ def cmd_moduli_embed(args) -> int:
     if args.json:
         serialize.write_json({
             "config": _run_config(args),
-            "input": serialize.polygon_to_json(poly),
-            "point": serialize.hyperbolic_point_to_json(point),
-            "disk": [float(c) for c in disk],
+            "input": poly.vertices,
+            "point": point,
+            "disk": disk,
         }, args.json)
     if args.out:
         svgout.disk_figure(disk_points, chords).write(args.out)

@@ -73,7 +73,6 @@ class OrbitRecord:
     a_points: list
     b_points: list
     bit_lengths: list
-    bbox_diameters: list
     exact: bool
     states: Optional[list] = None
 
@@ -174,24 +173,14 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     a_points = []
     b_points = []
     bit_lengths = []
-    bbox_diameters = []
-    lo_x = lo_y = math.inf
-    hi_x = hi_y = -math.inf
     seen = {}
     termination = None
     state = start
     index = 0
 
     def record_state(st: PairState):
-        nonlocal lo_x, lo_y, hi_x, hi_y
-        pa = (float(st.a.point.x), float(st.a.point.y))
-        pb = (float(st.b.point.x), float(st.b.point.y))
-        a_points.append(pa)
-        b_points.append(pb)
-        for x, y in (pa, pb):
-            lo_x, hi_x = min(lo_x, x), max(hi_x, x)
-            lo_y, hi_y = min(lo_y, y), max(hi_y, y)
-        bbox_diameters.append(math.hypot(hi_x - lo_x, hi_y - lo_y))
+        a_points.append((float(st.a.point.x), float(st.a.point.y)))
+        b_points.append((float(st.b.point.x), float(st.b.point.y)))
         bit_lengths.append(max(bit_length(st.a.point.x),
                                bit_length(st.a.point.y),
                                bit_length(st.b.point.x),
@@ -236,7 +225,13 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     if termination is None:
         termination = Termination("max-steps", index)
     return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
-                       bbox_diameters, exact, states)
+                       exact, states)
+
+
+def _bbox_diameter(points) -> float:
+    """Diagonal of the bounding box of a list of float pairs."""
+    xs, ys = zip(*points)
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
 def classify(record: OrbitRecord) -> Classification:
@@ -245,8 +240,9 @@ def classify(record: OrbitRecord) -> Classification:
     Recurrence terminations map directly to exact verdicts.  A run that
     hit the step budget is called bounded-attracted when the coordinate
     complexity keeps climbing (the running-max bit-length growth over the
-    start at least doubled during the second half) while the orbit's
-    bounding box has settled (diameter grew by less than 1 percent); that
+    start at least doubled during the second half) while the bounding
+    box of both particles' trace points has settled (its diameter grew
+    by less than 1 percent during the second half); that
     verdict is heuristic and ships its evidence.  The growth measure is
     baseline-subtracted so that steady linear bit growth from a simple
     start counts as climbing.
@@ -268,8 +264,9 @@ def classify(record: OrbitRecord) -> Classification:
     base = record.bit_lengths[0]
     peak_half = max(record.bit_lengths[:half]) - base
     peak_end = max(record.bit_lengths) - base
-    diam_half = record.bbox_diameters[half - 1]
-    diam_end = record.bbox_diameters[-1]
+    diam_half = _bbox_diameter(record.a_points[:half]
+                               + record.b_points[:half])
+    diam_end = _bbox_diameter(record.a_points + record.b_points)
     growth = peak_end / peak_half if peak_half > 0 else math.inf
     spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
     evidence = {"bit_growth": growth, "bbox_spread": spread,

@@ -43,7 +43,10 @@ class Sunburst:
     """
 
     def __init__(self, angles):
-        angles = tuple(angles)
+        try:
+            angles = tuple(angles)
+        except TypeError:
+            raise InvalidSunburst("ray angles must be a list") from None
         if len(angles) < 3:
             raise InvalidSunburst("a sunburst needs at least 3 rays")
         if not all(isinstance(t, Real) and math.isfinite(t) for t in angles):
@@ -317,8 +320,9 @@ def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
     Rejection-samples until the B-rays themselves form a sunburst; the
     candidate angles are vetted with cheap float checks before any
     Sunburst object is built, since rejection dominates for large n.
+    Raises InvalidSunburst after 100,000 rejected draws.
     """
-    while True:
+    for _ in range(100_000):
         weights = [rng.uniform(0.2, 1.0) for _ in range(n)]
         total = sum(weights)
         gaps = [w * TWO_PI / total for w in weights]
@@ -339,6 +343,7 @@ def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
         pair = SunburstPair(Sunburst(alpha), Sunburst(beta))
         if is_oriented_weave(pair):
             return pair
+    raise InvalidSunburst(f"no oriented {n}-ray weave in 100000 draws")
 
 
 def random_balanced_sunburst(rng, n: int, margin: float = 0.12,

@@ -5,16 +5,13 @@ import subprocess
 import sys
 import time
 import xml.etree.ElementTree as ET
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from symtiling import cli, moduli, serialize
-from symtiling.dynamics import run_orbit
 from symtiling.linkage import regular_equilateral
-from symtiling.tilings import GridTiling
 
 GREEN = bytes(cli.VERDICT_COLORS["periodic"])
 BLUE = bytes(cli.VERDICT_COLORS["bounded-attracted"])
@@ -47,18 +44,33 @@ def test_grid_orbit_writes_json_and_svg(tmp_path):
     assert len(list(root.iter())) > 10
 
 
+def argv_from_config(config):
+    """The command line that a JSON record's config was parsed from."""
+    config = dict(config)
+    argv = [config.pop("command")]
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        elif value is not None and value is not False:
+            argv += [flag, str(value)]
+    return argv
+
+
 def test_grid_orbit_json_replays_exactly(tmp_path):
-    jpath = tmp_path / "orbit.json"
-    assert cli.main(["grid-orbit", "--t", "7/11", "--seed", "2",
-                     "--max-steps", "120", "--json", str(jpath)]) == 0
-    payload = serialize.read_json(jpath)
-    rec = serialize.orbit_record_from_json(payload)
-    a = GridTiling.standard()
-    b = GridTiling.from_parameter(Fraction(7, 11))
-    rerun = run_orbit(a, b, rec.start, max_steps=120, keep_states=False)
-    assert rerun.termination == rec.termination
-    assert rerun.a_points == rec.a_points
-    assert rerun.b_points == rec.b_points
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    for argv in (["grid-orbit", "--t", "7/11", "--seed", "2",
+                  "--max-steps", "120"],
+                 ["grid-orbit", "--float", "--angle", "pi/5",
+                  "--frac-a", "0.31", "--side-b", "-1", "--max-steps", "60"]):
+        assert cli.main(argv + ["--json", str(first)]) == 0
+        payload = json.loads(first.read_text())
+        config = dict(payload["config"], json=str(second))
+        assert cli.main(argv_from_config(config)) == 0
+        replay = json.loads(second.read_text())
+        assert replay["config"].pop("json") == str(second)
+        payload["config"].pop("json")
+        assert replay == payload
 
 
 def test_grid_orbit_float_diagonal_is_periodic(tmp_path, capsys):
@@ -207,8 +219,7 @@ def test_moduli_embed(tmp_path):
 def test_regular_60_gon_converts_and_embeds(tmp_path):
     ppath = tmp_path / "poly.json"
     jpath = tmp_path / "out.json"
-    serialize.write_json(serialize.polygon_to_json(regular_equilateral(60)),
-                         ppath)
+    serialize.write_json(regular_equilateral(60).vertices, ppath)
     start = time.perf_counter()
     assert cli.main(["linkage-convert", str(ppath)]) == 0
     assert cli.main(["moduli-embed", str(ppath), "--json", str(jpath)]) == 0
@@ -333,6 +344,9 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     ("sunburst-solve", [0, 2, 4, None]),
     ("linkage-convert", []),
     ("moduli-embed", [[0, 0], [1, 0], [0.5]]),
+    ("sunburst-solve", 5),
+    ("linkage-convert", [[0, 0], [1, 0], [None, 1]]),
+    ("linkage-convert", [[0, 0], [1, 0], [True, 1]]),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"

@@ -265,27 +265,34 @@ def test_zero_step_budget():
     assert classify(rec).verdict == INCONCLUSIVE
 
 
-def synthetic_record(bits, diams, kind="max-steps"):
+def synthetic_record(bits, reach, kind="max-steps"):
+    """A record whose A particle stays at the origin while B's trace
+    point at step i is (reach[i], 0), so the bounding-box diameter of
+    the first i + 1 states is max(reach[:i + 1])."""
     a = GridTiling.standard()
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
                       a.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), 1))
     n = len(bits)
     return OrbitRecord(state, Termination(kind, n - 1), [(0.0, 0.0)] * n,
-                       [(0.0, 0.0)] * n, list(bits), list(diams), True)
+                       [(x, 0.0) for x in reach], list(bits), True)
 
 
 def test_classify_growth_is_baseline_subtracted():
     n = 40
     linear = [100 + 2 * i for i in range(n)]
     flat_box = [1.0] * n
-    assert classify(synthetic_record(linear, flat_box)).verdict \
-        == BOUNDED_ATTRACTED
+    cls = classify(synthetic_record(linear, flat_box))
+    assert cls.verdict == BOUNDED_ATTRACTED
+    assert (cls.evidence["bbox_spread"], cls.evidence["diameter"]) == (0, 1)
     stalled = [100] * n
     assert classify(synthetic_record(stalled, flat_box)).verdict \
         == INCONCLUSIVE
     growing_box = [1.0 + 0.1 * i for i in range(n)]
-    assert classify(synthetic_record(linear, growing_box)).verdict \
-        == INCONCLUSIVE
+    cls = classify(synthetic_record(linear, growing_box))
+    assert cls.verdict == INCONCLUSIVE
+    assert cls.evidence["diameter"] == growing_box[-1]
+    assert cls.evidence["bbox_spread"] == pytest.approx(
+        (growing_box[-1] - growing_box[n // 2 - 1]) / growing_box[-1])
 
 
 def test_classify_terminations_map_to_verdicts():

@@ -27,7 +27,8 @@ def test_sunburst_validation():
                    [0.0, 1.0, 4.5],
                    [k * 4 * math.pi / 5 for k in range(5)],
                    [0.0, math.nan, 4.0],
-                   [0.0, 2.0, math.inf]):
+                   [0.0, 2.0, math.inf],
+                   5):
         with pytest.raises(InvalidSunburst):
             Sunburst(angles)
 
@@ -334,3 +335,8 @@ def test_random_balanced_sunburst_scales_with_n():
 def test_random_balanced_sunburst_gives_up_after_bounded_attempts():
     with pytest.raises(InvalidSunburst, match="100 attempts"):
         random_balanced_sunburst(random.Random(229), 5, margin=1.0)
+
+
+def test_random_oriented_weave_gives_up_after_bounded_draws():
+    with pytest.raises(InvalidSunburst, match="100000 draws"):
+        random_oriented_weave(random.Random(1), 20)
