@@ -13,9 +13,9 @@ from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
                        PairState, Termination, classify, phase_portrait,
                        portrait_cell, run_orbit, step)
 from .errors import (DegenerateStep, EmptyInterval, GeometryError,
-                     InvalidSunburst, NonPositiveArea, NonTransverseEdges,
-                     NotConvex, NotEquilateral, ParallelWitnessLines,
-                     SignatureMismatch, VertexHit)
+                     HolonomyMismatch, InvalidSunburst, NonPositiveArea,
+                     NonTransverseEdges, NotConvex, NotEquilateral,
+                     ParallelWitnessLines, SignatureMismatch, VertexHit)
 from .exact import Vec2, bit_length, rational_circle_point
 from .linkage import (EquiangularSolution, Polygon, check_equilateral,
                       directions_to_sunburst, equilateral_to_equiangular,

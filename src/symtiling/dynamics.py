@@ -14,8 +14,9 @@ edge, facing side of each particle), so both literal periodicity and
 periodicity up to a common lattice translation (a drift orbit) are
 found by comparing a state only with the earlier states under its key.
 Over rationals the key and the comparison are exact and the verdict is
-proved; in float mode positions are snapped to steps of the closure
-tolerance and the comparison allows that tolerance.
+proved; in float mode positions are snapped to steps of the grid
+kernel's tolerance, `tilings.FLOAT_TOL`, and the comparison allows that
+tolerance.
 
 Sunburst orbits have a closed form and live in `weave`.
 """
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from . import tilings
 from .errors import NonTransverseEdges, VertexHit
 from .exact import Vec2, bit_length
 from .tilings import Particle
@@ -118,15 +120,15 @@ def _side(tiling, particle: Particle) -> int:
         particle.direction) > 0 else -1
 
 
-def _key(tiling, particle: Particle, tol):
+def _key(tiling, particle: Particle, snap):
     """(edge axis, position along the edge, facing side): invariant under
-    period-lattice translations.  For tol > 0 the position is snapped to
-    floor(position / tol).
+    period-lattice translations.  For snap > 0 the position is snapped
+    to floor(position / snap).
     """
     loc = tiling.to_local(particle.point)
     frac = (loc.y if particle.edge.axis == "v" else loc.x) - particle.edge.cell
-    if tol > 0:
-        frac = math.floor(frac / tol)
+    if snap > 0:
+        frac = math.floor(frac / snap)
     return particle.edge.axis, frac, _side(tiling, particle)
 
 
@@ -149,8 +151,7 @@ def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
 
 
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
-              closure_tol: float = 1e-9, keep_states: bool = True
-              ) -> OrbitRecord:
+              keep_states: bool = True) -> OrbitRecord:
     """Iterate the pair map until recurrence, a singularity, or max_steps.
 
     Every state is filed under its key (edge axis, position along the
@@ -158,16 +159,16 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     state under a matching key has a closure residual of at most tol:
     both particles moved by one and the same translation, integral in
     both period lattices.  Exact inputs use tol = 0, so the key is exact
-    and a recurrence is proved.  Float inputs use tol = closure_tol; the
-    key then snaps positions to steps of tol and the neighbouring steps
-    are probed too, so no pair of states within tol is missed.  The
-    earliest matching state wins.  Zero translation is a periodic orbit,
-    nonzero a drift orbit.  Vertex hits terminate the run and are
-    recorded rather than raised.
+    and a recurrence is proved.  Float inputs use tol =
+    tilings.FLOAT_TOL; the key then snaps positions to steps of tol and
+    the neighbouring steps are probed too, so no pair of states within
+    tol is missed.  The earliest matching state wins.  Zero translation
+    is a periodic orbit, nonzero a drift orbit.  Vertex hits terminate
+    the run and are recorded rather than raised.
     """
     exact = (start.a.point.is_exact() and start.b.point.is_exact()
              and a_tiling.exact and b_tiling.exact)
-    tol = 0 if exact else closure_tol
+    tol = 0 if exact else tilings.FLOAT_TOL
 
     states = [start] if keep_states else None
     a_points = []
@@ -277,19 +278,18 @@ def classify(record: OrbitRecord) -> Classification:
 
 
 def portrait_cell(a_tiling, b_tiling, edge_a, edge_b, frac_a, frac_b,
-                  max_steps: int, closure_tol: float = 1e-9) -> str:
+                  max_steps: int) -> str:
     """Classify the orbit started at the given edge fractions.  Pure; the
     portrait grid may evaluate cells in any order or in parallel.
     """
     state = PairState(a_tiling.particle_on(edge_a, frac_a),
                       b_tiling.particle_on(edge_b, frac_b))
-    record = run_orbit(a_tiling, b_tiling, state, max_steps,
-                       closure_tol=closure_tol, keep_states=False)
+    record = run_orbit(a_tiling, b_tiling, state, max_steps, keep_states=False)
     return classify(record).verdict
 
 
 def phase_portrait(a_tiling, b_tiling, edge_a, edge_b, resolution,
-                   max_steps: int = 200, closure_tol: float = 1e-9):
+                   max_steps: int = 200):
     """Verdict raster over (position along edge_a) x (position along
     edge_b), sampled at cell centers (2i+1)/2w by (2j+1)/2h.  Returns h
     rows of w verdict strings, row j holding edge_b fraction (2j+1)/2h.
@@ -303,6 +303,6 @@ def phase_portrait(a_tiling, b_tiling, edge_a, edge_b, resolution,
         return Fraction(2 * i + 1, 2 * n) if exact else (2 * i + 1) / (2 * n)
 
     return [[portrait_cell(a_tiling, b_tiling, edge_a, edge_b,
-                           frac(i, w), frac(j, h), max_steps, closure_tol)
+                           frac(i, w), frac(j, h), max_steps)
              for i in range(w)]
             for j in range(h)]

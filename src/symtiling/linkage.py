@@ -21,6 +21,9 @@ from .weave import (Sunburst, SunburstPair, orbit_points,
 
 TWO_PI = 2.0 * math.pi
 
+# Relative edge slack: above the rounding of unit edges chained in floats.
+EQUILATERAL_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Polygon:
@@ -98,26 +101,27 @@ def random_convex_equilateral(rng, n: int) -> Polygon:
     return Polygon(verts)
 
 
-def check_equilateral(poly: Polygon, tol: float = 1e-12) -> float:
-    """Common edge length; raises unless all edges agree to tol
-    (relative) and the polygon has at least 3 vertices and is strictly
-    convex counterclockwise.
+def check_equilateral(poly: Polygon) -> float:
+    """Common edge length; raises unless all edges agree to
+    EQUILATERAL_TOL (relative) and the polygon has at least 3 vertices
+    and is strictly convex counterclockwise.
     """
     if poly.n < 3 or not poly.is_convex():
         raise NotConvex("polygon is not strictly convex counterclockwise")
     lengths = poly.edge_lengths()
     side = lengths[0]
-    if any(abs(l - side) > tol * max(side, 1.0) for l in lengths):
+    if any(abs(l - side) > EQUILATERAL_TOL * max(side, 1.0)
+           for l in lengths):
         raise NotEquilateral(f"edge lengths vary: {min(lengths)!r} "
                              f"to {max(lengths)!r}")
     return side
 
 
-def directions_to_sunburst(poly: Polygon, tol: float = 1e-12) -> Sunburst:
+def directions_to_sunburst(poly: Polygon) -> Sunburst:
     """The balanced sunburst of edge directions of a convex equilateral
     polygon: one angle per edge vector, after the polygon is checked.
     """
-    check_equilateral(poly, tol)
+    check_equilateral(poly)
     return Sunburst(math.atan2(float(e.y), float(e.x))
                     for e in poly.edge_vectors())
 
@@ -128,7 +132,7 @@ class EquiangularSolution(NamedTuple):
     residual: float
 
 
-def solve_equiangular(poly: Polygon, tol: float = 1e-12, radius: float = 1.0
+def solve_equiangular(poly: Polygon, radius: float = 1.0
                       ) -> EquiangularSolution:
     """Closed holonomy-1 orbit for (edge-direction sunburst, regular).
 
@@ -137,12 +141,11 @@ def solve_equiangular(poly: Polygon, tol: float = 1e-12, radius: float = 1.0
     """
     burst = directions_to_sunburst(poly)
     regular = regular_sunburst(poly.n)
-    phase = solve_phase(burst, regular, tol)
+    phase = solve_phase(burst, regular)
     pts = orbit_points(SunburstPair(burst, regular, phase), r0=radius)
     residual = (pts[-1] - pts[0]).norm()
     return EquiangularSolution(Polygon(pts[:poly.n]), phase, residual)
 
 
-def equilateral_to_equiangular(poly: Polygon, tol: float = 1e-12,
-                               radius: float = 1.0) -> Polygon:
-    return solve_equiangular(poly, tol, radius).polygon
+def equilateral_to_equiangular(poly: Polygon, radius: float = 1.0) -> Polygon:
+    return solve_equiangular(poly, radius).polygon

@@ -36,11 +36,10 @@ def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
         unit_from_angle(sol.phase + TWO_PI * k / n))) for k in range(n)])
 
 
-def equilateral_to_hyperbolic(poly: Polygon, tol: float = 1e-12,
-                              radius: float = 1.0,
+def equilateral_to_hyperbolic(poly: Polygon, radius: float = 1.0,
                               form: AreaForm = None) -> HyperbolicPoint:
     """Hyperbolic moduli point of a convex equilateral polygon."""
-    sol = solve_equiangular(poly, tol, radius)
+    sol = solve_equiangular(poly, radius)
     if form is None:
         form = area_form(poly.n)
     return to_hyperbolic(equiangular_offsets(sol), form)

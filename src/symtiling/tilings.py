@@ -17,6 +17,11 @@ from .errors import VertexHit
 from .exact import Vec2, rational_circle_point
 
 
+# Float tolerance of first_hit and dynamics.run_orbit, in grid-local
+# units, read at call time; first_hit says why an absolute value is right.
+FLOAT_TOL = 1e-9
+
+
 class GridEdge(NamedTuple):
     """One open unit edge of a grid, in grid-local coordinates.
 
@@ -41,13 +46,6 @@ class Particle:
     point: Vec2
     edge: object
     direction: Vec2
-
-
-def _near_integer(x, tol) -> bool:
-    if tol == 0:
-        return x == math.floor(x)
-    r = x - math.floor(x)
-    return r <= tol or r >= 1.0 - tol
 
 
 class GridTiling:
@@ -107,7 +105,11 @@ class GridTiling:
         """Particle at frac along the edge, directed along the edge normal.
 
         side +1 points to the counterclockwise side of the edge direction.
+        Raises ValueError unless 0 < frac < 1: the particle sits on the
+        open edge.
         """
+        if not 0 < frac < 1:
+            raise ValueError(f"edge fraction must lie in (0, 1), got {frac}")
         direction = self.direction_of(edge).perp() * side
         return Particle(self.point_on(edge, frac), edge, direction)
 
@@ -117,12 +119,21 @@ class GridTiling:
         coordinates and the edge labelled in grid-local coordinates.
 
         Raises VertexHit when the nearest crossing is a grid vertex.  In
-        float mode one tolerance of 1e-9 serves both tests: crossings with
-        s at most 1e-9 are the start's own edge and skipped, and a
-        crossing within 1e-9 of a vertex is a vertex hit.
+        float mode one tolerance, FLOAT_TOL, serves both tests: crossings
+        with s at most FLOAT_TOL are the start's own edge and skipped,
+        and a crossing within FLOAT_TOL of a vertex is a vertex hit.
+
+        The tolerance is absolute, and that is right because orbits stay
+        near their start in grid-local units: a step leaves its edge into
+        the adjacent cell and stops on that cell's boundary, so it moves
+        a particle at most one cell diagonal, sqrt 2.  After N steps the
+        local coordinates are below |start| + sqrt(2) N.  Floats under
+        2^17 are spaced 2^-36, about 1.5e-11, some 70 times finer than
+        FLOAT_TOL; so the absolute test is sound while that bound stays
+        under 2^17, which from near the origin is over 90,000 steps.
         """
         exact = self.exact and start.is_exact() and travel.is_exact()
-        tol = 0 if exact else 1e-9
+        tol = 0 if exact else FLOAT_TOL
         ls = self.to_local(start)
         lt = self.to_local(travel)
         if lt.x == 0 and lt.y == 0:
@@ -142,9 +153,10 @@ class GridTiling:
         s, axis, n = best
         cross = ls.y + s * lt.y if axis == "v" else ls.x + s * lt.x
         point = start + travel * s
-        if _near_integer(cross, tol):
+        cell = math.floor(cross)
+        if cross == cell or not (exact or tol < cross - cell < 1 - tol):
             raise VertexHit((float(point.x), float(point.y)))
-        return point, GridEdge(axis, int(n), math.floor(cross))
+        return point, GridEdge(axis, int(n), cell)
 
 
 def is_transverse(a, b) -> bool:

@@ -27,10 +27,18 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from .errors import DegenerateStep, EmptyInterval, InvalidSunburst
+from .errors import (DegenerateStep, EmptyInterval, HolonomyMismatch,
+                     InvalidSunburst)
 from .exact import unit_from_angle
 
 TWO_PI = 2.0 * math.pi
+
+# solve_phase's stop on |log h|: the orbit then closes to 1e-12 of r0.
+PHASE_TOL = 1e-12
+# is_balanced and is_regular: above the rounding of their n-term sums.
+SUNBURST_TOL = 1e-12
+# The sampler's balance, inside SUNBURST_TOL so its samples are balanced.
+SAMPLER_TOL = 1e-13
 
 
 class Sunburst:
@@ -195,7 +203,7 @@ def holonomy(pair: SunburstPair) -> HolonomyReport:
     prod = holonomy_product(pair)
     it = holonomy_iteration(pair)
     if abs(prod.h - it.h) > 1e-12 * abs(it.h):
-        raise ArithmeticError(
+        raise HolonomyMismatch(
             f"holonomy mismatch: product {prod.h!r} vs iteration {it.h!r}")
     return prod
 
@@ -269,7 +277,7 @@ def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
     return math.fsum(math.log(f) for f in report.step_factors)
 
 
-def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
+def solve_phase(a: Sunburst, b: Sunburst) -> float:
     """The unique phase in the weave interval with holonomy 1.
 
     log h decreases strictly in the phase across the interval, blowing
@@ -277,7 +285,7 @@ def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
     slope, the sum of cot(c_j + phase) - cot(d_j + phase), is negative
     because c_j = d_j + gap_j with both angles in (0, pi).  Newton steps
     from the midpoint keep a sign bracket and bisect it whenever a step
-    leaves it, until |log h| <= tol.
+    leaves it, until |log h| <= PHASE_TOL.
     """
     interval = weave_interval(a, b)
     pad = interval.width * 1e-9
@@ -289,7 +297,7 @@ def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
     theta = 0.5 * (lo + hi)
     for _ in range(100):
         f = log_holonomy(a, b, theta)
-        if abs(f) <= tol:
+        if abs(f) <= PHASE_TOL:
             break
         lo, hi = (theta, hi) if f > 0 else (lo, theta)
         slope = math.fsum(1.0 / math.tan(cj + theta)
@@ -301,53 +309,46 @@ def solve_phase(a: Sunburst, b: Sunburst, tol: float = 1e-12) -> float:
     return theta % TWO_PI
 
 
-def is_balanced(s: Sunburst, tol: float = 1e-12) -> bool:
-    """Unit ray directions summing to zero (up to tol)."""
+def is_balanced(s: Sunburst) -> bool:
+    """Unit ray directions summing to zero (up to SUNBURST_TOL)."""
     return math.hypot(sum(map(math.cos, s.angles)),
-                      sum(map(math.sin, s.angles))) <= tol
+                      sum(map(math.sin, s.angles))) <= SUNBURST_TOL
 
 
-def is_regular(s: Sunburst, tol: float = 1e-12) -> bool:
-    """All consecutive ray gaps equal to 2 pi / N (up to tol)."""
+def is_regular(s: Sunburst) -> bool:
+    """All consecutive ray gaps equal to 2 pi / N (up to SUNBURST_TOL)."""
     t = s.angles
-    return all(abs((t[i] - t[i - 1]) % TWO_PI - TWO_PI / s.n) <= tol
+    return all(abs((t[i] - t[i - 1]) % TWO_PI - TWO_PI / s.n) <= SUNBURST_TOL
                for i in range(s.n))
 
 
-def random_oriented_weave(rng, n: int, margin: float = 0.1) -> SunburstPair:
-    """Random weave: a random sunburst A with all gaps under pi, and one
-    B-ray placed uniformly (with relative margin) inside each cone.
-    Rejection-samples until the B-rays themselves form a sunburst; the
-    candidate angles are vetted with cheap float checks before any
-    Sunburst object is built, since rejection dominates for large n.
-    Raises InvalidSunburst after 100,000 rejected draws.
+def random_oriented_weave(rng, n: int) -> SunburstPair:
+    """Random weave, built so that every draw is one.
+
+    The A gaps g_i have weights in [1, 2), so each is below pi for
+    n >= 3.  B ray i sits at A[i] + u_i (pi - g_i), inside its cone,
+    with u_i = c + delta_i for one common c in [1/4, 3/4].  B gap i is
+    then the convex combination (1 - c) g_{i+1} + c g_i plus
+    delta_{i+1} (pi - g_{i+1}) - delta_i (pi - g_i).  With |delta_i| <
+    m / (2 pi), m = min(min g, pi - max g) <= pi / 2, that jitter is
+    under m, so the B gap lies in (0, pi), and u_i lies in (0, 1).
     """
-    for _ in range(100_000):
-        weights = [rng.uniform(0.2, 1.0) for _ in range(n)]
-        total = sum(weights)
-        gaps = [w * TWO_PI / total for w in weights]
-        if max(gaps) >= 0.98 * math.pi:
-            continue
-        start = rng.uniform(0.0, TWO_PI)
-        alpha = []
-        acc = start
-        for g in gaps:
-            acc += g
-            alpha.append(acc)
-        beta = [alpha[i] + rng.uniform(margin, 1.0 - margin)
-                * (math.pi - gaps[i]) for i in range(n)]
-        bgaps = [beta[(i + 1) % n] - beta[i] for i in range(n)]
-        bgaps[-1] += TWO_PI
-        if min(bgaps) <= 0.0 or max(bgaps) >= math.pi:
-            continue
-        pair = SunburstPair(Sunburst(alpha), Sunburst(beta))
-        if is_oriented_weave(pair):
-            return pair
-    raise InvalidSunburst(f"no oriented {n}-ray weave in 100000 draws")
+    weights = [1.0 + rng.random() for _ in range(n)]
+    total = sum(weights)
+    gaps = [w * TWO_PI / total for w in weights]
+    alpha = []
+    acc = rng.uniform(0.0, TWO_PI)
+    for g in gaps:
+        acc += g
+        alpha.append(acc)
+    c = rng.uniform(0.25, 0.75)
+    jitter = 0.9 * min(min(gaps), math.pi - max(gaps)) / TWO_PI
+    beta = [t + (c + jitter * rng.uniform(-1.0, 1.0)) * (math.pi - g)
+            for t, g in zip(alpha, gaps)]
+    return SunburstPair(Sunburst(alpha), Sunburst(beta))
 
 
-def random_balanced_sunburst(rng, n: int, margin: float = 0.12,
-                             tol: float = 1e-13) -> Sunburst:
+def random_balanced_sunburst(rng, n: int, margin: float = 0.12) -> Sunburst:
     """Random sunburst whose unit rays sum to zero.
 
     Samples counterclockwise angles with comfortable gaps, then projects
@@ -370,7 +371,7 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.12,
         for _ in range(60):
             rx = sum(math.cos(t) for t in ang)
             ry = sum(math.sin(t) for t in ang)
-            if math.hypot(rx, ry) <= tol:
+            if math.hypot(rx, ry) <= SAMPLER_TOL:
                 break
             jxx = sum(math.sin(t) ** 2 for t in ang)
             jxy = -sum(math.sin(t) * math.cos(t) for t in ang)
@@ -383,7 +384,7 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.12,
             ang = [t - (-math.sin(t) * lx + math.cos(t) * ly) for t in ang]
         gaps = [(ang[(i + 1) % n] - ang[i]) % TWO_PI for i in range(n)]
         if (math.hypot(sum(math.cos(t) for t in ang),
-                       sum(math.sin(t) for t in ang)) <= tol
+                       sum(math.sin(t) for t in ang)) <= SAMPLER_TOL
                 and abs(sum(gaps) - TWO_PI) <= 1e-9
                 and margin <= min(gaps) and max(gaps) < math.pi - margin):
             return Sunburst(ang)

@@ -290,6 +290,12 @@ def test_sunburst_solve_config_records_free(tmp_path):
     ["grid-portrait", "--seed", "1"],
     ["pentagon-verify", "--seed", "1"],
     ["pentagon-verify", "--out", "x.svg"],
+    ["grid-orbit", "--tol", "1e-9"],
+    ["grid-portrait", "--tol", "1e-9"],
+    ["sunburst-solve", "--tol", "1e-9"],
+    ["linkage-convert", "--tol", "1e-9"],
+    ["moduli-embed", "--tol", "1e-9"],
+    ["pentagon-verify", "--tol", "1e-9"],
 ])
 def test_parser_rejects_flags_that_do_nothing(argv):
     with pytest.raises(SystemExit):
@@ -325,16 +331,20 @@ def test_sunburst_solve_large_n_returns(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code", [
-    (["sunburst-solve", "--n", "2"], 2),
-    (["sunburst-solve", "--free", "--n", "2"], 2),
-    (["linkage-convert", "--n", "2"], 2),
-    (["moduli-embed", "--n", "2"], 2),
-    (["sunburst-solve", "--free", "--n", "200"], 0),
-    (["linkage-convert", "--n", "200"], 0),
-    (["moduli-embed", "--n", "200"], 0),
+    (["sunburst-solve", "--n", "2", "--seed", "1"], 2),
+    (["sunburst-solve", "--free", "--n", "2", "--seed", "1"], 2),
+    (["linkage-convert", "--n", "2", "--seed", "1"], 2),
+    (["moduli-embed", "--n", "2", "--seed", "1"], 2),
+    (["sunburst-solve", "--free", "--n", "200", "--seed", "1"], 0),
+    (["linkage-convert", "--n", "200", "--seed", "1"], 0),
+    (["moduli-embed", "--n", "200", "--seed", "1"], 0),
+    (["grid-orbit", "--t", "7/11", "--max-steps", "1000"], 0),
+    (["grid-portrait", "--resolution", "4x4", "--max-steps", "200"], 0),
+    (["grid-orbit", "--frac-a", "0"], 2),
+    (["grid-orbit", "--frac-a", "2"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
-    done = run_module(tmp_path, argv + ["--seed", "1"], timeout=20)
+    done = run_module(tmp_path, argv, timeout=20)
     assert done.returncode == code, done.stderr
 
 
@@ -347,6 +357,8 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     ("sunburst-solve", 5),
     ("linkage-convert", [[0, 0], [1, 0], [None, 1]]),
     ("linkage-convert", [[0, 0], [1, 0], [True, 1]]),
+    ("sunburst-solve", [2.0, 2.0 + 2 * math.pi * 1.998 / 3.998,
+                        2.0 + 2 * math.pi * 2.998 / 3.998]),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from symtiling import tilings
 from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 SINGULAR, UNBOUNDED_DRIFT, OrbitRecord,
                                 PairState, Termination, classify,
@@ -185,10 +186,9 @@ def float_grid(theta=None, t=None):
                       Vec2(float(b.e2.x), float(b.e2.y)))
 
 
-@pytest.mark.parametrize("tol, kind", [(1e-9, "vertex"), (1e-6, "periodic")])
-def test_float_recurrence_matches_linear_scan(tol, kind):
-    """At 1e-9 these orbits contract onto a vertex and hit it; at 1e-6
-    they close up near the vertex first."""
+def test_float_recurrence_matches_linear_scan():
+    """At the grid kernel's tolerance these orbits contract onto a
+    vertex and hit it."""
     rng = random.Random(61)
     a = GridTiling.standard()
     kinds = []
@@ -202,28 +202,28 @@ def test_float_recurrence_matches_linear_scan(tol, kind):
                 b.particle_on(GridEdge(rng.choice("vh"), 0, 0),
                               rng.randint(1, 9999) / 10000,
                               rng.choice((1, -1))))
-            want = oracle_float_termination(a, b, start, 120, tol)
-            got = run_orbit(a, b, start, 120, closure_tol=tol,
-                            keep_states=False).termination
+            want = oracle_float_termination(a, b, start, 120,
+                                            tilings.FLOAT_TOL)
+            got = run_orbit(a, b, start, 120, keep_states=False).termination
             assert got == want
             kinds.append(got.kind)
-    assert kinds.count(kind) >= 24
+    assert kinds.count("vertex") >= 24
 
 
-def test_float_recurrence_across_key_arcs():
-    """closure_tol 2^-20 snaps positions to steps of 2^-20, so starts at
-    eighths of an edge sit on step boundaries and a return a rounding
-    error below the start lands in the neighbouring step."""
+def test_float_recurrence_across_key_arcs(monkeypatch):
+    """A grid tolerance of 2^-20 snaps positions to steps of 2^-20, so
+    starts at eighths of an edge sit on step boundaries and a return a
+    rounding error below the start lands in the neighbouring step."""
     a = GridTiling.standard()
     b = float_grid(theta=math.pi / 4)
     tol = 2.0 ** -20
+    monkeypatch.setattr(tilings, "FLOAT_TOL", tol)
     for ea, eb, sa, sb in itertools.product("vh", "vh", (1, -1), (1, -1)):
         for j, k in itertools.product(range(1, 8), repeat=2):
             start = PairState(a.particle_on(GridEdge(ea, 0, 0), j / 8, sa),
                               b.particle_on(GridEdge(eb, 0, 0), k / 8, sb))
             want = oracle_float_termination(a, b, start, 40, tol)
-            got = run_orbit(a, b, start, 40, closure_tol=tol,
-                            keep_states=False).termination
+            got = run_orbit(a, b, start, 40, keep_states=False).termination
             assert got == want and got.kind == "periodic"
 
 

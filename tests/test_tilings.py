@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symtiling.errors import VertexHit
-from symtiling.exact import Vec2, rational_circle_point
+from symtiling.exact import Vec2, rational_circle_point, rotate
 from symtiling.tilings import GridEdge, GridTiling, is_transverse
 
 
@@ -77,6 +77,44 @@ def test_first_hit_float_skips_resident_edge():
     start = Vec2(1e-12, 0.25)
     point, edge = tiling.first_hit(start, Vec2(1.0, 0.0))
     assert edge.line == 1
+
+
+def test_first_hit_float_far_from_origin():
+    """The absolute float tolerance holds 10^5 cells out: moving the
+    start by a lattice vector moves the hit point and the edge by it."""
+    rng = random.Random(31)
+    tiling = GridTiling.rotated(Vec2(math.cos(1.0), math.sin(1.0)))
+    dx, dy = 10 ** 5, -10 ** 5
+    shift = tiling.to_world(Vec2(float(dx), float(dy)))
+    for _ in range(200):
+        edge = GridEdge(rng.choice("vh"), 0, 0)
+        particle = tiling.particle_on(edge, rng.uniform(0.01, 0.99),
+                                      rng.choice((1, -1)))
+        angle = rng.uniform(-1.5, 1.5)
+        travel = rotate(particle.direction,
+                        Vec2(math.cos(angle), math.sin(angle)))
+        try:
+            point, hit = tiling.first_hit(particle.point, travel)
+        except VertexHit:
+            continue
+        far_point, far_hit = tiling.first_hit(particle.point + shift, travel)
+        assert (far_point - (point + shift)).norm() <= 1e-9
+        line, cell = (dx, dy) if hit.axis == "v" else (dy, dx)
+        assert far_hit == GridEdge(hit.axis, hit.line + line,
+                                   hit.cell + cell)
+
+
+def test_particle_on_rejects_fractions_off_the_open_edge():
+    exact = GridTiling.standard()
+    floats = GridTiling(Vec2(1.0, 0.0), Vec2(0.5, 1.0))
+    for tiling, fracs in ((exact, (Fraction(0), Fraction(1), Fraction(2),
+                                   Fraction(-1, 3))),
+                          (floats, (0.0, 1.0, 2.0, -0.5, math.nan))):
+        for frac in fracs:
+            with pytest.raises(ValueError):
+                tiling.particle_on(GridEdge("v", 0, 0), frac)
+    inside = exact.particle_on(GridEdge("h", 0, 0), Fraction(1, 9))
+    assert inside.point == Vec2(Fraction(1, 9), 0)
 
 
 def test_local_world_roundtrip():

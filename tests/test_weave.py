@@ -203,7 +203,7 @@ def test_solve_phase_on_balanced_regular_pairs():
         n = rng.randint(3, 9)
         a = random_balanced_sunburst(rng, n)
         b = regular_sunburst(n)
-        theta = solve_phase(a, b, tol=1e-12)
+        theta = solve_phase(a, b)
         interval = weave_interval(a, b)
         assert interval.contains(theta)
         assert abs(log_holonomy(a, b, theta)) <= 1e-12
@@ -218,7 +218,7 @@ def test_solve_phase_on_balanced_regular_pairs():
 def test_solve_phase_regular_regular_is_symmetric():
     n = 7
     a = regular_sunburst(n)
-    theta = solve_phase(a, a, tol=1e-13)
+    theta = solve_phase(a, a)
     assert abs(theta - (math.pi / 2 - math.pi / n)) <= 1e-9
 
 
@@ -337,6 +337,7 @@ def test_random_balanced_sunburst_gives_up_after_bounded_attempts():
         random_balanced_sunburst(random.Random(229), 5, margin=1.0)
 
 
-def test_random_oriented_weave_gives_up_after_bounded_draws():
-    with pytest.raises(InvalidSunburst, match="100000 draws"):
-        random_oriented_weave(random.Random(1), 20)
+def test_random_oriented_weave_is_a_weave_at_large_n():
+    for n in (20, 200):
+        pair = random_oriented_weave(random.Random(1), n)
+        assert pair.n == n and is_oriented_weave(pair)
