@@ -102,9 +102,19 @@ def build_tilings(args):
     return a, b
 
 
+# The start flags of grid-orbit and their values when --seed is not given.
+START_DEFAULTS = {"frac_a": "1/2", "frac_b": "1/3", "side_a": 1, "side_b": 1}
+
+
 def start_state(a, b, args) -> PairState:
+    """The start --seed draws, or the one the start flags give; unset start
+    flags get their defaults in args, so the JSON config records them."""
     exact = a.exact and b.exact
+    given = [key for key in START_DEFAULTS if getattr(args, key) is not None]
     if args.seed is not None:
+        if given:
+            raise ValueError("--seed draws the start; it cannot be combined "
+                             "with --" + ", --".join(given).replace("_", "-"))
         rng = Random(args.seed)
         def pick():
             f = Fraction(rng.randint(1, 9999), 10000)
@@ -112,6 +122,8 @@ def start_state(a, b, args) -> PairState:
         fa, fb = pick(), pick()
         sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
     else:
+        vars(args).update({key: value for key, value in START_DEFAULTS.items()
+                           if key not in given})
         fa = parse_rational(args.frac_a)
         fb = parse_rational(args.frac_b)
         if not exact:
@@ -350,10 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
     orbit.add_argument("--max-steps", type=int, default=1000)
     orbit.add_argument("--edge-a", default="v:0:0")
     orbit.add_argument("--edge-b", default="v:0:0")
-    orbit.add_argument("--frac-a", default="1/2")
-    orbit.add_argument("--frac-b", default="1/3")
-    orbit.add_argument("--side-a", type=int, default=1, choices=(1, -1))
-    orbit.add_argument("--side-b", type=int, default=1, choices=(1, -1))
+    orbit.add_argument("--frac-a")
+    orbit.add_argument("--frac-b")
+    orbit.add_argument("--side-a", type=int, choices=(1, -1))
+    orbit.add_argument("--side-b", type=int, choices=(1, -1))
     _add_common(orbit)
     orbit.set_defaults(func=cmd_grid_orbit)
 

@@ -1,16 +1,17 @@
 """The pair billiard map on two grids, orbit iteration, and orbit
 classification.
 
-A state is a particle on a grid A plus a particle on a grid B.  One step
+A state is a particle on a grid A plus a particle on a grid B, each held
+in its own grid's local coordinates (`tilings.Particle`).  One step
 moves each particle along the direction of the edge currently holding
-the other particle, to its first hit on its own grid.  The travel sign
-is fixed by requiring the chord to leave the particle's own edge on the
-side the particle is facing; transversality of the two grids makes that
-choice unambiguous.
+the other particle, to its first hit on its own grid; the particle's
+`across` sign picks which way along that direction, and transversality
+of the two grids makes the move well defined.  A particle's move reads
+only its own state and the axis of the other particle's edge.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
-edge, facing side of each particle), so both literal periodicity and
+edge, crossing sign of each particle), so both literal periodicity and
 periodicity up to a common lattice translation (a drift orbit) are
 found by comparing a state only with the earlier states under its key.
 Over rationals the key and the comparison are exact and the verdict is
@@ -89,60 +90,45 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
-def _advance(tiling, particle: Particle, chord_dir: Vec2) -> Particle:
-    """Move a particle to its first hit along +-chord_dir, choosing the
-    sign that keeps the chord on the particle's facing side of its own
-    edge line.
-    """
-    edge_dir = tiling.direction_of(particle.edge)
-    facing = edge_dir.cross(particle.direction)
-    lean = edge_dir.cross(chord_dir)
-    if lean == 0:
-        raise NonTransverseEdges(
-            "chord direction is parallel to the particle's edge")
-    travel = chord_dir if (lean > 0) == (facing > 0) else -chord_dir
-    point, edge = tiling.first_hit(particle.point, travel)
-    return Particle(point, edge, travel)
-
-
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
     """One move of each particle, each along the direction of the edge
     currently holding the other particle.  The two moves commute; the
     update reads only the incoming state.
     """
-    a = _advance(a_tiling, state.a, b_tiling.direction_of(state.b.edge))
-    b = _advance(b_tiling, state.b, a_tiling.direction_of(state.a.edge))
-    return PairState(a, b)
+    a, b = state.a, state.b
+    chord_a = a_tiling.to_local(b_tiling.direction_of(b.edge))
+    chord_b = b_tiling.to_local(a_tiling.direction_of(a.edge))
+    return PairState(a_tiling.first_hit(a, chord_a),
+                     b_tiling.first_hit(b, chord_b))
 
 
-def _side(tiling, particle: Particle) -> int:
-    return 1 if tiling.direction_of(particle.edge).cross(
-        particle.direction) > 0 else -1
-
-
-def _key(tiling, particle: Particle, snap):
-    """(edge axis, position along the edge, facing side): invariant under
-    period-lattice translations.  For snap > 0 the position is snapped
-    to floor(position / snap).
+def _key(particle: Particle, snap):
+    """(edge axis, position along the edge, crossing sign): invariant
+    under period-lattice translations.  For snap > 0 the position is
+    snapped to floor(position / snap).
     """
-    loc = tiling.to_local(particle.point)
-    frac = (loc.y if particle.edge.axis == "v" else loc.x) - particle.edge.cell
-    if snap > 0:
-        frac = math.floor(frac / snap)
-    return particle.edge.axis, frac, _side(tiling, particle)
+    pos = math.floor(particle.pos / snap) if snap > 0 else particle.pos
+    return particle.edge.axis, pos, particle.across
+
+
+def _shift(now: Particle, prev: Particle) -> Vec2:
+    """Grid-local translation from prev to now, two particles on edges
+    of one axis."""
+    normal = now.edge.line - prev.edge.line
+    along = now.edge.cell - prev.edge.cell + (now.pos - prev.pos)
+    return Vec2(normal, along) if now.edge.axis == "v" else Vec2(along, normal)
 
 
 def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
     """(residual, drift) of now against prev, in the scalars' arithmetic.
 
     The residual is the largest of the gap between the two particles'
-    translations and the distance of each translation, in its own
+    world translations and the distance of each translation, in its own
     grid-local coordinates, from the nearest integer vector.  drift is
     the A-local integer vector nearest the A translation.
     """
-    va = now.a.point - prev.a.point
-    vb = now.b.point - prev.b.point
-    la, lb = a_tiling.to_local(va), b_tiling.to_local(vb)
+    la, lb = _shift(now.a, prev.a), _shift(now.b, prev.b)
+    va, vb = a_tiling.to_world(la), b_tiling.to_world(lb)
     drift = (round(la.x), round(la.y))
     residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
                    abs(la.x - drift[0]), abs(la.y - drift[1]),
@@ -155,7 +141,7 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     """Iterate the pair map until recurrence, a singularity, or max_steps.
 
     Every state is filed under its key (edge axis, position along the
-    edge, facing side of each particle).  A state recurs when an earlier
+    edge, crossing sign of each particle).  A state recurs when an earlier
     state under a matching key has a closure residual of at most tol:
     both particles moved by one and the same translation, integral in
     both period lattices.  Exact inputs use tol = 0, so the key is exact
@@ -166,8 +152,8 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     is a periodic orbit, nonzero a drift orbit.  Vertex hits terminate
     the run and are recorded rather than raised.
     """
-    exact = (start.a.point.is_exact() and start.b.point.is_exact()
-             and a_tiling.exact and b_tiling.exact)
+    exact = a_tiling.exact and b_tiling.exact and not any(
+        isinstance(p.pos, float) for p in (start.a, start.b))
     tol = 0 if exact else tilings.FLOAT_TOL
 
     states = [start] if keep_states else None
@@ -180,21 +166,21 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     index = 0
 
     def record_state(st: PairState):
-        a_points.append((float(st.a.point.x), float(st.a.point.y)))
-        b_points.append((float(st.b.point.x), float(st.b.point.y)))
-        bit_lengths.append(max(bit_length(st.a.point.x),
-                               bit_length(st.a.point.y),
-                               bit_length(st.b.point.x),
-                               bit_length(st.b.point.y)))
+        pa = a_tiling.point_on(st.a.edge, st.a.pos)
+        pb = b_tiling.point_on(st.b.edge, st.b.pos)
+        a_points.append((float(pa.x), float(pa.y)))
+        b_points.append((float(pb.x), float(pb.y)))
+        bit_lengths.append(max(bit_length(pa.x), bit_length(pa.y),
+                               bit_length(pb.x), bit_length(pb.y)))
 
     def probes(key):
         if tol <= 0:
             return (key,)
-        axis, frac, side = key
-        return [(axis, frac + d, side) for d in (-1, 0, 1)]
+        axis, pos, across = key
+        return [(axis, pos + d, across) for d in (-1, 0, 1)]
 
     def check_recurrence(st: PairState, idx: int):
-        ka, kb = _key(a_tiling, st.a, tol), _key(b_tiling, st.b, tol)
+        ka, kb = _key(st.a, tol), _key(st.b, tol)
         candidates = sorted(prev for pa in probes(ka) for pb in probes(kb)
                             for prev in seen.get((pa, pb), ()))
         seen.setdefault((ka, kb), []).append((idx, st))

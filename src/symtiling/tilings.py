@@ -2,23 +2,25 @@
 the billiard map in `dynamics` steps on.  Sunbursts, the finite fans of
 rays whose paired orbits follow in closed form, live in `weave`.
 
-Grid queries run in grid-local coordinates, where the edge set is the
-integer grid itself.  A first-hit query then only compares the next
-crossing on each axis, so it is O(1) and stays exact over rationals.
+A particle lives in its grid's local coordinates, where the edges are
+the integer grid's: an open unit edge, a position in (0, 1) along it,
+and the sign with which its next move crosses the edge's line.  So a
+first hit is O(1), exact over rationals, and in float mode works on
+positions in (0, 1) however far the orbit goes.  World points serve
+only to draw and report an orbit (`point_on`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import VertexHit
+from .errors import NonTransverseEdges, VertexHit
 from .exact import Vec2, rational_circle_point
 
 
-# Float tolerance of first_hit and dynamics.run_orbit, in grid-local
-# units, read at call time; first_hit says why an absolute value is right.
+# Float tolerance of first_hit's vertex guard and of dynamics.run_orbit's
+# key snap and closure residual, in grid-local units, read at call time.
 FLOAT_TOL = 1e-9
 
 
@@ -36,16 +38,17 @@ class GridEdge(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class Particle:
-    """A point on the open interior of a tiling edge plus a transverse
-    direction.
+    """A point on an open grid edge, in its grid's local coordinates.
 
-    Only the side of the edge that the direction points into matters for
-    the dynamics; the vector itself is kept for replay and drawing.
+    pos is the position in (0, 1) along the edge, from its low end.
+    across is +1 or -1: the direction, along the local axis normal to the
+    edge (x for a 'v' edge, y for an 'h' edge), in which the particle's
+    next move crosses the edge's line.
     """
 
-    point: Vec2
-    edge: object
-    direction: Vec2
+    edge: GridEdge
+    pos: object
+    across: int
 
 
 class GridTiling:
@@ -102,61 +105,58 @@ class GridTiling:
         return self.to_world(Vec2(edge.cell + frac, edge.line))
 
     def particle_on(self, edge: GridEdge, frac, side: int = 1) -> Particle:
-        """Particle at frac along the edge, directed along the edge normal.
-
-        side +1 points to the counterclockwise side of the edge direction.
-        Raises ValueError unless 0 < frac < 1: the particle sits on the
-        open edge.
+        """Particle at frac in (0, 1) along the open edge, else ValueError,
+        whose first move crosses the edge toward its counterclockwise side
+        in the world (side +1) or its clockwise side (side -1).
         """
         if not 0 < frac < 1:
             raise ValueError(f"edge fraction must lie in (0, 1), got {frac}")
-        direction = self.direction_of(edge).perp() * side
-        return Particle(self.point_on(edge, frac), edge, direction)
+        # The counterclockwise normal of e2 points to local -x, that of e1
+        # to local +y; a basis of negative determinant mirrors both.
+        across = side if edge.axis == "h" else -side
+        return Particle(edge, frac, across if self.det > 0 else -across)
 
-    def first_hit(self, start: Vec2, travel: Vec2):
-        """First crossing of the open ray start + s * travel, s > 0, with a
-        grid line.  Returns (point, edge) with the point in world
-        coordinates and the edge labelled in grid-local coordinates.
+    def first_hit(self, particle: Particle, chord: Vec2) -> Particle:
+        """The particle moved along the grid-local chord or its negative,
+        whichever crosses the edge's line the `across` way, to the next
+        grid line: the next particle, which keeps crossing the way it
+        moved.  Chord components are Fractions or floats, as `to_local`
+        gives them.
 
-        Raises VertexHit when the nearest crossing is a grid vertex.  In
-        float mode one tolerance, FLOAT_TOL, serves both tests: crossings
-        with s at most FLOAT_TOL are the start's own edge and skipped,
-        and a crossing within FLOAT_TOL of a vertex is a vertex hit.
+        Per unit of travel normal to the edge the position moves by the
+        slope, along over normal.  So the next parallel line, line +
+        across, is met at pos + slope, unless that leaves (0, 1): then
+        the cell's end comes first, after (1 - pos) / slope or
+        pos / -slope.
 
-        The tolerance is absolute, and that is right because orbits stay
-        near their start in grid-local units: a step leaves its edge into
-        the adjacent cell and stops on that cell's boundary, so it moves
-        a particle at most one cell diagonal, sqrt 2.  After N steps the
-        local coordinates are below |start| + sqrt(2) N.  Floats under
-        2^17 are spaced 2^-36, about 1.5e-11, some 70 times finer than
-        FLOAT_TOL; so the absolute test is sound while that bound stays
-        under 2^17, which from near the origin is over 90,000 steps.
+        Raises NonTransverseEdges when the chord is parallel to the edge,
+        and VertexHit when the crossing is a grid vertex; in float mode,
+        when the new position lies within FLOAT_TOL of an edge end.
         """
-        exact = self.exact and start.is_exact() and travel.is_exact()
-        tol = 0 if exact else FLOAT_TOL
-        ls = self.to_local(start)
-        lt = self.to_local(travel)
-        if lt.x == 0 and lt.y == 0:
-            raise ValueError("travel vector must be nonzero")
-        best = None
-        for axis, p0, d in (("v", ls.x, lt.x), ("h", ls.y, lt.y)):
-            if d == 0:
-                continue
-            step = 1 if d > 0 else -1
-            n = math.floor(p0) + 1 if d > 0 else math.ceil(p0) - 1
-            s = (n - p0) / d
-            if s <= tol:
-                n += step
-                s = (n - p0) / d
-            if best is None or s < best[0]:
-                best = (s, axis, n)
-        s, axis, n = best
-        cross = ls.y + s * lt.y if axis == "v" else ls.x + s * lt.x
-        point = start + travel * s
-        cell = math.floor(cross)
-        if cross == cell or not (exact or tol < cross - cell < 1 - tol):
+        edge, pos, across = particle.edge, particle.pos, particle.across
+        if edge.axis == "v":
+            normal, along, other = chord.x, chord.y, "h"
+        else:
+            normal, along, other = chord.y, chord.x, "v"
+        if normal == 0:
+            raise NonTransverseEdges(
+                "chord direction is parallel to the particle's edge")
+        slope = along / normal if across > 0 else -along / normal
+        end = pos + slope
+        if 0 < end < 1:
+            hit = Particle(GridEdge(edge.axis, edge.line + across,
+                                    edge.cell), end, across)
+        else:
+            up, forward = slope > 0, across > 0
+            travel = (1 - pos) / slope if up else pos / -slope
+            hit = Particle(GridEdge(other, edge.cell + 1 if up else edge.cell,
+                                    edge.line if forward else edge.line - 1),
+                           travel if forward else 1 - travel, 1 if up else -1)
+        tol = FLOAT_TOL if isinstance(hit.pos, float) else 0
+        if not tol < hit.pos < 1 - tol:
+            point = self.point_on(hit.edge, hit.pos)
             raise VertexHit((float(point.x), float(point.y)))
-        return point, GridEdge(axis, int(n), cell)
+        return hit
 
 
 def is_transverse(a, b) -> bool:

@@ -383,16 +383,18 @@ def test_c12_orbits_commute_with_linear_maps(criterion):
         def image(p):
             return Vec2(m[0] * p.x + m[1] * p.y, m[2] * p.x + m[3] * p.y)
 
+        # A map of negative determinant swaps the sides of an edge.
+        side = 1 if m[0] * m[3] - m[1] * m[2] > 0 else -1
         tcur = PairState(
-            type(start.a)(image(start.a.point), start.a.edge,
-                          image(start.a.direction)),
-            type(start.b)(image(start.b.point), start.b.edge,
-                          image(start.b.direction)))
+            ta.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), side),
+            tb.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -side))
         for i in range(1000):
             tcur = step(ta, tb, tcur)
             ref = states[i + 1]
-            assert tcur.a.point == image(ref.a.point)
-            assert tcur.b.point == image(ref.b.point)
+            assert ta.point_on(tcur.a.edge, tcur.a.pos) == image(
+                a.point_on(ref.a.edge, ref.a.pos))
+            assert tb.point_on(tcur.b.edge, tcur.b.pos) == image(
+                b.point_on(ref.b.edge, ref.b.pos))
             assert tcur.a.edge == ref.a.edge
             assert tcur.b.edge == ref.b.edge
     elapsed = time.perf_counter() - t0

@@ -103,6 +103,23 @@ def test_grid_orbit_rejects_degenerate_parameter(tmp_path):
                      "--json", str(tmp_path / "y.json")]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--frac-a", "1/4"],
+    ["--frac-b", "1/5"],
+    ["--side-a", "-1"],
+    ["--side-b", "1"],
+    ["--frac-a", "1/2", "--side-b", "-1"],
+])
+def test_grid_orbit_seed_conflicts_with_start_flags(tmp_path, capsys, flags):
+    jpath = tmp_path / "orbit.json"
+    assert cli.main(["grid-orbit", "--seed", "1", "--max-steps", "20",
+                     "--json", str(jpath)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(flag in err for flag in flags[::2])
+    assert not jpath.exists()
+
+
 def test_grid_orbit_io_failure_exits_one(tmp_path):
     missing = tmp_path / "no" / "such" / "dir" / "orbit.json"
     assert cli.main(["grid-orbit", "--t", "1/3", "--seed", "5",

@@ -17,16 +17,18 @@ from symtiling.tilings import GridEdge, GridTiling
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
-    """Reference single-particle move: pick the travel orientation with
-    the cross-side rule, then scan every grid line in a window for the
-    nearest crossing.  Written independently of first_hit."""
-    edge_dir = tiling.direction_of(particle.edge)
-    lean = edge_dir.cross(chord_dir)
-    facing = edge_dir.cross(particle.direction)
-    assert lean != 0
-    travel = chord_dir if (lean > 0) == (facing > 0) else -chord_dir
-    ls = tiling.to_local(particle.point)
-    lt = tiling.to_local(travel)
+    """Reference single-particle move: pick the travel orientation that
+    crosses the particle's edge line the `across` way, then scan every
+    grid line in a window for the nearest crossing.  Returns the world
+    hit point, the hit edge and the new crossing sign.  Written
+    independently of first_hit."""
+    start = tiling.point_on(particle.edge, particle.pos)
+    ls = tiling.to_local(start)
+    lt = tiling.to_local(chord_dir)
+    normal = lt.x if particle.edge.axis == "v" else lt.y
+    assert normal != 0
+    if (normal > 0) != (particle.across > 0):
+        lt = -lt
     hits = []
     for n in range(-window, window + 1):
         if lt.x != 0:
@@ -40,8 +42,9 @@ def oracle_advance(tiling, particle, chord_dir, window=64):
     s, axis, line, cross = min(hits)
     if cross == math.floor(cross):
         return "vertex"
-    point = particle.point + travel * s
-    return point, GridEdge(axis, line, math.floor(cross)), travel
+    point = start + tiling.to_world(lt) * s
+    across = 1 if (lt.x if axis == "v" else lt.y) > 0 else -1
+    return point, GridEdge(axis, line, math.floor(cross)), across
 
 
 def random_state(rng, a, b):
@@ -70,8 +73,10 @@ def test_step_matches_oracle():
                     step(a, b, state)
                 continue
             out = step(a, b, state)
-            assert (out.a.point, out.a.edge, out.a.direction) == want_a
-            assert (out.b.point, out.b.edge, out.b.direction) == want_b
+            assert (a.point_on(out.a.edge, out.a.pos), out.a.edge,
+                    out.a.across) == want_a
+            assert (b.point_on(out.b.edge, out.b.pos), out.b.edge,
+                    out.b.across) == want_b
 
 
 def test_single_step_by_hand():
@@ -80,12 +85,15 @@ def test_single_step_by_hand():
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
                       b.particle_on(GridEdge("v", 0, 0), Fraction(1, 3), 1))
     out = step(a, b, state)
-    assert out.a.point == Vec2(Fraction(-3, 8), 1)
+    assert a.point_on(out.a.edge, out.a.pos) == Vec2(Fraction(-3, 8), 1)
     assert out.a.edge == GridEdge("h", 1, -1)
-    assert out.a.direction == Vec2(Fraction(-3, 5), Fraction(4, 5))
-    assert out.b.point == Vec2(Fraction(-1, 5), Fraction(-3, 20))
+    # The chord (-3/5, 4/5) crosses the h edge upward, to +y.
+    assert out.a.across == 1
+    assert b.point_on(out.b.edge, out.b.pos) == Vec2(Fraction(-1, 5),
+                                                     Fraction(-3, 20))
     assert out.b.edge == GridEdge("h", 0, -1)
-    assert out.b.direction == Vec2(0, -1)
+    # The chord (0, -1) is -4/5 e1 + 3/5 e2 in B: it crosses downward.
+    assert out.b.across == -1
 
 
 def test_step_rejects_parallel_chord():
@@ -139,15 +147,21 @@ def test_float_right_angle_grids_close_up():
 
 def oracle_float_termination(a, b, start, max_steps, tol):
     """Reference recurrence test: compare each state with every earlier
-    state on the same edge axes and facing sides, O(steps^2).  A match
+    state on the same edge axes and crossing signs, O(steps^2).  A match
     needs both particles moved by one translation, integral in both
     grid-local frames, to within tol; the earliest match wins."""
     def loose(st):
-        return tuple((t.direction_of(p.edge).cross(p.direction) > 0,
-                      p.edge.axis) for t, p in ((a, st.a), (b, st.b)))
+        return tuple((p.across, p.edge.axis) for p in (st.a, st.b))
 
     def off_integer(v):
         return max(abs(v.x - round(v.x)), abs(v.y - round(v.y)))
+
+    def shift(now, prev):
+        """Local translation between particles on edges of one axis."""
+        normal = now.edge.line - prev.edge.line
+        along = now.edge.cell - prev.edge.cell + (now.pos - prev.pos)
+        return (Vec2(normal, along) if now.edge.axis == "v"
+                else Vec2(along, normal))
 
     history = []
     state = start
@@ -161,9 +175,8 @@ def oracle_float_termination(a, b, start, max_steps, tol):
         for prev_key, prev_idx, prev in history:
             if prev_key != key:
                 continue
-            va = state.a.point - prev.a.point
-            vb = state.b.point - prev.b.point
-            la, lb = a.to_local(va), b.to_local(vb)
+            la, lb = shift(state.a, prev.a), shift(state.b, prev.b)
+            va, vb = a.to_world(la), b.to_world(lb)
             residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
                            off_integer(la), off_integer(lb))
             if residual > tol:
@@ -228,8 +241,9 @@ def test_float_recurrence_across_key_arcs(monkeypatch):
 
 
 def test_exact_recurrence_needs_no_direction_match():
-    """The start's direction is the edge normal, later directions are
-    chords; only the facing side matters, so the start itself recurs."""
+    """The start was placed by its side of the edge, later states by the
+    chords they moved along; a particle holds only its crossing sign, so
+    the start itself recurs."""
     a = GridTiling.standard()
     b = a.transformed(1, 1, -1, 1)
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
@@ -237,8 +251,44 @@ def test_exact_recurrence_needs_no_direction_match():
     rec = run_orbit(a, b, state, max_steps=50)
     assert rec.termination == Termination("periodic", 4, period=4,
                                           residual=0.0)
-    assert rec.states[4].a.direction != state.a.direction
+    assert rec.states[4] == state
     assert classify(rec).verdict == PERIODIC
+
+
+def test_particle_a_reads_only_the_axis_of_b():
+    """Decoupling: A's move reads only A's own state and the axis of B's
+    edge.  Starts whose B fractions differ by 10^-6 and whose B edge axes
+    agree over 40 steps move A through the same (edge, pos, across) at
+    every step, while B's positions stay apart."""
+    rng = random.Random(40)
+    a = GridTiling.standard()
+    for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7)):
+        b = GridTiling.from_parameter(t)
+        pairs = 0
+        for _ in range(12):
+            ea, eb = rng.choice("vh"), rng.choice("vh")
+            sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+            fa = Fraction(rng.randint(1, 999), 1000)
+            fb = Fraction(rng.randint(1, 999), 1000)
+            orbits = []
+            for frac_b in (fb, fb + Fraction(1, 10 ** 6)):
+                state = PairState(a.particle_on(GridEdge(ea, 0, 0), fa, sa),
+                                  b.particle_on(GridEdge(eb, 0, 0), frac_b,
+                                                sb))
+                orbit = [state]
+                try:
+                    for _ in range(40):
+                        orbit.append(step(a, b, orbit[-1]))
+                except VertexHit:
+                    break
+                orbits.append(orbit)
+            if len(orbits) < 2 or ([st.b.edge.axis for st in orbits[0]]
+                                   != [st.b.edge.axis for st in orbits[1]]):
+                continue
+            assert [st.a for st in orbits[0]] == [st.a for st in orbits[1]]
+            assert orbits[0][-1].b.pos != orbits[1][-1].b.pos
+            pairs += 1
+        assert pairs >= 10
 
 
 def test_exact_bounded_orbit_classifies():
@@ -339,16 +389,17 @@ def test_affine_naturality_single_map():
 
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), 1),
                       b.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -1))
+    # A map of negative determinant would swap the sides of an edge.
     tstate = PairState(
-        type(state.a)(image(state.a.point), state.a.edge,
-                      image(state.a.direction)),
-        type(state.b)(image(state.b.point), state.b.edge,
-                      image(state.b.direction)))
+        ta.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), 1),
+        tb.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -1))
     cur, tcur = state, tstate
     for _ in range(80):
         cur = step(a, b, cur)
         tcur = step(ta, tb, tcur)
-        assert tcur.a.point == image(cur.a.point)
-        assert tcur.b.point == image(cur.b.point)
+        assert ta.point_on(tcur.a.edge, tcur.a.pos) == image(
+            a.point_on(cur.a.edge, cur.a.pos))
+        assert tb.point_on(tcur.b.edge, tcur.b.pos) == image(
+            b.point_on(cur.b.edge, cur.b.pos))
         assert tcur.a.edge == cur.a.edge
         assert tcur.b.edge == cur.b.edge

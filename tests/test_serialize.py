@@ -36,8 +36,7 @@ def test_vec_particle_state_wire_shapes():
     assert wire(Vec2(0.5, -1.5)) == [0.5, -1.5]
     a = GridTiling.standard()
     p = a.particle_on(GridEdge("v", 2, -1), Fraction(3, 7), -1)
-    assert wire(p) == {"point": ["2", "-4/7"], "edge": ["v", 2, -1],
-                       "direction": ["1", "0"]}
+    assert wire(p) == {"edge": ["v", 2, -1], "pos": "3/7", "across": 1}
     q = a.particle_on(GridEdge("h", 0, 0), Fraction(1, 9), 1)
     assert wire(PairState(p, q)) == {"a": wire(p), "b": wire(q)}
 

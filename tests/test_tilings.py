@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from symtiling.errors import VertexHit
-from symtiling.exact import Vec2, rational_circle_point, rotate
-from symtiling.tilings import GridEdge, GridTiling, is_transverse
+from symtiling.errors import NonTransverseEdges, VertexHit
+from symtiling.exact import Vec2, rational_circle_point
+from symtiling.tilings import GridEdge, GridTiling, Particle, is_transverse
 
 
 def rand_fraction(rng, span=8, den=40):
@@ -45,63 +45,77 @@ def test_first_hit_matches_brute_force_scan():
     checked = 0
     for _ in range(300):
         tiling = rng.choice(grids)
-        start = Vec2(rand_fraction(rng), rand_fraction(rng))
-        travel = Vec2(rand_fraction(rng, 3), rand_fraction(rng, 3))
-        if travel.is_zero():
+        particle = Particle(GridEdge(rng.choice("vh"), rng.randint(-8, 8),
+                                     rng.randint(-8, 8)),
+                            Fraction(rng.randint(1, 39), 40),
+                            rng.choice((1, -1)))
+        chord = Vec2(rand_fraction(rng, 3), rand_fraction(rng, 3))
+        normal = chord.x if particle.edge.axis == "v" else chord.y
+        if normal == 0:
+            with pytest.raises(NonTransverseEdges):
+                tiling.first_hit(particle, chord)
             continue
+        if (normal > 0) != (particle.across > 0):
+            chord = -chord
+        start = tiling.point_on(particle.edge, particle.pos)
+        travel = tiling.to_world(chord)
         expect = brute_first_hit(tiling, start, travel)
         if expect == "vertex":
             with pytest.raises(VertexHit):
-                tiling.first_hit(start, travel)
+                tiling.first_hit(particle, chord)
             continue
         s, axis, line, cell = expect
-        point, edge = tiling.first_hit(start, travel)
-        assert point == start + travel * s
-        assert edge == GridEdge(axis, line, cell)
+        hit = tiling.first_hit(particle, chord)
+        assert tiling.point_on(hit.edge, hit.pos) == start + travel * s
+        assert hit.edge == GridEdge(axis, line, cell)
+        assert hit.across == (1 if (chord.x if axis == "v" else chord.y) > 0
+                              else -1)
         checked += 1
     assert checked > 200
 
 
 def test_first_hit_starts_on_edge():
     tiling = GridTiling.standard()
-    start = Vec2(Fraction(0), Fraction(1, 3))
-    point, edge = tiling.first_hit(start, Vec2(1, 0))
-    assert edge == GridEdge("v", 1, 0)
-    assert point == Vec2(1, Fraction(1, 3))
-    point, edge = tiling.first_hit(start, Vec2(-1, 0))
-    assert edge == GridEdge("v", -1, 0)
+    start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
+    hit = tiling.first_hit(start, Vec2(1, 0).exactify())
+    assert hit.edge == GridEdge("v", 1, 0)
+    assert tiling.point_on(hit.edge, hit.pos) == Vec2(1, Fraction(1, 3))
+    back = Particle(GridEdge("v", 0, 0), Fraction(1, 3), -1)
+    chord = Vec2(-1, 0).exactify()
+    assert tiling.first_hit(back, chord).edge == GridEdge("v", -1, 0)
 
 
 def test_first_hit_float_skips_resident_edge():
     tiling = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
-    start = Vec2(1e-12, 0.25)
-    point, edge = tiling.first_hit(start, Vec2(1.0, 0.0))
-    assert edge.line == 1
+    start = Particle(GridEdge("v", 0, 0), 0.25, 1)
+    hit = tiling.first_hit(start, Vec2(1.0, 0.0))
+    assert hit.edge.line == 1
 
 
 def test_first_hit_float_far_from_origin():
-    """The absolute float tolerance holds 10^5 cells out: moving the
-    start by a lattice vector moves the hit point and the edge by it."""
+    """Positions stay in (0, 1) 10^5 cells out: moving the start by a
+    lattice vector moves the hit edge by it and keeps the position."""
     rng = random.Random(31)
     tiling = GridTiling.rotated(Vec2(math.cos(1.0), math.sin(1.0)))
     dx, dy = 10 ** 5, -10 ** 5
-    shift = tiling.to_world(Vec2(float(dx), float(dy)))
     for _ in range(200):
         edge = GridEdge(rng.choice("vh"), 0, 0)
         particle = tiling.particle_on(edge, rng.uniform(0.01, 0.99),
                                       rng.choice((1, -1)))
-        angle = rng.uniform(-1.5, 1.5)
-        travel = rotate(particle.direction,
-                        Vec2(math.cos(angle), math.sin(angle)))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        chord = tiling.to_local(Vec2(math.cos(angle), math.sin(angle)))
         try:
-            point, hit = tiling.first_hit(particle.point, travel)
+            hit = tiling.first_hit(particle, chord)
         except VertexHit:
             continue
-        far_point, far_hit = tiling.first_hit(particle.point + shift, travel)
-        assert (far_point - (point + shift)).norm() <= 1e-9
-        line, cell = (dx, dy) if hit.axis == "v" else (dy, dx)
-        assert far_hit == GridEdge(hit.axis, hit.line + line,
-                                   hit.cell + cell)
+        line, cell = (dx, dy) if edge.axis == "v" else (dy, dx)
+        far = Particle(GridEdge(edge.axis, line, cell), particle.pos,
+                       particle.across)
+        far_hit = tiling.first_hit(far, chord)
+        assert far_hit.pos == hit.pos and far_hit.across == hit.across
+        line, cell = (dx, dy) if hit.edge.axis == "v" else (dy, dx)
+        assert far_hit.edge == GridEdge(hit.edge.axis, hit.edge.line + line,
+                                        hit.edge.cell + cell)
 
 
 def test_particle_on_rejects_fractions_off_the_open_edge():
@@ -114,7 +128,8 @@ def test_particle_on_rejects_fractions_off_the_open_edge():
             with pytest.raises(ValueError):
                 tiling.particle_on(GridEdge("v", 0, 0), frac)
     inside = exact.particle_on(GridEdge("h", 0, 0), Fraction(1, 9))
-    assert inside.point == Vec2(Fraction(1, 9), 0)
+    assert inside == Particle(GridEdge("h", 0, 0), Fraction(1, 9), 1)
+    assert exact.point_on(inside.edge, inside.pos) == Vec2(Fraction(1, 9), 0)
 
 
 def test_local_world_roundtrip():
@@ -134,11 +149,14 @@ def test_point_on_and_particle_sides():
     assert p == Vec2(2, Fraction(-3, 4))
     left = tiling.particle_on(edge, Fraction(1, 4), 1)
     right = tiling.particle_on(edge, Fraction(1, 4), -1)
-    assert left.direction == Vec2(-1, 0)
-    assert right.direction == Vec2(1, 0)
+    assert left.across == -1
+    assert right.across == 1
     h = GridEdge("h", 0, 3)
     assert tiling.point_on(h, Fraction(1, 2)) == Vec2(Fraction(7, 2), 0)
-    assert tiling.particle_on(h, Fraction(1, 2), 1).direction == Vec2(0, 1)
+    assert tiling.particle_on(h, Fraction(1, 2), 1).across == 1
+    mirrored = tiling.transformed(1, 0, 0, -1)
+    assert mirrored.particle_on(edge, Fraction(1, 4), 1).across == 1
+    assert mirrored.particle_on(h, Fraction(1, 2), 1).across == -1
 
 
 def test_rotated_grid_has_unit_rational_basis():
