@@ -18,17 +18,16 @@ from .errors import (DegenerateStep, EmptyInterval, GeometryError,
                      ParallelWitnessLines, SignatureMismatch, VertexHit)
 from .exact import Vec2, bit_length, rational_circle_point
 from .linkage import (EquiangularSolution, Polygon, check_equilateral,
-                      directions_to_sunburst, equilateral_to_equiangular,
-                      random_convex_equilateral, regular_equilateral,
-                      solve_equiangular)
-from .moduli import (AreaForm, HyperbolicPoint, area_form, butterfly,
-                     butterfly_matrix, chart_c_coordinate, cyclic_fixed_point,
-                     cyclic_matrix, family_directions, family_normals,
-                     hyperbolic_distance, is_convex_offsets,
-                     pentagon_report, pentagon_wall_order, pentagon_walls,
-                     polygon_from_offsets, random_convex_offsets,
-                     signed_area, signed_edge_lengths, to_disk, to_hyperbolic,
-                     vertices_from_offsets, wall_intersection, wall_normal)
+                      directions_to_sunburst, random_convex_equilateral,
+                      regular_equilateral, solve_equiangular)
+from .moduli import (AreaForm, HyperbolicPoint, area_form, butterfly_matrix,
+                     chart_c_coordinate, cyclic_fixed_point, cyclic_matrix,
+                     family_directions, family_normals, hyperbolic_distance,
+                     is_convex_offsets, pentagon_report, pentagon_wall_order,
+                     pentagon_walls, polygon_from_offsets,
+                     random_convex_offsets, signed_area, signed_edge_lengths,
+                     to_disk, to_hyperbolic, vertices_from_offsets,
+                     wall_intersection, wall_normal)
 from .pipeline import (RelabelReport, cyclic_relabel, equiangular_offsets,
                        equilateral_to_hyperbolic)
 from .tilings import GridEdge, GridTiling, Particle, is_transverse

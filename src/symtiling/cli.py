@@ -286,18 +286,16 @@ def cmd_linkage_convert(args) -> int:
 
 def cmd_moduli_embed(args) -> int:
     poly = _input_polygon(args)
-    form = moduli.area_form(poly.n)
-    point = pipeline.equilateral_to_hyperbolic(poly, form=form)
-    disk = moduli.to_disk(point, form)
+    point = pipeline.equilateral_to_hyperbolic(poly)
+    disk = moduli.to_disk(point)
     print(f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
           f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
     # The figure is a disk: n = 4 draws its one coordinate on the x axis.
     disk_points = [tuple(np.append(disk, 0.0)[:2])]
     chords = []
     if poly.n == 5:
-        corners = [tuple(moduli.to_disk(
-            moduli.HyperbolicPoint(5, tuple(corner)), form))
-            for corner in moduli.pentagon_report(form)["vertices"]]
+        corners = [tuple(moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c))))
+                   for c in moduli.pentagon_report()["vertices"]]
         chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
     if args.json:
         serialize.write_json({
@@ -313,7 +311,7 @@ def cmd_moduli_embed(args) -> int:
 
 def cmd_pentagon_verify(args) -> int:
     form = moduli.area_form(5)
-    report = moduli.pentagon_report(form)
+    report = moduli.pentagon_report()
     angle_residual = max(abs(a - math.pi / 2) for a in report["angles"])
     right_angled = angle_residual <= PENTAGON_TOL
     golden = (1.0 + math.sqrt(5.0)) / 2.0

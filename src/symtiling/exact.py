@@ -69,9 +69,6 @@ class Vec2:
     def norm(self) -> float:
         return math.hypot(float(self.x), float(self.y))
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
     def is_exact(self) -> bool:
         return not (isinstance(self.x, float) or isinstance(self.y, float))
 

@@ -145,7 +145,3 @@ def solve_equiangular(poly: Polygon, radius: float = 1.0
     pts = orbit_points(SunburstPair(burst, regular, phase), r0=radius)
     residual = (pts[-1] - pts[0]).norm()
     return EquiangularSolution(Polygon(pts[:poly.n]), phase, residual)
-
-
-def equilateral_to_equiangular(poly: Polygon, radius: float = 1.0) -> Polygon:
-    return solve_equiangular(poly, radius).polygon

@@ -18,10 +18,13 @@ hyperbolic space of dimension N-3, with the butterfly moves acting as
 reflections.
 
 Both coordinate systems on that space are closed forms.  Quotient
-coordinates translate the polygon until s_0 = s_1 = 0 and keep
+coordinates translate the polygon until s_0 = s_1 = 0 and read off
 s_2..s_{N-1}.  The disk chart reads the real Fourier modes j != +-1,
 which are the form's eigenvectors: mode 0 is the timelike axis through
 the regular polygon, so the regular polygon sits at the centre.
+
+The form depends on N alone: each function reads the cached
+area_form(N) itself, with N taken from its offsets, point or argument.
 """
 
 from __future__ import annotations
@@ -123,15 +126,14 @@ class AreaForm:
     """Signed area as a quadratic form on offset space.
 
     gram is the full N x N Gram matrix.  The radical (translations) is
-    quotiented away by translating until s_0 = s_1 = 0, which leaves the
-    keep-indices 2..N-1 as coordinates with Gram matrix quotient_gram of
+    quotiented away by translating until s_0 = s_1 = 0, which leaves
+    s_2..s_{N-1} as coordinates with Gram matrix quotient_gram of
     signature (1, N-3).  frame maps those coordinates to the Fourier
     frame, where the form is diag(1, -1, ..., -1).
     """
 
     n: int
     gram: np.ndarray
-    keep: tuple
     quotient_gram: np.ndarray
     frame: np.ndarray
 
@@ -142,7 +144,7 @@ class AreaForm:
     def reduce(self, s) -> np.ndarray:
         """Quotient coordinates: translate by the v that zeroes s_0 and
         s_1, v = ((s_1 - cos theta s_0)/sin theta, -s_0) with
-        theta = 2 pi/N, then read off the kept components.  They are
+        theta = 2 pi/N, then read off components 2..N-1.  They are
         s_k + (sin((k-1) theta) s_0 - sin(k theta) s_1)/sin theta.  An
         N x m matrix is reduced column by column.
         """
@@ -150,12 +152,6 @@ class AreaForm:
         t = translation_offsets(self.n)
         v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
         return (s + t @ v)[2:]
-
-    def embed(self, x) -> np.ndarray:
-        """Offset vector with s_0 = s_1 = 0 representing x."""
-        s = np.zeros(self.n)
-        s[list(self.keep)] = np.asarray(x, dtype=float)
-        return s
 
     def pairing(self, x, y) -> float:
         return float(np.asarray(x) @ self.quotient_gram @ np.asarray(y))
@@ -204,15 +200,14 @@ def area_form(n: int) -> AreaForm:
     null_dim = int(np.sum(np.abs(np.linalg.eigvalsh(gram)) <= 1e-9))
     if null_dim != 2:
         raise SignatureMismatch(f"radical dimension {null_dim}, expected 2")
-    keep = tuple(range(2, n))
-    quotient = gram[np.ix_(keep, keep)]
+    quotient = gram[2:, 2:]
     eig = np.linalg.eigvalsh(quotient)
     plus = int(np.sum(eig > 1e-9))
     minus = int(np.sum(eig < -1e-9))
     if (plus, minus) != (1, n - 3):
         raise SignatureMismatch(
             f"quotient signature ({plus},{minus}), expected (1,{n - 3})")
-    return AreaForm(n, gram, keep, quotient, _fourier_frame(n))
+    return AreaForm(n, gram, quotient, _fourier_frame(n))
 
 
 def butterfly_matrix(n: int, k: int) -> np.ndarray:
@@ -236,15 +231,11 @@ def butterfly_matrix(n: int, k: int) -> np.ndarray:
     return m
 
 
-def butterfly(s, k: int) -> np.ndarray:
-    return butterfly_matrix(len(s), k) @ np.asarray(s, dtype=float)
-
-
-def quotient_map(form: AreaForm, matrix: np.ndarray) -> np.ndarray:
+def quotient_map(matrix: np.ndarray) -> np.ndarray:
     """The map induced on quotient coordinates by a
     translation-equivariant linear map of offset space.
     """
-    return form.reduce(matrix[:, list(form.keep)])
+    return area_form(len(matrix)).reduce(matrix[:, 2:])
 
 
 def cyclic_matrix(n: int) -> np.ndarray:
@@ -265,19 +256,19 @@ class HyperbolicPoint:
         return np.array(self.coords)
 
 
-def reference_point(form: AreaForm) -> np.ndarray:
-    """Image of the regular polygon (all offsets equal), selecting the
+def reference_point(n: int) -> np.ndarray:
+    """Image of the regular n-gon (all offsets equal), selecting the
     positive sheet.
     """
-    ones = np.ones(form.n)
+    form = area_form(n)
+    ones = np.ones(n)
     return form.reduce(ones) / math.sqrt(form.value(ones))
 
 
-def to_hyperbolic(s, form: AreaForm = None) -> HyperbolicPoint:
+def to_hyperbolic(s) -> HyperbolicPoint:
     """Reduce to quotient coordinates and normalize to unit area."""
     s = np.asarray(s, dtype=float)
-    if form is None:
-        form = area_form(len(s))
+    form = area_form(len(s))
     area = form.value(s)
     if area <= 0:
         raise NonPositiveArea(f"signed area {area:.6g} is not positive")
@@ -285,17 +276,15 @@ def to_hyperbolic(s, form: AreaForm = None) -> HyperbolicPoint:
     return HyperbolicPoint(form.n, tuple(x))
 
 
-def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint,
-                        form: AreaForm = None) -> float:
+def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
     """On the unit sheet Q(p - q) = -4 sinh^2(d/2), which stays accurate
     near d = 0, where acosh of the pairing loses half the digits."""
-    if form is None:
-        form = area_form(p.n)
+    form = area_form(p.n)
     v = p.as_array() - q.as_array()
     return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -form.pairing(v, v))))
 
 
-def wall_normal(form: AreaForm, k: int) -> np.ndarray:
+def wall_normal(n: int, k: int) -> np.ndarray:
     """Unit spacelike Q-normal of the fixed hyperplane of butterfly k in
     the quotient, oriented positively against the regular polygon.
 
@@ -304,7 +293,7 @@ def wall_normal(form: AreaForm, k: int) -> np.ndarray:
     That vanishes exactly when the witness lines k-1 and k+1 are
     parallel (N = 4).
     """
-    n = form.n
+    form = area_form(n)
     w = form.reduce(np.eye(n)[k % n])
     q = form.pairing(w, w)
     if abs(q) <= 1e-12:
@@ -314,31 +303,29 @@ def wall_normal(form: AreaForm, k: int) -> np.ndarray:
         raise SignatureMismatch(f"butterfly {k} mirror normal is not "
                                 "spacelike")
     w = w / math.sqrt(-q)
-    if form.pairing(reference_point(form), w) < 0:
+    if form.pairing(reference_point(n), w) < 0:
         w = -w
     return w
 
 
-def wall_intersection(form: AreaForm, wa: np.ndarray, wb: np.ndarray
-                      ) -> np.ndarray:
+def wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     """Positive-sheet point lying on both walls (their common
     perpendicular foot), for three-dimensional quotients.
     """
+    form = area_form(len(wa) + 2)
     g = form.quotient_gram
     v = np.cross(g @ wa, g @ wb)
     q = form.pairing(v, v)
     if q <= 0:
         raise SignatureMismatch("walls do not meet on the hyperboloid")
     v = v / math.sqrt(q)
-    if form.pairing(reference_point(form), v) < 0:
+    if form.pairing(reference_point(form.n), v) < 0:
         v = -v
     return v
 
 
-def pentagon_walls(form: AreaForm = None):
-    if form is None:
-        form = area_form(5)
-    return [wall_normal(form, k) for k in range(5)]
+def pentagon_walls():
+    return [wall_normal(5, k) for k in range(5)]
 
 
 def pentagon_wall_order():
@@ -348,19 +335,18 @@ def pentagon_wall_order():
     return [0, 2, 4, 1, 3]
 
 
-def pentagon_report(form: AreaForm = None):
+def pentagon_report():
     """Vertices, interior angles, and side lengths of the right-angled
     pentagon bounded by the five butterfly walls.
     """
-    if form is None:
-        form = area_form(5)
-    walls = pentagon_walls(form)
+    form = area_form(5)
+    walls = pentagon_walls()
     order = pentagon_wall_order()
     verts = []
     angles = []
     for i in range(5):
         wa, wb = walls[order[i]], walls[order[(i + 1) % 5]]
-        verts.append(wall_intersection(form, wa, wb))
+        verts.append(wall_intersection(wa, wb))
         angles.append(math.acos(max(-1.0, min(1.0, -form.pairing(wa, wb)))))
     sides = [math.acosh(max(form.pairing(verts[i], verts[(i + 1) % 5]), 1.0))
              for i in range(5)]
@@ -368,14 +354,12 @@ def pentagon_report(form: AreaForm = None):
             "angles": angles, "sides": sides}
 
 
-def cyclic_fixed_point(form: AreaForm = None) -> HyperbolicPoint:
+def cyclic_fixed_point(n: int) -> HyperbolicPoint:
     """Fixed point of the induced cyclic relabeling isometry on the
-    positive sheet: the regular polygon, since relabeling leaves the
+    positive sheet: the regular n-gon, since relabeling leaves the
     all-ones offset vector unchanged.
     """
-    if form is None:
-        form = area_form(5)
-    return HyperbolicPoint(form.n, tuple(reference_point(form)))
+    return HyperbolicPoint(n, tuple(reference_point(n)))
 
 
 def chart_c_coordinate(s) -> float:
@@ -388,13 +372,11 @@ def chart_c_coordinate(s) -> float:
     return float(p[0] - q[0])
 
 
-def to_disk(p: HyperbolicPoint, form: AreaForm = None) -> np.ndarray:
+def to_disk(p: HyperbolicPoint) -> np.ndarray:
     """Poincare ball projection of a positive-sheet point in the Fourier
     frame: N - 3 coordinates, with the regular polygon at the centre.
     For N >= 6 the first two are the j = 2 mode, the polygon's affine
     deformation, which the disk figures show.
     """
-    if form is None:
-        form = area_form(p.n)
-    y = form.frame @ p.as_array()
+    y = area_form(p.n).frame @ p.as_array()
     return y[1:] / (1.0 + y[0])

@@ -15,8 +15,8 @@ import numpy as np
 
 from .exact import unit_from_angle
 from .linkage import EquiangularSolution, Polygon, solve_equiangular
-from .moduli import (AreaForm, HyperbolicPoint, area_form, cyclic_matrix,
-                     hyperbolic_distance, quotient_map, to_hyperbolic)
+from .moduli import (HyperbolicPoint, cyclic_matrix, hyperbolic_distance,
+                     quotient_map, to_hyperbolic)
 from .weave import TWO_PI
 
 
@@ -36,13 +36,9 @@ def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
         unit_from_angle(sol.phase + TWO_PI * k / n))) for k in range(n)])
 
 
-def equilateral_to_hyperbolic(poly: Polygon, radius: float = 1.0,
-                              form: AreaForm = None) -> HyperbolicPoint:
+def equilateral_to_hyperbolic(poly: Polygon) -> HyperbolicPoint:
     """Hyperbolic moduli point of a convex equilateral polygon."""
-    sol = solve_equiangular(poly, radius)
-    if form is None:
-        form = area_form(poly.n)
-    return to_hyperbolic(equiangular_offsets(sol), form)
+    return to_hyperbolic(equiangular_offsets(solve_equiangular(poly)))
 
 
 class RelabelReport(NamedTuple):
@@ -51,8 +47,7 @@ class RelabelReport(NamedTuple):
     discrepancy: float
 
 
-def cyclic_relabel(poly: Polygon, shift: int = 1,
-                   form: AreaForm = None) -> RelabelReport:
+def cyclic_relabel(poly: Polygon, shift: int = 1) -> RelabelReport:
     """Relabel the polygon's vertices cyclically and compare moduli.
 
     The relabeled polygon's image equals the induced cyclic isometry
@@ -60,14 +55,12 @@ def cyclic_relabel(poly: Polygon, shift: int = 1,
     distance between the two, which vanishes up to numerics.
     """
     n = poly.n
-    if form is None:
-        form = area_form(n)
     shift %= n
     shifted = Polygon(poly.vertices[shift:] + poly.vertices[:shift])
-    img = equilateral_to_hyperbolic(poly, form=form)
-    img_shift = equilateral_to_hyperbolic(shifted, form=form)
-    cq = quotient_map(form, cyclic_matrix(n))
+    img = equilateral_to_hyperbolic(poly)
+    img_shift = equilateral_to_hyperbolic(shifted)
+    cq = quotient_map(cyclic_matrix(n))
     mapped = np.linalg.matrix_power(cq, shift) @ img.as_array()
     moved = HyperbolicPoint(n, tuple(mapped))
     return RelabelReport(moved, img_shift,
-                         hyperbolic_distance(moved, img_shift, form))
+                         hyperbolic_distance(moved, img_shift))

@@ -13,6 +13,7 @@ only to draw and report an orbit (`point_on`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonTransverseEdges, VertexHit
@@ -121,7 +122,7 @@ class GridTiling:
         whichever crosses the edge's line the `across` way, to the next
         grid line: the next particle, which keeps crossing the way it
         moved.  Chord components are Fractions or floats, as `to_local`
-        gives them.
+        gives them, or ints, which divide as Fractions.
 
         Per unit of travel normal to the edge the position moves by the
         slope, along over normal.  So the next parallel line, line +
@@ -141,6 +142,8 @@ class GridTiling:
         if normal == 0:
             raise NonTransverseEdges(
                 "chord direction is parallel to the particle's edge")
+        if type(normal) is int:
+            normal = Fraction(normal)
         slope = along / normal if across > 0 else -along / normal
         end = pos + slope
         if 0 < end < 1:

@@ -57,7 +57,8 @@ class Sunburst:
             raise InvalidSunburst("ray angles must be a list") from None
         if len(angles) < 3:
             raise InvalidSunburst("a sunburst needs at least 3 rays")
-        if not all(isinstance(t, Real) and math.isfinite(t) for t in angles):
+        if not all(isinstance(t, Real) and not isinstance(t, bool)
+                   and math.isfinite(t) for t in angles):
             raise InvalidSunburst("ray angles must be finite real numbers")
         angles = tuple(map(float, angles))
         n = len(angles)
@@ -198,11 +199,17 @@ def holonomy_iteration(pair: SunburstPair) -> HolonomyReport:
 
 def holonomy(pair: SunburstPair) -> HolonomyReport:
     """Product-formula holonomy, cross-checked against the orbit
-    iteration to 1e-12 relative error.
+    iteration to 1e-12 relative error, times the pair's conditioning
+    when that exceeds 1: the largest 1/|sin| over the step factors'
+    sines sin(c_j + phase) and sin(d_j + phase).  The iteration gets
+    each as a cross product of unit vectors, whose rounding is
+    absolute, so a chord nearly along a ray costs that many digits.
     """
     prod = holonomy_product(pair)
     it = holonomy_iteration(pair)
-    if abs(prod.h - it.h) > 1e-12 * abs(it.h):
+    c, d = _phase_offsets(pair.a, pair.b)
+    cond = max(1.0 / abs(math.sin(t + pair.phase)) for t in c + d)
+    if abs(prod.h - it.h) > 1e-12 * max(1.0, cond) * abs(it.h):
         raise HolonomyMismatch(
             f"holonomy mismatch: product {prod.h!r} vs iteration {it.h!r}")
     return prod

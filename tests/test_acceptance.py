@@ -17,11 +17,11 @@ from symtiling.dynamics import (BOUNDED_ATTRACTED, PairState, classify,
 from symtiling.errors import VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.linkage import (Polygon, random_convex_equilateral,
-                               regular_equilateral)
+                               regular_equilateral, solve_equiangular)
 from symtiling.moduli import (area_form, butterfly_matrix, cyclic_fixed_point,
                               pentagon_report, pentagon_wall_order,
-                              pentagon_walls, quotient_map)
-from symtiling.pipeline import equilateral_to_hyperbolic
+                              pentagon_walls, quotient_map, to_hyperbolic)
+from symtiling.pipeline import equiangular_offsets, equilateral_to_hyperbolic
 from symtiling.tilings import GridEdge, GridTiling
 from symtiling.weave import (SunburstPair, holonomy_iteration,
                              holonomy_product, left_times_right_holonomy,
@@ -286,14 +286,14 @@ def test_c10_area_form_reflection_group_suite(criterion):
         g = form.quotient_gram
         eye = np.eye(n - 2)
         for k in range(n):
-            m = quotient_map(form, butterfly_matrix(n, k))
+            m = quotient_map(butterfly_matrix(n, k))
             assert np.max(np.abs(m @ m - eye)) <= 1e-12
             resid = np.max(np.abs(m.T @ g @ m - g))
             assert resid <= 1e-12
             iso_worst = max(iso_worst, resid)
             assert np.linalg.matrix_rank(m - eye, tol=1e-9) == 1
-    mats = [quotient_map(form5, butterfly_matrix(5, k)) for k in range(5)]
-    walls = pentagon_walls(form5)
+    mats = [quotient_map(butterfly_matrix(5, k)) for k in range(5)]
+    walls = pentagon_walls()
     ortho_worst = 0.0
     for j in range(5):
         for k in range(j + 1, 5):
@@ -306,7 +306,7 @@ def test_c10_area_form_reflection_group_suite(criterion):
                 ortho_worst = max(ortho_worst, pairing)
             else:
                 assert comm > 1e-6
-    angles = pentagon_report(form5)["angles"]
+    angles = pentagon_report()["angles"]
     angle_worst = max(abs(a - math.pi / 2) for a in angles)
     assert angle_worst <= 1e-9
     elapsed = time.perf_counter() - t0
@@ -320,31 +320,31 @@ def test_c10_area_form_reflection_group_suite(criterion):
 def test_c11_equilateral_pentagons_embed_in_the_wall_pentagon(criterion):
     t0 = time.perf_counter()
     form = area_form(5)
-    walls = pentagon_walls(form)
-    fp = cyclic_fixed_point(form)
-    p_reg = equilateral_to_hyperbolic(regular_equilateral(5), form=form)
+    walls = pentagon_walls()
+    fp = cyclic_fixed_point(5)
+    p_reg = equilateral_to_hyperbolic(regular_equilateral(5))
     reg_err = float(np.max(np.abs(p_reg.as_array() - fp.as_array())))
     assert reg_err <= 1e-9
     rng = random.Random(1100)
     for _ in range(100):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, form=form)
+        p = equilateral_to_hyperbolic(poly)
         assert all(form.pairing(p.as_array(), w) > 0 for w in walls)
     iso_worst = 0.0
     for _ in range(15):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, form=form)
+        p = equilateral_to_hyperbolic(poly)
         moved = poly.rotated(rng.uniform(0.0, TWO_PI)).translated(
             Vec2(rng.uniform(-8, 8), rng.uniform(-8, 8)))
-        q = equilateral_to_hyperbolic(moved, form=form)
+        q = equilateral_to_hyperbolic(moved)
         diff = float(np.max(np.abs(p.as_array() - q.as_array())))
         assert diff <= 1e-9
         iso_worst = max(iso_worst, diff)
     dil_worst = 0.0
     for _ in range(10):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, radius=1.0, form=form)
-        q = equilateral_to_hyperbolic(poly, radius=3.7, form=form)
+        p = equilateral_to_hyperbolic(poly)
+        q = to_hyperbolic(equiangular_offsets(solve_equiangular(poly, 3.7)))
         diff = float(np.max(np.abs(p.as_array() - q.as_array())))
         assert diff <= 1e-10
         dil_worst = max(dil_worst, diff)

@@ -4,6 +4,7 @@ from pathlib import Path
 import symtiling
 
 SRC = Path(symtiling.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_level_import_is_used():
@@ -26,3 +27,25 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}: {name}" for name in imported
                    if name not in used]
     assert unused == []
+
+
+def test_every_function_is_referenced():
+    """Each def and class of the package is loaded by name, or as an
+    attribute, somewhere in src, tests or bench; an import alone does
+    not count, since __init__.py imports every public name."""
+    defined = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defined.append((path.name, node.name))
+    named = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                named.add(node.attr)
+    assert [f"{f}: {name}" for f, name in defined if name not in named] == []

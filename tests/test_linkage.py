@@ -7,7 +7,6 @@ from symtiling.errors import NotConvex, NotEquilateral
 from symtiling.exact import Vec2
 from symtiling.linkage import (Polygon, check_equilateral,
                                directions_to_sunburst,
-                               equilateral_to_equiangular,
                                random_convex_equilateral, regular_equilateral,
                                solve_equiangular)
 from symtiling.weave import is_balanced
@@ -103,7 +102,7 @@ def test_solve_equiangular_radius_scales_output():
 def test_regular_input_is_solver_fixed_shape():
     n = 5
     poly = regular_equilateral(n)
-    out = equilateral_to_equiangular(poly)
+    out = solve_equiangular(poly).polygon
     lengths = out.edge_lengths()
     assert max(lengths) - min(lengths) <= 1e-9
     target = math.pi * (n - 2) / n

@@ -9,7 +9,7 @@ from symtiling.linkage import (Polygon, random_convex_equilateral,
 from symtiling.moduli import (area_form, cyclic_fixed_point,
                               family_directions, family_normals,
                               hyperbolic_distance, pentagon_walls,
-                              vertices_from_offsets)
+                              to_hyperbolic, vertices_from_offsets)
 from symtiling.pipeline import (cyclic_relabel, equiangular_offsets,
                                 equilateral_to_hyperbolic)
 
@@ -81,84 +81,77 @@ def test_offsets_reproduce_the_aligned_polygon():
 
 
 def test_regular_pentagon_hits_the_cyclic_fixed_point():
-    form = area_form(5)
     poly = regular_equilateral(5)
-    p = equilateral_to_hyperbolic(poly, form=form)
-    fp = cyclic_fixed_point(form)
+    p = equilateral_to_hyperbolic(poly)
+    fp = cyclic_fixed_point(5)
     assert np.max(np.abs(p.as_array() - fp.as_array())) <= 1e-9
 
 
 def test_images_land_inside_the_wall_pentagon():
     rng = random.Random(40)
     form = area_form(5)
-    walls = pentagon_walls(form)
+    walls = pentagon_walls()
     for _ in range(30):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, form=form)
+        p = equilateral_to_hyperbolic(poly)
         assert all(form.pairing(p.as_array(), w) > 0 for w in walls)
 
 
 def test_plane_isometries_do_not_move_the_image():
     rng = random.Random(63)
-    form = area_form(5)
     for _ in range(12):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, form=form)
+        p = equilateral_to_hyperbolic(poly)
         moved = poly.rotated(rng.uniform(0, 2 * math.pi)).translated(
             Vec2(rng.uniform(-5, 5), rng.uniform(-5, 5)))
-        q = equilateral_to_hyperbolic(moved, form=form)
+        q = equilateral_to_hyperbolic(moved)
         assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-9
 
 
 def test_reflections_act_by_isometries():
     rng = random.Random(29)
     form = area_form(5)
-    fp = cyclic_fixed_point(form)
+    fp = cyclic_fixed_point(5)
     for _ in range(10):
         poly = random_convex_equilateral(rng, 5)
         mirrored = Polygon(list(reversed(poly.reflected().vertices)))
-        p = equilateral_to_hyperbolic(poly, form=form)
-        q = equilateral_to_hyperbolic(mirrored, form=form)
-        assert abs(hyperbolic_distance(p, fp, form)
-                   - hyperbolic_distance(q, fp, form)) <= 1e-9
+        p = equilateral_to_hyperbolic(poly)
+        q = equilateral_to_hyperbolic(mirrored)
+        assert abs(hyperbolic_distance(p, fp)
+                   - hyperbolic_distance(q, fp)) <= 1e-9
         assert all(form.pairing(q.as_array(), w) > 0
-                   for w in pentagon_walls(form))
+                   for w in pentagon_walls())
 
 
 def test_orbit_dilation_cancels_in_the_image():
     rng = random.Random(86)
-    form = area_form(5)
     for _ in range(10):
         poly = random_convex_equilateral(rng, 5)
-        p = equilateral_to_hyperbolic(poly, radius=1.0, form=form)
-        q = equilateral_to_hyperbolic(poly, radius=3.7, form=form)
+        p = equilateral_to_hyperbolic(poly)
+        q = to_hyperbolic(equiangular_offsets(solve_equiangular(poly, 3.7)))
         assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-10
 
 
 def test_cyclic_relabel_is_the_induced_isometry():
     rng = random.Random(52)
-    form = area_form(5)
     for _ in range(10):
         poly = random_convex_equilateral(rng, 5)
         shift = rng.randrange(1, 5)
-        report = cyclic_relabel(poly, shift, form)
+        report = cyclic_relabel(poly, shift)
         assert report.discrepancy <= 1e-9
-    identity = cyclic_relabel(random_convex_equilateral(rng, 5), 5, form)
+    identity = cyclic_relabel(random_convex_equilateral(rng, 5), 5)
     assert identity.discrepancy <= 1e-9
 
 
 def test_relabeling_preserves_pairwise_distances():
     rng = random.Random(95)
-    form = area_form(5)
     for _ in range(8):
         pa = random_convex_equilateral(rng, 5)
         pb = random_convex_equilateral(rng, 5)
-        before = hyperbolic_distance(equilateral_to_hyperbolic(pa, form=form),
-                                     equilateral_to_hyperbolic(pb, form=form),
-                                     form)
+        before = hyperbolic_distance(equilateral_to_hyperbolic(pa),
+                                     equilateral_to_hyperbolic(pb))
         sa = Polygon(pa.vertices[2:] + pa.vertices[:2])
         sb = Polygon(pb.vertices[2:] + pb.vertices[:2])
-        after = hyperbolic_distance(equilateral_to_hyperbolic(sa, form=form),
-                                    equilateral_to_hyperbolic(sb, form=form),
-                                    form)
+        after = hyperbolic_distance(equilateral_to_hyperbolic(sa),
+                                    equilateral_to_hyperbolic(sb))
         assert abs(before - after) <= 1e-9

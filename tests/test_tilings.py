@@ -85,6 +85,17 @@ def test_first_hit_starts_on_edge():
     assert tiling.first_hit(back, chord).edge == GridEdge("v", -1, 0)
 
 
+def test_first_hit_divides_int_chords_exactly():
+    tiling = GridTiling.standard()
+    start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
+    hit = tiling.first_hit(start, Vec2(1, 0))
+    assert isinstance(hit.pos, Fraction) and hit.pos == Fraction(1, 3)
+    turn = tiling.first_hit(start, Vec2(1, 2))
+    assert turn == Particle(GridEdge("h", 1, 0), Fraction(1, 3), 1)
+    assert isinstance(turn.pos, Fraction)
+    assert isinstance(tiling.first_hit(start, Vec2(1.0, 0.0)).pos, float)
+
+
 def test_first_hit_float_skips_resident_edge():
     tiling = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
     start = Particle(GridEdge("v", 0, 0), 0.25, 1)

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from symtiling import weave
-from symtiling.errors import DegenerateStep, EmptyInterval, InvalidSunburst
+from symtiling.errors import (DegenerateStep, EmptyInterval, HolonomyMismatch,
+                              InvalidSunburst)
 from symtiling.exact import unit_from_angle
-from symtiling.weave import (Sunburst, SunburstPair, holonomy,
-                             holonomy_iteration, holonomy_product,
+from symtiling.weave import (HolonomyReport, Sunburst, SunburstPair,
+                             holonomy, holonomy_iteration, holonomy_product,
                              is_balanced, is_oriented_weave, is_regular,
                              left_times_right_holonomy, log_holonomy,
                              orbit_points, phase_arcs,
@@ -76,6 +77,23 @@ def test_holonomy_report_consistency_check():
     pair = random_oriented_weave(rng, 6)
     report = holonomy(pair)
     assert abs(report.h - holonomy_iteration(pair).h) <= 1e-12 * report.h
+
+
+def test_holonomy_check_catches_one_perturbed_factor(monkeypatch):
+    """The pair above, which passes unperturbed, is well conditioned, so
+    the check keeps its 1e-12 floor there."""
+    rng = random.Random(5)
+    pair = random_oriented_weave(rng, 6)
+    exact = weave.holonomy_product
+
+    def perturbed(p):
+        f = exact(p).step_factors
+        f = (f[0] * (1.0 + 1e-9),) + f[1:]
+        return HolonomyReport(math.prod(f), f, "product")
+
+    monkeypatch.setattr(weave, "holonomy_product", perturbed)
+    with pytest.raises(HolonomyMismatch):
+        holonomy(pair)
 
 
 def test_left_times_right_is_one():
