@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -39,19 +40,6 @@ VERDICT_COLORS = {
     SINGULAR: (0, 0, 0),
     INCONCLUSIVE: (150, 150, 150),
 }
-
-
-def _run_config(args) -> dict:
-    """The parsed flags of one CLI run, embedded in JSON outputs so a
-    record documents how to reproduce itself."""
-    return {k: v for k, v in vars(args).items() if k != "func"}
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational: {text!r} ({exc})") from None
 
 
 def parse_angle(text: str) -> float:
@@ -94,8 +82,7 @@ def build_tilings(args):
         theta = parse_angle(args.angle)
         b = GridTiling.rotated(Vec2(math.cos(theta), math.sin(theta)))
     else:
-        t = parse_rational(args.t)
-        b = GridTiling.from_parameter(t)
+        b = GridTiling.from_parameter(Fraction(args.t))
         if args.float:
             b = GridTiling(Vec2(float(b.e1.x), float(b.e1.y)),
                            Vec2(float(b.e2.x), float(b.e2.y)))
@@ -124,8 +111,7 @@ def start_state(a, b, args) -> PairState:
     else:
         vars(args).update({key: value for key, value in START_DEFAULTS.items()
                            if key not in given})
-        fa = parse_rational(args.frac_a)
-        fb = parse_rational(args.frac_b)
+        fa, fb = Fraction(args.frac_a), Fraction(args.frac_b)
         if not exact:
             fa, fb = float(fa), float(fb)
         sa, sb = args.side_a, args.side_b
@@ -157,40 +143,26 @@ def _summary(cls) -> str:
     return " ".join(bits)
 
 
-def cmd_grid_orbit(args) -> int:
+def cmd_grid_orbit(args):
     a, b = build_tilings(args)
     state = start_state(a, b, args)
     record = run_orbit(a, b, state, max_steps=args.max_steps,
                        keep_states=False)
     verdict = classify(record)
-    payload = serialize.encode(record)
-    payload["config"] = _run_config(args)
-    payload["verdict"] = verdict.verdict
-    if args.json:
-        serialize.write_json(payload, args.json)
-    if args.out:
-        svgout.orbit_figure(record, a, b).write(args.out)
-    print(_summary(verdict))
-    return 0
+    payload = dict(serialize.encode(record), verdict=verdict.verdict)
+    return (_summary(verdict), payload,
+            lambda path: svgout.orbit_figure(record, a, b).write(path))
 
 
-def cmd_grid_portrait(args) -> int:
+def cmd_grid_portrait(args):
     a, b = build_tilings(args)
     rows = phase_portrait(a, b, parse_edge(args.edge_a),
                           parse_edge(args.edge_b),
                           parse_resolution(args.resolution),
                           max_steps=args.max_steps)
-    if args.out:
-        write_ppm(args.out, rows)
-    counts = {}
-    for row in rows:
-        for v in row:
-            counts[v] = counts.get(v, 0) + 1
-    print(" ".join(f"{k}={counts[k]}" for k in sorted(counts)))
-    if args.json:
-        serialize.write_json({"config": _run_config(args), "rows": rows},
-                             args.json)
-    return 0
+    counts = Counter(v for row in rows for v in row)
+    return (" ".join(f"{k}={counts[k]}" for k in sorted(counts)),
+            {"rows": rows}, lambda path: write_ppm(path, rows))
 
 
 def _random_free_sunburst(rng, n):
@@ -211,7 +183,7 @@ def _random_free_sunburst(rng, n):
     raise InvalidSunburst(f"no free {n}-ray sunburst in 100 attempts")
 
 
-def cmd_sunburst_solve(args) -> int:
+def cmd_sunburst_solve(args):
     rng = Random(args.seed)
     if args.files:
         a = Sunburst(serialize.read_json(args.files[0]))
@@ -223,14 +195,7 @@ def cmd_sunburst_solve(args) -> int:
     else:
         a = random_balanced_sunburst(rng, args.n)
         b = regular_sunburst(args.n)
-    try:
-        interval = weave_interval(a, b)
-    except EmptyInterval as exc:
-        print("empty weave interval; per-index arcs (lo, width):",
-              file=sys.stderr)
-        for i, (lo, width) in enumerate(exc.arcs):
-            print(f"  {i}: ({lo:.6f}, {width:.6f})", file=sys.stderr)
-        return 2
+    interval = weave_interval(a, b)
     theta = solve_phase(a, b)
     pair = SunburstPair(a, b, theta)
     report = holonomy(pair)
@@ -238,24 +203,15 @@ def cmd_sunburst_solve(args) -> int:
     closure = math.hypot(float(pts[-1].x - pts[0].x),
                          float(pts[-1].y - pts[0].y))
     poly = Polygon(pts[:pair.n])
-    print(f"theta={theta:.12f} h={report.h:.12g} "
-          f"log_h={math.log(report.h):.3e} closure={closure:.3e} "
-          f"convex={poly.is_convex()} "
-          f"interval=({interval.lo:.6f}, {interval.hi:.6f})")
-    if args.json:
-        serialize.write_json({
-            "config": _run_config(args),
-            "a": a.angles,
-            "b": b.angles,
-            "theta": theta,
-            "holonomy": report,
-            "interval": interval,
-            "closure": closure,
-            "points": poly.vertices,
-        }, args.json)
-    if args.out:
-        svgout.sunburst_figure(pair, pts).write(args.out)
-    return 0
+    line = (f"theta={theta:.12f} h={report.h:.12g} "
+            f"log_h={math.log(report.h):.3e} closure={closure:.3e} "
+            f"convex={poly.is_convex()} "
+            f"interval=({interval.lo:.6f}, {interval.hi:.6f})")
+    payload = {"a": a.angles, "b": b.angles, "theta": theta,
+               "holonomy": report, "interval": interval, "closure": closure,
+               "points": poly.vertices}
+    return (line, payload,
+            lambda path: svgout.sunburst_figure(pair, pts).write(path))
 
 
 def _input_polygon(args) -> Polygon:
@@ -265,51 +221,40 @@ def _input_polygon(args) -> Polygon:
     return random_convex_equilateral(rng, args.n)
 
 
-def cmd_linkage_convert(args) -> int:
+def cmd_linkage_convert(args):
     poly = _input_polygon(args)
     sol = solve_equiangular(poly)
-    print(f"n={poly.n} side={poly.edge_lengths()[0]:.6g} "
-          f"phase={sol.phase:.12f} closure={sol.residual:.3e} "
-          f"convex={sol.polygon.is_convex()}")
-    if args.json:
-        serialize.write_json({
-            "config": _run_config(args),
-            "input": poly.vertices,
-            "equiangular": sol.polygon.vertices,
-            "phase": sol.phase,
-            "closure": sol.residual,
-        }, args.json)
-    if args.out:
-        svgout.polygon_figure([poly, sol.polygon]).write(args.out)
-    return 0
+    line = (f"n={poly.n} side={poly.edge_lengths()[0]:.6g} "
+            f"phase={sol.phase:.12f} closure={sol.residual:.3e} "
+            f"convex={sol.polygon.is_convex()}")
+    payload = {"input": poly.vertices, "equiangular": sol.polygon.vertices,
+               "phase": sol.phase, "closure": sol.residual}
+    return (line, payload,
+            lambda path: svgout.polygon_figure([poly, sol.polygon]).write(path))
 
 
-def cmd_moduli_embed(args) -> int:
+def cmd_moduli_embed(args):
     poly = _input_polygon(args)
     point = pipeline.equilateral_to_hyperbolic(poly)
     disk = moduli.to_disk(point)
-    print(f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
-          f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
-    # The figure is a disk: n = 4 draws its one coordinate on the x axis.
-    disk_points = [tuple(np.append(disk, 0.0)[:2])]
-    chords = []
-    if poly.n == 5:
-        corners = [tuple(moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c))))
-                   for c in moduli.pentagon_report()["vertices"]]
-        chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
-    if args.json:
-        serialize.write_json({
-            "config": _run_config(args),
-            "input": poly.vertices,
-            "point": point,
-            "disk": disk,
-        }, args.json)
-    if args.out:
-        svgout.disk_figure(disk_points, chords).write(args.out)
-    return 0
+
+    def draw(path):
+        # The figure is a disk: n = 4 draws its one coordinate on the x axis.
+        chords = []
+        if poly.n == 5:
+            corners = [
+                tuple(moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c))))
+                for c in moduli.pentagon_report()["vertices"]]
+            chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
+        svgout.disk_figure([tuple(np.append(disk, 0.0)[:2])],
+                           chords).write(path)
+
+    line = (f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
+            f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
+    return line, {"input": poly.vertices, "point": point, "disk": disk}, draw
 
 
-def cmd_pentagon_verify(args) -> int:
+def cmd_pentagon_verify(args):
     form = moduli.area_form(5)
     report = moduli.pentagon_report()
     angle_residual = max(abs(a - math.pi / 2) for a in report["angles"])
@@ -330,18 +275,7 @@ def cmd_pentagon_verify(args) -> int:
         "right_angled": right_angled,
         "passed": right_angled and max(ortho) <= PENTAGON_TOL,
     }
-    print(json.dumps(out, indent=2))
-    if args.json:
-        serialize.write_json(out, args.json)
-    return 0 if out["passed"] else 2
-
-
-def _add_common(sub, seed=True, out=True):
-    if seed:
-        sub.add_argument("--seed", type=int, default=None)
-    if out:
-        sub.add_argument("--out", default=None, help="SVG or PPM output path")
-    sub.add_argument("--json", default=None, help="JSON output path")
+    return json.dumps(out, indent=2), out, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,91 +284,96 @@ def build_parser() -> argparse.ArgumentParser:
         description="Workbench for coupled billiards on pairs of tilings.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    orbit = subs.add_parser(
-        "grid-orbit", help="run one pair orbit on a grid and its rotation")
-    orbit.add_argument("--t", default="1/3", help="rational circle parameter")
-    orbit.add_argument("--float", action="store_true",
-                       help="run in float arithmetic")
-    orbit.add_argument("--angle", default=None,
-                       help="rotation angle for --float, e.g. pi/4")
-    orbit.add_argument("--max-steps", type=int, default=1000)
-    orbit.add_argument("--edge-a", default="v:0:0")
-    orbit.add_argument("--edge-b", default="v:0:0")
+    def command(name, func, about, *, seed=True, out=True, max_steps=None,
+                files=None):
+        """A subcommand with its shared flags: the grid flags when
+        max_steps gives their step budget, the polygon inputs when files
+        gives their help."""
+        sub = subs.add_parser(name, help=about)
+        if max_steps is not None:
+            sub.add_argument("--t", default="1/3",
+                             help="rational circle parameter")
+            sub.add_argument("--float", action="store_true",
+                             help="run in float arithmetic")
+            sub.add_argument("--angle", default=None,
+                             help="rotation angle for --float, e.g. pi/4")
+            sub.add_argument("--max-steps", type=int, default=max_steps)
+            sub.add_argument("--edge-a", default="v:0:0")
+            sub.add_argument("--edge-b", default="v:0:0")
+        if files is not None:
+            sub.add_argument("files", nargs="*", help=files)
+            sub.add_argument("--n", type=int, default=5)
+        if seed:
+            sub.add_argument("--seed", type=int, default=None)
+        if out:
+            sub.add_argument("--out", default=None,
+                             help="SVG or PPM output path")
+        sub.add_argument("--json", default=None, help="JSON output path")
+        sub.set_defaults(func=func)
+        return sub
+
+    orbit = command("grid-orbit", cmd_grid_orbit,
+                    "run one pair orbit on a grid and its rotation",
+                    max_steps=1000)
     orbit.add_argument("--frac-a")
     orbit.add_argument("--frac-b")
     orbit.add_argument("--side-a", type=int, choices=(1, -1))
     orbit.add_argument("--side-b", type=int, choices=(1, -1))
-    _add_common(orbit)
-    orbit.set_defaults(func=cmd_grid_orbit)
 
-    portrait = subs.add_parser(
-        "grid-portrait", help="verdict raster over paired edge positions")
-    portrait.add_argument("--t", default="1/3")
-    portrait.add_argument("--float", action="store_true")
-    portrait.add_argument("--angle", default=None)
-    portrait.add_argument("--max-steps", type=int, default=200)
+    portrait = command("grid-portrait", cmd_grid_portrait,
+                       "verdict raster over paired edge positions",
+                       seed=False, max_steps=200)
     portrait.add_argument("--resolution", default="64x64")
-    portrait.add_argument("--edge-a", default="v:0:0")
-    portrait.add_argument("--edge-b", default="v:0:0")
-    _add_common(portrait, seed=False)
-    portrait.set_defaults(func=cmd_grid_portrait)
 
-    solve = subs.add_parser(
-        "sunburst-solve",
-        help="solve the phase making a sunburst pair holonomy-free")
-    solve.add_argument("files", nargs="*",
-                       help="JSON angle lists: first sunburst, then optional "
-                            "second (default regular)")
-    solve.add_argument("--n", type=int, default=5)
+    solve = command("sunburst-solve", cmd_sunburst_solve,
+                    "solve the phase making a sunburst pair holonomy-free",
+                    files="JSON angle lists: first sunburst, then optional "
+                          "second (default regular)")
     solve.add_argument("--free", action="store_true",
                        help="draw an unconstrained random sunburst instead "
                             "of a balanced one")
-    _add_common(solve)
-    solve.set_defaults(func=cmd_sunburst_solve)
 
-    convert = subs.add_parser(
-        "linkage-convert",
-        help="equilateral polygon to the parallel equiangular one")
-    convert.add_argument("files", nargs="*",
-                         help="JSON vertex list of an equilateral polygon")
-    convert.add_argument("--n", type=int, default=5)
-    _add_common(convert)
-    convert.set_defaults(func=cmd_linkage_convert)
-
-    embed = subs.add_parser(
-        "moduli-embed",
-        help="embed an equilateral polygon in the hyperbolic moduli space; "
-             "the regular polygon is the disk centre, and for n >= 6 the "
-             "SVG shows the j = 2 Fourier mode")
-    embed.add_argument("files", nargs="*",
-                       help="JSON vertex list of an equilateral polygon")
-    embed.add_argument("--n", type=int, default=5)
-    _add_common(embed)
-    embed.set_defaults(func=cmd_moduli_embed)
-
-    verify = subs.add_parser(
-        "pentagon-verify",
-        help="check the right-angled wall pentagon numerically")
-    _add_common(verify, seed=False, out=False)
-    verify.set_defaults(func=cmd_pentagon_verify)
-
+    vertex_list = "JSON vertex list of an equilateral polygon"
+    command("linkage-convert", cmd_linkage_convert,
+            "equilateral polygon to the parallel equiangular one",
+            files=vertex_list)
+    command("moduli-embed", cmd_moduli_embed,
+            "embed an equilateral polygon in the hyperbolic moduli space; "
+            "the regular polygon is the disk centre, and for n >= 6 the "
+            "SVG shows the j = 2 Fourier mode", files=vertex_list)
+    command("pentagon-verify", cmd_pentagon_verify,
+            "check the right-angled wall pentagon numerically", seed=False,
+            out=False)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, which returns its summary line, its JSON payload
+    and the function drawing its figure.  The summary goes to stdout,
+    the payload under the parsed flags' "config" to --json, and the
+    figure to --out.  A payload that reports "passed": false exits 2."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        line, payload, draw = args.func(args)
+        print(line)
+        if args.json:
+            config = {k: v for k, v in vars(args).items() if k != "func"}
+            serialize.write_json({"config": config, **payload}, args.json)
+        if vars(args).get("out"):
+            draw(args.out)
+    except EmptyInterval as exc:
+        print("empty weave interval; per-index arcs (lo, width):",
+              file=sys.stderr)
+        for i, (lo, width) in enumerate(exc.arcs):
+            print(f"  {i}: ({lo:.6f}, {width:.6f})", file=sys.stderr)
         return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (GeometryError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if payload.get("passed", True) else 2
 
 
 if __name__ == "__main__":

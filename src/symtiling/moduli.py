@@ -49,13 +49,10 @@ def family_directions(n: int) -> np.ndarray:
 
 
 def family_normals(n: int) -> np.ndarray:
+    """Rows: the left normals n_k.  Read as columns, they are also the
+    offset changes induced by unit x and y translations."""
     d = family_directions(n)
     return np.column_stack([-d[:, 1], d[:, 0]])
-
-
-def translation_offsets(n: int) -> np.ndarray:
-    """Columns: the offset changes induced by unit x and y translations."""
-    return family_normals(n)
 
 
 def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
@@ -149,7 +146,7 @@ class AreaForm:
         N x m matrix is reduced column by column.
         """
         s = np.asarray(s, dtype=float)
-        t = translation_offsets(self.n)
+        t = family_normals(self.n)
         v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
         return (s + t @ v)[2:]
 
@@ -194,7 +191,7 @@ def area_form(n: int) -> AreaForm:
     theta = TWO_PI / n
     c = cyclic_matrix(n)
     gram = (c + c.T) / (2.0 * math.sin(theta)) - np.eye(n) / math.tan(theta)
-    t = translation_offsets(n)
+    t = family_normals(n)
     if np.max(np.abs(gram @ t)) > 1e-9:
         raise SignatureMismatch("translations do not annihilate the form")
     null_dim = int(np.sum(np.abs(np.linalg.eigvalsh(gram)) <= 1e-9))
@@ -212,22 +209,18 @@ def area_form(n: int) -> AreaForm:
 
 def butterfly_matrix(n: int, k: int) -> np.ndarray:
     """Linear move replacing line k by its mirror image through the
-    intersection of lines k-1 and k+1: s_k' = 2 n_k . p - s_k with all
-    other offsets fixed.
+    intersection p of lines k-1 and k+1: s_k' = 2 n_k . p - s_k with all
+    other offsets fixed.  Since n_{k-1} + n_{k+1} = 2 cos(2 pi/N) n_k,
+    that is s_k' = (s_{k-1} + s_{k+1})/cos(2 pi/N) - s_k.
     """
-    nm = family_normals(n)
-    k %= n
-    a, b = nm[(k - 1) % n]
-    c, d = nm[(k + 1) % n]
-    det = a * d - b * c
-    if abs(det) < 1e-12:
+    c = math.cos(TWO_PI / n)
+    if abs(c) < 1e-12:
         raise ParallelWitnessLines(
             f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
-    nx, ny = nm[k]
+    k %= n
     m = np.eye(n)
     m[k, k] = -1.0
-    m[k, (k - 1) % n] = 2.0 * (nx * d - ny * c) / det
-    m[k, (k + 1) % n] = 2.0 * (-nx * b + ny * a) / det
+    m[k, (k - 1) % n] = m[k, (k + 1) % n] = 1.0 / c
     return m
 
 
@@ -335,9 +328,11 @@ def pentagon_wall_order():
     return [0, 2, 4, 1, 3]
 
 
+@lru_cache(maxsize=None)
 def pentagon_report():
     """Vertices, interior angles, and side lengths of the right-angled
-    pentagon bounded by the five butterfly walls.
+    pentagon bounded by the five butterfly walls.  Built once and
+    shared by every caller, which only reads it.
     """
     form = area_form(5)
     walls = pentagon_walls()

@@ -19,8 +19,8 @@ from symtiling.exact import Vec2, rational_circle_point
 from symtiling.linkage import (Polygon, random_convex_equilateral,
                                regular_equilateral, solve_equiangular)
 from symtiling.moduli import (area_form, butterfly_matrix, cyclic_fixed_point,
-                              pentagon_report, pentagon_wall_order,
-                              pentagon_walls, quotient_map, to_hyperbolic)
+                              pentagon_report, pentagon_walls, quotient_map,
+                              to_hyperbolic)
 from symtiling.pipeline import equiangular_offsets, equilateral_to_hyperbolic
 from symtiling.tilings import GridEdge, GridTiling
 from symtiling.weave import (SunburstPair, holonomy_iteration,

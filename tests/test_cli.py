@@ -50,27 +50,35 @@ def argv_from_config(config):
     argv = [config.pop("command")]
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
-        if value is True:
+        if key == "files":
+            argv += value
+        elif value is True:
             argv.append(flag)
         elif value is not None and value is not False:
             argv += [flag, str(value)]
     return argv
 
 
-def test_grid_orbit_json_replays_exactly(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["grid-orbit", "--t", "7/11", "--seed", "2", "--max-steps", "120"],
+    ["grid-orbit", "--float", "--angle", "pi/5", "--frac-a", "0.31",
+     "--side-b", "-1", "--max-steps", "60"],
+    ["grid-portrait", "--resolution", "2x2"],
+    ["sunburst-solve", "--seed", "2"],
+    ["linkage-convert", "--seed", "8"],
+    ["moduli-embed", "--n", "5", "--seed", "4"],
+    ["pentagon-verify"],
+], ids=lambda argv: argv[0])
+def test_every_command_json_replays_exactly(tmp_path, argv):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    for argv in (["grid-orbit", "--t", "7/11", "--seed", "2",
-                  "--max-steps", "120"],
-                 ["grid-orbit", "--float", "--angle", "pi/5",
-                  "--frac-a", "0.31", "--side-b", "-1", "--max-steps", "60"]):
-        assert cli.main(argv + ["--json", str(first)]) == 0
-        payload = json.loads(first.read_text())
-        config = dict(payload["config"], json=str(second))
-        assert cli.main(argv_from_config(config)) == 0
-        replay = json.loads(second.read_text())
-        assert replay["config"].pop("json") == str(second)
-        payload["config"].pop("json")
-        assert replay == payload
+    assert cli.main(argv + ["--json", str(first)]) == 0
+    payload = json.loads(first.read_text())
+    config = dict(payload["config"], json=str(second))
+    assert cli.main(argv_from_config(config)) == 0
+    replay = json.loads(second.read_text())
+    assert replay["config"].pop("json") == str(second)
+    payload["config"].pop("json")
+    assert replay == payload
 
 
 def test_grid_orbit_float_diagonal_is_periodic(tmp_path, capsys):

@@ -8,9 +8,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_level_import_is_used():
-    """__init__.py re-exports what it imports, so it is left out."""
+    """In src and tests; __init__.py re-exports what it imports, so it is
+    left out."""
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in [*sorted(SRC.glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -24,7 +26,7 @@ def test_every_module_level_import_is_used():
                 imported += [a.asname or a.name for a in node.names]
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
-        unused += [f"{path.name}: {name}" for name in imported
+        unused += [f"{path.parent.name}/{path.name}: {name}" for name in imported
                    if name not in used]
     assert unused == []
 

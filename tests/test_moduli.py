@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from symtiling.errors import NonPositiveArea, ParallelWitnessLines
-from symtiling.moduli import (HyperbolicPoint, area_form, butterfly_matrix,
-                              chart_c_coordinate, cyclic_fixed_point,
-                              cyclic_matrix, family_directions, family_normals,
+from symtiling.moduli import (area_form, butterfly_matrix, chart_c_coordinate,
+                              cyclic_fixed_point, cyclic_matrix,
+                              family_directions, family_normals,
                               hyperbolic_distance, is_convex_offsets,
                               line_intersection, pentagon_report,
                               pentagon_wall_order, pentagon_walls,
                               polygon_from_offsets, quotient_map,
                               random_convex_offsets, reference_point,
                               signed_area, signed_edge_lengths, to_disk,
-                              to_hyperbolic, translation_offsets,
-                              vertices_from_offsets, wall_intersection,
-                              wall_normal)
+                              to_hyperbolic, vertices_from_offsets,
+                              wall_intersection, wall_normal)
 
 
 def oracle_polarized_gram(n):
@@ -46,12 +45,10 @@ def test_family_frames():
 def test_translation_offsets_span_translations():
     rng = random.Random(2)
     for n in (4, 5, 7):
-        t = translation_offsets(n)
-        nm = family_normals(n)
+        t = family_normals(n)
         shift = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2)])
         s = random_convex_offsets(random.Random(n), n)
         moved = s + t @ shift
-        assert np.allclose(moved - s, nm @ shift)
         va = vertices_from_offsets(s)
         vb = vertices_from_offsets(moved)
         assert np.allclose(vb - va, shift[None, :], atol=1e-9)
@@ -100,7 +97,7 @@ def test_gram_matrix_reproduces_area():
 def test_radical_and_signature():
     for n in range(4, 11):
         form = area_form(n)
-        t = translation_offsets(n)
+        t = family_normals(n)
         assert np.max(np.abs(form.gram @ t)) <= 1e-9
         eigs = np.linalg.eigvalsh(form.gram)
         null = np.sum(np.abs(eigs) <= 1e-9)
@@ -120,7 +117,7 @@ def test_reduce_is_translation_invariant_and_embeds_back():
     rng = random.Random(31)
     for n in (5, 7):
         form = area_form(n)
-        t = translation_offsets(n)
+        t = family_normals(n)
         for _ in range(20):
             s = random_convex_offsets(rng, n)
             shift = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
@@ -137,7 +134,7 @@ def oracle_gauge_reduce(s, gauge):
     the two gauge offsets, and the Gram matrix of the kept offsets: the
     solve-based reduction that the closed form replaced."""
     n = len(s)
-    t = translation_offsets(n)
+    t = family_normals(n)
     g = list(gauge)
     keep = [i for i in range(n) if i not in gauge]
     x = (s + t @ np.linalg.solve(t[g], -s[g]))[keep]
@@ -185,7 +182,7 @@ def test_regular_polygon_is_the_disk_centre():
 
 def test_butterfly_reflects_vertex_through_neighbor_intersection():
     rng = random.Random(3)
-    for n in (5, 8):
+    for n in (3, 5, 6, 8):
         nm = family_normals(n)
         for _ in range(10):
             s = random_convex_offsets(rng, n)
@@ -253,6 +250,10 @@ def test_pentagon_is_right_angled_with_golden_sides():
     for v in report["vertices"]:
         form = area_form(5)
         assert abs(form.pairing(v, v) - 1.0) <= 1e-9
+
+
+def test_pentagon_report_is_built_once():
+    assert pentagon_report() is pentagon_report()
 
 
 def test_hyperboloid_embedding_and_distance_axioms():
@@ -335,7 +336,7 @@ def test_wall_intersection_lies_on_both_walls():
 
 def test_chart_coordinate_is_translation_invariant_linear():
     rng = random.Random(77)
-    t = translation_offsets(5)
+    t = family_normals(5)
     for _ in range(20):
         s = random_convex_offsets(rng, 5)
         shift = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
