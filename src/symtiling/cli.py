@@ -19,9 +19,7 @@ from random import Random
 import numpy as np
 
 from . import moduli, pipeline, serialize, svgout
-from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
-                       UNBOUNDED_DRIFT, PairState, classify, phase_portrait,
-                       run_orbit)
+from .dynamics import PairState, classify, phase_portrait, run_orbit
 from .errors import EmptyInterval, GeometryError, InvalidSunburst
 from .exact import Vec2
 from .linkage import Polygon, random_convex_equilateral, solve_equiangular
@@ -32,14 +30,6 @@ from .weave import (Sunburst, SunburstPair, holonomy, orbit_points,
 
 # pentagon-verify's pass bound; the closed-form walls miss by about 5e-16.
 PENTAGON_TOL = 1e-9
-
-VERDICT_COLORS = {
-    PERIODIC: (0, 166, 62),
-    UNBOUNDED_DRIFT: (214, 39, 40),
-    BOUNDED_ATTRACTED: (31, 119, 180),
-    SINGULAR: (0, 0, 0),
-    INCONCLUSIVE: (150, 150, 150),
-}
 
 
 def parse_angle(text: str) -> float:
@@ -119,17 +109,6 @@ def start_state(a, b, args) -> PairState:
                      b.particle_on(parse_edge(args.edge_b), fb, sb))
 
 
-def write_ppm(path, rows):
-    """P6 raster of verdict strings; rows run bottom-up, as in the
-    mathematical frame, so the last row lands at the top of the image."""
-    h = len(rows)
-    w = len(rows[0])
-    with open(path, "wb") as fh:
-        fh.write(b"P6\n%d %d\n255\n" % (w, h))
-        for row in reversed(rows):
-            fh.write(b"".join(bytes(VERDICT_COLORS[v]) for v in row))
-
-
 def _summary(cls) -> str:
     bits = [f"verdict={cls.verdict}"]
     for key in ("period", "drift", "residual", "bit_growth", "bbox_spread",
@@ -162,7 +141,7 @@ def cmd_grid_portrait(args):
                           max_steps=args.max_steps)
     counts = Counter(v for row in rows for v in row)
     return (" ".join(f"{k}={counts[k]}" for k in sorted(counts)),
-            {"rows": rows}, lambda path: write_ppm(path, rows))
+            {"rows": rows}, lambda path: svgout.write_ppm(path, rows))
 
 
 def _random_free_sunburst(rng, n):
@@ -172,10 +151,10 @@ def _random_free_sunburst(rng, n):
         gaps = [0.25 + rng.random() for _ in range(n)]
         total = sum(gaps)
         angles = []
-        acc = rng.uniform(0.0, 2.0 * math.pi)
+        acc = rng.uniform(0.0, math.tau)
         for g in gaps:
             angles.append(acc)
-            acc += 2.0 * math.pi * g / total
+            acc += math.tau * g / total
         try:
             return Sunburst(angles)
         except InvalidSunburst:
@@ -239,15 +218,12 @@ def cmd_moduli_embed(args):
     disk = moduli.to_disk(point)
 
     def draw(path):
-        # The figure is a disk: n = 4 draws its one coordinate on the x axis.
         chords = []
         if poly.n == 5:
-            corners = [
-                tuple(moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c))))
-                for c in moduli.pentagon_report()["vertices"]]
+            corners = [moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c)))
+                       for c in moduli.pentagon_report()["vertices"]]
             chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
-        svgout.disk_figure([tuple(np.append(disk, 0.0)[:2])],
-                           chords).write(path)
+        svgout.disk_figure([disk], chords).write(path)
 
     line = (f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
             f"disk=({', '.join(f'{c:.9f}' for c in disk)})")

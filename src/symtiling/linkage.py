@@ -19,8 +19,6 @@ from .exact import Vec2, rotate, unit_from_angle
 from .weave import (Sunburst, SunburstPair, orbit_points,
                     random_balanced_sunburst, regular_sunburst, solve_phase)
 
-TWO_PI = 2.0 * math.pi
-
 # Relative edge slack: above the rounding of unit edges chained in floats.
 EQUILATERAL_TOL = 1e-12
 
@@ -78,27 +76,25 @@ class Polygon:
         return Polygon(Vec2(v.x, -v.y) for v in self.vertices)
 
 
-def regular_equilateral(n: int, phase: float = 0.0) -> Polygon:
-    """Regular n-gon with unit edges, built by chaining edge directions."""
-    p = Vec2(0.0, 0.0)
-    verts = []
-    for k in range(n):
-        verts.append(p)
-        p = p + unit_from_angle(phase + TWO_PI * k / n)
-    return Polygon(verts)
-
-
-def random_convex_equilateral(rng, n: int) -> Polygon:
-    """Chains the rays of a random balanced sunburst into a closed
-    convex polygon with equal edges.
-    """
-    burst = random_balanced_sunburst(rng, n)
+def _chain(burst: Sunburst) -> Polygon:
+    """Unit edges along the rays of a balanced sunburst, chained from the
+    origin into a closed convex polygon with equal edges."""
     p = Vec2(0.0, 0.0)
     verts = []
     for t in burst.angles:
         verts.append(p)
         p = p + unit_from_angle(t)
     return Polygon(verts)
+
+
+def regular_equilateral(n: int) -> Polygon:
+    """Regular n-gon with unit edges: the regular sunburst chained."""
+    return _chain(regular_sunburst(n))
+
+
+def random_convex_equilateral(rng, n: int) -> Polygon:
+    """A random balanced sunburst chained."""
+    return _chain(random_balanced_sunburst(rng, n))
 
 
 def check_equilateral(poly: Polygon) -> float:

@@ -40,11 +40,9 @@ from .errors import (NonPositiveArea, NotConvex, ParallelWitnessLines,
 from .exact import Vec2
 from .linkage import Polygon
 
-TWO_PI = 2.0 * math.pi
-
 
 def family_directions(n: int) -> np.ndarray:
-    ang = TWO_PI * np.arange(n) / n
+    ang = math.tau * np.arange(n) / n
     return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
@@ -57,7 +55,7 @@ def family_normals(n: int) -> np.ndarray:
 
 def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
     """Intersection of the lines of families i and j at offsets s."""
-    ang = TWO_PI * np.array([i % n, j % n]) / n
+    ang = math.tau * np.array([i % n, j % n]) / n
     m = np.column_stack([-np.sin(ang), np.cos(ang)])
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det) < 1e-12:
@@ -72,7 +70,7 @@ def vertices_from_offsets(s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     d = family_directions(len(s))
     return ((s[:, None] * np.roll(d, -1, axis=0)
-             - np.roll(s, -1)[:, None] * d) / math.sin(TWO_PI / len(s)))
+             - np.roll(s, -1)[:, None] * d) / math.sin(math.tau / len(s)))
 
 
 def polygon_from_offsets(s) -> Polygon:
@@ -94,7 +92,7 @@ def signed_edge_lengths(s) -> np.ndarray:
     theta = 2 pi/N it is (s_{k-1} + s_{k+1} - 2 cos theta s_k)/sin theta.
     """
     s = np.asarray(s, dtype=float)
-    theta = TWO_PI / len(s)
+    theta = math.tau / len(s)
     return ((np.roll(s, 1) + np.roll(s, -1) - 2.0 * math.cos(theta) * s)
             / math.sin(theta))
 
@@ -103,14 +101,15 @@ def is_convex_offsets(s) -> bool:
     return bool(np.all(signed_edge_lengths(s) > 0))
 
 
-def random_convex_offsets(rng, n: int, spread: float = 0.35) -> np.ndarray:
+def random_convex_offsets(rng, n: int) -> np.ndarray:
     """Random offsets near the regular polygon (all offsets 1).
 
-    The spread is capped at (1 - cos theta)/(1 + |cos theta|), below
-    which every draw is convex by the edge-length formula.
+    Each offset moves by at most 0.35, a spread capped at
+    (1 - cos theta)/(1 + |cos theta|), below which every draw is convex
+    by the edge-length formula.
     """
-    c = math.cos(TWO_PI / n)
-    spread = min(spread, (1.0 - c) / (1.0 + abs(c)))
+    c = math.cos(math.tau / n)
+    spread = min(0.35, (1.0 - c) / (1.0 + abs(c)))
     s = 1.0 + np.array([rng.uniform(-spread, spread) for _ in range(n)])
     if not is_convex_offsets(s):
         raise NotConvex(f"offsets drawn with spread {spread:.6g} are not "
@@ -162,7 +161,7 @@ def _fourier_frame(n: int) -> np.ndarray:
     The translations are the modes +-1, so every other mode reads the
     same value off any translate of the offsets.
     """
-    theta = TWO_PI / n
+    theta = math.tau / n
     k = np.arange(n)
     modes = [(0, np.full(n, 1.0 / math.sqrt(n)))]
     for j in range(2, (n + 1) // 2):
@@ -188,7 +187,7 @@ def area_form(n: int) -> AreaForm:
     """
     if n < 4:
         raise ValueError("area form needs at least 4 families")
-    theta = TWO_PI / n
+    theta = math.tau / n
     c = cyclic_matrix(n)
     gram = (c + c.T) / (2.0 * math.sin(theta)) - np.eye(n) / math.tan(theta)
     t = family_normals(n)
@@ -213,7 +212,7 @@ def butterfly_matrix(n: int, k: int) -> np.ndarray:
     other offsets fixed.  Since n_{k-1} + n_{k+1} = 2 cos(2 pi/N) n_k,
     that is s_k' = (s_{k-1} + s_{k+1})/cos(2 pi/N) - s_k.
     """
-    c = math.cos(TWO_PI / n)
+    c = math.cos(math.tau / n)
     if abs(c) < 1e-12:
         raise ParallelWitnessLines(
             f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")

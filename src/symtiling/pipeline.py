@@ -9,6 +9,7 @@ isometries of the input and under the orbit's dilation freedom.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -17,7 +18,6 @@ from .exact import unit_from_angle
 from .linkage import EquiangularSolution, Polygon, solve_equiangular
 from .moduli import (HyperbolicPoint, cyclic_matrix, hyperbolic_distance,
                      quotient_map, to_hyperbolic)
-from .weave import TWO_PI
 
 
 def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
@@ -33,7 +33,7 @@ def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
     p = sol.polygon.vertices
     n = len(p)
     return np.array([float(p[k - 1].cross(
-        unit_from_angle(sol.phase + TWO_PI * k / n))) for k in range(n)])
+        unit_from_angle(sol.phase + math.tau * k / n))) for k in range(n)])
 
 
 def equilateral_to_hyperbolic(poly: Polygon) -> HyperbolicPoint:

@@ -1,4 +1,5 @@
-"""Minimal SVG 1.1 writer for orbit, sunburst and disk figures.
+"""Every figure format: a small SVG 1.1 writer for orbit, sunburst, polygon
+and disk figures, plus the PPM verdict raster and its portrait colours.
 
 Shapes are collected in world coordinates with y pointing up; the writer
 flips the axis once on output so viewers show the mathematical frame.
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import math
 
+from .dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC, SINGULAR,
+                       UNBOUNDED_DRIFT)
 from .exact import Vec2
 
 PALETTE = (
@@ -24,6 +27,14 @@ A_COLOR = "#4c78a8"
 B_COLOR = "#e45756"
 PIXELS = 720    # the longer side of every rendered figure
 
+VERDICT_COLORS = {
+    PERIODIC: (0, 166, 62),
+    UNBOUNDED_DRIFT: (214, 39, 40),
+    BOUNDED_ATTRACTED: (31, 119, 180),
+    SINGULAR: (0, 0, 0),
+    INCONCLUSIVE: (150, 150, 150),
+}
+
 
 def _xy(p):
     if hasattr(p, "x"):
@@ -32,10 +43,11 @@ def _xy(p):
 
 
 class Canvas:
-    """Accumulates primitives, then renders one auto-fitted SVG."""
+    """Accumulates elements, each a function of the stroke unit returning
+    its finished SVG text, then renders one auto-fitted SVG."""
 
     def __init__(self):
-        self._shapes = []
+        self._elements = []
         self._xs = []
         self._ys = []
 
@@ -43,30 +55,33 @@ class Canvas:
         self._xs.extend((x - pad, x + pad))
         self._ys.extend((y - pad, y + pad))
 
-    def polyline(self, points, color="#333333", width=1.0, closed=False):
+    def polyline(self, points, color, width, closed=False):
         pts = [_xy(p) for p in points]
         if len(pts) < 2:
             return
         for x, y in pts:
             self._see(x, y)
-        self._shapes.append(("poly", pts, closed, color, width))
+        coords = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
+        tag = "polygon" if closed else "polyline"
+        self._elements.append(lambda unit: (
+            f'<{tag} points="{coords}" fill="none" stroke="{color}" '
+            f'stroke-width="{_f(width * unit)}" '
+            f'stroke-linejoin="round" stroke-linecap="round"/>'))
 
-    def polygon(self, points, color="#333333", width=1.0):
-        self.polyline(points, color, width, closed=True)
-
-    def segment(self, a, b, color="#333333", width=1.0):
-        self.polyline((a, b), color, width)
-
-    def circle(self, center, radius, color="#333333", width=1.0):
+    def circle(self, center, radius, color, width):
         x, y = _xy(center)
         self._see(x, y, pad=radius)
-        self._shapes.append(("circle", x, y, radius, color, width))
+        self._elements.append(lambda unit: (
+            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(radius)}" fill="none" '
+            f'stroke="{color}" stroke-width="{_f(width * unit)}"/>'))
 
-    def dot(self, center, size=2.0, color="#222222"):
+    def dot(self, center, size, color):
         """Filled marker whose radius is size stroke units."""
         x, y = _xy(center)
         self._see(x, y)
-        self._shapes.append(("dot", x, y, size, color))
+        self._elements.append(lambda unit: (
+            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(size * unit)}" '
+            f'fill="{color}" stroke="none"/>'))
 
     def _frame(self):
         if not self._xs:
@@ -93,27 +108,7 @@ class Canvas:
             f'width="{pw}" height="{ph}" '
             f'viewBox="{_f(xmin)} {_f(-(ymin + h))} {_f(w)} {_f(h)}">',
         ]
-        for shape in self._shapes:
-            kind = shape[0]
-            if kind == "poly":
-                _, pts, closed, color, width = shape
-                coords = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
-                tag = "polygon" if closed else "polyline"
-                out.append(f'<{tag} points="{coords}" fill="none" '
-                           f'stroke="{color}" '
-                           f'stroke-width="{_f(width * unit)}" '
-                           f'stroke-linejoin="round" stroke-linecap="round"/>')
-            elif kind == "circle":
-                _, x, y, r, color, width = shape
-                out.append(
-                    f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(r)}" '
-                    f'fill="none" stroke="{color}" '
-                    f'stroke-width="{_f(width * unit)}"/>')
-            elif kind == "dot":
-                _, x, y, size, color = shape
-                out.append(
-                    f'<circle cx="{_f(x)}" cy="{_f(-y)}" '
-                    f'r="{_f(size * unit)}" fill="{color}" stroke="none"/>')
+        out.extend(element(unit) for element in self._elements)
         out.append("</svg>")
         return "\n".join(out) + "\n"
 
@@ -145,9 +140,9 @@ def _grid_backdrop(canvas, tiling, points, shift=0.0):
         return float(p.x) + shift, float(p.y)
 
     for x in range(x0, x1 + 1):
-        canvas.segment(world(x, y0), world(x, y1), GRID_COLOR, 0.6)
+        canvas.polyline((world(x, y0), world(x, y1)), GRID_COLOR, 0.6)
     for y in range(y0, y1 + 1):
-        canvas.segment(world(x0, y), world(x1, y), GRID_COLOR, 0.6)
+        canvas.polyline((world(x0, y), world(x1, y)), GRID_COLOR, 0.6)
 
 
 def orbit_figure(record, a_tiling, b_tiling) -> Canvas:
@@ -184,10 +179,10 @@ def sunburst_figure(pair, points) -> Canvas:
     rmax = max(math.hypot(x, y) for x, y in pts)
     for t in pair.a.angles:
         tip = (1.12 * rmax * math.cos(t), 1.12 * rmax * math.sin(t))
-        canvas.segment((0.0, 0.0), tip, "#aaaaaa", 0.8)
+        canvas.polyline(((0.0, 0.0), tip), "#aaaaaa", 0.8)
     for j in range(n):
         color = PALETTE[(j + 1) % n % len(PALETTE)]
-        canvas.segment(pts[j], pts[(j + 1) % n], color, 1.8)
+        canvas.polyline((pts[j], pts[(j + 1) % n]), color, 1.8)
     for j, p in enumerate(pts):
         canvas.dot(p, 2.0, "#333333")
     cx = 2.7 * rmax
@@ -195,21 +190,22 @@ def sunburst_figure(pair, points) -> Canvas:
     canvas.circle((cx, 0.0), rosette * 1.15, "#dddddd", 0.8)
     for k, t in enumerate(pair.b_angles):
         tip = (cx + rosette * math.cos(t), rosette * math.sin(t))
-        canvas.segment((cx, 0.0), tip, PALETTE[k % len(PALETTE)], 1.8)
+        canvas.polyline(((cx, 0.0), tip), PALETTE[k % len(PALETTE)], 1.8)
     canvas.dot((cx, 0.0), 1.6, "#333333")
     return canvas
 
 
-def disk_figure(points, chords=()) -> Canvas:
-    """Points of the Poincare disk, with optional straight chords; the
-    gray dot marks the centre."""
+def disk_figure(points, chords) -> Canvas:
+    """Points of the Poincare disk and straight chords (pairs of points);
+    the gray dot marks the centre.  A point with one coordinate lies on
+    the x axis, and only the first two coordinates of a point are drawn."""
     canvas = Canvas()
     canvas.circle((0.0, 0.0), 1.0, "#333333", 1.0)
     canvas.dot((0.0, 0.0), 1.0, "#bbbbbb")
-    for a, b in chords:
-        canvas.segment(_xy(a), _xy(b), "#999999", 0.8)
+    for chord in chords:
+        canvas.polyline(chord, "#999999", 0.8)
     for i, p in enumerate(points):
-        canvas.dot(_xy(p), 2.6, PALETTE[i % len(PALETTE)])
+        canvas.dot((*p, 0.0)[:2], 2.6, PALETTE[i % len(PALETTE)])
     return canvas
 
 
@@ -221,9 +217,20 @@ def polygon_figure(polys) -> Canvas:
         pts = [_xy(v) for v in poly.vertices]
         x0, y0, x1, y1 = _bounds(pts)
         dx = shift - x0
-        canvas.polygon([(x + dx, y) for x, y in pts],
-                       PALETTE[i % len(PALETTE)], 1.4)
+        canvas.polyline([(x + dx, y) for x, y in pts],
+                        PALETTE[i % len(PALETTE)], 1.4, closed=True)
         for x, y in pts:
             canvas.dot((x + dx, y), 1.6, "#333333")
         shift += (x1 - x0) + 0.35 * max(x1 - x0, 1.0)
     return canvas
+
+
+def write_ppm(path, rows):
+    """P6 raster of verdict strings; rows run bottom-up, as in the
+    mathematical frame, so the last row lands at the top of the image."""
+    h = len(rows)
+    w = len(rows[0])
+    with open(path, "wb") as fh:
+        fh.write(b"P6\n%d %d\n255\n" % (w, h))
+        for row in reversed(rows):
+            fh.write(b"".join(bytes(VERDICT_COLORS[v]) for v in row))

@@ -31,8 +31,6 @@ from .errors import (DegenerateStep, EmptyInterval, HolonomyMismatch,
                      InvalidSunburst)
 from .exact import unit_from_angle
 
-TWO_PI = 2.0 * math.pi
-
 # solve_phase's stop on |log h|: the orbit then closes to 1e-12 of r0.
 PHASE_TOL = 1e-12
 # is_balanced and is_regular: above the rounding of their n-term sums.
@@ -64,13 +62,13 @@ class Sunburst:
         n = len(angles)
         total = 0.0
         for i in range(n):
-            turn = (angles[(i + 1) % n] - angles[i]) % TWO_PI
+            turn = (angles[(i + 1) % n] - angles[i]) % math.tau
             if not 0.0 < turn < math.pi:
                 raise InvalidSunburst(
                     f"rays {i} and {(i + 1) % n} do not turn counterclockwise "
                     "by less than pi")
             total += turn
-        if round(total / TWO_PI) != 1:
+        if round(total / math.tau) != 1:
             raise InvalidSunburst("rays wrap around the circle more than once")
         self.angles = angles
 
@@ -81,7 +79,7 @@ class Sunburst:
 
 def regular_sunburst(n: int) -> Sunburst:
     """Rays at the n-th roots of unity."""
-    return Sunburst(TWO_PI * k / n for k in range(n))
+    return Sunburst(math.tau * k / n for k in range(n))
 
 
 @dataclass(frozen=True)
@@ -237,7 +235,7 @@ class PhaseInterval:
         return self.lo + self.width
 
     def contains(self, theta: float) -> bool:
-        return 0.0 < (theta - self.lo) % TWO_PI < self.width
+        return 0.0 < (theta - self.lo) % math.tau < self.width
 
 
 def phase_arcs(a: Sunburst, b: Sunburst):
@@ -248,8 +246,8 @@ def phase_arcs(a: Sunburst, b: Sunburst):
     alpha, beta = a.angles, b.angles
     arcs = []
     for i in range(a.n):
-        gap = (alpha[i] - alpha[i - 1]) % TWO_PI
-        lo = (alpha[i] - beta[i]) % TWO_PI
+        gap = (alpha[i] - alpha[i - 1]) % math.tau
+        lo = (alpha[i] - beta[i]) % math.tau
         arcs.append((lo, math.pi - gap))
     return arcs
 
@@ -267,7 +265,7 @@ def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:
     arcs = phase_arcs(a, b)
     best = None
     for lo, _ in arcs:
-        offsets = [(lo - alo) % TWO_PI for alo, _ in arcs]
+        offsets = [(lo - alo) % math.tau for alo, _ in arcs]
         if any(off > aw for off, (_, aw) in zip(offsets, arcs)):
             continue
         width = min(aw - off for off, (_, aw) in zip(offsets, arcs))
@@ -313,7 +311,7 @@ def solve_phase(a: Sunburst, b: Sunburst) -> float:
         theta -= f / slope
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
-    return theta % TWO_PI
+    return theta % math.tau
 
 
 def is_balanced(s: Sunburst) -> bool:
@@ -325,8 +323,8 @@ def is_balanced(s: Sunburst) -> bool:
 def is_regular(s: Sunburst) -> bool:
     """All consecutive ray gaps equal to 2 pi / N (up to SUNBURST_TOL)."""
     t = s.angles
-    return all(abs((t[i] - t[i - 1]) % TWO_PI - TWO_PI / s.n) <= SUNBURST_TOL
-               for i in range(s.n))
+    return all(abs((t[i] - t[i - 1]) % math.tau - math.tau / s.n)
+               <= SUNBURST_TOL for i in range(s.n))
 
 
 def random_oriented_weave(rng, n: int) -> SunburstPair:
@@ -342,14 +340,14 @@ def random_oriented_weave(rng, n: int) -> SunburstPair:
     """
     weights = [1.0 + rng.random() for _ in range(n)]
     total = sum(weights)
-    gaps = [w * TWO_PI / total for w in weights]
+    gaps = [w * math.tau / total for w in weights]
     alpha = []
-    acc = rng.uniform(0.0, TWO_PI)
+    acc = rng.uniform(0.0, math.tau)
     for g in gaps:
         acc += g
         alpha.append(acc)
     c = rng.uniform(0.25, 0.75)
-    jitter = 0.9 * min(min(gaps), math.pi - max(gaps)) / TWO_PI
+    jitter = 0.9 * min(min(gaps), math.pi - max(gaps)) / math.tau
     beta = [t + (c + jitter * rng.uniform(-1.0, 1.0)) * (math.pi - g)
             for t, g in zip(alpha, gaps)]
     return SunburstPair(Sunburst(alpha), Sunburst(beta))
@@ -366,14 +364,14 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.12) -> Sunburst:
     """
     if n < 3:
         raise InvalidSunburst("a sunburst needs at least 3 rays")
-    margin *= TWO_PI / n
+    margin *= math.tau / n
     for _ in range(100):
         weights = [rng.uniform(0.35, 1.0) for _ in range(n)]
         total = sum(weights)
-        acc = rng.uniform(0.0, TWO_PI)
+        acc = rng.uniform(0.0, math.tau)
         ang = []
         for w in weights:
-            acc += w * TWO_PI / total
+            acc += w * math.tau / total
             ang.append(acc)
         for _ in range(60):
             rx = sum(math.cos(t) for t in ang)
@@ -389,10 +387,10 @@ def random_balanced_sunburst(rng, n: int, margin: float = 0.12) -> Sunburst:
             lx = (jyy * rx - jxy * ry) / det
             ly = (-jxy * rx + jxx * ry) / det
             ang = [t - (-math.sin(t) * lx + math.cos(t) * ly) for t in ang]
-        gaps = [(ang[(i + 1) % n] - ang[i]) % TWO_PI for i in range(n)]
+        gaps = [(ang[(i + 1) % n] - ang[i]) % math.tau for i in range(n)]
         if (math.hypot(sum(math.cos(t) for t in ang),
                        sum(math.sin(t) for t in ang)) <= SAMPLER_TOL
-                and abs(sum(gaps) - TWO_PI) <= 1e-9
+                and abs(sum(gaps) - math.tau) <= 1e-9
                 and margin <= min(gaps) and max(gaps) < math.pi - margin):
             return Sunburst(ang)
     raise InvalidSunburst(f"no balanced {n}-ray sunburst within the gap "

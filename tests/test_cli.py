@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symtiling import cli, moduli, serialize
+from symtiling import cli, moduli, serialize, svgout
 from symtiling.linkage import regular_equilateral
 
-GREEN = bytes(cli.VERDICT_COLORS["periodic"])
-BLUE = bytes(cli.VERDICT_COLORS["bounded-attracted"])
+GREEN = bytes(svgout.VERDICT_COLORS["periodic"])
+BLUE = bytes(svgout.VERDICT_COLORS["bounded-attracted"])
 
 
 def read_ppm(path):
@@ -165,9 +165,9 @@ def test_portrait_exact_contracting_parameter(tmp_path):
 def test_portrait_rows_are_written_bottom_up(tmp_path):
     rows = [["singular"], ["periodic"]]
     ppath = tmp_path / "rows.ppm"
-    cli.write_ppm(ppath, rows)
+    svgout.write_ppm(ppath, rows)
     _, _, pixels = read_ppm(ppath)
-    assert pixels == GREEN + bytes(cli.VERDICT_COLORS["singular"])
+    assert pixels == GREEN + bytes(svgout.VERDICT_COLORS["singular"])
 
 
 def test_sunburst_solve_balanced(tmp_path, capsys):
