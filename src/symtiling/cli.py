@@ -20,23 +20,25 @@ import numpy as np
 
 from . import moduli, pipeline, serialize, svgout
 from .dynamics import PairState, classify, phase_portrait, run_orbit
-from .errors import EmptyInterval, GeometryError, InvalidSunburst
+from .errors import EmptyInterval, GeometryError
 from .exact import Vec2
 from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
 from .weave import (Sunburst, SunburstPair, holonomy, orbit_points,
-                    random_balanced_sunburst, regular_sunburst, solve_phase,
-                    weave_interval)
+                    random_balanced_sunburst, random_oriented_weave,
+                    regular_sunburst, solve_phase, weave_interval)
 
 # pentagon-verify's pass bound; the closed-form walls miss by about 5e-16.
 PENTAGON_TOL = 1e-9
 
 
 def parse_angle(text: str) -> float:
-    """Angles like 'pi/4', '3pi/8', 'pi', or a plain float in radians."""
-    s = text.strip().replace(" ", "")
-    if "pi" in s:
-        head, _, tail = s.partition("pi")
+    """Angles like 'pi/4', '3pi/8', 'pi', or a plain float in radians;
+    ValueError unless the angle is finite."""
+    head, pi, tail = text.strip().replace(" ", "").partition("pi")
+    if not pi:
+        angle = float(head)
+    else:
         num = float(head) if head not in ("", "+") else (
             -1.0 if head == "-" else 1.0)
         den = 1.0
@@ -44,8 +46,10 @@ def parse_angle(text: str) -> float:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse angle {text!r}")
             den = float(tail[1:])
-        return num * math.pi / den
-    return float(s)
+        angle = num * math.pi / den
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {text!r}")
+    return angle
 
 
 def parse_edge(text: str) -> GridEdge:
@@ -64,19 +68,14 @@ def parse_resolution(text: str):
 
 
 def build_tilings(args):
-    """Standard grid paired with its rotated copy, exact or float."""
-    a = GridTiling.standard()
-    if args.angle is not None:
-        if not args.float:
-            raise ValueError("--angle needs --float")
-        theta = parse_angle(args.angle)
-        b = GridTiling.rotated(Vec2(math.cos(theta), math.sin(theta)))
-    else:
-        b = GridTiling.from_parameter(Fraction(args.t))
-        if args.float:
-            b = GridTiling(Vec2(float(b.e1.x), float(b.e1.y)),
-                           Vec2(float(b.e2.x), float(b.e2.y)))
-    return a, b
+    """The standard grid paired with its rotation: by --angle in floats,
+    else exactly by the rational circle parameter --t."""
+    if args.angle is None:
+        return (GridTiling.standard(),
+                GridTiling.from_parameter(Fraction(args.t)))
+    theta = parse_angle(args.angle)
+    return (GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)),
+            GridTiling.rotated(Vec2(math.cos(theta), math.sin(theta))))
 
 
 # The start flags of grid-orbit and their values when --seed is not given.
@@ -86,24 +85,18 @@ START_DEFAULTS = {"frac_a": "1/2", "frac_b": "1/3", "side_a": 1, "side_b": 1}
 def start_state(a, b, args) -> PairState:
     """The start --seed draws, or the one the start flags give; unset start
     flags get their defaults in args, so the JSON config records them."""
-    exact = a.exact and b.exact
     given = [key for key in START_DEFAULTS if getattr(args, key) is not None]
     if args.seed is not None:
         if given:
             raise ValueError("--seed draws the start; it cannot be combined "
                              "with --" + ", --".join(given).replace("_", "-"))
         rng = Random(args.seed)
-        def pick():
-            f = Fraction(rng.randint(1, 9999), 10000)
-            return f if exact else float(f)
-        fa, fb = pick(), pick()
+        fa, fb = (Fraction(rng.randint(1, 9999), 10000) for _ in range(2))
         sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
     else:
         vars(args).update({key: value for key, value in START_DEFAULTS.items()
                            if key not in given})
         fa, fb = Fraction(args.frac_a), Fraction(args.frac_b)
-        if not exact:
-            fa, fb = float(fa), float(fb)
         sa, sb = args.side_a, args.side_b
     return PairState(a.particle_on(parse_edge(args.edge_a), fa, sa),
                      b.particle_on(parse_edge(args.edge_b), fb, sb))
@@ -144,24 +137,6 @@ def cmd_grid_portrait(args):
             {"rows": rows}, lambda path: svgout.write_ppm(path, rows))
 
 
-def _random_free_sunburst(rng, n):
-    """Random gaps, redrawn while they do not form a sunburst; raises
-    InvalidSunburst after 100 rejected attempts."""
-    for _ in range(100):
-        gaps = [0.25 + rng.random() for _ in range(n)]
-        total = sum(gaps)
-        angles = []
-        acc = rng.uniform(0.0, math.tau)
-        for g in gaps:
-            angles.append(acc)
-            acc += math.tau * g / total
-        try:
-            return Sunburst(angles)
-        except InvalidSunburst:
-            continue
-    raise InvalidSunburst(f"no free {n}-ray sunburst in 100 attempts")
-
-
 def cmd_sunburst_solve(args):
     rng = Random(args.seed)
     if args.files:
@@ -169,7 +144,7 @@ def cmd_sunburst_solve(args):
         b = (Sunburst(serialize.read_json(args.files[1]))
              if len(args.files) > 1 else regular_sunburst(a.n))
     elif args.free:
-        a = _random_free_sunburst(rng, args.n)
+        a = random_oriented_weave(rng, args.n).a
         b = regular_sunburst(args.n)
     else:
         a = random_balanced_sunburst(rng, args.n)
@@ -269,10 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
         if max_steps is not None:
             sub.add_argument("--t", default="1/3",
                              help="rational circle parameter")
-            sub.add_argument("--float", action="store_true",
-                             help="run in float arithmetic")
             sub.add_argument("--angle", default=None,
-                             help="rotation angle for --float, e.g. pi/4")
+                             help="rotation angle in place of --t, e.g. "
+                                  "pi/4; runs in float arithmetic")
             sub.add_argument("--max-steps", type=int, default=max_steps)
             sub.add_argument("--edge-a", default="v:0:0")
             sub.add_argument("--edge-b", default="v:0:0")

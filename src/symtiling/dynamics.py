@@ -6,14 +6,15 @@ in its own grid's local coordinates (`tilings.Particle`).  One step
 moves each particle along the direction of the edge currently holding
 the other particle, to its first hit on its own grid; the particle's
 `across` sign picks which way along that direction, and transversality
-of the two grids makes the move well defined.  A particle's move reads
-only its own state and the axis of the other particle's edge.
+of the two grids, which `run_orbit` checks, makes the move well defined.
+A particle's move reads only its own state and the axis of the other
+particle's edge.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
 edge, crossing sign of each particle), so both literal periodicity and
 periodicity up to a common lattice translation (a drift orbit) are
-found by comparing a state only with the earlier states under its key.
+found by comparing a state only with the first state under its key.
 Over rationals the key and the comparison are exact and the verdict is
 proved; in float mode positions are snapped to steps of the grid
 kernel's tolerance, `tilings.FLOAT_TOL`, and the comparison allows that
@@ -140,18 +141,23 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
               keep_states: bool = True) -> OrbitRecord:
     """Iterate the pair map until recurrence, a singularity, or max_steps.
 
-    Every state is filed under its key (edge axis, position along the
-    edge, crossing sign of each particle).  A state recurs when an earlier
-    state under a matching key has a closure residual of at most tol:
-    both particles moved by one and the same translation, integral in
-    both period lattices.  Exact inputs use tol = 0, so the key is exact
-    and a recurrence is proved.  Float inputs use tol =
-    tilings.FLOAT_TOL; the key then snaps positions to steps of tol and
-    the neighbouring steps are probed too, so no pair of states within
-    tol is missed.  The earliest matching state wins.  Zero translation
-    is a periodic orbit, nonzero a drift orbit.  Vertex hits terminate
-    the run and are recorded rather than raised.
+    The grids must be transverse, else NonTransverseEdges is raised
+    before the first step.  The first state under each key (edge axis,
+    position along the edge, crossing sign of each particle) is kept.  A
+    state recurs when the state kept under a matching key has a closure
+    residual of at most tol: both particles moved by one and the same
+    translation, integral in both period lattices.  Exact inputs use tol
+    = 0, so the key is exact and a recurrence is proved.  Each next key
+    reads only the pair's keys, so keys that repeat repeat periodically,
+    each period adding the same shifts: no later state under a key closes
+    unless the first one does.  Float inputs use tol = tilings.FLOAT_TOL;
+    the key then snaps positions to steps of tol and the neighbouring
+    steps are probed too.  The earliest matching state wins.  Zero
+    translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
+    terminate the run and are recorded rather than raised.
     """
+    if not tilings.is_transverse(a_tiling, b_tiling):
+        raise NonTransverseEdges("the two grids have parallel edges")
     exact = a_tiling.exact and b_tiling.exact and not any(
         isinstance(p.pos, float) for p in (start.a, start.b))
     tol = 0 if exact else tilings.FLOAT_TOL
@@ -181,9 +187,9 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
 
     def check_recurrence(st: PairState, idx: int):
         ka, kb = _key(st.a, tol), _key(st.b, tol)
-        candidates = sorted(prev for pa in probes(ka) for pb in probes(kb)
-                            for prev in seen.get((pa, pb), ()))
-        seen.setdefault((ka, kb), []).append((idx, st))
+        candidates = sorted(seen[pa, pb] for pa in probes(ka)
+                            for pb in probes(kb) if (pa, pb) in seen)
+        seen.setdefault((ka, kb), (idx, st))
         for prev_idx, prev in candidates:
             residual, drift = _closure(a_tiling, b_tiling, st, prev)
             if residual > tol:
@@ -280,15 +286,9 @@ def phase_portrait(a_tiling, b_tiling, edge_a, edge_b, resolution,
     edge_b), sampled at cell centers (2i+1)/2w by (2j+1)/2h.  Returns h
     rows of w verdict strings, row j holding edge_b fraction (2j+1)/2h.
     """
-    if a_tiling.direction_of(edge_a).cross(b_tiling.direction_of(edge_b)) == 0:
-        raise NonTransverseEdges("portrait edges are parallel")
     w, h = resolution
-    exact = a_tiling.exact and b_tiling.exact
-
-    def frac(i, n):
-        return Fraction(2 * i + 1, 2 * n) if exact else (2 * i + 1) / (2 * n)
-
     return [[portrait_cell(a_tiling, b_tiling, edge_a, edge_b,
-                           frac(i, w), frac(j, h), max_steps)
+                           Fraction(2 * i + 1, 2 * w),
+                           Fraction(2 * j + 1, 2 * h), max_steps)
              for i in range(w)]
             for j in range(h)]

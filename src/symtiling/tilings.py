@@ -96,9 +96,6 @@ class GridTiling:
     def direction_of(self, edge: GridEdge) -> Vec2:
         return self.e2 if edge.axis == "v" else self.e1
 
-    def edge_directions(self):
-        return (self.e1, self.e2, -self.e1, -self.e2)
-
     def point_on(self, edge: GridEdge, frac) -> Vec2:
         """World point at position frac in (0, 1) along the edge."""
         if edge.axis == "v":
@@ -108,8 +105,11 @@ class GridTiling:
     def particle_on(self, edge: GridEdge, frac, side: int = 1) -> Particle:
         """Particle at frac in (0, 1) along the open edge, else ValueError,
         whose first move crosses the edge toward its counterclockwise side
-        in the world (side +1) or its clockwise side (side -1).
+        in the world (side +1) or its clockwise side (side -1).  A float
+        grid stores float(frac), so its particles run in floats.
         """
+        if not self.exact:
+            frac = float(frac)
         if not 0 < frac < 1:
             raise ValueError(f"edge fraction must lie in (0, 1), got {frac}")
         # The counterclockwise normal of e2 points to local -x, that of e1
@@ -163,9 +163,6 @@ class GridTiling:
 
 
 def is_transverse(a, b) -> bool:
-    """No edge of one grid is parallel to an edge of the other."""
-    for u in a.edge_directions():
-        for v in b.edge_directions():
-            if u.cross(v) == 0 and u.dot(v) > 0:
-                return False
-    return True
+    """No edge of one grid is parallel to an edge of the other: all four
+    cross products of a basis vector of a with one of b are nonzero."""
+    return all(u.cross(v) != 0 for u in (a.e1, a.e2) for v in (b.e1, b.e2))

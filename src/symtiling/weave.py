@@ -346,11 +346,12 @@ def random_oriented_weave(rng, n: int) -> SunburstPair:
     for g in gaps:
         acc += g
         alpha.append(acc)
+    a = Sunburst(alpha)
     c = rng.uniform(0.25, 0.75)
     jitter = 0.9 * min(min(gaps), math.pi - max(gaps)) / math.tau
     beta = [t + (c + jitter * rng.uniform(-1.0, 1.0)) * (math.pi - g)
             for t, g in zip(alpha, gaps)]
-    return SunburstPair(Sunburst(alpha), Sunburst(beta))
+    return SunburstPair(a, Sunburst(beta))
 
 
 def random_balanced_sunburst(rng, n: int, margin: float = 0.12) -> Sunburst:

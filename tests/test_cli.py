@@ -61,7 +61,7 @@ def argv_from_config(config):
 
 @pytest.mark.parametrize("argv", [
     ["grid-orbit", "--t", "7/11", "--seed", "2", "--max-steps", "120"],
-    ["grid-orbit", "--float", "--angle", "pi/5", "--frac-a", "0.31",
+    ["grid-orbit", "--angle", "pi/5", "--frac-a", "0.31",
      "--side-b", "-1", "--max-steps", "60"],
     ["grid-portrait", "--resolution", "2x2"],
     ["sunburst-solve", "--seed", "2"],
@@ -83,7 +83,7 @@ def test_every_command_json_replays_exactly(tmp_path, argv):
 
 def test_grid_orbit_float_diagonal_is_periodic(tmp_path, capsys):
     jpath = tmp_path / "orbit.json"
-    code = cli.main(["grid-orbit", "--float", "--angle", "pi/4",
+    code = cli.main(["grid-orbit", "--angle", "pi/4",
                      "--frac-a", "0.31", "--frac-b", "0.62",
                      "--max-steps", "50", "--json", str(jpath)])
     assert code == 0
@@ -136,7 +136,7 @@ def test_grid_orbit_io_failure_exits_one(tmp_path):
 
 def test_portrait_float_diagonal_all_periodic(tmp_path):
     ppath = tmp_path / "p.ppm"
-    code = cli.main(["grid-portrait", "--float", "--angle", "pi/4",
+    code = cli.main(["grid-portrait", "--angle", "pi/4",
                      "--resolution", "5x4", "--max-steps", "40",
                      "--out", str(ppath)])
     assert code == 0
@@ -188,7 +188,10 @@ def test_sunburst_solve_balanced(tmp_path, capsys):
 
 
 def test_sunburst_solve_empty_interval_exits_two(tmp_path, capsys):
-    code = cli.main(["sunburst-solve", "--free", "--n", "3", "--seed", "1",
+    apath = tmp_path / "a.json"
+    serialize.write_json([1.602645954842546, 2.5703724682634848,
+                          5.333417523115699], apath)
+    code = cli.main(["sunburst-solve", str(apath),
                      "--json", str(tmp_path / "s.json")])
     assert code == 2
     assert "empty" in capsys.readouterr().err.lower()
@@ -283,13 +286,13 @@ def test_angle_and_edge_parsing():
 
 def test_grid_portrait_config_records_every_flag(tmp_path):
     jpath = tmp_path / "p.json"
-    assert cli.main(["grid-portrait", "--float", "--angle", "pi/5",
+    assert cli.main(["grid-portrait", "--angle", "pi/5",
                      "--edge-a", "h:0:0", "--resolution", "2x2",
                      "--max-steps", "20", "--out", str(tmp_path / "p.ppm"),
                      "--json", str(jpath)]) == 0
     config = json.loads(jpath.read_text())["config"]
     assert config["command"] == "grid-portrait"
-    assert config["float"] is True
+    assert "float" not in config
     assert config["angle"] == "pi/5"
     assert (config["edge_a"], config["edge_b"]) == ("h:0:0", "v:0:0")
     assert config["resolution"] == "2x2" and config["max_steps"] == 20
@@ -316,6 +319,8 @@ def test_sunburst_solve_config_records_free(tmp_path):
     ["pentagon-verify", "--seed", "1"],
     ["pentagon-verify", "--out", "x.svg"],
     ["grid-orbit", "--tol", "1e-9"],
+    ["grid-orbit", "--float"],
+    ["grid-portrait", "--float"],
     ["grid-portrait", "--tol", "1e-9"],
     ["sunburst-solve", "--tol", "1e-9"],
     ["linkage-convert", "--tol", "1e-9"],
@@ -332,10 +337,26 @@ def test_parser_rejects_flags_that_do_nothing(argv):
     ["grid-portrait", "--angle", "pi/4", "--resolution", "2x2",
      "--max-steps", "20"],
 ])
-def test_angle_without_float_exits_two(tmp_path, capsys, argv):
+def test_angle_runs_in_floats(tmp_path, argv):
+    jpath = tmp_path / "run.json"
+    assert cli.main(argv + ["--json", str(jpath)]) == 0
+    payload = json.loads(jpath.read_text())
+    if argv[0] == "grid-orbit":
+        start = payload["start"]
+        assert all(isinstance(start[p]["pos"], float) for p in "ab")
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid-orbit", "--angle", "nan"],
+    ["grid-orbit", "--angle", "inf"],
+    ["grid-portrait", "--angle", "nan", "--resolution", "2x2"],
+    ["grid-portrait", "--angle", "infpi/4", "--resolution", "2x2"],
+])
+def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     jpath = tmp_path / "run.json"
     assert cli.main(argv + ["--json", str(jpath)]) == 2
-    assert "--angle needs --float" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(argv[2]) in err
     assert not jpath.exists()
 
 
@@ -367,6 +388,11 @@ def test_sunburst_solve_large_n_returns(tmp_path):
     (["grid-portrait", "--resolution", "4x4", "--max-steps", "200"], 0),
     (["grid-orbit", "--frac-a", "0"], 2),
     (["grid-orbit", "--frac-a", "2"], 2),
+    (["grid-orbit", "--t", "1"], 2),
+    (["grid-orbit", "--t", "-1"], 2),
+    (["grid-portrait", "--t", "1"], 2),
+    (["grid-portrait", "--t", "0", "--edge-b", "h:0:0", "--resolution",
+      "2x2"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     done = run_module(tmp_path, argv, timeout=20)

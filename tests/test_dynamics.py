@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from symtiling import tilings
+from symtiling import dynamics, tilings
 from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 SINGULAR, UNBOUNDED_DRIFT, OrbitRecord,
                                 PairState, Termination, classify,
@@ -376,6 +376,55 @@ def test_portrait_rejects_parallel_edges():
     edge = GridEdge("v", 0, 0)
     with pytest.raises(NonTransverseEdges):
         phase_portrait(a, b, edge, edge, (2, 2))
+
+
+def test_run_orbit_rejects_non_transverse_grids_before_any_step(
+        monkeypatch):
+    """The first step of this start is well defined; the pair is not."""
+    a = GridTiling.standard()
+    b = a.transformed(2, 0, 0, 3)
+    state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
+                      b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), 1))
+    step(a, b, state)
+
+    def no_step(*args):
+        raise AssertionError("run_orbit stepped a non-transverse pair")
+
+    monkeypatch.setattr(dynamics, "step", no_step)
+    with pytest.raises(NonTransverseEdges):
+        run_orbit(a, b, state, max_steps=10)
+
+
+def test_particle_on_takes_the_grid_arithmetic():
+    edge = GridEdge("v", 0, 0)
+    kept = GridTiling.standard().particle_on(edge, Fraction(1, 3)).pos
+    assert type(kept) is Fraction and kept == Fraction(1, 3)
+    rotated = GridTiling.rotated(Vec2(math.cos(1.0), math.sin(1.0)))
+    pos = rotated.particle_on(edge, Fraction(1, 3)).pos
+    assert type(pos) is float and pos == 1 / 3
+
+
+def test_exact_run_checks_one_earlier_state_per_step(monkeypatch):
+    """Only the first state under a key is kept: these keys repeat from
+    early on without closing, and each later step makes one closure
+    check rather than one per earlier state under its key."""
+    a = GridTiling.standard()
+    b = GridTiling(Vec2(-2, -1), Vec2(2, -1))
+    edge = GridEdge("v", 0, 0)
+    state = PairState(a.particle_on(edge, Fraction(27, 50), -1),
+                      b.particle_on(edge, Fraction(23, 50), -1))
+    calls = []
+    closure = dynamics._closure
+
+    def counted(*args):
+        calls.append(1)
+        return closure(*args)
+
+    monkeypatch.setattr(dynamics, "_closure", counted)
+    rec = run_orbit(a, b, state, max_steps=1000, keep_states=False)
+    assert rec.termination.kind == "max-steps"
+    assert 0 < len(calls) <= 1000
+    assert classify(rec).verdict == INCONCLUSIVE
 
 
 def test_affine_naturality_single_map():
