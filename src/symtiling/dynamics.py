@@ -8,7 +8,11 @@ the other particle, to its first hit on its own grid; the particle's
 `across` sign picks which way along that direction, and transversality
 of the two grids, which `run_orbit` checks, makes the move well defined.
 A particle's move reads only its own state and the axis of the other
-particle's edge.
+particle's edge, so its chord, the other grid's edge direction in its
+own grid's frame, is one of two and is read from a table kept per grid
+pair (`GridTiling.chord`).  Each state is recorded as float world
+points and a bit length (`GridTiling.float_point`), which over
+rationals is integer arithmetic.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -32,7 +36,7 @@ from typing import Optional
 
 from . import tilings
 from .errors import NonTransverseEdges, VertexHit
-from .exact import Vec2, bit_length
+from .exact import Vec2
 from .tilings import Particle
 
 PERIODIC = "periodic"
@@ -97,8 +101,8 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     update reads only the incoming state.
     """
     a, b = state.a, state.b
-    chord_a = a_tiling.to_local(b_tiling.direction_of(b.edge))
-    chord_b = b_tiling.to_local(a_tiling.direction_of(a.edge))
+    chord_a = a_tiling.chord(b_tiling, b.edge)
+    chord_b = b_tiling.chord(a_tiling, a.edge)
     return PairState(a_tiling.first_hit(a, chord_a),
                      b_tiling.first_hit(b, chord_b))
 
@@ -106,9 +110,14 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
 def _key(particle: Particle, snap):
     """(edge axis, position along the edge, crossing sign): invariant
     under period-lattice translations.  For snap > 0 the position is
-    snapped to floor(position / snap).
+    snapped to floor(position / snap); for snap 0 it is the Fraction's
+    (numerator, denominator), which hashes without a modular inverse.
     """
-    pos = math.floor(particle.pos / snap) if snap > 0 else particle.pos
+    pos = particle.pos
+    if snap > 0:
+        pos = math.floor(pos / snap)
+    else:
+        pos = pos.numerator, pos.denominator
     return particle.edge.axis, pos, particle.across
 
 
@@ -155,6 +164,11 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     steps are probed too.  The earliest matching state wins.  Zero
     translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
     terminate the run and are recorded rather than raised.
+
+    Steps read their chords from the grids' per-pair tables, and the
+    record's points and bit lengths come from `GridTiling.float_point`,
+    in integers over rationals; exact keys hold a position as its
+    (numerator, denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
@@ -172,12 +186,11 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     index = 0
 
     def record_state(st: PairState):
-        pa = a_tiling.point_on(st.a.edge, st.a.pos)
-        pb = b_tiling.point_on(st.b.edge, st.b.pos)
-        a_points.append((float(pa.x), float(pa.y)))
-        b_points.append((float(pb.x), float(pb.y)))
-        bit_lengths.append(max(bit_length(pa.x), bit_length(pa.y),
-                               bit_length(pb.x), bit_length(pb.y)))
+        ax, ay, a_bits = a_tiling.float_point(st.a.edge, st.a.pos)
+        bx, by, b_bits = b_tiling.float_point(st.b.edge, st.b.pos)
+        a_points.append((ax, ay))
+        b_points.append((bx, by))
+        bit_lengths.append(max(a_bits, b_bits))
 
     def probes(key):
         if tol <= 0:

@@ -7,17 +7,19 @@ the integer grid's: an open unit edge, a position in (0, 1) along it,
 and the sign with which its next move crosses the edge's line.  So a
 first hit is O(1), exact over rationals, and in float mode works on
 positions in (0, 1) however far the orbit goes.  World points serve
-only to draw and report an orbit (`point_on`).
+only to draw and report an orbit (`point_on`, and `float_point` for the
+floats and bit length an orbit record keeps).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonTransverseEdges, VertexHit
-from .exact import Vec2, rational_circle_point
+from .exact import Vec2, bit_length, rational_circle_point
 
 
 # Float tolerance of first_hit's vertex guard and of dynamics.run_orbit's
@@ -64,6 +66,17 @@ class GridTiling:
         self.e2 = e2
         self.det = det
         self.exact = e1.is_exact() and e2.is_exact()
+        # The other grid's edge directions in this grid's local frame,
+        # keyed by (other grid, edge axis): see `chord`.
+        self._chords = {}
+        # Exact grids: (d, (a, b, c, e)) with ints such that the matrix
+        # of columns e1, e2 is [[a, b], [c, e]] / d: see `float_point`.
+        self._int_basis = None
+        if self.exact:
+            m = [Fraction(v) for v in (e1.x, e2.x, e1.y, e2.y)]
+            d = math.lcm(*(v.denominator for v in m))
+            self._int_basis = d, tuple(
+                v.numerator * (d // v.denominator) for v in m)
 
     @classmethod
     def standard(cls) -> "GridTiling":
@@ -96,11 +109,49 @@ class GridTiling:
     def direction_of(self, edge: GridEdge) -> Vec2:
         return self.e2 if edge.axis == "v" else self.e1
 
+    def chord(self, other: "GridTiling", edge: GridEdge) -> Vec2:
+        """`to_local(other.direction_of(edge))`: the direction of an edge
+        of the other grid in this grid's local frame.  It depends only on
+        the edge's axis, so it is computed once per other grid and axis
+        and then read from a table.
+        """
+        key = other, edge.axis
+        chord = self._chords.get(key)
+        if chord is None:
+            chord = self._chords[key] = self.to_local(other.direction_of(edge))
+        return chord
+
     def point_on(self, edge: GridEdge, frac) -> Vec2:
         """World point at position frac in (0, 1) along the edge."""
         if edge.axis == "v":
             return self.to_world(Vec2(edge.line, edge.cell + frac))
         return self.to_world(Vec2(edge.cell + frac, edge.line))
+
+    def float_point(self, edge: GridEdge, frac) -> tuple:
+        """(x, y, bits): `point_on(edge, frac)` as floats, and the larger
+        `exact.bit_length` of its two coordinates, 53 for floats.
+
+        On an exact grid a rational frac = p/q is worked in integers:
+        each world coordinate is an integer over d*q, with d the common
+        denominator of the basis, reduced by one gcd.  Dividing the
+        reduced ints rounds as float() of the Fraction does.
+        """
+        if self._int_basis is None or isinstance(frac, float):
+            point = self.point_on(edge, frac)
+            return (float(point.x), float(point.y),
+                    max(bit_length(point.x), bit_length(point.y)))
+        d, (a, b, c, e) = self._int_basis
+        p, q = frac.numerator, frac.denominator
+        if edge.axis == "v":
+            lx, ly = edge.line * q, edge.cell * q + p
+        else:
+            lx, ly = edge.cell * q + p, edge.line * q
+        den = d * q
+        x, y = a * lx + b * ly, c * lx + e * ly
+        gx, gy = math.gcd(x, den), math.gcd(y, den)
+        x, dx, y, dy = x // gx, den // gx, y // gy, den // gy
+        return x / dx, y / dy, max(x.bit_length(), dx.bit_length(),
+                                   y.bit_length(), dy.bit_length())
 
     def particle_on(self, edge: GridEdge, frac, side: int = 1) -> Particle:
         """Particle at frac in (0, 1) along the open edge, else ValueError,
@@ -164,5 +215,13 @@ class GridTiling:
 
 def is_transverse(a, b) -> bool:
     """No edge of one grid is parallel to an edge of the other: all four
-    cross products of a basis vector of a with one of b are nonzero."""
-    return all(u.cross(v) != 0 for u in (a.e1, a.e2) for v in (b.e1, b.e2))
+    cross products u x v of a basis vector of a with one of b are
+    nonzero.  When either grid is float, |u x v| must also exceed
+    FLOAT_TOL |u| |v|, so that edges parallel up to rounding count as
+    parallel.
+    """
+    pairs = [(u, v) for u in (a.e1, a.e2) for v in (b.e1, b.e2)]
+    if a.exact and b.exact:
+        return all(u.cross(v) != 0 for u, v in pairs)
+    return all(abs(u.cross(v)) > FLOAT_TOL * u.norm() * v.norm()
+               for u, v in pairs)

@@ -393,6 +393,8 @@ def test_sunburst_solve_large_n_returns(tmp_path):
     (["grid-portrait", "--t", "1"], 2),
     (["grid-portrait", "--t", "0", "--edge-b", "h:0:0", "--resolution",
       "2x2"], 2),
+    (["grid-orbit", "--angle", "pi/2", "--max-steps", "300"], 2),
+    (["grid-orbit", "--angle", "pi"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     done = run_module(tmp_path, argv, timeout=20)

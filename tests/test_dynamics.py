@@ -12,8 +12,8 @@ from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 phase_portrait, portrait_cell, run_orbit,
                                 step)
 from symtiling.errors import NonTransverseEdges, VertexHit
-from symtiling.exact import Vec2
-from symtiling.tilings import GridEdge, GridTiling
+from symtiling.exact import Vec2, bit_length
+from symtiling.tilings import GridEdge, GridTiling, Particle
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -55,6 +55,21 @@ def random_state(rng, a, b):
         return tiling.particle_on(edge, frac, rng.choice((1, -1)))
 
     return PairState(particle(a), particle(b))
+
+
+def random_integer_pair(rng):
+    """A transverse pair of grids with random integer bases, entries in
+    [-3, 3]."""
+    def grid():
+        while True:
+            m = [rng.randint(-3, 3) for _ in range(4)]
+            if m[0] * m[3] != m[1] * m[2]:
+                return GridTiling(Vec2(m[0], m[1]), Vec2(m[2], m[3]))
+
+    while True:
+        a, b = grid(), grid()
+        if tilings.is_transverse(a, b):
+            return a, b
 
 
 def test_step_matches_oracle():
@@ -118,6 +133,74 @@ def test_run_orbit_replay_and_states():
     assert len(rec1.states) == rec1.steps + 1
     for prev, nxt in zip(rec1.states, rec1.states[1:]):
         assert step(a, b, prev) == nxt
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_step_reads_each_grid_pairs_own_chords(exact):
+    """One A stepped against two B grids in turn moves as first_hit does
+    with chords freshly computed by to_local, for every pair of edge
+    axes and crossing signs: a chord table keyed on A alone, or a float
+    chord that drifts from to_local, fails."""
+    ts = (Fraction(1, 3), Fraction(7, 11))
+    if exact:
+        a = GridTiling(Vec2(2, 1), Vec2(-1, 3))
+        bs = [GridTiling.from_parameter(t) for t in ts]
+        pos_a, pos_b = Fraction(2, 7), Fraction(3, 5)
+    else:
+        a = GridTiling(Vec2(2.0, 1.0), Vec2(-1.0, 3.0))
+        bs = [float_grid(t=t) for t in ts]
+        pos_a, pos_b = 2 / 7, 3 / 5
+    for b in bs + bs[:1]:
+        for axis_a, axis_b, across_a, across_b in itertools.product(
+                "vh", "vh", (1, -1), (1, -1)):
+            state = PairState(
+                Particle(GridEdge(axis_a, 1, -2), pos_a, across_a),
+                Particle(GridEdge(axis_b, 0, 1), pos_b, across_b))
+            want = PairState(
+                a.first_hit(state.a, a.to_local(b.direction_of(state.b.edge))),
+                b.first_hit(state.b, b.to_local(a.direction_of(state.a.edge))))
+            assert step(a, b, state) == want
+
+
+def recorded(tiling, particle):
+    """Oracle of one particle's record: float() of point_on's world
+    coordinates, and their largest exact.bit_length."""
+    p = tiling.point_on(particle.edge, particle.pos)
+    return (float(p.x), float(p.y)), max(bit_length(p.x), bit_length(p.y))
+
+
+def check_recording(a, b, start, max_steps):
+    rec = run_orbit(a, b, start, max_steps)
+    assert len(rec.states) == len(rec.a_points) == len(rec.bit_lengths)
+    for st, pa, pb, bits in zip(rec.states, rec.a_points, rec.b_points,
+                                rec.bit_lengths):
+        (want_a, bits_a), (want_b, bits_b) = (recorded(a, st.a),
+                                              recorded(b, st.b))
+        assert (pa, pb, bits) == (want_a, want_b, max(bits_a, bits_b))
+    return rec
+
+
+def test_recorded_points_and_bits_match_point_on():
+    rng = random.Random(15)
+    a = GridTiling.standard()
+    pairs = [(a, GridTiling.from_parameter(t))
+             for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7))]
+    pairs += [random_integer_pair(rng) for _ in range(4)]
+    pairs.append((a, GridTiling.rotated(Vec2(math.cos(math.pi / 5),
+                                             math.sin(math.pi / 5)))))
+    for a, b in pairs:
+        for _ in range(4):
+            check_recording(a, b, random_state(rng, a, b), 60)
+
+
+def test_float_position_on_an_exact_grid_records_53_bits():
+    a = GridTiling.standard()
+    b = GridTiling.from_parameter(Fraction(1, 3))
+    start = PairState(Particle(GridEdge("v", 0, 0), 0.25, 1),
+                      b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), -1))
+    assert a.float_point(start.a.edge, start.a.pos) == (0.0, 0.25, 53)
+    rec = check_recording(a, b, start, 40)
+    assert rec.bit_lengths[0] == 53
 
 
 def test_crafted_vertex_hit():

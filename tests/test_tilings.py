@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from symtiling import tilings
 from symtiling.errors import NonTransverseEdges, VertexHit
-from symtiling.exact import Vec2, rational_circle_point
+from symtiling.exact import Vec2, rational_circle_point, unit_from_angle
 from symtiling.tilings import GridEdge, GridTiling, Particle, is_transverse
 
 
@@ -189,3 +190,17 @@ def test_transversality():
     assert is_transverse(a, b)
     assert not is_transverse(a, a)
     assert not is_transverse(a, a.transformed(3, 0, 0, 2))
+
+
+def test_float_grids_parallel_up_to_rounding_are_not_transverse(
+        monkeypatch):
+    a = GridTiling.standard()
+    right = GridTiling.rotated(unit_from_angle(math.pi / 2))
+    assert right.e1.x != 0  # cos(pi/2) rounds to 6.1e-17
+    assert not is_transverse(a, right)
+    assert not is_transverse(right, a)
+    assert not is_transverse(a, GridTiling.rotated(unit_from_angle(math.pi)))
+    assert is_transverse(a, GridTiling.rotated(unit_from_angle(math.pi / 5)))
+    # FLOAT_TOL is read at call time.
+    monkeypatch.setattr(tilings, "FLOAT_TOL", 0.0)
+    assert is_transverse(a, right)
