@@ -10,9 +10,13 @@ of the two grids, which `run_orbit` checks, makes the move well defined.
 A particle's move reads only its own state and the axis of the other
 particle's edge, so its chord, the other grid's edge direction in its
 own grid's frame, is one of two and is read from a table kept per grid
-pair (`GridTiling.chord`).  Each state is recorded as float world
-points and a bit length (`GridTiling.float_point`), which over
-rationals is integer arithmetic.
+pair (`GridTiling.chord`), together with its slopes.  Each state is
+recorded as float world points and a bit length
+(`GridTiling.float_point`).  Over rationals, a position's bit length
+grows with every step, while chords and grid bases stay small; so both
+the move and the record are integer work that reduces a big integer only
+by gcds with a small one, and a step costs time linear in the bit
+length.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -165,9 +169,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
     terminate the run and are recorded rather than raised.
 
-    Steps read their chords from the grids' per-pair tables, and the
-    record's points and bit lengths come from `GridTiling.float_point`,
-    in integers over rationals; exact keys hold a position as its
+    Steps read their chords and slopes from the grids' per-pair tables,
+    and the record's points and bit lengths come from
+    `GridTiling.float_point`; over rationals both are integer work whose
+    gcds each take one small argument.  Exact keys hold a position as its
     (numerator, denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):

@@ -9,6 +9,11 @@ first hit is O(1), exact over rationals, and in float mode works on
 positions in (0, 1) however far the orbit goes.  World points serve
 only to draw and report an orbit (`point_on`, and `float_point` for the
 floats and bit length an orbit record keeps).
+
+Exact positions grow by some bits every step, while chords and grid
+bases stay small.  So an exact step and its record do integer work whose
+every gcd takes one small argument: a reduction of a big integer by a
+big one would cost time quadratic in the bit length.
 """
 
 from __future__ import annotations
@@ -67,8 +72,10 @@ class GridTiling:
         self.det = det
         self.exact = e1.is_exact() and e2.is_exact()
         # The other grid's edge directions in this grid's local frame,
-        # keyed by (other grid, edge axis): see `chord`.
+        # keyed by (other grid, edge axis), and first_hit's branch data
+        # of each, keyed by the chord's id: see `chord`.
         self._chords = {}
+        self._branches = {}
         # Exact grids: (d, (a, b, c, e)) with ints such that the matrix
         # of columns e1, e2 is [[a, b], [c, e]] / d: see `float_point`.
         self._int_basis = None
@@ -113,12 +120,16 @@ class GridTiling:
         """`to_local(other.direction_of(edge))`: the direction of an edge
         of the other grid in this grid's local frame.  It depends only on
         the edge's axis, so it is computed once per other grid and axis
-        and then read from a table.
+        and then read from a table, together with `first_hit`'s slopes
+        along it.
         """
         key = other, edge.axis
         chord = self._chords.get(key)
         if chord is None:
             chord = self._chords[key] = self.to_local(other.direction_of(edge))
+            # The table keeps the chord alive, so no other object takes
+            # its id.
+            self._branches[id(chord)] = _branches(chord)
         return chord
 
     def point_on(self, edge: GridEdge, frac) -> Vec2:
@@ -132,9 +143,11 @@ class GridTiling:
         `exact.bit_length` of its two coordinates, 53 for floats.
 
         On an exact grid a rational frac = p/q is worked in integers:
-        each world coordinate is an integer over d*q, with d the common
-        denominator of the basis, reduced by one gcd.  Dividing the
-        reduced ints rounds as float() of the Fraction does.
+        each world coordinate is (k q + c p) / (d q), with d the common
+        denominator of the basis and k, c small ints, and is brought to
+        lowest terms by gcds with one small argument only
+        (`_lowest_terms`).  Dividing the reduced ints rounds as float()
+        of the Fraction does.
         """
         if self._int_basis is None or isinstance(frac, float):
             point = self.point_on(edge, frac)
@@ -143,13 +156,13 @@ class GridTiling:
         d, (a, b, c, e) = self._int_basis
         p, q = frac.numerator, frac.denominator
         if edge.axis == "v":
-            lx, ly = edge.line * q, edge.cell * q + p
+            kx, ky, cx, cy = (a * edge.line + b * edge.cell,
+                              c * edge.line + e * edge.cell, b, e)
         else:
-            lx, ly = edge.cell * q + p, edge.line * q
-        den = d * q
-        x, y = a * lx + b * ly, c * lx + e * ly
-        gx, gy = math.gcd(x, den), math.gcd(y, den)
-        x, dx, y, dy = x // gx, den // gx, y // gy, den // gy
+            kx, ky, cx, cy = (a * edge.cell + b * edge.line,
+                              c * edge.cell + e * edge.line, a, c)
+        x, dx = _lowest_terms(kx, cx, p, q, d)
+        y, dy = _lowest_terms(ky, cy, p, q, d)
         return x / dx, y / dy, max(x.bit_length(), dx.bit_length(),
                                    y.bit_length(), dy.bit_length())
 
@@ -181,36 +194,114 @@ class GridTiling:
         the cell's end comes first, after (1 - pos) / slope or
         pos / -slope.
 
+        The slope of each edge axis and `across` sign is worked out once
+        per chord of `chord`'s table; another chord gets its slopes on
+        each call.  A Fraction position on an exact slope steps in
+        integers: the branch and vertex tests compare the numerator of
+        pos + slope with its denominator, as ints, before either is
+        reduced.  The new position is then pos + slope or, at a cell's
+        end, the affine map pos * scale + shift that the slope and its
+        inverse give.  Those Fraction operations reduce only by gcds
+        with the slope's small terms, so a step costs time linear in the
+        position's bit length.  Other positions use the formulas above
+        in their own arithmetic.
+
         Raises NonTransverseEdges when the chord is parallel to the edge,
         and VertexHit when the crossing is a grid vertex; in float mode,
         when the new position lies within FLOAT_TOL of an edge end.
         """
         edge, pos, across = particle.edge, particle.pos, particle.across
-        if edge.axis == "v":
-            normal, along, other = chord.x, chord.y, "h"
-        else:
-            normal, along, other = chord.y, chord.x, "v"
-        if normal == 0:
+        slopes = (self._branches.get(id(chord)) or _branches(chord))[edge.axis]
+        if slopes is None:
             raise NonTransverseEdges(
                 "chord direction is parallel to the particle's edge")
-        if type(normal) is int:
-            normal = Fraction(normal)
-        slope = along / normal if across > 0 else -along / normal
-        end = pos + slope
-        if 0 < end < 1:
+        slope, up, terms = slopes[across > 0]
+        if terms is not None and type(pos) is Fraction:
+            # n / m is pos + slope, unreduced.  Outside (0, 1) the cell's
+            # end comes first, and at n / m = 0 or 1 it is a vertex.
+            a, b, scale, shift = terms
+            q = pos.denominator
+            n, m = pos.numerator * b + a * q, q * b
+            parallel, inside = 0 < n < m, n != 0 and n != m
+            end = pos + slope if parallel else pos * scale + shift
+        else:
+            end = pos + slope
+            parallel = 0 < end < 1
+            if not parallel:
+                travel = (1 - pos) / slope if up else pos / -slope
+                end = travel if across > 0 else 1 - travel
+            tol = FLOAT_TOL if isinstance(end, float) else 0
+            inside = tol < end < 1 - tol
+        if parallel:
             hit = Particle(GridEdge(edge.axis, edge.line + across,
                                     edge.cell), end, across)
         else:
-            up, forward = slope > 0, across > 0
-            travel = (1 - pos) / slope if up else pos / -slope
-            hit = Particle(GridEdge(other, edge.cell + 1 if up else edge.cell,
-                                    edge.line if forward else edge.line - 1),
-                           travel if forward else 1 - travel, 1 if up else -1)
-        tol = FLOAT_TOL if isinstance(hit.pos, float) else 0
-        if not tol < hit.pos < 1 - tol:
+            hit = Particle(GridEdge("h" if edge.axis == "v" else "v",
+                                    edge.cell + 1 if up else edge.cell,
+                                    edge.line if across > 0
+                                    else edge.line - 1),
+                           end, 1 if up else -1)
+        if not inside:
             point = self.point_on(hit.edge, hit.pos)
             raise VertexHit((float(point.x), float(point.y)))
         return hit
+
+
+def _branches(chord: Vec2) -> dict:
+    """`first_hit`'s slope data for a grid-local chord, per own edge axis:
+    None when the chord is parallel to that axis's edges, else a pair
+    indexed by across > 0 of (slope, slope > 0, terms).
+
+    slope is along over normal, negated for across < 0, in the chord's
+    arithmetic (int components divide as Fractions).  For a nonzero
+    Fraction slope a / b in lowest terms, terms is (a, b, scale, shift),
+    where pos * scale + shift is the position met at the cell's end:
+    (1 - pos) / slope or pos / -slope, and one minus that when
+    across < 0.  Otherwise terms is None.
+    """
+    table = {}
+    for axis, normal, along in (("v", chord.x, chord.y),
+                                ("h", chord.y, chord.x)):
+        if normal == 0:
+            table[axis] = None
+            continue
+        if type(normal) is int:
+            normal = Fraction(normal)
+        table[axis] = tuple(_branch(slope, forward) for slope, forward in
+                            ((-along / normal, False), (along / normal, True)))
+    return table
+
+
+def _branch(slope, forward: bool) -> tuple:
+    """One entry of `_branches`: (slope, slope > 0, terms)."""
+    up = slope > 0
+    if not isinstance(slope, Fraction) or slope == 0:
+        return slope, up, None
+    inv = 1 / slope
+    if up:
+        shift = inv if forward else 1 - inv
+    else:
+        shift = Fraction(0 if forward else 1)
+    return slope, up, (slope.numerator, slope.denominator,
+                       -inv if forward else inv, shift)
+
+
+def _lowest_terms(k: int, c: int, p: int, q: int, d: int) -> tuple:
+    """(n, m), coprime with m > 0, such that n / m = (k q + c p) / (d q),
+    for ints with p/q in lowest terms and q, d > 0.
+
+    p/q is in lowest terms, so gcd(k q + c p, q) = gcd(c, q), and the
+    whole gcd divides M = d gcd(c, q), which is small when c and d are.
+    Dividing c and q by gcd(c, q) first leaves a numerator prime to q,
+    whose gcd with d q is its gcd with d: one remainder of a big integer
+    by d.  No gcd here takes two big arguments.
+    """
+    g = math.gcd(c, q)
+    if g > 1:
+        c, q = c // g, q // g
+    n = k * q + c * p
+    g = math.gcd(n % d, d)
+    return n // g, d * q // g
 
 
 def is_transverse(a, b) -> bool:

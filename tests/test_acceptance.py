@@ -117,7 +117,7 @@ def test_c03_translation_drift_for_seven_elevenths(criterion):
     criterion(f"[C3 FAIL] t=7/11: {len(drifting)}/5 starts reached a "
               f"translation recurrence (terminations {kinds} at {budget} "
               f"exact steps, {elapsed:.1f}s); orbits contract onto a "
-              f"singular staircase instead -- see /root/notes/decisions.md")
+              f"singular staircase instead -- see docs/decisions.md")
     pytest.fail(
         "no translation-periodic recurrence for the 7/11 pair: all five "
         f"documented starts ran {budget} exact steps and terminated as "
@@ -125,7 +125,7 @@ def test_c03_translation_drift_for_seven_elevenths(criterion):
         "repeat modulo a lattice shift, but their bit lengths grow "
         "monotonically while the orbit contracts onto a staircase through "
         "lattice vertices; an exhaustive branch search found no interior "
-        "periodic branch. Full analysis: /root/notes/decisions.md")
+        "periodic branch. Full analysis: docs/decisions.md")
 
 
 def test_c04_one_third_orbits_are_bounded_attracted(criterion):

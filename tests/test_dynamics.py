@@ -193,6 +193,37 @@ def test_recorded_points_and_bits_match_point_on():
             check_recording(a, b, random_state(rng, a, b), 60)
 
 
+def seven_elevenths_start():
+    """C3's first start: its orbit gains about 6 bits a step."""
+    a = GridTiling.standard()
+    b = GridTiling.from_parameter(Fraction(7, 11))
+    return a, b, PairState(
+        a.particle_on(GridEdge("v", 0, 0), Fraction(1, 4), -1),
+        b.particle_on(GridEdge("v", 0, 0), Fraction(1, 3), 1))
+
+
+def test_long_exact_orbit_records_match_point_on():
+    rec = check_recording(*seven_elevenths_start(), 2500)
+    assert rec.steps == 2500 and max(rec.bit_lengths) > 10_000
+
+
+def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
+    """A gcd of two big integers costs time quadratic in their length;
+    every gcd of an exact step and its record has one argument of at
+    most 64 bits, so a step costs time linear in the length."""
+    gcd, sizes = math.gcd, []
+
+    def recording_gcd(*args):
+        sizes.append(min(abs(v).bit_length() for v in args))
+        return gcd(*args)
+
+    monkeypatch.setattr(math, "gcd", recording_gcd)
+    rec = run_orbit(*seven_elevenths_start(), 2500, keep_states=False)
+    monkeypatch.undo()
+    assert max(rec.bit_lengths) > 10_000
+    assert len(sizes) > 2500 and max(sizes) <= 64
+
+
 def test_float_position_on_an_exact_grid_records_53_bits():
     a = GridTiling.standard()
     b = GridTiling.from_parameter(Fraction(1, 3))

@@ -51,3 +51,19 @@ def test_every_function_is_referenced():
                   and isinstance(node.ctx, ast.Load)):
                 named.add(node.attr)
     assert [f"{f}: {name}" for f, name in defined if name not in named] == []
+
+
+def test_no_private_fraction_api():
+    """Fraction's private constructors are not part of its API: Python
+    3.12 removed the `_normalize` argument, and `_from_coprime_ints` is
+    internal."""
+    private = {"_normalize", "_from_coprime_ints"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "arg", None), getattr(node, "name", None),
+                     getattr(node, "asname", None)}
+            found += [f"{path.name}:{node.lineno}: {name}"
+                      for name in sorted(names & private)]
+    assert found == []

@@ -97,6 +97,101 @@ def test_first_hit_divides_int_chords_exactly():
     assert isinstance(tiling.first_hit(start, Vec2(1.0, 0.0)).pos, float)
 
 
+def oracle_first_hit(tiling, particle, chord):
+    """first_hit as one formula in the scalars' own arithmetic: the slope
+    is divided out on every call, and every test compares scalars."""
+    edge, pos, across = particle.edge, particle.pos, particle.across
+    if edge.axis == "v":
+        normal, along, other = chord.x, chord.y, "h"
+    else:
+        normal, along, other = chord.y, chord.x, "v"
+    if normal == 0:
+        raise NonTransverseEdges("parallel")
+    if type(normal) is int:
+        normal = Fraction(normal)
+    slope = along / normal if across > 0 else -along / normal
+    end = pos + slope
+    if 0 < end < 1:
+        hit = Particle(GridEdge(edge.axis, edge.line + across, edge.cell),
+                       end, across)
+    else:
+        up, forward = slope > 0, across > 0
+        travel = (1 - pos) / slope if up else pos / -slope
+        hit = Particle(GridEdge(other, edge.cell + 1 if up else edge.cell,
+                                edge.line if forward else edge.line - 1),
+                       travel if forward else 1 - travel, 1 if up else -1)
+    tol = tilings.FLOAT_TOL if isinstance(hit.pos, float) else 0
+    if not tol < hit.pos < 1 - tol:
+        point = tiling.point_on(hit.edge, hit.pos)
+        raise VertexHit((float(point.x), float(point.y)))
+    return hit
+
+
+def outcome(first_hit, *args):
+    try:
+        hit = first_hit(*args)
+    except VertexHit as exc:
+        return "vertex", exc.location
+    except NonTransverseEdges:
+        return "parallel", None
+    return hit, type(hit.pos)
+
+
+def test_first_hit_matches_the_fraction_formula():
+    """Int, Fraction and float chords, both edge axes and both crossing
+    signs, from Fraction positions of a few and of about 10,000 bits,
+    and from float positions; the same hit, or the same vertex."""
+    rng = random.Random(16)
+    grids = [GridTiling.standard(),
+             GridTiling.from_parameter(Fraction(7, 11)),
+             GridTiling.from_parameter(Fraction(3, 7)).transformed(
+                 2, 1, -1, 3)]
+    kinds = {"int": lambda: rng.choice([-3, -2, -1, 1, 2, 3]),
+             "fraction": lambda: rand_fraction(rng, 3, 13) or Fraction(1, 2),
+             "float": lambda: rng.uniform(-3.0, 3.0)}
+
+    def position(bits):
+        if bits == "float":
+            return rng.uniform(0.001, 0.999)
+        q = rng.getrandbits(bits) | 1 << (bits - 1)
+        return Fraction(rng.randrange(1, q), q)
+
+    seen = set()
+    for _ in range(800):
+        tiling = rng.choice(grids)
+        kind = rng.choice(list(kinds))
+        chord = Vec2(kinds[kind](), kinds[kind]())
+        shared = tiling.chord(rng.choice(grids), GridEdge(rng.choice("vh"),
+                                                          0, 0))
+        for chord in (chord, shared):
+            edge = GridEdge(rng.choice("vh"), rng.randint(-5, 5),
+                            rng.randint(-5, 5))
+            across = rng.choice((1, -1))
+            normal, along = ((chord.x, chord.y) if edge.axis == "v"
+                             else (chord.y, chord.x))
+            slope = Fraction(along) / normal * across if normal else 0
+            for pos in (position(rng.choice((8, 10_000))), position("float"),
+                        1 - slope, -slope):
+                if not 0 < pos < 1:
+                    continue
+                particle = Particle(edge, pos, across)
+                got = outcome(tiling.first_hit, particle, chord)
+                assert got == outcome(oracle_first_hit, tiling, particle,
+                                      chord)
+                size = ("float" if isinstance(pos, float) else
+                        "big" if pos.denominator.bit_length() > 9000
+                        else "small")
+                seen.add((edge.axis, across, got[0] == "vertex", size,
+                          type(chord.x)))
+    # Every edge axis and crossing sign met a vertex, and every kind of
+    # position and chord was stepped.
+    assert {(a, s) for a, s, vertex, _, _ in seen if vertex} == {
+        (a, s) for a in "vh" for s in (1, -1)}
+    assert {(p, c) for _, _, _, p, c in seen} == {
+        (p, c) for p in ("float", "small", "big")
+        for c in (int, Fraction, float)}
+
+
 def test_first_hit_float_skips_resident_edge():
     tiling = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
     start = Particle(GridEdge("v", 0, 0), 0.25, 1)
