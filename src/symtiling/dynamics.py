@@ -8,14 +8,14 @@ the other particle, to its first hit on its own grid; the particle's
 `across` sign picks which way along that direction, and transversality
 of the two grids, which `run_orbit` checks, makes the move well defined.
 A particle's move reads only its own state and the axis of the other
-particle's edge, so its chord, the other grid's edge direction in its
-own grid's frame, is one of two and is read from a table kept per grid
-pair (`GridTiling.chord`), together with its slopes.  Each state is
-recorded as float world points and a bit length
+particle's edge.  So it moves along one of two chords, the other grid's
+edge directions in its own grid's frame, and reads that chord's branch
+data from the one table kept per grid pair (`GridTiling.chord`).  Each
+state is recorded as float world points and a bit length
 (`GridTiling.float_point`).  Over rationals, a position's bit length
 grows with every step, while chords and grid bases stay small; so both
-the move and the record are integer work that reduces a big integer only
-by gcds with a small one, and a step costs time linear in the bit
+the move and the record are integer work that reduces a big integer
+only by gcds with a small one, and a step costs time linear in the bit
 length.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
@@ -105,10 +105,8 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     update reads only the incoming state.
     """
     a, b = state.a, state.b
-    chord_a = a_tiling.chord(b_tiling, b.edge)
-    chord_b = b_tiling.chord(a_tiling, a.edge)
-    return PairState(a_tiling.first_hit(a, chord_a),
-                     b_tiling.first_hit(b, chord_b))
+    return PairState(a_tiling.first_hit(a, a_tiling.chord(b_tiling, b.edge)),
+                     b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge)))
 
 
 def _key(particle: Particle, snap):
@@ -169,8 +167,8 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
     terminate the run and are recorded rather than raised.
 
-    Steps read their chords and slopes from the grids' per-pair tables,
-    and the record's points and bit lengths come from
+    Steps read their branch data from each grid's one table per other
+    grid and edge axis, and the record's points and bit lengths come from
     `GridTiling.float_point`; over rationals both are integer work whose
     gcds each take one small argument.  Exact keys hold a position as its
     (numerator, denominator).

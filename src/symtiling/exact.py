@@ -75,7 +75,7 @@ class Vec2:
     def exactify(self) -> "Vec2":
         """Coerce integer components to Fraction so that later divisions
         stay exact instead of falling into float true division.  Other
-        scalar types (Fraction, gmpy2.mpq, floats) pass through.
+        scalar types (Fraction, floats) pass through.
         """
         x = Fraction(self.x) if isinstance(self.x, int) else self.x
         y = Fraction(self.y) if isinstance(self.y, int) else self.y

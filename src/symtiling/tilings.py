@@ -6,9 +6,11 @@ A particle lives in its grid's local coordinates, where the edges are
 the integer grid's: an open unit edge, a position in (0, 1) along it,
 and the sign with which its next move crosses the edge's line.  So a
 first hit is O(1), exact over rationals, and in float mode works on
-positions in (0, 1) however far the orbit goes.  World points serve
-only to draw and report an orbit (`point_on`, and `float_point` for the
-floats and bit length an orbit record keeps).
+positions in (0, 1) however far the orbit goes.  It reads a branch
+table (`branch_table`) of the direction it moves along, which each grid
+keeps once per other grid and edge axis (`GridTiling.chord`).  World
+points serve only to draw and report an orbit (`point_on`, and
+`float_point` for the floats and bit length an orbit record keeps).
 
 Exact positions grow by some bits every step, while chords and grid
 bases stay small.  So an exact step and its record do integer work whose
@@ -71,11 +73,9 @@ class GridTiling:
         self.e2 = e2
         self.det = det
         self.exact = e1.is_exact() and e2.is_exact()
-        # The other grid's edge directions in this grid's local frame,
-        # keyed by (other grid, edge axis), and first_hit's branch data
-        # of each, keyed by the chord's id: see `chord`.
+        # Branch tables of the other grid's edge directions, keyed by
+        # (other grid, edge axis): see `chord`.
         self._chords = {}
-        self._branches = {}
         # Exact grids: (d, (a, b, c, e)) with ints such that the matrix
         # of columns e1, e2 is [[a, b], [c, e]] / d: see `float_point`.
         self._int_basis = None
@@ -116,21 +116,18 @@ class GridTiling:
     def direction_of(self, edge: GridEdge) -> Vec2:
         return self.e2 if edge.axis == "v" else self.e1
 
-    def chord(self, other: "GridTiling", edge: GridEdge) -> Vec2:
-        """`to_local(other.direction_of(edge))`: the direction of an edge
-        of the other grid in this grid's local frame.  It depends only on
-        the edge's axis, so it is computed once per other grid and axis
-        and then read from a table, together with `first_hit`'s slopes
-        along it.
+    def chord(self, other: "GridTiling", edge: GridEdge) -> dict:
+        """The `branch_table` of `to_local(other.direction_of(edge))`, the
+        direction of an edge of the other grid in this grid's local
+        frame.  It depends only on the edge's axis, so it is built once
+        per other grid and axis and then read from a table.
         """
         key = other, edge.axis
-        chord = self._chords.get(key)
-        if chord is None:
-            chord = self._chords[key] = self.to_local(other.direction_of(edge))
-            # The table keeps the chord alive, so no other object takes
-            # its id.
-            self._branches[id(chord)] = _branches(chord)
-        return chord
+        table = self._chords.get(key)
+        if table is None:
+            table = self._chords[key] = branch_table(
+                self.to_local(other.direction_of(edge)))
+        return table
 
     def point_on(self, edge: GridEdge, frac) -> Vec2:
         """World point at position frac in (0, 1) along the edge."""
@@ -181,12 +178,12 @@ class GridTiling:
         across = side if edge.axis == "h" else -side
         return Particle(edge, frac, across if self.det > 0 else -across)
 
-    def first_hit(self, particle: Particle, chord: Vec2) -> Particle:
-        """The particle moved along the grid-local chord or its negative,
+    def first_hit(self, particle: Particle, table: dict) -> Particle:
+        """The particle moved along a grid-local chord or its negative,
         whichever crosses the edge's line the `across` way, to the next
         grid line: the next particle, which keeps crossing the way it
-        moved.  Chord components are Fractions or floats, as `to_local`
-        gives them, or ints, which divide as Fractions.
+        moved.  The chord is given by its `branch_table`, as `chord`
+        keeps it, and the move reads nothing else of it.
 
         Per unit of travel normal to the edge the position moves by the
         slope, along over normal.  So the next parallel line, line +
@@ -194,9 +191,8 @@ class GridTiling:
         the cell's end comes first, after (1 - pos) / slope or
         pos / -slope.
 
-        The slope of each edge axis and `across` sign is worked out once
-        per chord of `chord`'s table; another chord gets its slopes on
-        each call.  A Fraction position on an exact slope steps in
+        The slope of each edge axis and `across` sign is read from the
+        table.  A Fraction position on an exact slope steps in
         integers: the branch and vertex tests compare the numerator of
         pos + slope with its denominator, as ints, before either is
         reduced.  The new position is then pos + slope or, at a cell's
@@ -211,7 +207,7 @@ class GridTiling:
         when the new position lies within FLOAT_TOL of an edge end.
         """
         edge, pos, across = particle.edge, particle.pos, particle.across
-        slopes = (self._branches.get(id(chord)) or _branches(chord))[edge.axis]
+        slopes = table[edge.axis]
         if slopes is None:
             raise NonTransverseEdges(
                 "chord direction is parallel to the particle's edge")
@@ -247,17 +243,18 @@ class GridTiling:
         return hit
 
 
-def _branches(chord: Vec2) -> dict:
-    """`first_hit`'s slope data for a grid-local chord, per own edge axis:
-    None when the chord is parallel to that axis's edges, else a pair
-    indexed by across > 0 of (slope, slope > 0, terms).
+def branch_table(chord: Vec2) -> dict:
+    """`first_hit`'s branch data for a grid-local chord, per own edge
+    axis: None when the chord is parallel to that axis's edges, else a
+    pair indexed by across > 0 of (slope, slope > 0, terms).  Chord
+    components are Fractions or floats, as `to_local` gives them, or
+    ints, which divide as Fractions.
 
     slope is along over normal, negated for across < 0, in the chord's
-    arithmetic (int components divide as Fractions).  For a nonzero
-    Fraction slope a / b in lowest terms, terms is (a, b, scale, shift),
-    where pos * scale + shift is the position met at the cell's end:
-    (1 - pos) / slope or pos / -slope, and one minus that when
-    across < 0.  Otherwise terms is None.
+    arithmetic.  For a nonzero Fraction slope a / b in lowest terms,
+    terms is (a, b, scale, shift), where pos * scale + shift is the
+    position met at the cell's end: (1 - pos) / slope or pos / -slope,
+    and one minus that when across < 0.  Otherwise terms is None.
     """
     table = {}
     for axis, normal, along in (("v", chord.x, chord.y),
@@ -273,7 +270,7 @@ def _branches(chord: Vec2) -> dict:
 
 
 def _branch(slope, forward: bool) -> tuple:
-    """One entry of `_branches`: (slope, slope > 0, terms)."""
+    """One entry of `branch_table`: (slope, slope > 0, terms)."""
     up = slope > 0
     if not isinstance(slope, Fraction) or slope == 0:
         return slope, up, None

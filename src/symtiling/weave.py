@@ -37,6 +37,9 @@ PHASE_TOL = 1e-12
 SUNBURST_TOL = 1e-12
 # The sampler's balance, inside SUNBURST_TOL so its samples are balanced.
 SAMPLER_TOL = 1e-13
+# The sampler's least gap, and least gap to pi, as a fraction of the
+# regular gap 2 pi / n; read at call time.
+SAMPLER_MARGIN = 0.12
 
 
 class Sunburst:
@@ -119,24 +122,22 @@ def is_oriented_weave(pair: SunburstPair) -> bool:
                for i in range(pair.n))
 
 
-def orbit_points(pair: SunburstPair, r0=1.0, steps=None):
-    """The a-projection of the orbit: points on rays A[0], A[1], ...
+def orbit_points(pair: SunburstPair, r0=1.0):
+    """The a-projection of the orbit over one loop: n + 1 points on rays
+    A[0], A[1], ..., A[n - 1], A[0].
 
     Iterates unit ray vectors, independently of the sine-ratio product.
-    Starts at distance r0 along ray A[0] and runs the given number of
-    steps, one full loop by default.  Each step intersects the chord
-    through the current point parallel to the phased ray B[j+1] with
-    the next A-ray; a nonpositive intersection coefficient means the
-    pair is not woven and raises DegenerateStep.
+    Starts at distance r0 along ray A[0] and runs n steps.  Each step
+    intersects the chord through the current point parallel to the
+    phased ray B[j+1] with the next A-ray; a nonpositive intersection
+    coefficient means the pair is not woven and raises DegenerateStep.
     """
     rays = [unit_from_angle(t) for t in pair.a.angles]
     chords = [unit_from_angle(t) for t in pair.b_angles]
     n = pair.n
-    if steps is None:
-        steps = n
     p = rays[0] * r0
     points = [p]
-    for j in range(steps):
+    for j in range(n):
         nxt = rays[(j + 1) % n]
         chord = chords[(j + 1) % n]
         den = nxt.cross(chord)
@@ -354,18 +355,18 @@ def random_oriented_weave(rng, n: int) -> SunburstPair:
     return SunburstPair(a, Sunburst(beta))
 
 
-def random_balanced_sunburst(rng, n: int, margin: float = 0.12) -> Sunburst:
+def random_balanced_sunburst(rng, n: int) -> Sunburst:
     """Random sunburst whose unit rays sum to zero.
 
     Samples counterclockwise angles with comfortable gaps, then projects
     onto the two balance constraints by Gauss-Newton; rejects draws
-    whose projection spoils the gap margins, which are margin times the
-    regular gap 2 pi / n.  Raises InvalidSunburst after 100 rejected
-    attempts.
+    whose projection spoils the gap margins, which are SAMPLER_MARGIN
+    times the regular gap 2 pi / n.  Raises InvalidSunburst after 100
+    rejected attempts.
     """
     if n < 3:
         raise InvalidSunburst("a sunburst needs at least 3 rays")
-    margin *= math.tau / n
+    margin = SAMPLER_MARGIN * (math.tau / n)
     for _ in range(100):
         weights = [rng.uniform(0.35, 1.0) for _ in range(n)]
         total = sum(weights)

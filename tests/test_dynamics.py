@@ -138,9 +138,9 @@ def test_run_orbit_replay_and_states():
 @pytest.mark.parametrize("exact", [True, False])
 def test_step_reads_each_grid_pairs_own_chords(exact):
     """One A stepped against two B grids in turn moves as first_hit does
-    with chords freshly computed by to_local, for every pair of edge
-    axes and crossing signs: a chord table keyed on A alone, or a float
-    chord that drifts from to_local, fails."""
+    on the branch_table of chords freshly computed by to_local, for every
+    pair of edge axes and crossing signs: a table keyed on A alone, or a
+    float chord that drifts from to_local, fails."""
     ts = (Fraction(1, 3), Fraction(7, 11))
     if exact:
         a = GridTiling(Vec2(2, 1), Vec2(-1, 3))
@@ -156,10 +156,33 @@ def test_step_reads_each_grid_pairs_own_chords(exact):
             state = PairState(
                 Particle(GridEdge(axis_a, 1, -2), pos_a, across_a),
                 Particle(GridEdge(axis_b, 0, 1), pos_b, across_b))
+            chord_a = a.to_local(b.direction_of(state.b.edge))
+            chord_b = b.to_local(a.direction_of(state.a.edge))
             want = PairState(
-                a.first_hit(state.a, a.to_local(b.direction_of(state.b.edge))),
-                b.first_hit(state.b, b.to_local(a.direction_of(state.a.edge))))
+                a.first_hit(state.a, tilings.branch_table(chord_a)),
+                b.first_hit(state.b, tilings.branch_table(chord_b)))
             assert step(a, b, state) == want
+
+
+def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
+    """Each grid builds the branch table of the other grid's edge axis on
+    first use: at most four tables for a pair of grids however long the
+    run, in exact and in float mode, and none on a second run over the
+    same grids.  A step that built its branch data again would fail."""
+    built = []
+    build = tilings.branch_table
+    monkeypatch.setattr(tilings, "branch_table",
+                        lambda chord: built.append(chord) or build(chord))
+    fa, fb = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)), float_grid(theta=1.0)
+    floats = fa, fb, PairState(
+        fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
+        fb.particle_on(GridEdge("h", 0, 0), 0.6, -1))
+    for a, b, start in (seven_elevenths_start(), floats):
+        for run in range(2):
+            built.clear()
+            rec = run_orbit(a, b, start, 200, keep_states=False)
+            assert rec.steps > 4
+            assert len(built) <= (4 if run == 0 else 0)
 
 
 def recorded(tiling, particle):

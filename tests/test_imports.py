@@ -67,3 +67,16 @@ def test_no_private_fraction_api():
             found += [f"{path.name}:{node.lineno}: {name}"
                       for name in sorted(names & private)]
     assert found == []
+
+
+def test_no_identity_keyed_caches():
+    """No module under src calls id(): a cache keyed by object identity
+    is right only while something keeps each key's object alive, an
+    invariant that no test sees."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "id"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

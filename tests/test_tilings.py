@@ -7,7 +7,8 @@ import pytest
 from symtiling import tilings
 from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point, unit_from_angle
-from symtiling.tilings import GridEdge, GridTiling, Particle, is_transverse
+from symtiling.tilings import (GridEdge, GridTiling, Particle, branch_table,
+                               is_transverse)
 
 
 def rand_fraction(rng, span=8, den=40):
@@ -54,7 +55,7 @@ def test_first_hit_matches_brute_force_scan():
         normal = chord.x if particle.edge.axis == "v" else chord.y
         if normal == 0:
             with pytest.raises(NonTransverseEdges):
-                tiling.first_hit(particle, chord)
+                tiling.first_hit(particle, branch_table(chord))
             continue
         if (normal > 0) != (particle.across > 0):
             chord = -chord
@@ -63,10 +64,10 @@ def test_first_hit_matches_brute_force_scan():
         expect = brute_first_hit(tiling, start, travel)
         if expect == "vertex":
             with pytest.raises(VertexHit):
-                tiling.first_hit(particle, chord)
+                tiling.first_hit(particle, branch_table(chord))
             continue
         s, axis, line, cell = expect
-        hit = tiling.first_hit(particle, chord)
+        hit = tiling.first_hit(particle, branch_table(chord))
         assert tiling.point_on(hit.edge, hit.pos) == start + travel * s
         assert hit.edge == GridEdge(axis, line, cell)
         assert hit.across == (1 if (chord.x if axis == "v" else chord.y) > 0
@@ -78,23 +79,25 @@ def test_first_hit_matches_brute_force_scan():
 def test_first_hit_starts_on_edge():
     tiling = GridTiling.standard()
     start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
-    hit = tiling.first_hit(start, Vec2(1, 0).exactify())
+    hit = tiling.first_hit(start, branch_table(Vec2(1, 0).exactify()))
     assert hit.edge == GridEdge("v", 1, 0)
     assert tiling.point_on(hit.edge, hit.pos) == Vec2(1, Fraction(1, 3))
     back = Particle(GridEdge("v", 0, 0), Fraction(1, 3), -1)
     chord = Vec2(-1, 0).exactify()
-    assert tiling.first_hit(back, chord).edge == GridEdge("v", -1, 0)
+    assert (tiling.first_hit(back, branch_table(chord)).edge
+            == GridEdge("v", -1, 0))
 
 
 def test_first_hit_divides_int_chords_exactly():
     tiling = GridTiling.standard()
     start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
-    hit = tiling.first_hit(start, Vec2(1, 0))
+    hit = tiling.first_hit(start, branch_table(Vec2(1, 0)))
     assert isinstance(hit.pos, Fraction) and hit.pos == Fraction(1, 3)
-    turn = tiling.first_hit(start, Vec2(1, 2))
+    turn = tiling.first_hit(start, branch_table(Vec2(1, 2)))
     assert turn == Particle(GridEdge("h", 1, 0), Fraction(1, 3), 1)
     assert isinstance(turn.pos, Fraction)
-    assert isinstance(tiling.first_hit(start, Vec2(1.0, 0.0)).pos, float)
+    float_hit = tiling.first_hit(start, branch_table(Vec2(1.0, 0.0)))
+    assert isinstance(float_hit.pos, float)
 
 
 def oracle_first_hit(tiling, particle, chord):
@@ -138,9 +141,11 @@ def outcome(first_hit, *args):
 
 
 def test_first_hit_matches_the_fraction_formula():
-    """Int, Fraction and float chords, both edge axes and both crossing
-    signs, from Fraction positions of a few and of about 10,000 bits,
-    and from float positions; the same hit, or the same vertex."""
+    """Int, Fraction and float chords, each stepped through its
+    branch_table, and chords stepped through the table GridTiling.chord
+    keeps; both edge axes and both crossing signs, from Fraction
+    positions of a few and of about 10,000 bits, and from float
+    positions; the same hit, or the same vertex."""
     rng = random.Random(16)
     grids = [GridTiling.standard(),
              GridTiling.from_parameter(Fraction(7, 11)),
@@ -161,9 +166,11 @@ def test_first_hit_matches_the_fraction_formula():
         tiling = rng.choice(grids)
         kind = rng.choice(list(kinds))
         chord = Vec2(kinds[kind](), kinds[kind]())
-        shared = tiling.chord(rng.choice(grids), GridEdge(rng.choice("vh"),
-                                                          0, 0))
-        for chord in (chord, shared):
+        other = rng.choice(grids)
+        other_edge = GridEdge(rng.choice("vh"), 0, 0)
+        shared = tiling.to_local(other.direction_of(other_edge))
+        for chord, table in ((chord, branch_table(chord)),
+                             (shared, tiling.chord(other, other_edge))):
             edge = GridEdge(rng.choice("vh"), rng.randint(-5, 5),
                             rng.randint(-5, 5))
             across = rng.choice((1, -1))
@@ -175,7 +182,7 @@ def test_first_hit_matches_the_fraction_formula():
                 if not 0 < pos < 1:
                     continue
                 particle = Particle(edge, pos, across)
-                got = outcome(tiling.first_hit, particle, chord)
+                got = outcome(tiling.first_hit, particle, table)
                 assert got == outcome(oracle_first_hit, tiling, particle,
                                       chord)
                 size = ("float" if isinstance(pos, float) else
@@ -195,7 +202,7 @@ def test_first_hit_matches_the_fraction_formula():
 def test_first_hit_float_skips_resident_edge():
     tiling = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
     start = Particle(GridEdge("v", 0, 0), 0.25, 1)
-    hit = tiling.first_hit(start, Vec2(1.0, 0.0))
+    hit = tiling.first_hit(start, branch_table(Vec2(1.0, 0.0)))
     assert hit.edge.line == 1
 
 
@@ -210,15 +217,16 @@ def test_first_hit_float_far_from_origin():
         particle = tiling.particle_on(edge, rng.uniform(0.01, 0.99),
                                       rng.choice((1, -1)))
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        chord = tiling.to_local(Vec2(math.cos(angle), math.sin(angle)))
+        table = branch_table(
+            tiling.to_local(Vec2(math.cos(angle), math.sin(angle))))
         try:
-            hit = tiling.first_hit(particle, chord)
+            hit = tiling.first_hit(particle, table)
         except VertexHit:
             continue
         line, cell = (dx, dy) if edge.axis == "v" else (dy, dx)
         far = Particle(GridEdge(edge.axis, line, cell), particle.pos,
                        particle.across)
-        far_hit = tiling.first_hit(far, chord)
+        far_hit = tiling.first_hit(far, table)
         assert far_hit.pos == hit.pos and far_hit.across == hit.across
         line, cell = (dx, dy) if hit.edge.axis == "v" else (dy, dx)
         assert far_hit.edge == GridEdge(hit.edge.axis, hit.edge.line + line,

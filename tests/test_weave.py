@@ -109,12 +109,14 @@ def test_orbit_points_land_on_rays_with_positive_radii():
     for _ in range(50):
         n = rng.randint(3, 9)
         pair = random_oriented_weave(rng, n)
-        pts = orbit_points(pair, steps=2 * n)
+        pts = orbit_points(pair)
+        assert len(pts) == n + 1
         for j, p in enumerate(pts):
             ray = unit_from_angle(pair.a.angles[j % n])
             assert abs(float(ray.cross(p))) <= 1e-9 * max(1.0, p.norm())
             assert float(ray.dot(p)) > 0
-        bpts = orbit_points(pair.swapped(), steps=2 * n)
+        bpts = orbit_points(pair.swapped())
+        assert len(bpts) == n + 1
         for j, p in enumerate(bpts):
             ray = unit_from_angle(pair.b_angles[j % n])
             assert abs(float(ray.cross(p))) <= 1e-9 * max(1.0, p.norm())
@@ -350,9 +352,12 @@ def test_random_balanced_sunburst_scales_with_n():
         assert min(gaps) >= 0.12 * TWO_PI / n
 
 
-def test_random_balanced_sunburst_gives_up_after_bounded_attempts():
+def test_random_balanced_sunburst_gives_up_after_bounded_attempts(
+        monkeypatch):
+    # SAMPLER_MARGIN is read at call time.
+    monkeypatch.setattr(weave, "SAMPLER_MARGIN", 1.0)
     with pytest.raises(InvalidSunburst, match="100 attempts"):
-        random_balanced_sunburst(random.Random(229), 5, margin=1.0)
+        random_balanced_sunburst(random.Random(229), 5)
 
 
 def test_random_oriented_weave_is_a_weave_at_large_n():
