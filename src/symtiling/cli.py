@@ -104,8 +104,8 @@ def start_state(a, b, args) -> PairState:
 
 def _summary(cls) -> str:
     bits = [f"verdict={cls.verdict}"]
-    for key in ("period", "drift", "residual", "bit_growth", "bbox_spread",
-                "steps", "location"):
+    for key in ("lock", "period", "lambda_a", "lambda_b", "drift",
+                "residual", "bit_growth", "bbox_spread", "steps", "location"):
         if key in cls.evidence and cls.evidence[key] is not None:
             val = cls.evidence[key]
             if isinstance(val, float):

@@ -28,11 +28,23 @@ proved; in float mode positions are snapped to steps of the grid
 kernel's tolerance, `tilings.FLOAT_TOL`, and the comparison allows that
 tolerance.
 
+An exact orbit also stops once an itinerary certificate proves that it
+contracts.  Each step's joint branch symbol says, per particle, which
+branch of its table it took.  When the symbols repeat with a period of
+at most `MAX_PERIOD` steps and both particles are back on their edges
+of one period before, `certify` composes each particle's branch maps
+over the period, read from the same tables, and checks that the
+composite contracts a cylinder of positions into itself.  Such an orbit
+converges to a fixed pair of points, and the run ends as 'attracted',
+which `classify` calls bounded-attracted with the proof as evidence.
+Float runs record no symbols.
+
 Sunburst orbits have a closed form and live in `weave`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,6 +64,10 @@ INCONCLUSIVE = "inconclusive"
 VERDICTS = (PERIODIC, UNBOUNDED_DRIFT, BOUNDED_ATTRACTED, SINGULAR,
             INCONCLUSIVE)
 
+# Longest period of the joint branch word that an exact run tries to
+# certify (`certify`).
+MAX_PERIOD = 12
+
 
 @dataclass(frozen=True, slots=True)
 class PairState:
@@ -60,14 +76,34 @@ class PairState:
 
 
 @dataclass(frozen=True, slots=True)
+class Contraction:
+    """One particle's part of an itinerary certificate (`certify`).
+
+    Over one period of the word, the particle's position along its edge
+    moves by pos -> lam * pos + c, with 0 < |lam| < 1, whenever it starts
+    in the open interval cylinder = (lo, hi), which the map takes into
+    itself.  limit = c / (1 - lam) is the map's fixed point, which the
+    positions one period apart converge to.
+    """
+
+    lam: Fraction
+    cylinder: tuple
+    limit: Fraction
+
+
+@dataclass(frozen=True, slots=True)
 class Termination:
     """Why an orbit run stopped.
 
-    kind is one of 'periodic', 'translation', 'vertex', 'max-steps'.
-    period, drift and residual are set for the two recurrence kinds:
-    drift (translation only) is the common translation in A-local
-    integer coordinates, and residual is the float-mode closure error
-    (0 in exact mode).  location is the vertex hit, for 'vertex'.
+    kind is one of 'periodic', 'translation', 'attracted', 'vertex',
+    'max-steps'.  period, drift and residual are set for the two
+    recurrence kinds: drift (translation only) is the common translation
+    in A-local integer coordinates, and residual is the float-mode
+    closure error (0 in exact mode).  location is the vertex hit, for
+    'vertex'.  'attracted' is an exact run whose itinerary certificate
+    holds: period is the word's period, lock the first step from which
+    the word repeats, and certificate the pair of `Contraction`s of A
+    and B, whose cylinders hold the positions at this step.
     """
 
     kind: str
@@ -76,6 +112,8 @@ class Termination:
     drift: Optional[tuple] = None
     location: Optional[tuple] = None
     residual: Optional[float] = None
+    lock: Optional[int] = None
+    certificate: Optional[tuple] = None
 
 
 @dataclass(slots=True)
@@ -105,8 +143,9 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     update reads only the incoming state.
     """
     a, b = state.a, state.b
-    return PairState(a_tiling.first_hit(a, a_tiling.chord(b_tiling, b.edge)),
-                     b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge)))
+    return PairState(
+        a_tiling.first_hit(a, a_tiling.chord(b_tiling, b.edge.axis)),
+        b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge.axis)))
 
 
 def _key(particle: Particle, snap):
@@ -148,6 +187,58 @@ def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
     return residual, drift
 
 
+@functools.lru_cache(maxsize=1024)
+def certify(a_tiling, b_tiling, word: tuple):
+    """The pair (A, B) of `Contraction`s that prove an exact orbit which
+    follows the word forever, else None.
+
+    The word is one period of joint branch symbols, as `run_orbit`
+    records them: per step, (A's edge axis, A's across, B's edge axis,
+    B's across, A's next edge axis, B's next edge axis).  A particle went
+    to the parallel line when its next axis is its axis.  So each step
+    names, per particle, one map and open interval of the branch table
+    that `step` read (`tilings.branch_table`, from `GridTiling.chord`).
+    Composing a particle's maps over the word gives pos -> lam * pos + c,
+    and pulling each interval back to the word's start gives the cylinder
+    of positions that follow the word.
+
+    A particle qualifies when 0 < |lam| < 1 and its map takes its
+    cylinder into itself; the word is certified when both do.  Then a
+    state that follows the word, and whose edges one period later are its
+    own, keeps following it: a move reads
+    only the particle's own position, edge axis and across and the other
+    particle's edge axis, the word takes each particle's axis and across
+    back to where they started, and each position stays in its cylinder.
+    So both positions converge to their fixed points, geometrically by
+    |lam| per period, on edges that repeat with the period.  The result
+    depends only on the grids and the word, and is memoised.
+    """
+    proof = (_contraction(a_tiling, b_tiling,
+                          [(s[0], s[1], s[2], s[4]) for s in word]),
+             _contraction(b_tiling, a_tiling,
+                          [(s[2], s[3], s[0], s[5]) for s in word]))
+    return proof if all(proof) else None
+
+
+def _contraction(tiling, other, symbols):
+    """One particle's `Contraction` over its symbols (axis, across, other
+    particle's axis, next axis), or None when it does not contract into
+    its cylinder."""
+    lam, c = Fraction(1), Fraction(0)
+    lo, hi = Fraction(0), Fraction(1)
+    for axis, across, other_axis, next_axis in symbols:
+        maps = tiling.chord(other, other_axis)[axis][across > 0][3]
+        m, shift, low, high = maps[next_axis == axis]
+        ends = sorted(((low - c) / lam, (high - c) / lam))
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
+        lam, c = m * lam, m * c + shift
+    images = lam * lo + c, lam * hi + c
+    if not (lo < hi and 0 < abs(lam) < 1
+            and lo <= min(images) and max(images) <= hi):
+        return None
+    return Contraction(lam, (lo, hi), c / (1 - lam))
+
+
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
               keep_states: bool = True) -> OrbitRecord:
     """Iterate the pair map until recurrence, a singularity, or max_steps.
@@ -166,6 +257,16 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     steps are probed too.  The earliest matching state wins.  Zero
     translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
     terminate the run and are recorded rather than raised.
+
+    An exact run also records each step's joint branch symbol (see
+    `certify`).  Once the last 2p symbols repeat with a period p <=
+    MAX_PERIOD, both particles' edges are those of p steps before (zero
+    lattice shift) and `certify` proves the word contracting, the run
+    stops as 'attracted': from then on the orbit converges to a fixed
+    pair of points.  The candidate periods are the distances back to the
+    earlier visits of the same pair of edges, so a step that meets none
+    costs one lookup in a dict of edge pairs.  A lock with a nonzero shift runs on.  Float
+    runs record no symbols.
 
     Steps read their branch data from each grid's one table per other
     grid and edge axis, and the record's points and bit lengths come from
@@ -217,9 +318,36 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
                                drift=drift, residual=float(residual))
         return None
 
+    symbols = []
+    last_at = {}        # (A's edge, B's edge) -> the last step there
+    before = [None]     # per step, the step before it at the same edges
+
+    def check_certificate(prev: PairState, st: PairState, idx: int):
+        a, b = prev.a, prev.b
+        symbols.append((a.edge.axis, a.across, b.edge.axis, b.across,
+                        st.a.edge.axis, st.b.edge.axis))
+        edges = st.a.edge, st.b.edge
+        then = last_at.get(edges)
+        last_at[edges] = idx
+        before.append(then)
+        while then is not None and idx - then <= MAX_PERIOD:
+            p = idx - then
+            if 2 * p <= idx and symbols[-p:] == symbols[-2 * p:-p]:
+                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+                if proof is None:
+                    return None
+                lock = idx - 2 * p
+                while lock > 0 and symbols[lock - 1] == symbols[lock - 1 + p]:
+                    lock -= 1
+                return Termination("attracted", idx, period=p, lock=lock,
+                                   certificate=proof)
+            then = before[then]
+        return None
+
     record_state(start)
     check_recurrence(start, 0)
     while termination is None and index < max_steps:
+        prev = state
         try:
             state = step(a_tiling, b_tiling, state)
         except VertexHit as hit:
@@ -231,6 +359,8 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             states.append(state)
         record_state(state)
         termination = check_recurrence(state, index)
+        if termination is None and exact:
+            termination = check_certificate(prev, state, index)
     if termination is None:
         termination = Termination("max-steps", index)
     return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
@@ -246,7 +376,11 @@ def _bbox_diameter(points) -> float:
 def classify(record: OrbitRecord) -> Classification:
     """Verdict for an orbit record.
 
-    Recurrence terminations map directly to exact verdicts.  A run that
+    Recurrence terminations map directly to exact verdicts, and so does
+    'attracted': its itinerary certificate proves bounded-attracted, and
+    the evidence holds the proof: the lock step, the period and each
+    particle's lam, cylinder and limit (lambda_a, cylinder_a, limit_a,
+    and the same for B), next to the trace measures below.  A run that
     hit the step budget is called bounded-attracted when the coordinate
     complexity keeps climbing (the running-max bit-length growth over the
     start at least doubled during the second half) while the bounding
@@ -267,7 +401,9 @@ def classify(record: OrbitRecord) -> Classification:
         return Classification(SINGULAR, {"step": t.step,
                                          "location": t.location})
     n = len(record.bit_lengths)
-    if n < 4:
+    # A certificate needs two periods, so an 'attracted' record has at
+    # least three states.
+    if n < 4 and t.kind != "attracted":
         return Classification(INCONCLUSIVE, {"steps": n - 1})
     half = n // 2
     base = record.bit_lengths[0]
@@ -280,6 +416,12 @@ def classify(record: OrbitRecord) -> Classification:
     spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
     evidence = {"bit_growth": growth, "bbox_spread": spread,
                 "steps": n - 1, "diameter": diam_end}
+    if t.kind == "attracted":
+        a, b = t.certificate
+        return Classification(BOUNDED_ATTRACTED, dict(
+            lock=t.lock, period=t.period, lambda_a=a.lam, lambda_b=b.lam,
+            cylinder_a=a.cylinder, cylinder_b=b.cylinder, limit_a=a.limit,
+            limit_b=b.limit, **evidence))
     if peak_end > 0 and growth >= 2.0 and spread < 0.01:
         return Classification(BOUNDED_ATTRACTED, evidence)
     return Classification(INCONCLUSIVE, evidence)

@@ -8,7 +8,9 @@ and the sign with which its next move crosses the edge's line.  So a
 first hit is O(1), exact over rationals, and in float mode works on
 positions in (0, 1) however far the orbit goes.  It reads a branch
 table (`branch_table`) of the direction it moves along, which each grid
-keeps once per other grid and edge axis (`GridTiling.chord`).  World
+keeps once per other grid and edge axis (`GridTiling.chord`).  The table
+also states each exact branch as an affine map of the position and the
+open interval on which it holds, which `dynamics.certify` composes.  World
 points serve only to draw and report an orbit (`point_on`, and
 `float_point` for the floats and bit length an orbit record keeps).
 
@@ -113,20 +115,20 @@ class GridTiling:
     def to_local(self, p: Vec2) -> Vec2:
         return Vec2(p.cross(self.e2) / self.det, self.e1.cross(p) / self.det)
 
-    def direction_of(self, edge: GridEdge) -> Vec2:
-        return self.e2 if edge.axis == "v" else self.e1
+    def direction_of(self, axis: str) -> Vec2:
+        """Direction of this grid's edges of the given axis."""
+        return self.e2 if axis == "v" else self.e1
 
-    def chord(self, other: "GridTiling", edge: GridEdge) -> dict:
-        """The `branch_table` of `to_local(other.direction_of(edge))`, the
-        direction of an edge of the other grid in this grid's local
-        frame.  It depends only on the edge's axis, so it is built once
-        per other grid and axis and then read from a table.
+    def chord(self, other: "GridTiling", axis: str) -> dict:
+        """The `branch_table` of the direction of the other grid's edges of
+        the given axis, in this grid's local frame.  It is built once per
+        other grid and axis and then read from a table.
         """
-        key = other, edge.axis
+        key = other, axis
         table = self._chords.get(key)
         if table is None:
             table = self._chords[key] = branch_table(
-                self.to_local(other.direction_of(edge)))
+                self.to_local(other.direction_of(axis)))
         return table
 
     def point_on(self, edge: GridEdge, frac) -> Vec2:
@@ -211,7 +213,7 @@ class GridTiling:
         if slopes is None:
             raise NonTransverseEdges(
                 "chord direction is parallel to the particle's edge")
-        slope, up, terms = slopes[across > 0]
+        slope, up, terms, _ = slopes[across > 0]
         if terms is not None and type(pos) is Fraction:
             # n / m is pos + slope, unreduced.  Outside (0, 1) the cell's
             # end comes first, and at n / m = 0 or 1 it is a vertex.
@@ -246,7 +248,7 @@ class GridTiling:
 def branch_table(chord: Vec2) -> dict:
     """`first_hit`'s branch data for a grid-local chord, per own edge
     axis: None when the chord is parallel to that axis's edges, else a
-    pair indexed by across > 0 of (slope, slope > 0, terms).  Chord
+    pair indexed by across > 0 of (slope, slope > 0, terms, maps).  Chord
     components are Fractions or floats, as `to_local` gives them, or
     ints, which divide as Fractions.
 
@@ -254,7 +256,14 @@ def branch_table(chord: Vec2) -> dict:
     arithmetic.  For a nonzero Fraction slope a / b in lowest terms,
     terms is (a, b, scale, shift), where pos * scale + shift is the
     position met at the cell's end: (1 - pos) / slope or pos / -slope,
-    and one minus that when across < 0.  Otherwise terms is None.
+    and one minus that when across < 0.  maps is then the pair, indexed
+    by whether the move goes to the parallel line, of (m, c, lo, hi):
+    the move takes pos to m * pos + c exactly when pos lies in the open
+    interval (lo, hi).  The parallel line is met when 0 < pos + slope <
+    1, so the parallel map is (1, slope) on (max(0, -slope), min(1, 1 -
+    slope)); the turn map is (scale, shift) on (max(0, 1 - slope), 1)
+    for slope > 0 and on (0, min(1, -slope)) for slope < 0.  Otherwise
+    terms and maps are None.
     """
     table = {}
     for axis, normal, along in (("v", chord.x, chord.y),
@@ -270,17 +279,21 @@ def branch_table(chord: Vec2) -> dict:
 
 
 def _branch(slope, forward: bool) -> tuple:
-    """One entry of `branch_table`: (slope, slope > 0, terms)."""
+    """One entry of `branch_table`: (slope, slope > 0, terms, maps)."""
     up = slope > 0
     if not isinstance(slope, Fraction) or slope == 0:
-        return slope, up, None
+        return slope, up, None, None
     inv = 1 / slope
+    scale = -inv if forward else inv
     if up:
         shift = inv if forward else 1 - inv
+        turn = max(Fraction(0), 1 - slope), Fraction(1)
     else:
         shift = Fraction(0 if forward else 1)
-    return slope, up, (slope.numerator, slope.denominator,
-                       -inv if forward else inv, shift)
+        turn = Fraction(0), min(Fraction(1), -slope)
+    parallel = max(Fraction(0), -slope), min(Fraction(1), 1 - slope)
+    return slope, up, (slope.numerator, slope.denominator, scale, shift), (
+        (scale, shift) + turn, (Fraction(1), slope) + parallel)
 
 
 def _lowest_terms(k: int, c: int, p: int, q: int, d: int) -> tuple:

@@ -113,19 +113,19 @@ def test_c03_translation_drift_for_seven_elevenths(criterion):
         criterion(f"[C3 PASS] 5/5 starts translation-periodic with "
                   f"southeast drift; {elapsed:.1f}s")
         return
-    kinds = [t.kind for t in terminations]
+    ends = [f"{t.kind} at step {t.step}" for t in terminations]
     criterion(f"[C3 FAIL] t=7/11: {len(drifting)}/5 starts reached a "
-              f"translation recurrence (terminations {kinds} at {budget} "
-              f"exact steps, {elapsed:.1f}s); orbits contract onto a "
-              f"singular staircase instead -- see docs/decisions.md")
+              f"translation recurrence (terminations {ends}, budget "
+              f"{budget} exact steps, {elapsed:.1f}s); orbits contract onto "
+              f"fixed lattice vertices instead -- see docs/decisions.md")
     pytest.fail(
-        "no translation-periodic recurrence for the 7/11 pair: all five "
-        f"documented starts ran {budget} exact steps and terminated as "
-        f"{kinds}. Exact recurrence would need the rational coordinates to "
-        "repeat modulo a lattice shift, but their bit lengths grow "
-        "monotonically while the orbit contracts onto a staircase through "
-        "lattice vertices; an exhaustive branch search found no interior "
-        "periodic branch. Full analysis: docs/decisions.md")
+        "no translation-periodic recurrence for the 7/11 pair: the five "
+        f"documented starts, with a budget of {budget} exact steps, "
+        f"terminated as {ends}. Exact recurrence would need the rational "
+        "coordinates to repeat modulo a lattice shift, but each start's "
+        "itinerary certificate proves that its positions contract onto "
+        "edge ends with zero lattice shift, so each particle converges to "
+        "a fixed vertex of its grid. Full analysis: docs/decisions.md")
 
 
 def test_c04_one_third_orbits_are_bounded_attracted(criterion):

@@ -8,11 +8,11 @@ import pytest
 from symtiling import dynamics, tilings
 from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 SINGULAR, UNBOUNDED_DRIFT, OrbitRecord,
-                                PairState, Termination, classify,
+                                PairState, Termination, certify, classify,
                                 phase_portrait, portrait_cell, run_orbit,
                                 step)
 from symtiling.errors import NonTransverseEdges, VertexHit
-from symtiling.exact import Vec2, bit_length
+from symtiling.exact import Vec2, bit_length, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
 
@@ -80,9 +80,9 @@ def test_step_matches_oracle():
         for _ in range(60):
             state = random_state(rng, a, b)
             want_a = oracle_advance(a, state.a,
-                                    b.direction_of(state.b.edge))
+                                    b.direction_of(state.b.edge.axis))
             want_b = oracle_advance(b, state.b,
-                                    a.direction_of(state.a.edge))
+                                    a.direction_of(state.a.edge.axis))
             if want_a == "vertex" or want_b == "vertex":
                 with pytest.raises(VertexHit):
                     step(a, b, state)
@@ -156,8 +156,8 @@ def test_step_reads_each_grid_pairs_own_chords(exact):
             state = PairState(
                 Particle(GridEdge(axis_a, 1, -2), pos_a, across_a),
                 Particle(GridEdge(axis_b, 0, 1), pos_b, across_b))
-            chord_a = a.to_local(b.direction_of(state.b.edge))
-            chord_b = b.to_local(a.direction_of(state.a.edge))
+            chord_a = a.to_local(b.direction_of(state.b.edge.axis))
+            chord_b = b.to_local(a.direction_of(state.a.edge.axis))
             want = PairState(
                 a.first_hit(state.a, tilings.branch_table(chord_a)),
                 b.first_hit(state.b, tilings.branch_table(chord_b)))
@@ -225,9 +225,21 @@ def seven_elevenths_start():
         b.particle_on(GridEdge("v", 0, 0), Fraction(1, 3), 1))
 
 
+def seven_elevenths_mirror_start():
+    """A start on the 7/11 pair whose itinerary never locks: it keeps
+    pos_A + pos_B = 1 or pos_A = pos_B, and its orbit gains about 3.5
+    bits a step."""
+    a = GridTiling.standard()
+    b = GridTiling.from_parameter(Fraction(7, 11))
+    return a, b, PairState(
+        a.particle_on(GridEdge("v", 0, 0), Fraction(1, 4), 1),
+        b.particle_on(GridEdge("v", 0, 0), Fraction(3, 4), 1))
+
+
 def test_long_exact_orbit_records_match_point_on():
-    rec = check_recording(*seven_elevenths_start(), 2500)
-    assert rec.steps == 2500 and max(rec.bit_lengths) > 10_000
+    rec = check_recording(*seven_elevenths_mirror_start(), 3000)
+    assert rec.termination.kind == "max-steps"
+    assert rec.steps == 3000 and max(rec.bit_lengths) > 10_000
 
 
 def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
@@ -241,7 +253,7 @@ def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
         return gcd(*args)
 
     monkeypatch.setattr(math, "gcd", recording_gcd)
-    rec = run_orbit(*seven_elevenths_start(), 2500, keep_states=False)
+    rec = run_orbit(*seven_elevenths_mirror_start(), 3000, keep_states=False)
     monkeypatch.undo()
     assert max(rec.bit_lengths) > 10_000
     assert len(sizes) > 2500 and max(sizes) <= 64
@@ -433,12 +445,168 @@ def test_exact_bounded_orbit_classifies():
     b = GridTiling.from_parameter(Fraction(1, 3))
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 32), 1),
                       b.particle_on(GridEdge("v", 0, 0), Fraction(1, 32), 1))
-    rec = run_orbit(a, b, state, max_steps=400, keep_states=False)
-    assert rec.termination.kind == "max-steps"
+    rec = run_orbit(a, b, state, max_steps=400)
+    t = rec.termination
+    assert (t.kind, t.period) == ("attracted", 4) and t.step < 400
+    # Zero shift: each particle's edge after one period is its edge before.
+    then, now = rec.states[-1 - t.period], rec.states[-1]
+    assert (then.a.edge, then.b.edge) == (now.a.edge, now.b.edge)
     cls = classify(rec)
     assert cls.verdict == BOUNDED_ATTRACTED
+    assert cls.evidence["period"] == 4
+    assert cls.evidence["lambda_a"] == cls.evidence["lambda_b"] \
+        == Fraction(3, 4) ** 4
     assert cls.evidence["bit_growth"] >= 2.0
     assert cls.evidence["bbox_spread"] < 0.01
+
+
+def joint_symbol(prev, now):
+    """The joint branch symbol of the step from prev to now."""
+    return (prev.a.edge.axis, prev.a.across, prev.b.edge.axis,
+            prev.b.across, now.a.edge.axis, now.b.edge.axis)
+
+
+def test_certified_orbits_keep_their_certificate():
+    """Certified starts on three rotation pairs, stepped 400 more times:
+    no vertex is hit, the joint word keeps repeating, and one period
+    apart each particle is back on its edge, inside its cylinder, and
+    lam times as far from its limit as before."""
+    rng = random.Random(19)
+    a = GridTiling.standard()
+    for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7)):
+        b = GridTiling.from_parameter(t)
+        certified = 0
+        while certified < 4:
+            start = PairState(
+                a.particle_on(GridEdge(rng.choice("vh"), 0, 0),
+                              Fraction(rng.randint(1, 99), 100),
+                              rng.choice((1, -1))),
+                b.particle_on(GridEdge(rng.choice("vh"), 0, 0),
+                              Fraction(rng.randint(1, 99), 100),
+                              rng.choice((1, -1))))
+            rec = run_orbit(a, b, start, 200)
+            term = rec.termination
+            if term.kind != "attracted":
+                continue
+            certified += 1
+            p, proof = term.period, term.certificate
+            word = [joint_symbol(prev, now) for prev, now in
+                    zip(rec.states[-1 - p:-1], rec.states[-p:])]
+            state = base = rec.states[-1]
+            for k in range(1, 401):
+                nxt = step(a, b, state)
+                assert joint_symbol(state, nxt) == word[(k - 1) % p]
+                state = nxt
+                if k % p:
+                    continue
+                for part, prev, now in zip(proof, (base.a, base.b),
+                                           (state.a, state.b)):
+                    lo, hi = part.cylinder
+                    assert now.edge == prev.edge and lo < now.pos < hi
+                    assert abs(now.pos - part.limit) == abs(part.lam) * abs(
+                        prev.pos - part.limit)
+                base = state
+
+
+def test_rotation_pairs_contract_by_the_fourth_power_of_the_circle_ratio():
+    """For every t = p/q in (0, 1) with q <= 20, two starts certify with
+    period 4 and lam_A = lam_B = (min(x, y) / max(x, y))^4, where (x, y)
+    is the circle point of t."""
+    a = GridTiling.standard()
+    edge = GridEdge("v", 0, 0)
+    ts = {Fraction(p, q) for q in range(2, 21) for p in range(1, q)}
+    assert len(ts) == 127
+    for t in ts:
+        b = GridTiling.from_parameter(t)
+        for (fa, sa), (fb, sb) in (
+                ((Fraction(1, 3), 1), (Fraction(2, 5), 1)),
+                ((Fraction(2, 7), -1), (Fraction(1, 6), 1))):
+            start = PairState(a.particle_on(edge, fa, sa),
+                              b.particle_on(edge, fb, sb))
+            term = run_orbit(a, b, start, 400, keep_states=False).termination
+            assert (term.kind, term.period) == ("attracted", 4), t
+            u = rational_circle_point(t)
+            lam = (min(u.x, u.y) / max(u.x, u.y)) ** 4
+            assert [part.lam for part in term.certificate] == [lam, lam], t
+
+
+def test_float_runs_never_certify(monkeypatch):
+    """The certificate is exact-only: a float-grid run and an exact-grid
+    run from a float position call it never, while the same exact run
+    from Fraction positions does."""
+    calls = []
+    certify = dynamics.certify
+    monkeypatch.setattr(dynamics, "certify",
+                        lambda *args: calls.append(args) or certify(*args))
+    a = GridTiling.standard()
+    b = GridTiling.from_parameter(Fraction(1, 3))
+    fa, fb = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)), float_grid(
+        t=Fraction(1, 3))
+    edge = GridEdge("v", 0, 0)
+    runs = [(fa, fb, PairState(fa.particle_on(edge, 0.3, 1),
+                               fb.particle_on(edge, 0.4, 1))),
+            (a, b, PairState(Particle(edge, 0.3, -1),
+                             b.particle_on(edge, Fraction(2, 5), 1)))]
+    for grid_a, grid_b, start in runs:
+        rec = run_orbit(grid_a, grid_b, start, 200, keep_states=False)
+        assert rec.steps >= 24
+    assert calls == []
+    exact = PairState(a.particle_on(edge, Fraction(3, 10), 1),
+                      b.particle_on(edge, Fraction(2, 5), 1))
+    assert run_orbit(a, b, exact, 200).termination.kind == "attracted"
+    assert len(calls) >= 1
+
+
+def test_a_lock_with_a_lattice_shift_runs_on():
+    """This integer pair's orbit locks onto a word of period 2 whose maps
+    contract, but each period moves both particles to other edges: only
+    a zero shift bounds the orbit, so the run goes on to its budget."""
+    a = GridTiling.standard()
+    b = GridTiling(Vec2(-2, 1), Vec2(1, -2))
+    start = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(12, 25), -1),
+                      b.particle_on(GridEdge("v", 0, 0), Fraction(39, 50), 1))
+    rec = run_orbit(a, b, start, 60)
+    assert rec.termination.kind == "max-steps"
+    symbols = [joint_symbol(prev, now)
+               for prev, now in zip(rec.states, rec.states[1:])]
+    word = tuple(symbols[-2:])
+    assert symbols[-40:] == list(word) * 20
+    assert certify(a, b, word) is not None
+    then, now = rec.states[-3], rec.states[-1]
+    assert then.a.edge != now.a.edge and then.b.edge != now.b.edge
+
+
+class OneBranchGrid:
+    """A stand-in grid for `certify`: every branch of its table moves a
+    position by pos -> m * pos + c on the open interval (lo, hi)."""
+
+    def __init__(self, m, c, lo=Fraction(0), hi=Fraction(1)):
+        self.maps = ((m, c, lo, hi),) * 2
+
+    def chord(self, other, axis):
+        entry = (None, None, None, self.maps)
+        return {"v": (entry, entry), "h": (entry, entry)}
+
+
+def test_certify_accepts_only_maps_that_contract_into_their_cylinder():
+    half = Fraction(1, 2)
+    word = (("v", 1, "h", -1, "v", "h"),)
+    into = OneBranchGrid(half, 0, 0, half)
+    flip = OneBranchGrid(-half, half)
+    a, b = certify(into, flip, word)
+    assert (a.lam, a.cylinder, a.limit) == (half, (0, half), 0)
+    assert (b.lam, b.cylinder, b.limit) == (-half, (0, 1), Fraction(1, 3))
+    # Two steps compose, and their intervals pull back to the start.
+    a, _ = certify(OneBranchGrid(-half, Fraction(3, 4), 0, Fraction(5, 8)),
+                   flip, word * 2)
+    assert (a.lam, a.cylinder, a.limit) == (Fraction(1, 4),
+                                            (Fraction(1, 4), Fraction(5, 8)),
+                                            half)
+    for rejected in (OneBranchGrid(half, half, 0, half),   # leaves (0, 1/2)
+                     OneBranchGrid(Fraction(2), 0),         # expands
+                     OneBranchGrid(Fraction(1), 0)):        # lam = 1
+        assert certify(into, rejected, word) is None
+        assert certify(rejected, into, word) is None
 
 
 def test_zero_step_budget():

@@ -167,10 +167,10 @@ def test_first_hit_matches_the_fraction_formula():
         kind = rng.choice(list(kinds))
         chord = Vec2(kinds[kind](), kinds[kind]())
         other = rng.choice(grids)
-        other_edge = GridEdge(rng.choice("vh"), 0, 0)
-        shared = tiling.to_local(other.direction_of(other_edge))
+        other_axis = rng.choice("vh")
+        shared = tiling.to_local(other.direction_of(other_axis))
         for chord, table in ((chord, branch_table(chord)),
-                             (shared, tiling.chord(other, other_edge))):
+                             (shared, tiling.chord(other, other_axis))):
             edge = GridEdge(rng.choice("vh"), rng.randint(-5, 5),
                             rng.randint(-5, 5))
             across = rng.choice((1, -1))
@@ -197,6 +197,52 @@ def test_first_hit_matches_the_fraction_formula():
     assert {(p, c) for _, _, _, p, c in seen} == {
         (p, c) for p in ("float", "small", "big")
         for c in (int, Fraction, float)}
+
+
+def test_branch_maps_give_first_hits_new_position():
+    """Each exact branch's map (m, c) on its open interval (lo, hi) is
+    first_hit's move: from random positions in the interval, the hit is
+    at m * pos + c, on the parallel line exactly for the parallel map.
+    The two intervals meet at the one position whose move ends on a
+    vertex."""
+    rng = random.Random(18)
+    standard = GridTiling.standard()
+    grids = [GridTiling.from_parameter(t) for t in
+             (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7),
+              Fraction(-2, 9))]
+    grids.append(GridTiling(Vec2(-2, 1), Vec2(1, -2)))
+    tables = [tiling.chord(other, axis)
+              for tiling, other in [(standard, g) for g in grids]
+              + [(g, standard) for g in grids] for axis in "vh"]
+    tables += [branch_table(Vec2(rand_fraction(rng, 3, 13) or 1,
+                                 rand_fraction(rng, 3, 13) or 1))
+               for _ in range(40)]
+    checked = set()
+    for table in tables:
+        for axis in "vh":
+            for across in (1, -1):
+                slope, up, _, maps = table[axis][across > 0]
+                edge = GridEdge(axis, rng.randint(-3, 3), rng.randint(-3, 3))
+                for parallel, (m, c, lo, hi) in ((False, maps[0]),
+                                                 (True, maps[1])):
+                    for _ in range(6 if lo < hi else 0):
+                        q = rng.randint(2, 2 ** 40)
+                        pos = lo + (hi - lo) * Fraction(rng.randrange(1, q),
+                                                        q)
+                        hit = standard.first_hit(Particle(edge, pos, across),
+                                                 table)
+                        assert hit.pos == m * pos + c
+                        assert (hit.edge.axis == axis) == parallel
+                        checked.add((axis, across, up, parallel))
+                cut = 1 - slope if up else -slope
+                parts = {(lo, hi) for _, _, lo, hi in maps if lo < hi}
+                if 0 < cut < 1:
+                    assert parts == {(0, cut), (cut, 1)}
+                    with pytest.raises(VertexHit):
+                        standard.first_hit(Particle(edge, cut, across), table)
+                else:
+                    assert parts == {(0, 1)}
+    assert len(checked) == 16
 
 
 def test_first_hit_float_skips_resident_edge():
