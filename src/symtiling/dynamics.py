@@ -24,9 +24,11 @@ edge, crossing sign of each particle), so both literal periodicity and
 periodicity up to a common lattice translation (a drift orbit) are
 found by comparing a state only with the first state under its key.
 Over rationals the key and the comparison are exact and the verdict is
-proved; in float mode positions are snapped to steps of the grid
-kernel's tolerance, `tilings.FLOAT_TOL`, and the comparison allows that
-tolerance.
+proved, and a step reads one dict entry.  In float mode positions are
+snapped to steps of the grid kernel's tolerance, `tilings.FLOAT_TOL`, a
+step looks up its key and the eight keys one step away, and the
+comparison allows that tolerance; a float position's record is plain
+float work.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -252,11 +254,13 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     = 0, so the key is exact and a recurrence is proved.  Each next key
     reads only the pair's keys, so keys that repeat repeat periodically,
     each period adding the same shifts: no later state under a key closes
-    unless the first one does.  Float inputs use tol = tilings.FLOAT_TOL;
-    the key then snaps positions to steps of tol and the neighbouring
-    steps are probed too.  The earliest matching state wins.  Zero
-    translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
-    terminate the run and are recorded rather than raised.
+    unless the first one does, and an exact step reads one dict entry.
+    Float inputs use tol = tilings.FLOAT_TOL; the key then snaps
+    positions to steps of tol, and the nine keys whose steps are at most
+    one away for each particle are looked up.  The earliest matching
+    state wins.  Zero translation is a periodic orbit, nonzero a drift
+    orbit.  Vertex hits terminate the run and are recorded rather than
+    raised.
 
     An exact run also records each step's joint branch symbol (see
     `certify`).  Once the last 2p symbols repeat with a period p <=
@@ -265,14 +269,15 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     stops as 'attracted': from then on the orbit converges to a fixed
     pair of points.  The candidate periods are the distances back to the
     earlier visits of the same pair of edges, so a step that meets none
-    costs one lookup in a dict of edge pairs.  A lock with a nonzero shift runs on.  Float
-    runs record no symbols.
+    costs one lookup in a dict of edge pairs.  A lock with a nonzero
+    shift runs on.  Float runs record no symbols.
 
     Steps read their branch data from each grid's one table per other
     grid and edge axis, and the record's points and bit lengths come from
-    `GridTiling.float_point`; over rationals both are integer work whose
-    gcds each take one small argument.  Exact keys hold a position as its
-    (numerator, denominator).
+    `GridTiling.float_point`: over rationals both are integer work whose
+    gcds each take one small argument, and a float position's record is
+    plain float work.  Exact keys hold a position as its (numerator,
+    denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
@@ -296,17 +301,25 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         b_points.append((bx, by))
         bit_lengths.append(max(a_bits, b_bits))
 
-    def probes(key):
-        if tol <= 0:
-            return (key,)
-        axis, pos, across = key
-        return [(axis, pos + d, across) for d in (-1, 0, 1)]
-
     def check_recurrence(st: PairState, idx: int):
         ka, kb = _key(st.a, tol), _key(st.b, tol)
-        candidates = sorted(seen[pa, pb] for pa in probes(ka)
-                            for pb in probes(kb) if (pa, pb) in seen)
-        seen.setdefault((ka, kb), (idx, st))
+        if exact:
+            # One lookup, which also keeps the state when its key is new.
+            hit = seen.setdefault((ka, kb), (idx, st))
+            candidates = (hit,) if hit[0] < idx else ()
+        else:
+            (axis_a, pos_a, across_a), (axis_b, pos_b, across_b) = ka, kb
+            near_b = [(axis_b, pos_b + d, across_b) for d in (-1, 0, 1)]
+            candidates = []
+            for d in (-1, 0, 1):
+                near_a = axis_a, pos_a + d, across_a
+                for key_b in near_b:
+                    hit = seen.get((near_a, key_b))
+                    if hit is not None:
+                        candidates.append(hit)
+            if len(candidates) > 1:
+                candidates.sort()
+            seen.setdefault((ka, kb), (idx, st))
         for prev_idx, prev in candidates:
             residual, drift = _closure(a_tiling, b_tiling, st, prev)
             if residual > tol:

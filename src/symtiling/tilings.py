@@ -17,7 +17,10 @@ points serve only to draw and report an orbit (`point_on`, and
 Exact positions grow by some bits every step, while chords and grid
 bases stay small.  So an exact step and its record do integer work whose
 every gcd takes one small argument: a reduction of a big integer by a
-big one would cost time quadratic in the bit length.
+big one would cost time quadratic in the bit length.  A float position's
+record is plain float work, on a float copy of the basis and, for an
+exact grid's line terms, int true divisions, rounded as `point_on`'s
+point is.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonTransverseEdges, VertexHit
-from .exact import Vec2, bit_length, rational_circle_point
+from .exact import Vec2, rational_circle_point
 
 
 # Float tolerance of first_hit's vertex guard and of dynamics.run_orbit's
@@ -78,13 +81,17 @@ class GridTiling:
         # Branch tables of the other grid's edge directions, keyed by
         # (other grid, edge axis): see `chord`.
         self._chords = {}
-        # Exact grids: (d, (a, b, c, e)) with ints such that the matrix
-        # of columns e1, e2 is [[a, b], [c, e]] / d: see `float_point`.
-        self._int_basis = None
+        # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
+        # ints over their common denominator on an exact grid, and with
+        # the entries themselves over d = 1 on a float grid.
+        # _float_basis holds float(a / d), ...: see `float_point`.
+        m = e1.x, e2.x, e1.y, e2.y
+        self._float_basis = tuple(float(v) for v in m)
+        self._basis = 1, m
         if self.exact:
-            m = [Fraction(v) for v in (e1.x, e2.x, e1.y, e2.y)]
+            m = [Fraction(v) for v in m]
             d = math.lcm(*(v.denominator for v in m))
-            self._int_basis = d, tuple(
+            self._basis = d, tuple(
                 v.numerator * (d // v.denominator) for v in m)
 
     @classmethod
@@ -147,12 +154,27 @@ class GridTiling:
         lowest terms by gcds with one small argument only
         (`_lowest_terms`).  Dividing the reduced ints rounds as float()
         of the Fraction does.
+
+        Every other position is worked in plain floats, and each
+        coordinate is rounded as in `point_on`: a line term plus an along
+        term.  The along term is the float basis entry times cell + frac,
+        passed through float() unless it is a float already.  The line
+        term is (k * line) / d: on an exact grid an int true division,
+        which rounds as float() of the Fraction product does, and on a
+        float grid, with d = 1, the entry times line.  A grid may mix
+        float and Fraction entries; a Fraction position there, which
+        `particle_on` never makes, is rounded term by term.
         """
-        if self._int_basis is None or isinstance(frac, float):
-            point = self.point_on(edge, frac)
-            return (float(point.x), float(point.y),
-                    max(bit_length(point.x), bit_length(point.y)))
-        d, (a, b, c, e) = self._int_basis
+        d, (a, b, c, e) = self._basis
+        if not self.exact or isinstance(frac, float):
+            fa, fb, fc, fe = self._float_basis
+            line, along = edge.line, edge.cell + frac
+            if not isinstance(along, float):
+                along = float(along)
+            if edge.axis == "v":
+                return (a * line / d + fb * along,
+                        c * line / d + fe * along, 53)
+            return fa * along + b * line / d, fc * along + e * line / d, 53
         p, q = frac.numerator, frac.denominator
         if edge.axis == "v":
             kx, ky, cx, cy = (a * edge.line + b * edge.cell,

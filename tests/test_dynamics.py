@@ -203,9 +203,13 @@ def check_recording(a, b, start, max_steps):
     return rec
 
 
-def test_recorded_points_and_bits_match_point_on():
+def float_a():
+    """The A grid of the CLI's --angle runs: the standard grid in floats."""
+    return GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
+
+
+def check_recordings(a):
     rng = random.Random(15)
-    a = GridTiling.standard()
     pairs = [(a, GridTiling.from_parameter(t))
              for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7))]
     pairs += [random_integer_pair(rng) for _ in range(4)]
@@ -214,6 +218,42 @@ def test_recorded_points_and_bits_match_point_on():
     for a, b in pairs:
         for _ in range(4):
             check_recording(a, b, random_state(rng, a, b), 60)
+
+
+def test_recorded_points_and_bits_match_point_on():
+    check_recordings(GridTiling.standard())
+
+
+def test_recorded_points_and_bits_match_point_on_with_a_float_a():
+    check_recordings(float_a())
+
+
+def test_float_point_matches_point_on_bit_for_bit():
+    """float_point's plain float work rounds as float() of point_on's
+    world point does, 53 bits: float positions on exact grids, three of
+    whose bases have a common denominator d > 1, and on a grid that
+    mixes Fraction and float entries, and float and Fraction positions
+    on float grids, on both axes, with lines and cells up to 10^6 either
+    way."""
+    rng = random.Random(19)
+    exact = [GridTiling.standard(), GridTiling.from_parameter(Fraction(7, 11)),
+             GridTiling.from_parameter(Fraction(3, 7)),
+             GridTiling(Vec2(Fraction(2, 3), Fraction(-5, 7)),
+                        Vec2(Fraction(1, 9), Fraction(13, 5)))]
+    mixed = GridTiling(Vec2(Fraction(1, 3), 0.5), Vec2(0.25, Fraction(2, 7)))
+    floats = [float_a(), float_grid(theta=math.pi / 5), float_grid(theta=2.0),
+              float_grid(t=Fraction(7, 11))]
+    for tiling in exact + [mixed] + floats:
+        for n in range(1500):
+            span = 10 ** rng.randint(0, 6)
+            edge = GridEdge(rng.choice("vh"), rng.randint(-span, span),
+                            rng.randint(-span, span))
+            pos = rng.uniform(0.0, 1.0) or 0.5
+            if tiling in floats and n % 2:
+                pos = Fraction(rng.randint(1, 10 ** 6 - 1), 10 ** 6)
+            (x, y), bits = recorded(tiling, Particle(edge, pos, 1))
+            assert tiling.float_point(edge, pos) == (x, y, bits) == (
+                x, y, 53)
 
 
 def seven_elevenths_start():
@@ -348,45 +388,89 @@ def float_grid(theta=None, t=None):
                       Vec2(float(b.e2.x), float(b.e2.y)))
 
 
-def test_float_recurrence_matches_linear_scan():
-    """At the grid kernel's tolerance these orbits contract onto a
-    vertex and hit it."""
+def float_pairs(a):
+    """48 float starts against A on four float grids."""
     rng = random.Random(61)
-    a = GridTiling.standard()
-    kinds = []
+    runs = []
     for b in (float_grid(theta=math.pi / 5), float_grid(theta=1.0),
               float_grid(t=Fraction(1, 3)), float_grid(t=Fraction(7, 11))):
         for _ in range(12):
-            start = PairState(
+            runs.append((b, PairState(
                 a.particle_on(GridEdge(rng.choice("vh"), 0, 0),
                               rng.randint(1, 9999) / 10000,
                               rng.choice((1, -1))),
                 b.particle_on(GridEdge(rng.choice("vh"), 0, 0),
                               rng.randint(1, 9999) / 10000,
-                              rng.choice((1, -1))))
-            want = oracle_float_termination(a, b, start, 120,
-                                            tilings.FLOAT_TOL)
-            got = run_orbit(a, b, start, 120, keep_states=False).termination
-            assert got == want
-            kinds.append(got.kind)
+                              rng.choice((1, -1))))))
+    return runs
+
+
+def check_float_recurrence(a):
+    """At the grid kernel's tolerance these orbits contract onto a
+    vertex and hit it."""
+    kinds = []
+    for b, start in float_pairs(a):
+        want = oracle_float_termination(a, b, start, 120, tilings.FLOAT_TOL)
+        got = run_orbit(a, b, start, 120, keep_states=False).termination
+        assert got == want
+        kinds.append(got.kind)
     assert kinds.count("vertex") >= 24
 
 
-def test_float_recurrence_across_key_arcs(monkeypatch):
-    """A grid tolerance of 2^-20 snaps positions to steps of 2^-20, so
-    starts at eighths of an edge sit on step boundaries and a return a
-    rounding error below the start lands in the neighbouring step."""
+def test_float_recurrence_matches_linear_scan():
+    check_float_recurrence(GridTiling.standard())
+
+
+def test_float_recurrence_matches_linear_scan_with_a_float_a():
+    check_float_recurrence(float_a())
+
+
+@pytest.mark.parametrize("grid_a", [GridTiling.standard, float_a],
+                         ids=["exact-a", "float-a"])
+def test_float_records_skip_point_on(monkeypatch, grid_a):
+    """A float run's record is plain float work: point_on runs only where
+    first_hit reports a VertexHit, once per vertex termination."""
+    a = grid_a()
+    calls = []
+    point_on = GridTiling.point_on
+    monkeypatch.setattr(GridTiling, "point_on",
+                        lambda self, *args: calls.append(args)
+                        or point_on(self, *args))
+    kinds = [run_orbit(a, b, start, 120, keep_states=False).termination.kind
+             for b, start in float_pairs(a)]
+    assert kinds.count("vertex") >= 24
+    assert len(calls) == kinds.count("vertex")
+
+
+def check_key_arcs(monkeypatch, place):
+    """Periodic orbits on the pi/4 pair from starts at place(j / 8),
+    recurring as the linear scan finds, at a grid tolerance of 2^-20."""
     a = GridTiling.standard()
     b = float_grid(theta=math.pi / 4)
     tol = 2.0 ** -20
     monkeypatch.setattr(tilings, "FLOAT_TOL", tol)
     for ea, eb, sa, sb in itertools.product("vh", "vh", (1, -1), (1, -1)):
         for j, k in itertools.product(range(1, 8), repeat=2):
-            start = PairState(a.particle_on(GridEdge(ea, 0, 0), j / 8, sa),
-                              b.particle_on(GridEdge(eb, 0, 0), k / 8, sb))
+            start = PairState(
+                a.particle_on(GridEdge(ea, 0, 0), place(j / 8), sa),
+                b.particle_on(GridEdge(eb, 0, 0), place(k / 8), sb))
             want = oracle_float_termination(a, b, start, 40, tol)
             got = run_orbit(a, b, start, 40, keep_states=False).termination
             assert got == want and got.kind == "periodic"
+
+
+def test_float_recurrence_across_key_arcs(monkeypatch):
+    """A grid tolerance of 2^-20 snaps positions to steps of 2^-20, so
+    starts at eighths of an edge sit on step boundaries and a return a
+    rounding error below the start lands in the step below."""
+    check_key_arcs(monkeypatch, lambda x: x)
+
+
+def test_float_recurrence_across_key_arcs_from_below(monkeypatch):
+    """Starts one float below the eighths sit at the top of the step
+    below a boundary, so a return a rounding error above the start lands
+    in the step above."""
+    check_key_arcs(monkeypatch, lambda x: math.nextafter(x, 0))
 
 
 def test_exact_recurrence_needs_no_direction_match():
