@@ -16,9 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from random import Random
 
-import numpy as np
-
-from . import moduli, pipeline, serialize, svgout
+from . import serialize, svgout
 from .dynamics import PairState, classify, phase_portrait, run_orbit
 from .errors import EmptyInterval, GeometryError
 from .exact import Vec2
@@ -65,6 +63,14 @@ def parse_resolution(text: str):
     if hw < 1 or hh < 1:
         raise ValueError(f"resolution must be positive, got {text!r}")
     return hw, hh
+
+
+def parse_steps(text: str) -> int:
+    """A --max-steps budget: a whole number of steps, 0 or more."""
+    steps = int(text)
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {steps}")
+    return steps
 
 
 def build_tilings(args):
@@ -188,6 +194,9 @@ def cmd_linkage_convert(args):
 
 
 def cmd_moduli_embed(args):
+    # Imported here so that numpy, which moduli loads, stays out of the
+    # other commands.
+    from . import moduli, pipeline
     poly = _input_polygon(args)
     point = pipeline.equilateral_to_hyperbolic(poly)
     disk = moduli.to_disk(point)
@@ -202,10 +211,12 @@ def cmd_moduli_embed(args):
 
     line = (f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
             f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
-    return line, {"input": poly.vertices, "point": point, "disk": disk}, draw
+    return line, {"input": poly.vertices, "point": point,
+                  "disk": disk.tolist()}, draw
 
 
 def cmd_pentagon_verify(args):
+    from . import moduli
     form = moduli.area_form(5)
     report = moduli.pentagon_report()
     angle_residual = max(abs(a - math.pi / 2) for a in report["angles"])
@@ -215,9 +226,8 @@ def cmd_pentagon_verify(args):
     walls, order = report["walls"], report["order"]
     ortho = [abs(form.pairing(walls[order[i]], walls[order[(i + 1) % 5]]))
              for i in range(5)]
-    eig = np.linalg.eigvalsh(form.quotient_gram)
     out = {
-        "signature": [int(np.sum(eig > 0)), int(np.sum(eig < 0))],
+        "signature": list(form.signature),
         "angles": list(report["angles"]),
         "sides": list(report["sides"]),
         "angle_residual": angle_residual,
@@ -247,7 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--angle", default=None,
                              help="rotation angle in place of --t, e.g. "
                                   "pi/4; runs in float arithmetic")
-            sub.add_argument("--max-steps", type=int, default=max_steps)
+            sub.add_argument("--max-steps", type=parse_steps,
+                             default=max_steps)
             sub.add_argument("--edge-a", default="v:0:0")
             sub.add_argument("--edge-b", default="v:0:0")
         if files is not None:

@@ -124,13 +124,16 @@ class AreaForm:
     gram is the full N x N Gram matrix.  The radical (translations) is
     quotiented away by translating until s_0 = s_1 = 0, which leaves
     s_2..s_{N-1} as coordinates with Gram matrix quotient_gram of
-    signature (1, N-3).  frame maps those coordinates to the Fourier
-    frame, where the form is diag(1, -1, ..., -1).
+    signature (1, N-3); signature holds the counts of its positive and
+    negative eigenvalues that area_form checked.  frame maps those
+    coordinates to the Fourier frame, where the form is
+    diag(1, -1, ..., -1).
     """
 
     n: int
     gram: np.ndarray
     quotient_gram: np.ndarray
+    signature: tuple
     frame: np.ndarray
 
     def value(self, s) -> float:
@@ -203,7 +206,7 @@ def area_form(n: int) -> AreaForm:
     if (plus, minus) != (1, n - 3):
         raise SignatureMismatch(
             f"quotient signature ({plus},{minus}), expected (1,{n - 3})")
-    return AreaForm(n, gram, quotient, _fourier_frame(n))
+    return AreaForm(n, gram, quotient, (plus, minus), _fourier_frame(n))
 
 
 def butterfly_matrix(n: int, k: int) -> np.ndarray:

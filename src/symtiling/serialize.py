@@ -2,9 +2,10 @@
 default= hook `encode`.  A dataclass becomes an object of its fields,
 leaving out fields that are None; a `Vec2` becomes [x, y]; a `Fraction`
 becomes a "p/q" string, so exact records keep their rationals bit for
-bit; an `np.ndarray` becomes a list.  Floats are JSON numbers, printed
-with enough digits to round-trip exactly, and tuples become lists.  The
-one reader, `polygon_from_json`, is the CLI's polygon input.
+bit.  Floats are JSON numbers, printed with enough digits to round-trip
+exactly, and tuples become lists; a caller hands an array over as its
+`tolist()`.  The one reader, `polygon_from_json`, is the CLI's polygon
+input.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import dataclasses
 import json
 from fractions import Fraction
 from numbers import Real
-
-import numpy as np
 
 from .exact import Vec2
 from .linkage import Polygon
@@ -27,8 +26,6 @@ def encode(obj):
         return [obj.x, obj.y]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     if dataclasses.is_dataclass(obj):
         fields = ((f.name, getattr(obj, f.name))
                   for f in dataclasses.fields(obj))

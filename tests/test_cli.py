@@ -395,6 +395,9 @@ def test_sunburst_solve_large_n_returns(tmp_path):
       "2x2"], 2),
     (["grid-orbit", "--angle", "pi/2", "--max-steps", "300"], 2),
     (["grid-orbit", "--angle", "pi"], 2),
+    (["grid-orbit", "--t", "1/3", "--max-steps", "-1"], 2),
+    (["grid-portrait", "--max-steps", "-1"], 2),
+    (["grid-orbit", "--t", "1/3", "--max-steps", "0"], 0),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     done = run_module(tmp_path, argv, timeout=20)

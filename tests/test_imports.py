@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import symtiling
@@ -8,13 +11,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_level_import_is_used():
-    """In src and tests; __init__.py re-exports what it imports, so it is
-    left out."""
+    """In src and tests, the package root included."""
     unused = []
     for path in [*sorted(SRC.glob("*.py")),
                  *sorted((ROOT / "tests").glob("*.py"))]:
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported = []
         for node in tree.body:
@@ -34,7 +34,7 @@ def test_every_module_level_import_is_used():
 def test_every_function_is_referenced():
     """Each def and class of the package is loaded by name, or as an
     attribute, somewhere in src, tests or bench; an import alone does
-    not count, since __init__.py imports every public name."""
+    not count."""
     defined = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -80,3 +80,47 @@ def test_no_identity_keyed_caches():
                     and node.func.id == "id"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_moduli_layer_imports_numpy():
+    """numpy serves the hyperbolic geometry alone: no other module under
+    src imports it, at module level or inside a function."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("moduli.py", "pipeline.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in names
+                      if name.split(".")[0] == "numpy"]
+    assert found == []
+
+
+NUMPY_FREE_RUN = """
+import sys
+from symtiling import cli
+for argv in (["grid-orbit", "--t", "1/3", "--seed", "5"],
+             ["grid-orbit", "--angle", "pi/5", "--seed", "5"],
+             ["grid-portrait", "--t", "1/3", "--resolution", "4x4"],
+             ["sunburst-solve", "--n", "6", "--seed", "3"],
+             ["linkage-convert", "--n", "7", "--seed", "3"]):
+    assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy loaded"
+assert cli.main(["moduli-embed", "--n", "5", "--seed", "2"]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_grid_sunburst_and_linkage_commands_never_load_numpy(tmp_path):
+    """Four of the six commands run in one fresh process without numpy;
+    moduli-embed, run after them, loads it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr

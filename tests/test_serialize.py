@@ -3,7 +3,6 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from symtiling import serialize
@@ -26,7 +25,6 @@ def test_scalar_wire_format():
     assert wire(Fraction(-3)) == "-3"
     assert wire(7) == 7
     assert wire(0.25) == 0.25
-    assert wire(np.array([0.5, -1.0])) == [0.5, -1.0]
     with pytest.raises(TypeError):
         serialize.encode(object())
 
