@@ -58,7 +58,10 @@ def parse_edge(text: str) -> GridEdge:
 
 
 def parse_resolution(text: str):
-    w, _, h = text.lower().partition("x")
+    """WxH, or a bare W for a square."""
+    w, x, h = text.lower().partition("x")
+    if x and not h:
+        raise ValueError(f"resolution needs a height after x, got {text!r}")
     hw, hh = int(w), int(h or w)
     if hw < 1 or hh < 1:
         raise ValueError(f"resolution must be positive, got {text!r}")

@@ -22,18 +22,6 @@ def rational(value) -> Fraction:
     raise TypeError(f"not a rational: {value!r}")
 
 
-def bit_length(value) -> int:
-    """Size diagnostic: max bit length of numerator and denominator.
-
-    Floats count as one mantissa.  The diagnostic is only informative in
-    exact mode, where growth tracks the arithmetic complexity of an orbit.
-    """
-    if isinstance(value, float):
-        return 53
-    f = Fraction(value)
-    return max(f.numerator.bit_length(), f.denominator.bit_length())
-
-
 @dataclass(frozen=True, slots=True)
 class Vec2:
     x: Fraction | float | int
@@ -53,18 +41,12 @@ class Vec2:
 
     __rmul__ = __mul__
 
-    def dot(self, other: "Vec2"):
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Vec2"):
         return self.x * other.y - self.y * other.x
 
     def perp(self) -> "Vec2":
         """Rotation by +90 degrees."""
         return Vec2(-self.y, self.x)
-
-    def norm2(self):
-        return self.x * self.x + self.y * self.y
 
     def norm(self) -> float:
         return math.hypot(float(self.x), float(self.y))

@@ -40,23 +40,9 @@ class Polygon:
         v = self.vertices
         return [v[(i + 1) % self.n] - v[i] for i in range(self.n)]
 
-    def signed_area(self) -> float:
-        v = self.vertices
-        return sum(float(v[i].cross(v[(i + 1) % self.n]))
-                   for i in range(self.n)) / 2.0
-
     def is_convex(self) -> bool:
         e = self.edge_vectors()
         return all(e[i].cross(e[(i + 1) % self.n]) > 0 for i in range(self.n))
-
-    def interior_angles(self):
-        e = self.edge_vectors()
-        out = []
-        for i in range(self.n):
-            prev, cur = e[i - 1], e[i]
-            turn = math.atan2(float(prev.cross(cur)), float(prev.dot(cur)))
-            out.append(math.pi - turn)
-        return out
 
     def edge_lengths(self):
         return [e.norm() for e in self.edge_vectors()]
@@ -67,13 +53,6 @@ class Polygon:
     def rotated(self, theta: float) -> "Polygon":
         u = unit_from_angle(theta)
         return Polygon(rotate(v, u) for v in self.vertices)
-
-    def scaled(self, k) -> "Polygon":
-        return Polygon(v * k for v in self.vertices)
-
-    def reflected(self) -> "Polygon":
-        """Mirror across the x axis; reverses orientation."""
-        return Polygon(Vec2(v.x, -v.y) for v in self.vertices)
 
 
 def _chain(burst: Sunburst) -> Polygon:

@@ -35,10 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (NonPositiveArea, NotConvex, ParallelWitnessLines,
-                     SignatureMismatch)
-from .exact import Vec2
-from .linkage import Polygon
+from .errors import NonPositiveArea, ParallelWitnessLines, SignatureMismatch
 
 
 def family_directions(n: int) -> np.ndarray:
@@ -51,70 +48,6 @@ def family_normals(n: int) -> np.ndarray:
     offset changes induced by unit x and y translations."""
     d = family_directions(n)
     return np.column_stack([-d[:, 1], d[:, 0]])
-
-
-def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
-    """Intersection of the lines of families i and j at offsets s."""
-    ang = math.tau * np.array([i % n, j % n]) / n
-    m = np.column_stack([-np.sin(ang), np.cos(ang)])
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    if abs(det) < 1e-12:
-        raise ParallelWitnessLines(f"families {i % n} and {j % n} are parallel")
-    rhs = np.array([s[i % n], s[j % n]])
-    return np.array([(m[1, 1] * rhs[0] - m[0, 1] * rhs[1]) / det,
-                     (-m[1, 0] * rhs[0] + m[0, 0] * rhs[1]) / det])
-
-
-def vertices_from_offsets(s) -> np.ndarray:
-    """Vertex k solves lines k and k+1, with determinant sin(2 pi/N)."""
-    s = np.asarray(s, dtype=float)
-    d = family_directions(len(s))
-    return ((s[:, None] * np.roll(d, -1, axis=0)
-             - np.roll(s, -1)[:, None] * d) / math.sin(math.tau / len(s)))
-
-
-def polygon_from_offsets(s) -> Polygon:
-    return Polygon(Vec2(float(x), float(y))
-                   for x, y in vertices_from_offsets(s))
-
-
-def signed_area(s) -> float:
-    """Shoelace area of the offset polygon; quadratic in the offsets."""
-    v = vertices_from_offsets(s)
-    w = np.roll(v, -1, axis=0)
-    return float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1])) / 2.0
-
-
-def signed_edge_lengths(s) -> np.ndarray:
-    """Length of edge k measured along its counterclockwise traversal
-    direction, which is -d_k under the left-normal convention; all
-    positive iff the offsets cut out a convex polygon.  With
-    theta = 2 pi/N it is (s_{k-1} + s_{k+1} - 2 cos theta s_k)/sin theta.
-    """
-    s = np.asarray(s, dtype=float)
-    theta = math.tau / len(s)
-    return ((np.roll(s, 1) + np.roll(s, -1) - 2.0 * math.cos(theta) * s)
-            / math.sin(theta))
-
-
-def is_convex_offsets(s) -> bool:
-    return bool(np.all(signed_edge_lengths(s) > 0))
-
-
-def random_convex_offsets(rng, n: int) -> np.ndarray:
-    """Random offsets near the regular polygon (all offsets 1).
-
-    Each offset moves by at most 0.35, a spread capped at
-    (1 - cos theta)/(1 + |cos theta|), below which every draw is convex
-    by the edge-length formula.
-    """
-    c = math.cos(math.tau / n)
-    spread = min(0.35, (1.0 - c) / (1.0 + abs(c)))
-    s = 1.0 + np.array([rng.uniform(-spread, spread) for _ in range(n)])
-    if not is_convex_offsets(s):
-        raise NotConvex(f"offsets drawn with spread {spread:.6g} are not "
-                        "convex")
-    return s
 
 
 @dataclass(frozen=True)
@@ -271,14 +204,6 @@ def to_hyperbolic(s) -> HyperbolicPoint:
     return HyperbolicPoint(form.n, tuple(x))
 
 
-def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
-    """On the unit sheet Q(p - q) = -4 sinh^2(d/2), which stays accurate
-    near d = 0, where acosh of the pairing loses half the digits."""
-    form = area_form(p.n)
-    v = p.as_array() - q.as_array()
-    return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -form.pairing(v, v))))
-
-
 def wall_normal(n: int, k: int) -> np.ndarray:
     """Unit spacelike Q-normal of the fixed hyperplane of butterfly k in
     the quotient, oriented positively against the regular polygon.
@@ -357,16 +282,6 @@ def cyclic_fixed_point(n: int) -> HyperbolicPoint:
     all-ones offset vector unchanged.
     """
     return HyperbolicPoint(n, tuple(reference_point(n)))
-
-
-def chart_c_coordinate(s) -> float:
-    """x-spacing between the intersections of line 0 with lines 2 and 3;
-    a translation-invariant linear functional used as a chart check.
-    """
-    n = len(s)
-    p = line_intersection(n, s, 0, 2)
-    q = line_intersection(n, s, 0, 3)
-    return float(p[0] - q[0])
 
 
 def to_disk(p: HyperbolicPoint) -> np.ndarray:

@@ -10,14 +10,12 @@ isometries of the input and under the orbit's dilation freedom.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .exact import unit_from_angle
 from .linkage import EquiangularSolution, Polygon, solve_equiangular
-from .moduli import (HyperbolicPoint, cyclic_matrix, hyperbolic_distance,
-                     quotient_map, to_hyperbolic)
+from .moduli import HyperbolicPoint, to_hyperbolic
 
 
 def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
@@ -40,27 +38,3 @@ def equilateral_to_hyperbolic(poly: Polygon) -> HyperbolicPoint:
     """Hyperbolic moduli point of a convex equilateral polygon."""
     return to_hyperbolic(equiangular_offsets(solve_equiangular(poly)))
 
-
-class RelabelReport(NamedTuple):
-    image: HyperbolicPoint
-    shifted_image: HyperbolicPoint
-    discrepancy: float
-
-
-def cyclic_relabel(poly: Polygon, shift: int = 1) -> RelabelReport:
-    """Relabel the polygon's vertices cyclically and compare moduli.
-
-    The relabeled polygon's image equals the induced cyclic isometry
-    applied to the original image; discrepancy is the hyperbolic
-    distance between the two, which vanishes up to numerics.
-    """
-    n = poly.n
-    shift %= n
-    shifted = Polygon(poly.vertices[shift:] + poly.vertices[:shift])
-    img = equilateral_to_hyperbolic(poly)
-    img_shift = equilateral_to_hyperbolic(shifted)
-    cq = quotient_map(cyclic_matrix(n))
-    mapped = np.linalg.matrix_power(cq, shift) @ img.as_array()
-    moved = HyperbolicPoint(n, tuple(mapped))
-    return RelabelReport(moved, img_shift,
-                         hyperbolic_distance(moved, img_shift))

@@ -146,7 +146,8 @@ class GridTiling:
 
     def float_point(self, edge: GridEdge, frac) -> tuple:
         """(x, y, bits): `point_on(edge, frac)` as floats, and the larger
-        `exact.bit_length` of its two coordinates, 53 for floats.
+        bit length of its two coordinates, each the larger of its
+        numerator's and denominator's; 53 for floats.
 
         On an exact grid a rational frac = p/q is worked in integers:
         each world coordinate is (k q + c p) / (d q), with d the common

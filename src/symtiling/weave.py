@@ -1,6 +1,5 @@
-"""Sunbursts and their pairs: weave predicates, spiral holonomy, the
-phase interval, and the phase solver that closes the orbit into a
-convex polygon.
+"""Sunbursts and their pairs: spiral holonomy, the phase interval, and
+the phase solver that closes the orbit into a convex polygon.
 
 A sunburst is the list of its ray angles, and every quantity here is a
 function of those angles; vectors are built only to iterate the orbit.
@@ -33,9 +32,9 @@ from .exact import unit_from_angle
 
 # solve_phase's stop on |log h|: the orbit then closes to 1e-12 of r0.
 PHASE_TOL = 1e-12
-# is_balanced and is_regular: above the rounding of their n-term sums.
-SUNBURST_TOL = 1e-12
-# The sampler's balance, inside SUNBURST_TOL so its samples are balanced.
+# random_balanced_sunburst's balance: its unit rays sum to a vector at
+# most this long, ten times below the 1e-12 slack that the rounding of
+# an n-term sum calls for.
 SAMPLER_TOL = 1e-13
 # The sampler's least gap, and least gap to pi, as a fraction of the
 # regular gap 2 pi / n; read at call time.
@@ -112,14 +111,6 @@ class SunburstPair:
         """
         a = self.a.angles
         return SunburstPair(Sunburst(self.b_angles), Sunburst(a[-1:] + a[:-1]))
-
-
-def is_oriented_weave(pair: SunburstPair) -> bool:
-    """Each phased B-ray strictly inside the cone from A[i] to -A[i-1]."""
-    a = pair.a.angles
-    b = pair.b_angles
-    return all(math.sin(b[i] - a[i]) > 0 and math.sin(b[i] - a[i - 1]) > 0
-               for i in range(pair.n))
 
 
 def orbit_points(pair: SunburstPair, r0=1.0):
@@ -235,9 +226,6 @@ class PhaseInterval:
     def hi(self) -> float:
         return self.lo + self.width
 
-    def contains(self, theta: float) -> bool:
-        return 0.0 < (theta - self.lo) % math.tau < self.width
-
 
 def phase_arcs(a: Sunburst, b: Sunburst):
     """Per-index arcs of phases theta with rot_theta(B[i]) inside the
@@ -313,19 +301,6 @@ def solve_phase(a: Sunburst, b: Sunburst) -> float:
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
     return theta % math.tau
-
-
-def is_balanced(s: Sunburst) -> bool:
-    """Unit ray directions summing to zero (up to SUNBURST_TOL)."""
-    return math.hypot(sum(map(math.cos, s.angles)),
-                      sum(map(math.sin, s.angles))) <= SUNBURST_TOL
-
-
-def is_regular(s: Sunburst) -> bool:
-    """All consecutive ray gaps equal to 2 pi / N (up to SUNBURST_TOL)."""
-    t = s.angles
-    return all(abs((t[i] - t[i - 1]) % math.tau - math.tau / s.n)
-               <= SUNBURST_TOL for i in range(s.n))
 
 
 def random_oriented_weave(rng, n: int) -> SunburstPair:

@@ -280,8 +280,9 @@ def test_angle_and_edge_parsing():
     with pytest.raises(ValueError):
         cli.parse_edge("d:0:0")
     assert cli.parse_resolution("64") == (64, 64)
-    with pytest.raises(ValueError):
-        cli.parse_resolution("3x0")
+    for text in ("3x0", "3x"):
+        with pytest.raises(ValueError):
+            cli.parse_resolution(text)
 
 
 def test_grid_portrait_config_records_every_flag(tmp_path):

@@ -12,8 +12,10 @@ from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 phase_portrait, portrait_cell, run_orbit,
                                 step)
 from symtiling.errors import NonTransverseEdges, VertexHit
-from symtiling.exact import Vec2, bit_length, rational_circle_point
+from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
+
+from oracles import bit_length
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -187,7 +189,7 @@ def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
 
 def recorded(tiling, particle):
     """Oracle of one particle's record: float() of point_on's world
-    coordinates, and their largest exact.bit_length."""
+    coordinates, and their largest oracles.bit_length."""
     p = tiling.point_on(particle.edge, particle.pos)
     return (float(p.x), float(p.y)), max(bit_length(p.x), bit_length(p.y))
 

@@ -1,6 +1,9 @@
 """The README's examples run against the code as it is: every CLI line
-parses, and the minimal session prints the verdict it promises."""
+parses, the minimal session prints the verdict it promises, and each
+listed tolerance is the constant it names."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -32,3 +35,14 @@ def test_readme_minimal_session_prints_its_verdict(capsys):
     (session,) = [b for b in fenced_blocks("python") if "run_orbit" in b]
     exec(session, {})
     assert capsys.readouterr().out.split() == ["bounded-attracted"]
+
+
+def test_readme_tolerances_are_the_constants():
+    section = README.read_text("utf-8").split("## Tolerances")[1]
+    section = section.split("\n## ")[0]
+    entries = re.findall(r"`(\w+)\.(\w+) = ([^`]+)`", section)
+    assert len(entries) >= 4
+    for module, name, value in entries:
+        constant = getattr(importlib.import_module(f"symtiling.{module}"),
+                           name)
+        assert constant == ast.literal_eval(value), (module, name)
