@@ -111,6 +111,18 @@ def start_state(a, b, args) -> PairState:
                      b.particle_on(parse_edge(args.edge_b), fb, sb))
 
 
+def input_files(args):
+    """The input files, which fix the input: refuse with them the flags
+    that only shape a random draw."""
+    given = [flag for flag, on in (("--seed", args.seed is not None),
+                                   ("--free", vars(args).get("free")))
+             if on]
+    if args.files and given:
+        raise ValueError("input files fix the input; they cannot be "
+                         "combined with " + ", ".join(given))
+    return args.files
+
+
 def _summary(cls) -> str:
     bits = [f"verdict={cls.verdict}"]
     for key in ("lock", "period", "lambda_a", "lambda_b", "drift",
@@ -148,7 +160,7 @@ def cmd_grid_portrait(args):
 
 def cmd_sunburst_solve(args):
     rng = Random(args.seed)
-    if args.files:
+    if input_files(args):
         a = Sunburst(serialize.read_json(args.files[0]))
         b = (Sunburst(serialize.read_json(args.files[1]))
              if len(args.files) > 1 else regular_sunburst(a.n))
@@ -178,7 +190,7 @@ def cmd_sunburst_solve(args):
 
 
 def _input_polygon(args) -> Polygon:
-    if args.files:
+    if input_files(args):
         return serialize.polygon_from_json(serialize.read_json(args.files[0]))
     rng = Random(args.seed)
     return random_convex_equilateral(rng, args.n)
@@ -255,11 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
         gives their help."""
         sub = subs.add_parser(name, help=about)
         if max_steps is not None:
-            sub.add_argument("--t", default="1/3",
-                             help="rational circle parameter")
-            sub.add_argument("--angle", default=None,
-                             help="rotation angle in place of --t, e.g. "
-                                  "pi/4; runs in float arithmetic")
+            rotation = sub.add_mutually_exclusive_group()
+            rotation.add_argument("--t", default="1/3",
+                                  help="rational circle parameter")
+            rotation.add_argument("--angle", default=None,
+                                  help="rotation angle in place of --t, "
+                                       "e.g. pi/4; runs in float arithmetic")
             sub.add_argument("--max-steps", type=parse_steps,
                              default=max_steps)
             sub.add_argument("--edge-a", default="v:0:0")

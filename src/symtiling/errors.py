@@ -58,4 +58,5 @@ class NonPositiveArea(GeometryError):
 
 
 class SignatureMismatch(GeometryError):
-    """Area form does not have the expected Lorentz signature."""
+    """Two walls do not meet on the hyperboloid: the vector Lorentz
+    orthogonal to both is not timelike."""

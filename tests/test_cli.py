@@ -45,8 +45,12 @@ def test_grid_orbit_writes_json_and_svg(tmp_path):
 
 
 def argv_from_config(config):
-    """The command line that a JSON record's config was parsed from."""
+    """The command line that a JSON record's config was parsed from.
+    The config of an --angle run still records --t at its default, which
+    --angle excludes, so that entry is left out."""
     config = dict(config)
+    if config.get("angle") is not None:
+        del config["t"]
     argv = [config.pop("command")]
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
@@ -327,10 +331,37 @@ def test_sunburst_solve_config_records_free(tmp_path):
     ["linkage-convert", "--tol", "1e-9"],
     ["moduli-embed", "--tol", "1e-9"],
     ["pentagon-verify", "--tol", "1e-9"],
+    ["grid-orbit", "--angle", "pi/5", "--t", "2/5"],
+    ["grid-orbit", "--t", "2/5", "--angle", "pi/5"],
+    ["grid-portrait", "--angle", "pi/5", "--t", "2/5"],
+    ["grid-portrait", "--t", "2/5", "--angle", "pi/5"],
 ])
 def test_parser_rejects_flags_that_do_nothing(argv):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(argv)
+
+
+REGULAR_RAYS = [2 * math.pi * k / 5 for k in range(5)]
+UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("command, data, flags", [
+    ("sunburst-solve", REGULAR_RAYS, ["--seed", "3"]),
+    ("sunburst-solve", REGULAR_RAYS, ["--free"]),
+    ("sunburst-solve", REGULAR_RAYS, ["--seed", "0", "--free"]),
+    ("linkage-convert", UNIT_SQUARE, ["--seed", "3"]),
+    ("moduli-embed", UNIT_SQUARE, ["--seed", "0"]),
+])
+def test_input_files_refuse_the_random_draw_flags(tmp_path, capsys, command,
+                                                  data, flags):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    jpath = tmp_path / "out.json"
+    assert cli.main([command, str(path), "--json", str(jpath)] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not jpath.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -106,6 +106,8 @@ def test_radical_and_signature():
         qeigs = np.linalg.eigvalsh(form.quotient_gram)
         assert np.sum(qeigs > 1e-9) == 1
         assert np.sum(qeigs < -1e-9) == n - 3
+        assert form.signature == (int(np.sum(qeigs > 1e-9)),
+                                  int(np.sum(qeigs < -1e-9)))
     for n in (*range(4, 13), 30, 64, 101, 200):
         theta = 2.0 * math.pi / n
         closed = np.sort((np.cos(theta * np.arange(n)) - math.cos(theta))
@@ -200,8 +202,29 @@ def test_square_butterfly_has_parallel_witness_lines():
         butterfly_matrix(4, 0)
     with pytest.raises(ParallelWitnessLines):
         butterfly_matrix(4, 2) @ np.ones(4)
-    with pytest.raises(ParallelWitnessLines):
-        wall_normal(4, 0)
+    for k in range(4):
+        with pytest.raises(ParallelWitnessLines):
+            wall_normal(4, k)
+    with pytest.raises(ValueError):
+        wall_normal(3, 0)
+    for n in range(5, 65):
+        for k in range(n):
+            butterfly_matrix(n, k)
+            wall_normal(n, k)
+
+
+def test_wall_normals_are_spacelike_and_point_inward():
+    """The closed forms that leave wall_normal no sign test: the class
+    of e_k has Q(e_k) = -cot(2 pi/n) < 0, and it pairs positively with
+    the regular polygon."""
+    for n in range(5, 65):
+        form = area_form(n)
+        q = -1.0 / math.tan(2.0 * math.pi / n)
+        ref = reference_point(n)
+        for k in range(n):
+            e = form.reduce(np.eye(n)[k])
+            assert math.isclose(form.pairing(e, e), q, rel_tol=1e-12)
+            assert form.pairing(ref, wall_normal(n, k)) > 0
 
 
 def test_butterflies_are_lorentz_reflections():
