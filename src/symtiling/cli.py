@@ -22,7 +22,7 @@ from .errors import EmptyInterval, GeometryError
 from .exact import Vec2
 from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
-from .weave import (Sunburst, SunburstPair, holonomy, orbit_points,
+from .weave import (Sunburst, SunburstPair, holonomy_product, orbit_points,
                     random_balanced_sunburst, random_oriented_weave,
                     regular_sunburst, solve_phase, weave_interval)
 
@@ -78,8 +78,10 @@ def parse_steps(text: str) -> int:
 
 def build_tilings(args):
     """The standard grid paired with its rotation: by --angle in floats,
-    else exactly by the rational circle parameter --t."""
+    else exactly by the rational circle parameter --t, 1/3 if unset."""
     if args.angle is None:
+        if args.t is None:
+            args.t = "1/3"
         return (GridTiling.standard(),
                 GridTiling.from_parameter(Fraction(args.t)))
     theta = parse_angle(args.angle)
@@ -113,13 +115,16 @@ def start_state(a, b, args) -> PairState:
 
 def input_files(args):
     """The input files, which fix the input: refuse with them the flags
-    that only shape a random draw."""
-    given = [flag for flag, on in (("--seed", args.seed is not None),
+    that only shape a random draw; without them --n is 5 if unset."""
+    given = [flag for flag, on in (("--n", args.n is not None),
+                                   ("--seed", args.seed is not None),
                                    ("--free", vars(args).get("free")))
              if on]
     if args.files and given:
         raise ValueError("input files fix the input; they cannot be "
                          "combined with " + ", ".join(given))
+    if not args.files and args.n is None:
+        args.n = 5
     return args.files
 
 
@@ -173,10 +178,9 @@ def cmd_sunburst_solve(args):
     interval = weave_interval(a, b)
     theta = solve_phase(a, b)
     pair = SunburstPair(a, b, theta)
-    report = holonomy(pair)
+    report = holonomy_product(pair)
     pts = orbit_points(pair)
-    closure = math.hypot(float(pts[-1].x - pts[0].x),
-                         float(pts[-1].y - pts[0].y))
+    closure = (pts[-1] - pts[0]).norm()
     poly = Polygon(pts[:pair.n])
     line = (f"theta={theta:.12f} h={report.h:.12g} "
             f"log_h={math.log(report.h):.3e} closure={closure:.3e} "
@@ -268,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=about)
         if max_steps is not None:
             rotation = sub.add_mutually_exclusive_group()
-            rotation.add_argument("--t", default="1/3",
-                                  help="rational circle parameter")
+            rotation.add_argument("--t", help="rational circle parameter")
             rotation.add_argument("--angle", default=None,
                                   help="rotation angle in place of --t, "
                                        "e.g. pi/4; runs in float arithmetic")
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--edge-b", default="v:0:0")
         if files is not None:
             sub.add_argument("files", nargs="*", help=files)
-            sub.add_argument("--n", type=int, default=5)
+            sub.add_argument("--n", type=int)
         if seed:
             sub.add_argument("--seed", type=int, default=None)
         if out:

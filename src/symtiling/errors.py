@@ -29,10 +29,6 @@ class DegenerateStep(GeometryError):
     """A sunburst orbit step missed its target ray (weave condition broken)."""
 
 
-class HolonomyMismatch(GeometryError):
-    """The closed-form holonomy and the iterated orbit disagree."""
-
-
 class EmptyInterval(GeometryError):
     """The per-index phase arcs have empty intersection."""
 

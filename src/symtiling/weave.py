@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from .errors import (DegenerateStep, EmptyInterval, HolonomyMismatch,
-                     InvalidSunburst)
+from .errors import DegenerateStep, EmptyInterval, InvalidSunburst
 from .exact import unit_from_angle
 
 # solve_phase's stop on |log h|: the orbit then closes to 1e-12 of r0.
@@ -164,7 +163,7 @@ def _phase_offsets(a: Sunburst, b: Sunburst):
 def holonomy_product(pair: SunburstPair) -> HolonomyReport:
     """Closed-form holonomy: per step j the radius ratio is
     cross(A[j], B[j+1]) / cross(A[j+1], B[j+1]) over unit rays, that is
-    sin(c_j + phase) / sin(d_j + phase).
+    sin(c_j + phase) / sin(d_j + phase), as sunburst-solve reports it.
     """
     factors = []
     for j, (cj, dj) in enumerate(zip(*_phase_offsets(pair.a, pair.b))):
@@ -185,24 +184,6 @@ def holonomy_iteration(pair: SunburstPair) -> HolonomyReport:
     radii = [p.norm() for p in pts]
     factors = tuple(radii[j + 1] / radii[j] for j in range(pair.n))
     return HolonomyReport(radii[-1], factors, "iteration")
-
-
-def holonomy(pair: SunburstPair) -> HolonomyReport:
-    """Product-formula holonomy, cross-checked against the orbit
-    iteration to 1e-12 relative error, times the pair's conditioning
-    when that exceeds 1: the largest 1/|sin| over the step factors'
-    sines sin(c_j + phase) and sin(d_j + phase).  The iteration gets
-    each as a cross product of unit vectors, whose rounding is
-    absolute, so a chord nearly along a ray costs that many digits.
-    """
-    prod = holonomy_product(pair)
-    it = holonomy_iteration(pair)
-    c, d = _phase_offsets(pair.a, pair.b)
-    cond = max(1.0 / abs(math.sin(t + pair.phase)) for t in c + d)
-    if abs(prod.h - it.h) > 1e-12 * max(1.0, cond) * abs(it.h):
-        raise HolonomyMismatch(
-            f"holonomy mismatch: product {prod.h!r} vs iteration {it.h!r}")
-    return prod
 
 
 def left_times_right_holonomy(pair: SunburstPair) -> float:

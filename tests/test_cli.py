@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symtiling import cli, moduli, serialize, svgout
+from symtiling import cli, moduli, serialize, svgout, weave
 from symtiling.linkage import regular_equilateral
 
 GREEN = bytes(svgout.VERDICT_COLORS["periodic"])
@@ -45,12 +45,8 @@ def test_grid_orbit_writes_json_and_svg(tmp_path):
 
 
 def argv_from_config(config):
-    """The command line that a JSON record's config was parsed from.
-    The config of an --angle run still records --t at its default, which
-    --angle excludes, so that entry is left out."""
+    """The command line that a JSON record's config was parsed from."""
     config = dict(config)
-    if config.get("angle") is not None:
-        del config["t"]
     argv = [config.pop("command")]
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
@@ -189,6 +185,20 @@ def test_sunburst_solve_balanced(tmp_path, capsys):
     assert poly.is_convex()
     ET.parse(spath)
     assert "theta=" in capsys.readouterr().out
+
+
+def test_sunburst_solve_runs_its_orbit_once(monkeypatch):
+    calls = []
+    orbit_points = weave.orbit_points
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orbit_points(*args, **kwargs)
+
+    monkeypatch.setattr(weave, "orbit_points", counted)
+    monkeypatch.setattr(cli, "orbit_points", counted)
+    assert cli.main(["sunburst-solve", "--n", "7", "--seed", "3"]) == 0
+    assert len(calls) == 1
 
 
 def test_sunburst_solve_empty_interval_exits_two(tmp_path, capsys):
@@ -351,6 +361,9 @@ UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
     ("sunburst-solve", REGULAR_RAYS, ["--seed", "0", "--free"]),
     ("linkage-convert", UNIT_SQUARE, ["--seed", "3"]),
     ("moduli-embed", UNIT_SQUARE, ["--seed", "0"]),
+    ("sunburst-solve", REGULAR_RAYS, ["--n", "5"]),
+    ("linkage-convert", UNIT_SQUARE, ["--n", "9"]),
+    ("moduli-embed", UNIT_SQUARE, ["--n", "4", "--seed", "0"]),
 ])
 def test_input_files_refuse_the_random_draw_flags(tmp_path, capsys, command,
                                                   data, flags):
@@ -362,6 +375,21 @@ def test_input_files_refuse_the_random_draw_flags(tmp_path, capsys, command,
     assert err.startswith("error: ")
     assert all(flag in err for flag in flags if flag.startswith("--"))
     assert not jpath.exists()
+
+
+def test_config_records_a_default_only_where_the_run_reads_it(tmp_path):
+    """An unset --t or --n is recorded at its default when the run reads
+    it, and as null when --angle or an input file takes its place."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(UNIT_SQUARE))
+    jpath = tmp_path / "out.json"
+    for argv, key, value in [
+            (["grid-orbit", "--seed", "5"], "t", "1/3"),
+            (["grid-orbit", "--angle", "pi/5", "--seed", "5"], "t", None),
+            (["linkage-convert", "--seed", "8"], "n", 5),
+            (["linkage-convert", str(path)], "n", None)]:
+        assert cli.main(argv + ["--json", str(jpath)]) == 0
+        assert json.loads(jpath.read_text())["config"][key] == value
 
 
 @pytest.mark.parametrize("argv", [
@@ -462,8 +490,8 @@ def test_sunburst_solve_rejects_boolean_angles(tmp_path, capsys):
 
 def test_sunburst_solve_accepts_a_gap_just_under_pi(tmp_path):
     """One gap is just under pi, so one chord runs nearly along its ray
-    and the iterated orbit loses three digits that the holonomy check
-    allows for."""
+    and an iterated orbit loses three digits; the closed-form holonomy
+    does not, and the printed closure shows the loss."""
     path = tmp_path / "in.json"
     path.write_text(json.dumps([2.0, 2.0 + 2 * math.pi * 1.998 / 3.998,
                                 2.0 + 2 * math.pi * 2.998 / 3.998]))

@@ -10,7 +10,7 @@ from symtiling.dynamics import PairState, Termination, run_orbit
 from symtiling.exact import Vec2
 from symtiling.linkage import random_convex_equilateral
 from symtiling.tilings import GridEdge, GridTiling
-from symtiling.weave import (holonomy, random_balanced_sunburst,
+from symtiling.weave import (holonomy_product, random_balanced_sunburst,
                              random_oriented_weave, regular_sunburst,
                              weave_interval)
 
@@ -92,7 +92,7 @@ def test_polygon_roundtrip():
 def test_report_wire_shapes():
     rng = random.Random(9)
     pair = random_oriented_weave(rng, 5)
-    rep = wire(holonomy(pair))
+    rep = wire(holonomy_product(pair))
     assert set(rep) == {"h", "step_factors", "method"}
     assert len(rep["step_factors"]) == 5
     a = random_balanced_sunburst(rng, 5)

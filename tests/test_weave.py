@@ -4,13 +4,11 @@ import random
 import pytest
 
 from symtiling import weave
-from symtiling.errors import (DegenerateStep, EmptyInterval, HolonomyMismatch,
-                              InvalidSunburst)
+from symtiling.errors import DegenerateStep, EmptyInterval, InvalidSunburst
 from symtiling.exact import unit_from_angle
-from symtiling.weave import (HolonomyReport, Sunburst, SunburstPair,
-                             holonomy, holonomy_iteration, holonomy_product,
-                             left_times_right_holonomy, log_holonomy,
-                             orbit_points, phase_arcs,
+from symtiling.weave import (Sunburst, SunburstPair, holonomy_iteration,
+                             holonomy_product, left_times_right_holonomy,
+                             log_holonomy, orbit_points, phase_arcs,
                              random_balanced_sunburst, random_oriented_weave,
                              regular_sunburst, solve_phase, weave_interval)
 
@@ -54,7 +52,7 @@ def test_regular_pair_closes_to_regular_polygon():
     assert closure <= 1e-12
     radii = [p.norm() for p in pts]
     assert max(radii) - min(radii) <= 1e-12
-    assert abs(holonomy(pair).h - 1.0) <= 1e-12
+    assert abs(holonomy_product(pair).h - 1.0) <= 1e-12
 
 
 def test_holonomy_product_equals_iteration():
@@ -77,25 +75,26 @@ def test_holonomy_product_equals_iteration():
 def test_holonomy_report_consistency_check():
     rng = random.Random(5)
     pair = random_oriented_weave(rng, 6)
-    report = holonomy(pair)
+    report = holonomy_product(pair)
     assert abs(report.h - holonomy_iteration(pair).h) <= 1e-12 * report.h
 
 
-def test_holonomy_check_catches_one_perturbed_factor(monkeypatch):
-    """The pair above, which passes unperturbed, is well conditioned, so
-    the check keeps its 1e-12 floor there."""
-    rng = random.Random(5)
-    pair = random_oriented_weave(rng, 6)
-    exact = weave.holonomy_product
-
-    def perturbed(p):
-        f = exact(p).step_factors
-        f = (f[0] * (1.0 + 1e-9),) + f[1:]
-        return HolonomyReport(math.prod(f), f, "product")
-
-    monkeypatch.setattr(weave, "holonomy_product", perturbed)
-    with pytest.raises(HolonomyMismatch):
-        holonomy(pair)
+def test_product_meets_iteration_on_an_ill_conditioned_pair():
+    """One gap just under pi puts a chord nearly along its ray, where
+    the iteration's unit-vector cross products lose digits: at the solved
+    phase the product still meets the iteration to 1e-12 relative, times
+    the pair's conditioning, the largest 1/|sin| over the step factors'
+    sines sin(c_j + phase) and sin(d_j + phase)."""
+    a = Sunburst([2.0, 2.0 + TWO_PI * 1.998 / 3.998,
+                  2.0 + TWO_PI * 2.998 / 3.998])
+    b = regular_sunburst(3)
+    pair = SunburstPair(a, b, solve_phase(a, b))
+    beta = pair.b_angles
+    cond = max(1.0 / abs(math.sin(beta[(j + 1) % 3] - a.angles[k]))
+               for j in range(3) for k in (j, (j + 1) % 3))
+    assert cond > 1000.0
+    product, iteration = holonomy_product(pair).h, holonomy_iteration(pair).h
+    assert abs(product - iteration) <= 1e-12 * max(1.0, cond) * iteration
 
 
 def test_left_times_right_is_one():
