@@ -223,27 +223,24 @@ def phase_arcs(a: Sunburst, b: Sunburst):
 
 
 def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:
-    """Intersection of the per-index phase arcs.
+    """Intersection of the per-index phase arcs, in one pass.
 
-    Every arc is shorter than pi, so the intersection is empty or a
-    single open arc whose counterclockwise endpoint is one of the arc
-    endpoints; testing each candidate endpoint for membership in all
-    arcs settles it without unwrapping the circle.
+    Every arc is shorter than pi, so when the intersection is nonempty,
+    each arc start lies less than pi clockwise of the intersection's: the
+    walk moves to each start strictly ahead, keeping the first of exact
+    ties.  A width <= 0 past the start it ends on means it is empty.
     """
     if a.n != b.n:
         raise InvalidSunburst("paired sunbursts must have equal ray counts")
-    arcs = phase_arcs(a, b)
-    best = None
-    for lo, _ in arcs:
-        offsets = [(lo - alo) % math.tau for alo, _ in arcs]
-        if any(off > aw for off, (_, aw) in zip(offsets, arcs)):
-            continue
-        width = min(aw - off for off, (_, aw) in zip(offsets, arcs))
-        if width > 0 and (best is None or width > best.width):
-            best = PhaseInterval(lo, width, tuple(arcs))
-    if best is None:
-        raise EmptyInterval(tuple(arcs))
-    return best
+    arcs = tuple(phase_arcs(a, b))
+    lo = arcs[0][0]
+    for alo, _ in arcs:
+        if 0 < (alo - lo) % math.tau < math.pi:
+            lo = alo
+    width = min(aw - (lo - alo) % math.tau for alo, aw in arcs)
+    if width <= 0:
+        raise EmptyInterval(arcs)
+    return PhaseInterval(lo, width, arcs)
 
 
 def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
@@ -255,25 +252,26 @@ def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
 def solve_phase(a: Sunburst, b: Sunburst) -> float:
     """The unique phase in the weave interval with holonomy 1.
 
-    log h decreases strictly in the phase across the interval, blowing
-    up to +inf at the clockwise end and down to -inf at the other: its
-    slope, the sum of cot(c_j + phase) - cot(d_j + phase), is negative
-    because c_j = d_j + gap_j with both angles in (0, pi).  Newton steps
-    from the midpoint keep a sign bracket and bisect it whenever a step
-    leaves it, until |log h| <= PHASE_TOL.
+    log h falls strictly across the interval, from +inf at its clockwise
+    end to -inf at the other: its slope, the sum of cot(c_j + phase) -
+    cot(d_j + phase), is negative because c_j = d_j + gap_j with both
+    angles in (0, pi).  So no end is evaluated: Newton steps from the
+    midpoint of the interval padded off its poles keep a sign bracket,
+    bisecting it when a step leaves it, until |log h| <= PHASE_TOL.
+    DegenerateStep names the |log h| reached after 100 evaluations, or
+    once no float lies inside the bracket and so none can do better.
     """
     interval = weave_interval(a, b)
-    pad = interval.width * 1e-9
+    pad = max(interval.width * 1e-9, 4 * math.ulp(interval.hi))
     lo, hi = interval.lo + pad, interval.hi - pad
-    if not (log_holonomy(a, b, lo) > 0 > log_holonomy(a, b, hi)):
-        raise DegenerateStep("holonomy does not change sign over the "
-                             "weave interval")
     c, d = _phase_offsets(a, b)
-    theta = 0.5 * (lo + hi)
+    f, theta = math.inf, 0.5 * (lo + hi)
     for _ in range(100):
+        if not lo < theta < hi:
+            break
         f = log_holonomy(a, b, theta)
         if abs(f) <= PHASE_TOL:
-            break
+            return theta % math.tau
         lo, hi = (theta, hi) if f > 0 else (lo, theta)
         slope = math.fsum(1.0 / math.tan(cj + theta)
                           - 1.0 / math.tan(dj + theta)
@@ -281,7 +279,7 @@ def solve_phase(a: Sunburst, b: Sunburst) -> float:
         theta -= f / slope
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
-    return theta % math.tau
+    raise DegenerateStep(f"phase solve stalls at |log h| = {abs(f):.3g}")
 
 
 def random_oriented_weave(rng, n: int) -> SunburstPair:

@@ -1,6 +1,7 @@
 """Reference implementations that the unit tests compare the package
-against, and the samplers and predicates those tests use.  Nothing in
-the package calls them.  pytest collects no tests from this file.
+against, and the samplers, predicates and inputs those tests use.
+Nothing in the package calls them.  pytest collects no tests from this
+file.
 """
 
 import math
@@ -8,10 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from symtiling.errors import NotConvex, ParallelWitnessLines
+from symtiling.errors import EmptyInterval, NotConvex, ParallelWitnessLines
 from symtiling.exact import Vec2
 from symtiling.linkage import Polygon
 from symtiling.moduli import HyperbolicPoint, area_form, family_directions
+from symtiling.weave import PhaseInterval, phase_arcs
 
 # is_balanced and is_regular: above the rounding of their n-term sums.
 SUNBURST_TOL = 1e-12
@@ -130,6 +132,20 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
 
 # Sunbursts.
 
+# Sunbursts against the regular one whose holonomy-1 phase no float
+# reaches within weave.PHASE_TOL.  A 10-ray one with a gap within about
+# 4e-7 pi of pi, whose weave interval is 9.5e-12 wide; and a 3-ray one
+# with a gap of pi - 1e-7 pi, where one ulp of the phase moves log h by
+# more than PHASE_TOL.
+UNSOLVABLE_SUNBURSTS = [
+    [7.2835614847915515, 7.603894146581928, 7.978409586477639,
+     8.176567035605224, 8.643290689007156, 9.110381951611174,
+     9.382403525035134, 9.69036909645929, 10.028424570482063,
+     10.4251541383908],
+    [0.0, math.pi - 1e-7 * math.pi, 1.5 * math.pi - 0.5e-7 * math.pi],
+]
+
+
 def is_oriented_weave(pair) -> bool:
     """Each phased B-ray strictly inside the cone from A[i] to -A[i-1]."""
     a = pair.a.angles
@@ -154,3 +170,22 @@ def is_regular(s) -> bool:
 def interval_contains(interval, theta: float) -> bool:
     """theta inside the open arc (lo, lo + width) of a PhaseInterval."""
     return 0.0 < (theta - interval.lo) % math.tau < interval.width
+
+
+def oracle_weave_interval(a, b) -> PhaseInterval:
+    """weave_interval by trying every arc start as the intersection's
+    start, in O(n^2): a start is a candidate when it lies in every arc,
+    and the widest candidate wins, the first of equal widths.
+    """
+    arcs = phase_arcs(a, b)
+    best = None
+    for lo, _ in arcs:
+        offsets = [(lo - alo) % math.tau for alo, _ in arcs]
+        if any(off > aw for off, (_, aw) in zip(offsets, arcs)):
+            continue
+        width = min(aw - off for off, (_, aw) in zip(offsets, arcs))
+        if width > 0 and (best is None or width > best.width):
+            best = PhaseInterval(lo, width, tuple(arcs))
+    if best is None:
+        raise EmptyInterval(tuple(arcs))
+    return best

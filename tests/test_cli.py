@@ -13,6 +13,8 @@ import pytest
 from symtiling import cli, moduli, serialize, svgout, weave
 from symtiling.linkage import regular_equilateral
 
+from oracles import UNSOLVABLE_SUNBURSTS
+
 GREEN = bytes(svgout.VERDICT_COLORS["periodic"])
 BLUE = bytes(svgout.VERDICT_COLORS["bounded-attracted"])
 
@@ -496,6 +498,18 @@ def test_sunburst_solve_accepts_a_gap_just_under_pi(tmp_path):
     path.write_text(json.dumps([2.0, 2.0 + 2 * math.pi * 1.998 / 3.998,
                                 2.0 + 2 * math.pi * 2.998 / 3.998]))
     assert cli.main(["sunburst-solve", str(path)]) == 0
+
+
+@pytest.mark.parametrize("angles", UNSOLVABLE_SUNBURSTS)
+def test_sunburst_solve_refuses_a_phase_it_cannot_reach(tmp_path, capsys,
+                                                        angles):
+    apath = tmp_path / "a.json"
+    jpath = tmp_path / "out.json"
+    serialize.write_json(angles, apath)
+    assert cli.main(["sunburst-solve", str(apath), "--json", str(jpath)]) == 2
+    assert capsys.readouterr().err.startswith("error: phase solve stalls at "
+                                              "|log h| = ")
+    assert not jpath.exists()
 
 
 def test_sunburst_solve_writes_the_input_angles_back(tmp_path):
