@@ -1,9 +1,9 @@
 """Command-line workbench: pair orbits on grids, verdict portraits,
 sunburst phase solving, polygon conversion, and the hyperbolic embedding.
 
-Every command is deterministic given its flags; randomness only enters
-through an explicit --seed.  Exit codes: 0 on success, 2 on degenerate
-or invalid input, 1 on IO failure.
+Every command is deterministic given its flags, however often main(argv)
+runs in one process; randomness only enters through an explicit --seed.
+Exit codes: 0 on success, 2 on degenerate or invalid input, 1 on IO failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from . import serialize, svgout
@@ -258,7 +259,9 @@ def cmd_pentagon_verify(args):
     return json.dumps(out, indent=2), out, None
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, then only read; binds cmd_* at that build."""
     parser = argparse.ArgumentParser(
         prog="symtiling",
         description="Workbench for coupled billiards on pairs of tilings.")
@@ -328,10 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command, which returns its summary line, its JSON payload
-    and the function drawing its figure.  The summary goes to stdout,
-    the payload under the parsed flags' "config" to --json, and the
-    figure to --out.  A payload that reports "passed": false exits 2."""
+    """Parse argv into a fresh Namespace from the declared defaults and run
+    its command, which returns its summary line, JSON payload and figure
+    drawer.  The line goes to stdout, the payload with the flags as "config"
+    to --json, the figure to --out; "passed": false in it exits 2."""
     args = build_parser().parse_args(argv)
     try:
         line, payload, draw = args.func(args)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -429,6 +430,84 @@ def run_module(tmp_path, argv, timeout):
     return subprocess.run([sys.executable, "-m", "symtiling"] + argv,
                           env=env, cwd=tmp_path, capture_output=True,
                           text=True, timeout=timeout)
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    """The root parser and its six subcommand parsers are built at most
+    once, and not again once the parser exists."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argvs = [["pentagon-verify"],
+             ["sunburst-solve", "--n", "5", "--seed", "1"],
+             ["grid-orbit", "--max-steps", "5"]]
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    assert len(built) <= 7
+    built.clear()
+    for argv in argvs:
+        assert cli.main(argv) == 0
+    assert built == []
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
+    """A sequence of in-process calls, each after a refused parse, prints,
+    exits and writes what a fresh process of the same argv does; flags
+    that one call fills in after parsing do not reach the next."""
+    sun = tmp_path / "sun.json"
+    serialize.write_json([0.5, 2.0, 3.5, 5.0], sun)
+    orbit = ["grid-orbit", "--max-steps", "50"]
+    runs = [
+        ["sunburst-solve", "--n", "7", "--seed", "3"],
+        ["sunburst-solve", str(sun)],
+        orbit + ["--t", "7/11", "--seed", "5"],
+        orbit,
+        orbit + ["--angle", "pi/5", "--seed", "5"],
+        orbit + ["--t", "7/11", "--seed", "5"],
+        ["linkage-convert", "--seed", "3"],
+        ["moduli-embed", "--n", "5", "--seed", "4"],
+        ["pentagon-verify"],
+    ]
+    configs = []
+    for k, argv in enumerate(runs):
+        for refused, code in ((["grid-orbit", "--t", "1/3", "--angle",
+                                "pi/5"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(refused)
+            assert exit_info.value.code == code
+        capsys.readouterr()
+        outputs = {}
+        for side in ("in", "fresh"):
+            jpath = tmp_path / f"{k}-{side}.json"
+            flags = ["--json", str(jpath)]
+            if argv[0] != "pentagon-verify":
+                flags += ["--out", str(tmp_path / f"{k}-{side}.svg")]
+            if side == "in":
+                code = cli.main(argv + flags)
+                out, err = capsys.readouterr()
+            else:
+                done = run_module(tmp_path, argv + flags, timeout=60)
+                code, out, err = done.returncode, done.stdout, done.stderr
+            record = json.loads(jpath.read_text())
+            del record["config"]["json"]
+            record["config"].pop("out", None)
+            figure = tmp_path / f"{k}-{side}.svg"
+            outputs[side] = (code, out, err, record,
+                             figure.read_bytes() if figure.exists() else None)
+        assert outputs["in"] == outputs["fresh"], argv
+        assert outputs["in"][0] == 0 and outputs["in"][2] == ""
+        configs.append(outputs["in"][3]["config"])
+    assert [c["n"] for c in configs[:2]] == [7, None]
+    bare = configs[3]
+    assert bare["t"] == "1/3" and bare["seed"] is None
+    assert cli.START_DEFAULTS.items() <= bare.items()
+    assert configs[4]["t"] is None and configs[5]["angle"] is None
 
 
 def test_sunburst_solve_large_n_returns(tmp_path):
