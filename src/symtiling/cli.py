@@ -3,7 +3,8 @@ sunburst phase solving, polygon conversion, and the hyperbolic embedding.
 
 Every command is deterministic given its flags, however often main(argv)
 runs in one process; randomness only enters through an explicit --seed.
-Exit codes: 0 on success, 2 on degenerate or invalid input, 1 on IO failure.
+Exit codes: 0 on success, 2 on degenerate or invalid input, 1 on IO failure;
+main(argv) returns every one of them, argparse's refusals and --help included.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from random import Random
 
 from . import serialize, svgout
 from .dynamics import PairState, classify, phase_portrait, run_orbit
-from .errors import EmptyInterval, GeometryError
+from .errors import GeometryError
 from .exact import Vec2
 from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
@@ -334,8 +335,12 @@ def main(argv=None) -> int:
     """Parse argv into a fresh Namespace from the declared defaults and run
     its command, which returns its summary line, JSON payload and figure
     drawer.  The line goes to stdout, the payload with the flags as "config"
-    to --json, the figure to --out; "passed": false in it exits 2."""
-    args = build_parser().parse_args(argv)
+    to --json, the figure to --out; "passed": false in it exits 2.  Refused
+    flags return 2 and --help 0: every outcome is a returned code."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
     try:
         line, payload, draw = args.func(args)
         print(line)
@@ -344,12 +349,6 @@ def main(argv=None) -> int:
             serialize.write_json({"config": config, **payload}, args.json)
         if vars(args).get("out"):
             draw(args.out)
-    except EmptyInterval as exc:
-        print("empty weave interval; per-index arcs (lo, width):",
-              file=sys.stderr)
-        for i, (lo, width) in enumerate(exc.arcs):
-            print(f"  {i}: ({lo:.6f}, {width:.6f})", file=sys.stderr)
-        return 2
     except (GeometryError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -357,7 +356,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if payload.get("passed", True) else 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

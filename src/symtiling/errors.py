@@ -30,11 +30,13 @@ class DegenerateStep(GeometryError):
 
 
 class EmptyInterval(GeometryError):
-    """The per-index phase arcs have empty intersection."""
+    """The per-index phase arcs, listed in the message, do not meet."""
 
     def __init__(self, arcs):
-        super().__init__("per-index phase arcs have empty intersection")
         self.arcs = tuple(arcs)
+        super().__init__("empty weave interval; per-index arcs (lo, width):"
+                         + "".join(f"\n  {i}: ({lo:.6f}, {w:.6f})"
+                                   for i, (lo, w) in enumerate(self.arcs)))
 
 
 class NotConvex(GeometryError):
@@ -52,7 +54,3 @@ class ParallelWitnessLines(GeometryError):
 class NonPositiveArea(GeometryError):
     """Hyperbolic embedding requires positive signed area."""
 
-
-class SignatureMismatch(GeometryError):
-    """Two walls do not meet on the hyperboloid: the vector Lorentz
-    orthogonal to both is not timelike."""

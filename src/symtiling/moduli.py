@@ -15,7 +15,10 @@ zero for j = +-1 (the translations) and negative otherwise.  On the
 quotient by translations the form thus has Lorentz signature (1, N-3).
 Unit-area convex polygons then live on a hyperboloid sheet: a
 hyperbolic space of dimension N-3, with the butterfly moves acting as
-reflections.
+reflections.  Their unit wall normals w_k have the Gram matrix
+-I + (C + C^T)/(2 cos theta), with C the cyclic shift: neighbouring
+walls pair to 1/(2 cos theta), which is the golden ratio phi at N = 5,
+and all other walls are orthogonal.
 
 The code takes these facts from the spectrum and measures none of
 them; the tests keep the numeric checks as oracles.  Both coordinate
@@ -37,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonPositiveArea, ParallelWitnessLines, SignatureMismatch
+from .errors import NonPositiveArea, ParallelWitnessLines
 
 
 def family_directions(n: int) -> np.ndarray:
@@ -201,31 +204,15 @@ def wall_normal(n: int, k: int) -> np.ndarray:
     Butterfly k moves only offset k and sends e_k to -e_k, so its
     mirror's normal is the class of e_k, with Q(e_k) = -cot(2 pi/N):
     zero exactly when the witness lines k-1 and k+1 are parallel
-    (N = 4), negative for N >= 5.  Its pairing with the regular
-    polygon's offsets (all ones) is tan(pi/N) > 0: no sign flip needed.
+    (N = 4), negative for N >= 5, and e_k is divided by its square root.
+    Its pairing with the regular polygon's offsets (all ones) is
+    tan(pi/N) > 0: no sign flip needed.
     """
     if n == 4:
         raise ParallelWitnessLines(
             f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
-    form = area_form(n)
-    w = form.reduce(np.eye(n)[k % n])
-    return w / math.sqrt(-form.pairing(w, w))
-
-
-def wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Positive-sheet point lying on both walls (their common
-    perpendicular foot), for three-dimensional quotients.
-    """
-    form = area_form(len(wa) + 2)
-    g = form.quotient_gram
-    v = np.cross(g @ wa, g @ wb)
-    q = form.pairing(v, v)
-    if q <= 0:
-        raise SignatureMismatch("walls do not meet on the hyperboloid")
-    v = v / math.sqrt(q)
-    if form.pairing(reference_point(form.n), v) < 0:
-        v = -v
-    return v
+    return (area_form(n).reduce(np.eye(n)[k % n])
+            / math.sqrt(1.0 / math.tan(math.tau / n)))
 
 
 def pentagon_walls():
@@ -244,15 +231,26 @@ def pentagon_report():
     """Vertices, interior angles, and side lengths of the right-angled
     pentagon bounded by the five butterfly walls.  Built once and
     shared by every caller, which only reads it.
+
+    Walls a and b consecutive in pentagon_wall_order() have b = a + 2,
+    and m = a + 1 is the wall next to both.  By the wall Gram closed
+    form, w_a and w_b are orthogonal with self-pairing -1, and each pairs
+    to phi = 1/(2 cos(2 pi/5)) with w_m.  Projecting w_m off both gives
+    w_m + phi (w_a + w_b), of self-pairing 2 phi^2 - 1 = phi^3: the
+    vertex is v = (w_m + phi (w_a + w_b))/phi^(3/2).  A positive sum of
+    walls, v pairs positively with the regular polygon, so it needs no
+    sign test.  Angles and sides are measured from pairings.
     """
     form = area_form(5)
     walls = pentagon_walls()
     order = pentagon_wall_order()
+    phi = 1.0 / (2.0 * math.cos(math.tau / 5))
     verts = []
     angles = []
     for i in range(5):
         wa, wb = walls[order[i]], walls[order[(i + 1) % 5]]
-        verts.append(wall_intersection(wa, wb))
+        wm = walls[(order[i] + 1) % 5]
+        verts.append((wm + phi * (wa + wb)) / phi ** 1.5)
         angles.append(math.acos(max(-1.0, min(1.0, -form.pairing(wa, wb)))))
     sides = [math.acosh(max(form.pairing(verts[i], verts[(i + 1) % 5]), 1.0))
              for i in range(5)]

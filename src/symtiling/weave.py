@@ -250,7 +250,8 @@ def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
 
 
 def solve_phase(a: Sunburst, b: Sunburst) -> float:
-    """The unique phase in the weave interval with holonomy 1.
+    """The unique phase in the weave interval with holonomy 1, as tested:
+    in (lo, lo + width) with lo in [0, tau), so it may exceed tau.
 
     log h falls strictly across the interval, from +inf at its clockwise
     end to -inf at the other: its slope, the sum of cot(c_j + phase) -
@@ -271,7 +272,7 @@ def solve_phase(a: Sunburst, b: Sunburst) -> float:
             break
         f = log_holonomy(a, b, theta)
         if abs(f) <= PHASE_TOL:
-            return theta % math.tau
+            return theta
         lo, hi = (theta, hi) if f > 0 else (lo, theta)
         slope = math.fsum(1.0 / math.tan(cj + theta)
                           - 1.0 / math.tan(dj + theta)

@@ -12,7 +12,8 @@ import numpy as np
 from symtiling.errors import EmptyInterval, NotConvex, ParallelWitnessLines
 from symtiling.exact import Vec2
 from symtiling.linkage import Polygon
-from symtiling.moduli import HyperbolicPoint, area_form, family_directions
+from symtiling.moduli import (HyperbolicPoint, area_form, family_directions,
+                              reference_point)
 from symtiling.weave import PhaseInterval, phase_arcs
 
 # is_balanced and is_regular: above the rounding of their n-term sums.
@@ -130,6 +131,24 @@ def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -form.pairing(v, v))))
 
 
+def oracle_wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
+    """Positive-sheet point lying on both walls (their common
+    perpendicular foot), for three-dimensional quotients: the Lorentz
+    cross product of the walls, normalised and turned towards the
+    regular polygon.  The numeric construction that the pentagon's
+    closed-form vertices replaced.
+    """
+    form = area_form(len(wa) + 2)
+    g = form.quotient_gram
+    v = np.cross(g @ wa, g @ wb)
+    q = form.pairing(v, v)
+    assert q > 0, "walls do not meet on the hyperboloid"
+    v = v / math.sqrt(q)
+    if form.pairing(reference_point(form.n), v) < 0:
+        v = -v
+    return v
+
+
 # Sunbursts.
 
 # Sunbursts against the regular one whose holonomy-1 phase no float
@@ -145,6 +164,12 @@ UNSOLVABLE_SUNBURSTS = [
     [0.0, math.pi - 1e-7 * math.pi, 1.5 * math.pi - 0.5e-7 * math.pi],
 ]
 
+
+# A 4-ray sunburst whose weave interval against the regular one,
+# (6.282723, 6.283531), straddles tau: its holonomy-1 phase exceeds tau,
+# and reducing it by tau would move log h by about 1.4e-12.
+STRADDLING_SUNBURST = [5.646441202597186, 6.28353122175576,
+                       9.424315841781155, 10.450202719431154]
 
 def is_oriented_weave(pair) -> bool:
     """Each phased B-ray strictly inside the cone from A[i] to -A[i-1]."""

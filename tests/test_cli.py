@@ -14,7 +14,7 @@ import pytest
 from symtiling import cli, moduli, serialize, svgout, weave
 from symtiling.linkage import regular_equilateral
 
-from oracles import UNSOLVABLE_SUNBURSTS
+from oracles import STRADDLING_SUNBURST, UNSOLVABLE_SUNBURSTS
 
 GREEN = bytes(svgout.VERDICT_COLORS["periodic"])
 BLUE = bytes(svgout.VERDICT_COLORS["bounded-attracted"])
@@ -211,7 +211,11 @@ def test_sunburst_solve_empty_interval_exits_two(tmp_path, capsys):
     code = cli.main(["sunburst-solve", str(apath),
                      "--json", str(tmp_path / "s.json")])
     assert code == 2
-    assert "empty" in capsys.readouterr().err.lower()
+    err = capsys.readouterr().err
+    assert "empty" in err.lower()
+    assert err.startswith("error: empty weave interval; per-index arcs "
+                          "(lo, width):\n  0: (")
+    assert len(err.splitlines()) == 4
 
 
 def test_sunburst_solve_from_files(tmp_path):
@@ -352,6 +356,7 @@ def test_sunburst_solve_config_records_free(tmp_path):
 def test_parser_rejects_flags_that_do_nothing(argv):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(argv)
+    assert cli.main(argv) == 2
 
 
 REGULAR_RAYS = [2 * math.pi * k / 5 for k in range(5)]
@@ -478,9 +483,7 @@ def test_in_process_calls_match_fresh_processes(tmp_path, capsys):
     for k, argv in enumerate(runs):
         for refused, code in ((["grid-orbit", "--t", "1/3", "--angle",
                                 "pi/5"], 2), (["--help"], 0)):
-            with pytest.raises(SystemExit) as exit_info:
-                cli.main(refused)
-            assert exit_info.value.code == code
+            assert cli.main(refused) == code
         capsys.readouterr()
         outputs = {}
         for side in ("in", "fresh"):
@@ -591,15 +594,23 @@ def test_sunburst_solve_refuses_a_phase_it_cannot_reach(tmp_path, capsys,
     assert not jpath.exists()
 
 
-def test_sunburst_solve_writes_the_input_angles_back(tmp_path):
-    angles = [0.5, 2.0, 3.5, 5.0]
-    apath = tmp_path / "a.json"
-    jpath = tmp_path / "out.json"
-    serialize.write_json(angles, apath)
-    assert cli.main(["sunburst-solve", str(apath), "--json", str(jpath)]) == 0
-    written = json.loads(jpath.read_text())["a"]
-    assert len(written) == 4
-    assert all(abs(w - t) <= 1e-15 for w, t in zip(written, angles))
+def test_sunburst_solve_writes_the_input_angles_back(tmp_path, capsys):
+    """Also for a sunburst whose phase exceeds tau: the printed log h is
+    the one at the phase written out."""
+    for angles in ([0.5, 2.0, 3.5, 5.0], STRADDLING_SUNBURST):
+        apath = tmp_path / "a.json"
+        jpath = tmp_path / "out.json"
+        serialize.write_json(angles, apath)
+        assert cli.main(["sunburst-solve", str(apath),
+                         "--json", str(jpath)]) == 0
+        payload = json.loads(jpath.read_text())
+        written = payload["a"]
+        assert len(written) == 4
+        assert all(abs(w - t) <= 1e-15 for w, t in zip(written, angles))
+        lo = payload["interval"]["lo"]
+        assert lo < payload["theta"] < lo + payload["interval"]["width"]
+        log_h = capsys.readouterr().out.split("log_h=")[1].split()[0]
+        assert abs(float(log_h)) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 6])

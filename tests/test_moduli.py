@@ -10,11 +10,14 @@ from symtiling.moduli import (area_form, butterfly_matrix,
                               family_directions, family_normals,
                               pentagon_report, pentagon_wall_order,
                               pentagon_walls, quotient_map, reference_point,
-                              to_disk, to_hyperbolic, wall_intersection,
-                              wall_normal)
+                              to_disk, to_hyperbolic, wall_normal)
+
+from symtiling.linkage import random_convex_equilateral
+from symtiling.pipeline import equilateral_to_hyperbolic
 
 from oracles import (hyperbolic_distance, is_convex_offsets,
-                     line_intersection, polygon_area, polygon_from_offsets,
+                     line_intersection, oracle_wall_intersection,
+                     polygon_area, polygon_from_offsets,
                      random_convex_offsets, signed_area, signed_edge_lengths,
                      vertices_from_offsets)
 
@@ -348,14 +351,57 @@ def test_fixed_point_inside_wall_pentagon():
 
 
 def test_wall_intersection_lies_on_both_walls():
+    """Each closed-form vertex of the report is the numeric Lorentz
+    cross-product intersection of its two walls."""
     form = area_form(5)
-    walls = pentagon_walls()
-    order = pentagon_wall_order()
-    for i in range(5):
+    report = pentagon_report()
+    walls, order = report["walls"], report["order"]
+    for i, v in enumerate(report["vertices"]):
         wa, wb = walls[order[i]], walls[order[(i + 1) % 5]]
-        v = wall_intersection(wa, wb)
+        assert np.max(np.abs(v - oracle_wall_intersection(wa, wb))) <= 1e-12
         assert abs(form.pairing(v, wa)) <= 1e-9
         assert abs(form.pairing(v, wb)) <= 1e-9
+
+
+def test_wall_gram_closed_form():
+    """The wall normals pair as -I + (C + C^T)/(2 cos(2 pi/n)): -1 with
+    themselves, 1/(2 cos(2 pi/n)) with their neighbours, 0 otherwise."""
+    for n in range(5, 13):
+        form = area_form(n)
+        w = np.array([wall_normal(n, k) for k in range(n)])
+        c = cyclic_matrix(n)
+        closed = -np.eye(n) + (c + c.T) / (2.0 * math.cos(math.tau / n))
+        assert np.max(np.abs(w @ form.quotient_gram @ w.T - closed)) <= 1e-12
+
+
+def test_wall_pairings_are_signed_edge_lengths():
+    """Edge k has signed length 2 (G s)_k, and the moduli point pairs
+    with wall k in proportion to it: times 2 sqrt(Q(s) cot(2 pi/n))."""
+    rng = random.Random(1100)
+    for n in range(5, 13):
+        form = area_form(n)
+        cot = 1.0 / math.tan(math.tau / n)
+        walls = [wall_normal(n, k) for k in range(n)]
+        for _ in range(50):
+            s = random_convex_offsets(rng, n)
+            lengths = signed_edge_lengths(s)
+            tol = 1e-12 * np.max(np.abs(lengths))
+            assert np.max(np.abs(2.0 * form.gram @ s - lengths)) <= tol
+            x = to_hyperbolic(s).as_array()
+            scale = 2.0 * math.sqrt(form.value(s) * cot)
+            paired = np.array([form.pairing(x, w) * scale for w in walls])
+            assert np.max(np.abs(paired - lengths)) <= tol
+
+
+def test_convex_equilateral_polygons_lie_inside_all_walls():
+    rng = random.Random(1100)
+    for n in range(5, 11):
+        form = area_form(n)
+        walls = [wall_normal(n, k) for k in range(n)]
+        for _ in range(200):
+            x = equilateral_to_hyperbolic(
+                random_convex_equilateral(rng, n)).as_array()
+            assert min(form.pairing(x, w) for w in walls) > 0
 
 
 def test_disk_projection_is_an_isometry():

@@ -13,9 +13,9 @@ from symtiling.weave import (Sunburst, SunburstPair, holonomy_iteration,
                              random_balanced_sunburst, random_oriented_weave,
                              regular_sunburst, solve_phase, weave_interval)
 
-from oracles import (UNSOLVABLE_SUNBURSTS, dot, interval_contains,
-                     is_balanced, is_oriented_weave, is_regular,
-                     oracle_weave_interval)
+from oracles import (STRADDLING_SUNBURST, UNSOLVABLE_SUNBURSTS, dot,
+                     interval_contains, is_balanced, is_oriented_weave,
+                     is_regular, oracle_weave_interval)
 
 TWO_PI = 2.0 * math.pi
 
@@ -270,15 +270,19 @@ def test_holonomy_blows_up_at_interval_ends():
 
 
 def test_solve_phase_on_balanced_regular_pairs():
+    """Also on a sunburst whose weave interval straddles tau: the phase
+    returned is the one tested, inside (lo, lo + width) unreduced."""
     rng = random.Random(71)
-    for _ in range(30):
-        n = rng.randint(3, 9)
-        a = random_balanced_sunburst(rng, n)
+    bursts = [random_balanced_sunburst(rng, rng.randint(3, 9))
+              for _ in range(30)] + [Sunburst(STRADDLING_SUNBURST)]
+    for a in bursts:
+        n = a.n
         b = regular_sunburst(n)
         theta = solve_phase(a, b)
         interval = weave_interval(a, b)
         assert interval_contains(interval, theta)
-        assert abs(log_holonomy(a, b, theta)) <= 1e-12
+        assert interval.lo < theta < interval.lo + interval.width
+        assert abs(log_holonomy(a, b, theta)) <= weave.PHASE_TOL
         pts = orbit_points(SunburstPair(a, b, theta))
         assert (pts[-1] - pts[0]).norm() <= 1e-9
         edges = [pts[i + 1] - pts[i] for i in range(n)]
