@@ -12,11 +12,18 @@ particle's edge.  So it moves along one of two chords, the other grid's
 edge directions in its own grid's frame, and reads that chord's branch
 data from the one table kept per grid pair (`GridTiling.chord`).  Each
 state is recorded as float world points and a bit length
-(`GridTiling.float_point`).  Over rationals, a position's bit length
-grows with every step, while chords and grid bases stay small; so both
-the move and the record are integer work that reduces a big integer
-only by gcds with a small one, and a step costs time linear in the bit
-length.
+(`GridTiling.float_point`).
+
+`run_orbit` holds each particle as the plain tuple (axis, line, cell,
+pos, across) that `tilings.move` steps, with an exact position as its
+coprime pair (p, q) of ints and a float position as a float, and builds
+a `Particle` only where it reports or compares one.  `step` is the
+single-step API on `PairState`s, over the same move through
+`GridTiling.first_hit`.  Over rationals, a position's bit length grows
+with every step, while chords and grid bases stay small; so in
+`run_orbit` both the move and the record are integer work that reduces
+a big integer only by gcds with a small one, and a step costs time
+linear in the bit length.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -53,7 +60,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import tilings
-from .errors import NonTransverseEdges, VertexHit
+from .errors import NonTransverseEdges
 from .exact import Vec2
 from .tilings import Particle
 
@@ -142,7 +149,9 @@ class Classification:
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
     """One move of each particle, each along the direction of the edge
     currently holding the other particle.  The two moves commute; the
-    update reads only the incoming state.
+    update reads only the incoming state.  Each is `GridTiling.first_hit`
+    over the move `run_orbit` steps, so an exact step here also pays
+    first_hit's normalising Fraction per particle.
     """
     a, b = state.a, state.b
     return PairState(
@@ -150,18 +159,20 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
         b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge.axis)))
 
 
-def _key(particle: Particle, snap):
-    """(edge axis, position along the edge, crossing sign): invariant
-    under period-lattice translations.  For snap > 0 the position is
-    snapped to floor(position / snap); for snap 0 it is the Fraction's
-    (numerator, denominator), which hashes without a modular inverse.
+def _key(particle: tuple, snap):
+    """(edge axis, position along the edge, crossing sign) of a particle
+    held as `tilings.move` steps it: invariant under period-lattice
+    translations.  For snap > 0 the position is snapped to floor(position
+    / snap), an exact (p, q) divided as float() of its Fraction divides;
+    for snap 0 it is the exact (p, q), which hashes without a modular
+    inverse.
     """
-    pos = particle.pos
+    axis, _, _, pos, across = particle
     if snap > 0:
+        if type(pos) is tuple:
+            pos = pos[0] / pos[1]
         pos = math.floor(pos / snap)
-    else:
-        pos = pos.numerator, pos.denominator
-    return particle.edge.axis, pos, particle.across
+    return axis, pos, across
 
 
 def _shift(now: Particle, prev: Particle) -> Vec2:
@@ -199,7 +210,7 @@ def certify(a_tiling, b_tiling, word: tuple):
     B's across, A's next edge axis, B's next edge axis).  A particle went
     to the parallel line when its next axis is its axis.  So each step
     names, per particle, one map and open interval of the branch table
-    that `step` read (`tilings.branch_table`, from `GridTiling.chord`).
+    that the move read (`tilings.branch_table`, from `GridTiling.chord`).
     Composing a particle's maps over the word gives pos -> lam * pos + c,
     and pulling each interval back to the word's start gives the cylinder
     of positions that follow the word.
@@ -272,18 +283,29 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     costs one lookup in a dict of edge pairs.  A lock with a nonzero
     shift runs on.  Float runs record no symbols.
 
-    Steps read their branch data from each grid's one table per other
-    grid and edge axis, and the record's points and bit lengths come from
-    `GridTiling.float_point`: over rationals both are integer work whose
-    gcds each take one small argument, and a float position's record is
-    plain float work.  Exact keys hold a position as its (numerator,
-    denominator).
+    Each particle is held as the tuple (axis, line, cell, pos, across)
+    that `tilings.move` steps, the move `step` makes through
+    `GridTiling.first_hit`; on two exact grids a Fraction position is
+    held as its (numerator, denominator).  Each move reads its branch
+    from the grids' one table per other grid and edge axis, and the
+    record's points and bit lengths come from `GridTiling.float_point`
+    on the same tuple: over rationals both are integer work whose gcds
+    each take one small argument, so a step costs time linear in the bit
+    length, and a float position's step and record are plain float work.
+    A `Particle` is built only for the start, a state kept with
+    keep_states, a key-repeat candidate, which `_closure` compares, and
+    the location of a vertex hit.
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
-    exact = a_tiling.exact and b_tiling.exact and not any(
+    exact_slopes = a_tiling.exact and b_tiling.exact
+    exact = exact_slopes and not any(
         isinstance(p.pos, float) for p in (start.a, start.b))
     tol = 0 if exact else tilings.FLOAT_TOL
+    # Each particle's branch, keyed by (its axis, its across, the other
+    # particle's axis).
+    branches_a = _branches(a_tiling, b_tiling)
+    branches_b = _branches(b_tiling, a_tiling)
 
     states = [start] if keep_states else None
     a_points = []
@@ -291,21 +313,22 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     bit_lengths = []
     seen = {}
     termination = None
-    state = start
+    a = tilings.to_tuple(start.a, exact_slopes)
+    b = tilings.to_tuple(start.b, exact_slopes)
     index = 0
 
-    def record_state(st: PairState):
-        ax, ay, a_bits = a_tiling.float_point(st.a.edge, st.a.pos)
-        bx, by, b_bits = b_tiling.float_point(st.b.edge, st.b.pos)
+    def record_state(a, b):
+        ax, ay, a_bits = a_tiling.float_point(a[:3], a[3])
+        bx, by, b_bits = b_tiling.float_point(b[:3], b[3])
         a_points.append((ax, ay))
         b_points.append((bx, by))
         bit_lengths.append(max(a_bits, b_bits))
 
-    def check_recurrence(st: PairState, idx: int):
-        ka, kb = _key(st.a, tol), _key(st.b, tol)
+    def check_recurrence(a, b, idx: int):
+        ka, kb = _key(a, tol), _key(b, tol)
         if exact:
             # One lookup, which also keeps the state when its key is new.
-            hit = seen.setdefault((ka, kb), (idx, st))
+            hit = seen.setdefault((ka, kb), (idx, a, b))
             candidates = (hit,) if hit[0] < idx else ()
         else:
             (axis_a, pos_a, across_a), (axis_b, pos_b, across_b) = ka, kb
@@ -319,9 +342,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
                         candidates.append(hit)
             if len(candidates) > 1:
                 candidates.sort()
-            seen.setdefault((ka, kb), (idx, st))
-        for prev_idx, prev in candidates:
-            residual, drift = _closure(a_tiling, b_tiling, st, prev)
+            seen.setdefault((ka, kb), (idx, a, b))
+        for prev_idx, prev_a, prev_b in candidates:
+            residual, drift = _closure(a_tiling, b_tiling, _pair(a, b),
+                                       _pair(prev_a, prev_b))
             if residual > tol:
                 continue
             if drift == (0, 0):
@@ -332,14 +356,13 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         return None
 
     symbols = []
-    last_at = {}        # (A's edge, B's edge) -> the last step there
+    last_at = {}        # A's edge + B's edge -> the last step there
     before = [None]     # per step, the step before it at the same edges
 
-    def check_certificate(prev: PairState, st: PairState, idx: int):
-        a, b = prev.a, prev.b
-        symbols.append((a.edge.axis, a.across, b.edge.axis, b.across,
-                        st.a.edge.axis, st.b.edge.axis))
-        edges = st.a.edge, st.b.edge
+    def check_certificate(prev_a, prev_b, a, b, idx: int):
+        symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
+                        a[0], b[0]))
+        edges = a[:3] + b[:3]
         then = last_at.get(edges)
         last_at[edges] = idx
         before.append(then)
@@ -357,27 +380,44 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             then = before[then]
         return None
 
-    record_state(start)
-    check_recurrence(start, 0)
+    record_state(a, b)
+    check_recurrence(a, b, 0)
+    move = tilings.move
     while termination is None and index < max_steps:
-        prev = state
-        try:
-            state = step(a_tiling, b_tiling, state)
-        except VertexHit as hit:
+        next_a, inside_a = move(branches_a[a[0], a[4], b[0]], *a)
+        next_b, inside_b = move(branches_b[b[0], b[4], a[0]], *b)
+        if not (inside_a and inside_b):
+            # A's vertex first, as `step` raises it.
+            tiling, hit = ((a_tiling, next_a) if not inside_a
+                           else (b_tiling, next_b))
             termination = Termination("vertex", index + 1,
-                                      location=hit.location)
+                                      location=tiling.vertex_location(hit))
             break
+        prev_a, prev_b, a, b = a, b, next_a, next_b
         index += 1
         if keep_states:
-            states.append(state)
-        record_state(state)
-        termination = check_recurrence(state, index)
+            states.append(_pair(a, b))
+        record_state(a, b)
+        termination = check_recurrence(a, b, index)
         if termination is None and exact:
-            termination = check_certificate(prev, state, index)
+            termination = check_certificate(prev_a, prev_b, a, b, index)
     if termination is None:
         termination = Termination("max-steps", index)
     return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
                        exact, states)
+
+
+def _branches(tiling, other) -> dict:
+    """The `branch_table` entries that move a particle of tiling, keyed
+    by (its edge axis, its across, the other particle's edge axis), read
+    from the tables `GridTiling.chord` keeps for the pair."""
+    return {(axis, across, other_axis):
+            tiling.chord(other, other_axis)[axis][across > 0]
+            for axis in "vh" for across in (1, -1) for other_axis in "vh"}
+
+
+def _pair(a: tuple, b: tuple) -> PairState:
+    return PairState(tilings.from_tuple(a), tilings.from_tuple(b))
 
 
 def _bbox_diameter(points) -> float:

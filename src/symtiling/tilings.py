@@ -14,13 +14,22 @@ open interval on which it holds, which `dynamics.certify` composes.  World
 points serve only to draw and report an orbit (`point_on`, and
 `float_point` for the floats and bit length an orbit record keeps).
 
+There is one particle move, `move`, and it works on a plain tuple
+(axis, line, cell, pos, across) in which an exact position is its
+coprime pair (p, q) of ints and any other position is itself.
+`dynamics.run_orbit` steps and records such tuples and builds a
+`Particle` only where it reports one.  `GridTiling.first_hit` is the
+single-step API over the same move: it takes and returns a `Particle`,
+and pays one normalising `Fraction` per exact call.
+
 Exact positions grow by some bits every step, while chords and grid
-bases stay small.  So an exact step and its record do integer work whose
-every gcd takes one small argument: a reduction of a big integer by a
-big one would cost time quadratic in the bit length.  A float position's
-record is plain float work, on a float copy of the basis and, for an
-exact grid's line terms, int true divisions, rounded as `point_on`'s
-point is.
+bases stay small.  So an exact move and its record do integer work whose
+every gcd takes one small argument (`_lowest_terms`): a reduction of a
+big integer by a big one would cost time quadratic in the bit length,
+and a step of `run_orbit` costs time linear in it.  A float position's
+move and record are plain float work, the record on a float copy of the
+basis and, for an exact grid's line terms, int true divisions, rounded
+as `point_on`'s point is.
 """
 
 from __future__ import annotations
@@ -81,6 +90,8 @@ class GridTiling:
         # Branch tables of the other grid's edge directions, keyed by
         # (other grid, edge axis): see `chord`.
         self._chords = {}
+        # `is_transverse` answers, keyed by (other grid, FLOAT_TOL).
+        self._transverse = {}
         # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
         # ints over their common denominator on an exact grid, and with
         # the entries themselves over d = 1 on a float grid.
@@ -144,10 +155,12 @@ class GridTiling:
             return self.to_world(Vec2(edge.line, edge.cell + frac))
         return self.to_world(Vec2(edge.cell + frac, edge.line))
 
-    def float_point(self, edge: GridEdge, frac) -> tuple:
+    def float_point(self, edge, frac) -> tuple:
         """(x, y, bits): `point_on(edge, frac)` as floats, and the larger
         bit length of its two coordinates, each the larger of its
-        numerator's and denominator's; 53 for floats.
+        numerator's and denominator's; 53 for floats.  The edge may be
+        any (axis, line, cell) triple, and frac an exact position held as
+        its coprime pair (p, q) of ints, as `move` holds it.
 
         On an exact grid a rational frac = p/q is worked in integers:
         each world coordinate is (k q + c p) / (d q), with d the common
@@ -166,23 +179,25 @@ class GridTiling:
         float and Fraction entries; a Fraction position there, which
         `particle_on` never makes, is rounded term by term.
         """
+        axis, line, cell = edge
         d, (a, b, c, e) = self._basis
-        if not self.exact or isinstance(frac, float):
+        if type(frac) is tuple:
+            p, q = frac
+        elif not self.exact or isinstance(frac, float):
             fa, fb, fc, fe = self._float_basis
-            line, along = edge.line, edge.cell + frac
+            along = cell + frac
             if not isinstance(along, float):
                 along = float(along)
-            if edge.axis == "v":
+            if axis == "v":
                 return (a * line / d + fb * along,
                         c * line / d + fe * along, 53)
             return fa * along + b * line / d, fc * along + e * line / d, 53
-        p, q = frac.numerator, frac.denominator
-        if edge.axis == "v":
-            kx, ky, cx, cy = (a * edge.line + b * edge.cell,
-                              c * edge.line + e * edge.cell, b, e)
         else:
-            kx, ky, cx, cy = (a * edge.cell + b * edge.line,
-                              c * edge.cell + e * edge.line, a, c)
+            p, q = frac.numerator, frac.denominator
+        if axis == "v":
+            kx, ky, cx, cy = a * line + b * cell, c * line + e * cell, b, e
+        else:
+            kx, ky, cx, cy = a * cell + b * line, c * cell + e * line, a, c
         x, dx = _lowest_terms(kx, cx, p, q, d)
         y, dy = _lowest_terms(ky, cy, p, q, d)
         return x / dx, y / dy, max(x.bit_length(), dx.bit_length(),
@@ -210,62 +225,99 @@ class GridTiling:
         moved.  The chord is given by its `branch_table`, as `chord`
         keeps it, and the move reads nothing else of it.
 
-        Per unit of travel normal to the edge the position moves by the
-        slope, along over normal.  So the next parallel line, line +
-        across, is met at pos + slope, unless that leaves (0, 1): then
-        the cell's end comes first, after (1 - pos) / slope or
-        pos / -slope.
-
-        The slope of each edge axis and `across` sign is read from the
-        table.  A Fraction position on an exact slope steps in
-        integers: the branch and vertex tests compare the numerator of
-        pos + slope with its denominator, as ints, before either is
-        reduced.  The new position is then pos + slope or, at a cell's
-        end, the affine map pos * scale + shift that the slope and its
-        inverse give.  Those Fraction operations reduce only by gcds
-        with the slope's small terms, so a step costs time linear in the
-        position's bit length.  Other positions use the formulas above
-        in their own arithmetic.
+        This is the single-step API over `move`, the one move that
+        `dynamics.run_orbit` steps on tuples.  A Fraction position on an
+        exact slope goes in as its (numerator, denominator) and comes
+        back as one normalising Fraction, so unlike a step of
+        `run_orbit` a call pays a gcd of two big integers.
 
         Raises NonTransverseEdges when the chord is parallel to the edge,
-        and VertexHit when the crossing is a grid vertex; in float mode,
-        when the new position lies within FLOAT_TOL of an edge end.
+        and VertexHit, at the world point `point_on` gives, when the
+        crossing is a grid vertex; in float mode, when the new position
+        lies within FLOAT_TOL of an edge end.
         """
-        edge, pos, across = particle.edge, particle.pos, particle.across
-        slopes = table[edge.axis]
+        slopes = table[particle.edge.axis]
         if slopes is None:
             raise NonTransverseEdges(
                 "chord direction is parallel to the particle's edge")
-        slope, up, terms, _ = slopes[across > 0]
-        if terms is not None and type(pos) is Fraction:
-            # n / m is pos + slope, unreduced.  Outside (0, 1) the cell's
-            # end comes first, and at n / m = 0 or 1 it is a vertex.
-            a, b, scale, shift = terms
-            q = pos.denominator
-            n, m = pos.numerator * b + a * q, q * b
-            parallel, inside = 0 < n < m, n != 0 and n != m
-            end = pos + slope if parallel else pos * scale + shift
-        else:
-            end = pos + slope
-            parallel = 0 < end < 1
-            if not parallel:
-                travel = (1 - pos) / slope if up else pos / -slope
-                end = travel if across > 0 else 1 - travel
-            tol = FLOAT_TOL if isinstance(end, float) else 0
-            inside = tol < end < 1 - tol
-        if parallel:
-            hit = Particle(GridEdge(edge.axis, edge.line + across,
-                                    edge.cell), end, across)
-        else:
-            hit = Particle(GridEdge("h" if edge.axis == "v" else "v",
-                                    edge.cell + 1 if up else edge.cell,
-                                    edge.line if across > 0
-                                    else edge.line - 1),
-                           end, 1 if up else -1)
+        branch = slopes[particle.across > 0]
+        moved, inside = move(branch,
+                             *to_tuple(particle, branch[2] is not None))
         if not inside:
-            point = self.point_on(hit.edge, hit.pos)
-            raise VertexHit((float(point.x), float(point.y)))
-        return hit
+            raise VertexHit(self.vertex_location(moved))
+        return from_tuple(moved)
+
+    def vertex_location(self, moved: tuple) -> tuple:
+        """The float world point, from `point_on`, of a grid vertex that a
+        particle held as `move` holds it has hit."""
+        hit = from_tuple(moved)
+        point = self.point_on(hit.edge, hit.pos)
+        return float(point.x), float(point.y)
+
+
+def to_tuple(particle: Particle, exact: bool) -> tuple:
+    """(axis, line, cell, pos, across), the particle as `move` steps it.
+    When exact, for a move along an exact slope, a Fraction position is
+    held as its (numerator, denominator); any other position as itself.
+    """
+    edge, pos = particle.edge, particle.pos
+    if exact and type(pos) is Fraction:
+        pos = pos.numerator, pos.denominator
+    return edge.axis, edge.line, edge.cell, pos, particle.across
+
+
+def from_tuple(moved: tuple) -> Particle:
+    """The `Particle` of a tuple as `to_tuple` holds it."""
+    axis, line, cell, pos, across = moved
+    if type(pos) is tuple:
+        pos = Fraction(*pos)
+    return Particle(GridEdge(axis, line, cell), pos, across)
+
+
+def move(branch: tuple, axis: str, line: int, cell: int, pos,
+         across: int) -> tuple:
+    """(hit, inside): the first hit, as a tuple (axis, line, cell, pos,
+    across) like the one moved, and False when it is a grid vertex.
+    branch is the entry of the particle's edge axis and `across` sign in
+    the `branch_table` of the chord it moves along.
+
+    Per unit of travel normal to the edge the position moves by the
+    slope, along over normal.  So the next parallel line, line + across,
+    is met at pos + slope, unless that leaves (0, 1): then the cell's
+    end comes first, after (1 - pos) / slope or pos / -slope, and the
+    particle goes on crossing the way it moved.
+
+    An exact position (p, q) on a slope a / b steps in ints.  The branch
+    and vertex tests compare n = p b + a q with m = q b, unreduced: the
+    parallel line is met when 0 < n < m, and n = 0 or n = m is a vertex.
+    The new position is n / m, or at a cell's end the branch's turn map
+    (k q + c p) / (d q), and `_lowest_terms` reduces either by gcds with
+    small arguments only, so a move costs time linear in the position's
+    bit length.  Any other position, a float or a Fraction on a slope
+    without int terms (a float slope, or 0), uses the formulas above in
+    its own arithmetic, and in float mode a new position within
+    FLOAT_TOL of an edge end is a vertex.
+    """
+    slope, up, terms, _ = branch
+    if type(pos) is tuple:
+        p, q = pos
+        a, b, k, c, d = terms
+        n, m = p * b + a * q, q * b
+        parallel, inside = 0 < n < m, n != 0 and n != m
+        end = (_lowest_terms(a, b, p, q, b) if parallel
+               else _lowest_terms(k, c, p, q, d))
+    else:
+        end = pos + slope
+        parallel = 0 < end < 1
+        if not parallel:
+            travel = (1 - pos) / slope if up else pos / -slope
+            end = travel if across > 0 else 1 - travel
+        tol = FLOAT_TOL if isinstance(end, float) else 0
+        inside = tol < end < 1 - tol
+    if parallel:
+        return (axis, line + across, cell, end, across), inside
+    return ("h" if axis == "v" else "v", cell + 1 if up else cell,
+            line if across > 0 else line - 1, end, 1 if up else -1), inside
 
 
 def branch_table(chord: Vec2) -> dict:
@@ -277,9 +329,12 @@ def branch_table(chord: Vec2) -> dict:
 
     slope is along over normal, negated for across < 0, in the chord's
     arithmetic.  For a nonzero Fraction slope a / b in lowest terms,
-    terms is (a, b, scale, shift), where pos * scale + shift is the
-    position met at the cell's end: (1 - pos) / slope or pos / -slope,
-    and one minus that when across < 0.  maps is then the pair, indexed
+    let pos * scale + shift be the position met at the cell's end:
+    (1 - pos) / slope or pos / -slope, and one minus that when across <
+    0.  terms is then the ints (a, b, k, c, d) with which `move` steps
+    an exact position p / q: the turn map takes it to (k q + c p) /
+    (d q), for scale = sn / sd and shift = hn / hd in lowest terms, k =
+    hn sd, c = sn hd and d = sd hd.  maps is then the pair, indexed
     by whether the move goes to the parallel line, of (m, c, lo, hi):
     the move takes pos to m * pos + c exactly when pos lies in the open
     interval (lo, hi).  The parallel line is met when 0 < pos + slope <
@@ -315,7 +370,10 @@ def _branch(slope, forward: bool) -> tuple:
         shift = Fraction(0 if forward else 1)
         turn = Fraction(0), min(Fraction(1), -slope)
     parallel = max(Fraction(0), -slope), min(Fraction(1), 1 - slope)
-    return slope, up, (slope.numerator, slope.denominator, scale, shift), (
+    sn, sd, hn, hd = (scale.numerator, scale.denominator, shift.numerator,
+                      shift.denominator)
+    terms = slope.numerator, slope.denominator, hn * sd, sn * hd, sd * hd
+    return slope, up, terms, (
         (scale, shift) + turn, (Fraction(1), slope) + parallel)
 
 
@@ -334,7 +392,9 @@ def _lowest_terms(k: int, c: int, p: int, q: int, d: int) -> tuple:
         c, q = c // g, q // g
     n = k * q + c * p
     g = math.gcd(n % d, d)
-    return n // g, d * q // g
+    if g > 1:
+        return n // g, d * q // g
+    return n, d * q
 
 
 def is_transverse(a, b) -> bool:
@@ -342,10 +402,17 @@ def is_transverse(a, b) -> bool:
     cross products u x v of a basis vector of a with one of b are
     nonzero.  When either grid is float, |u x v| must also exceed
     FLOAT_TOL |u| |v|, so that edges parallel up to rounding count as
-    parallel.
+    parallel.  Grid a keeps the answer per other grid and FLOAT_TOL, so
+    the products are taken once per pair and tolerance.
     """
-    pairs = [(u, v) for u in (a.e1, a.e2) for v in (b.e1, b.e2)]
-    if a.exact and b.exact:
-        return all(u.cross(v) != 0 for u, v in pairs)
-    return all(abs(u.cross(v)) > FLOAT_TOL * u.norm() * v.norm()
-               for u, v in pairs)
+    key = b, FLOAT_TOL
+    answer = a._transverse.get(key)
+    if answer is None:
+        pairs = [(u, v) for u in (a.e1, a.e2) for v in (b.e1, b.e2)]
+        if a.exact and b.exact:
+            answer = all(u.cross(v) != 0 for u, v in pairs)
+        else:
+            answer = all(abs(u.cross(v)) > FLOAT_TOL * u.norm() * v.norm()
+                         for u, v in pairs)
+        a._transverse[key] = answer
+    return answer

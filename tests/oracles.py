@@ -9,11 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from symtiling.errors import EmptyInterval, NotConvex, ParallelWitnessLines
+from symtiling import tilings
+from symtiling.dynamics import (MAX_PERIOD, OrbitRecord, PairState,
+                                Termination, _closure, certify, step)
+from symtiling.errors import (EmptyInterval, NonTransverseEdges, NotConvex,
+                              ParallelWitnessLines, VertexHit)
 from symtiling.exact import Vec2
 from symtiling.linkage import Polygon
 from symtiling.moduli import (HyperbolicPoint, area_form, family_directions,
                               reference_point)
+from symtiling.tilings import Particle
 from symtiling.weave import PhaseInterval, phase_arcs
 
 # is_balanced and is_regular: above the rounding of their n-term sums.
@@ -36,6 +41,166 @@ def bit_length(value) -> int:
 
 def dot(u: Vec2, v: Vec2):
     return u.x * v.x + u.y * v.y
+
+
+# Grid orbits.
+
+# The orbit loop on Particles: one `step` of a PairState per step, and
+# keys read from Particles.  run_orbit, which steps tuples, must give
+# the same record.
+
+def _key(particle: Particle, snap):
+    """(edge axis, position along the edge, crossing sign): invariant
+    under period-lattice translations.  For snap > 0 the position is
+    snapped to floor(position / snap); for snap 0 it is the Fraction's
+    (numerator, denominator), which hashes without a modular inverse.
+    """
+    pos = particle.pos
+    if snap > 0:
+        pos = math.floor(pos / snap)
+    else:
+        pos = pos.numerator, pos.denominator
+    return particle.edge.axis, pos, particle.across
+
+
+def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
+                     max_steps: int = 1000,
+                     keep_states: bool = True) -> OrbitRecord:
+    """Iterate the pair map until recurrence, a singularity, or max_steps.
+
+    The grids must be transverse, else NonTransverseEdges is raised
+    before the first step.  The first state under each key (edge axis,
+    position along the edge, crossing sign of each particle) is kept.  A
+    state recurs when the state kept under a matching key has a closure
+    residual of at most tol: both particles moved by one and the same
+    translation, integral in both period lattices.  Exact inputs use tol
+    = 0, so the key is exact and a recurrence is proved.  Each next key
+    reads only the pair's keys, so keys that repeat repeat periodically,
+    each period adding the same shifts: no later state under a key closes
+    unless the first one does, and an exact step reads one dict entry.
+    Float inputs use tol = tilings.FLOAT_TOL; the key then snaps
+    positions to steps of tol, and the nine keys whose steps are at most
+    one away for each particle are looked up.  The earliest matching
+    state wins.  Zero translation is a periodic orbit, nonzero a drift
+    orbit.  Vertex hits terminate the run and are recorded rather than
+    raised.
+
+    An exact run also records each step's joint branch symbol (see
+    `certify`).  Once the last 2p symbols repeat with a period p <=
+    MAX_PERIOD, both particles' edges are those of p steps before (zero
+    lattice shift) and `certify` proves the word contracting, the run
+    stops as 'attracted': from then on the orbit converges to a fixed
+    pair of points.  The candidate periods are the distances back to the
+    earlier visits of the same pair of edges, so a step that meets none
+    costs one lookup in a dict of edge pairs.  A lock with a nonzero
+    shift runs on.  Float runs record no symbols.
+
+    Steps read their branch data from each grid's one table per other
+    grid and edge axis, and the record's points and bit lengths come from
+    `GridTiling.float_point`: over rationals both are integer work whose
+    gcds each take one small argument, and a float position's record is
+    plain float work.  Exact keys hold a position as its (numerator,
+    denominator).
+    """
+    if not tilings.is_transverse(a_tiling, b_tiling):
+        raise NonTransverseEdges("the two grids have parallel edges")
+    exact = a_tiling.exact and b_tiling.exact and not any(
+        isinstance(p.pos, float) for p in (start.a, start.b))
+    tol = 0 if exact else tilings.FLOAT_TOL
+
+    states = [start] if keep_states else None
+    a_points = []
+    b_points = []
+    bit_lengths = []
+    seen = {}
+    termination = None
+    state = start
+    index = 0
+
+    def record_state(st: PairState):
+        ax, ay, a_bits = a_tiling.float_point(st.a.edge, st.a.pos)
+        bx, by, b_bits = b_tiling.float_point(st.b.edge, st.b.pos)
+        a_points.append((ax, ay))
+        b_points.append((bx, by))
+        bit_lengths.append(max(a_bits, b_bits))
+
+    def check_recurrence(st: PairState, idx: int):
+        ka, kb = _key(st.a, tol), _key(st.b, tol)
+        if exact:
+            # One lookup, which also keeps the state when its key is new.
+            hit = seen.setdefault((ka, kb), (idx, st))
+            candidates = (hit,) if hit[0] < idx else ()
+        else:
+            (axis_a, pos_a, across_a), (axis_b, pos_b, across_b) = ka, kb
+            near_b = [(axis_b, pos_b + d, across_b) for d in (-1, 0, 1)]
+            candidates = []
+            for d in (-1, 0, 1):
+                near_a = axis_a, pos_a + d, across_a
+                for key_b in near_b:
+                    hit = seen.get((near_a, key_b))
+                    if hit is not None:
+                        candidates.append(hit)
+            if len(candidates) > 1:
+                candidates.sort()
+            seen.setdefault((ka, kb), (idx, st))
+        for prev_idx, prev in candidates:
+            residual, drift = _closure(a_tiling, b_tiling, st, prev)
+            if residual > tol:
+                continue
+            if drift == (0, 0):
+                return Termination("periodic", idx, period=idx - prev_idx,
+                                   residual=float(residual))
+            return Termination("translation", idx, period=idx - prev_idx,
+                               drift=drift, residual=float(residual))
+        return None
+
+    symbols = []
+    last_at = {}        # (A's edge, B's edge) -> the last step there
+    before = [None]     # per step, the step before it at the same edges
+
+    def check_certificate(prev: PairState, st: PairState, idx: int):
+        a, b = prev.a, prev.b
+        symbols.append((a.edge.axis, a.across, b.edge.axis, b.across,
+                        st.a.edge.axis, st.b.edge.axis))
+        edges = st.a.edge, st.b.edge
+        then = last_at.get(edges)
+        last_at[edges] = idx
+        before.append(then)
+        while then is not None and idx - then <= MAX_PERIOD:
+            p = idx - then
+            if 2 * p <= idx and symbols[-p:] == symbols[-2 * p:-p]:
+                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+                if proof is None:
+                    return None
+                lock = idx - 2 * p
+                while lock > 0 and symbols[lock - 1] == symbols[lock - 1 + p]:
+                    lock -= 1
+                return Termination("attracted", idx, period=p, lock=lock,
+                                   certificate=proof)
+            then = before[then]
+        return None
+
+    record_state(start)
+    check_recurrence(start, 0)
+    while termination is None and index < max_steps:
+        prev = state
+        try:
+            state = step(a_tiling, b_tiling, state)
+        except VertexHit as hit:
+            termination = Termination("vertex", index + 1,
+                                      location=hit.location)
+            break
+        index += 1
+        if keep_states:
+            states.append(state)
+        record_state(state)
+        termination = check_recurrence(state, index)
+        if termination is None and exact:
+            termination = check_certificate(prev, state, index)
+    if termination is None:
+        termination = Termination("max-steps", index)
+    return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
+                       exact, states)
 
 
 # Polygons.

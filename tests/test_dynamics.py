@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
-from oracles import bit_length
+from oracles import bit_length, oracle_run_orbit
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -816,6 +817,113 @@ def test_exact_run_checks_one_earlier_state_per_step(monkeypatch):
     assert rec.termination.kind == "max-steps"
     assert 0 < len(calls) <= 1000
     assert classify(rec).verdict == INCONCLUSIVE
+
+
+def check_same_record(a, b, start, max_steps, keep_states):
+    """run_orbit and the Particle loop of oracles.oracle_run_orbit give
+    the same record; returns its termination kind."""
+    got = run_orbit(a, b, start, max_steps, keep_states)
+    want = oracle_run_orbit(a, b, start, max_steps, keep_states)
+    assert repr(got.termination) == repr(want.termination)
+    assert (got.a_points, got.b_points, got.bit_lengths, got.exact) == (
+        want.a_points, want.b_points, want.bit_lengths, want.exact)
+    assert got.states == want.states
+    return got.termination.kind
+
+
+def test_run_orbit_matches_the_particle_loop():
+    """run_orbit steps each particle as a tuple, holding an exact position
+    as a pair of ints; the oracle steps Particles through `step`.  Whole
+    records agree, certificates and vertex locations included, with and
+    without kept states: on the three rotation pairs, on integer pairs,
+    on float grids against an exact and a float A, from float positions
+    on exact grids, at a vertex on the first step, at a zero budget, on
+    a start whose exact keys repeat without closing, and on the mirror
+    start's 3,000 steps.  Every termination kind but 'translation'
+    occurs; random searches over integer and float grid pairs found no
+    translation run to add."""
+    rng = random.Random(27)
+    a = GridTiling.standard()
+    runs = []
+    for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7)):
+        b = GridTiling.from_parameter(t)
+        runs += [(a, b, random_state(rng, a, b), 200) for _ in range(8)]
+        runs.append((a, b, PairState(
+            Particle(GridEdge("v", 0, 0), rng.uniform(0.01, 0.99), 1),
+            b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), -1)), 60))
+    for _ in range(12):
+        grid_a, grid_b = random_integer_pair(rng)
+        runs += [(grid_a, grid_b, random_state(rng, grid_a, grid_b), 300)
+                 for _ in range(4)]
+    floats = [float_grid(theta=theta)
+              for theta in (math.pi / 4, math.pi / 5, 1.0, 2.0)]
+    floats += [float_grid(t=Fraction(1, 3)), float_grid(t=Fraction(7, 11))]
+    runs += [(grid_a, b, random_state(rng, grid_a, b), 120)
+             for grid_a in (a, float_a()) for b in floats for _ in range(4)]
+    b = GridTiling.from_parameter(Fraction(1, 3))
+    edge = GridEdge("v", 0, 0)
+    runs.append((a, b, PairState(
+        a.particle_on(edge, Fraction(1, 4), -1),
+        b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), 1)), 10))
+    runs.append((a, b, random_state(rng, a, b), 0))
+    repeat = GridTiling(Vec2(-2, -1), Vec2(2, -1))
+    runs.append((a, repeat, PairState(
+        a.particle_on(edge, Fraction(27, 50), -1),
+        repeat.particle_on(edge, Fraction(23, 50), -1)), 300))
+    kinds = [check_same_record(*run, keep_states=n % 2 == 0)
+             for n, run in enumerate(runs)]
+    assert set(kinds) == {"periodic", "attracted", "vertex", "max-steps"}
+    assert check_same_record(*seven_elevenths_mirror_start(), 3000,
+                             keep_states=False) == "max-steps"
+
+
+def test_transversality_is_decided_once_per_grid_pair(monkeypatch):
+    """A second run on the same pair of grids takes no cross product:
+    run_orbit's transversality test reads the answer its first run
+    kept, in exact and in float mode."""
+    crossed = []
+    cross = Vec2.cross
+    monkeypatch.setattr(Vec2, "cross",
+                        lambda u, v: crossed.append(1) or cross(u, v))
+    fa, fb = float_a(), float_grid(theta=1.0)
+    floats = fa, fb, PairState(
+        fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
+        fb.particle_on(GridEdge("h", 0, 0), 0.6, -1))
+    for a, b, start in (seven_elevenths_start(), floats):
+        for run in range(2):
+            crossed.clear()
+            run_orbit(a, b, start, 200, keep_states=False)
+            assert (len(crossed) > 0) == (run == 0)
+
+
+def test_exact_steps_build_no_fraction_or_particle(monkeypatch):
+    """run_orbit steps and records an exact position as a pair of ints.
+    After a warm-up run has built the chord tables and certify's memo,
+    300 and 3,000 steps of the mirror start build the same numbers of
+    Fractions and of Particles: no step builds either."""
+    a, b, start = seven_elevenths_mirror_start()
+    run_orbit(a, b, start, 3000, keep_states=False)
+    built = collections.Counter()
+    new, init = Fraction.__new__, Particle.__init__
+
+    def counted_new(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counted_init(self, *args):
+        built["Particle"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    monkeypatch.setattr(Particle, "__init__", counted_init)
+    counts = []
+    for budget in (300, 3000):
+        built.clear()
+        rec = run_orbit(a, b, start, budget, keep_states=False)
+        assert rec.steps == budget
+        counts.append(dict(built))
+    monkeypatch.undo()
+    assert counts[0] == counts[1]
 
 
 def test_affine_naturality_single_map():
