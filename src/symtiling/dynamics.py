@@ -10,7 +10,8 @@ of the two grids, which `run_orbit` checks, makes the move well defined.
 A particle's move reads only its own state and the axis of the other
 particle's edge.  So it moves along one of two chords, the other grid's
 edge directions in its own grid's frame, and reads that chord's branch
-data from the one table kept per grid pair (`GridTiling.chord`).  Each
+data from the entries its grid keeps per other grid
+(`GridTiling.branches`, from `GridTiling.chord`'s tables).  Each
 state is recorded as float world points and a bit length
 (`GridTiling.float_point`).
 
@@ -32,10 +33,15 @@ periodicity up to a common lattice translation (a drift orbit) are
 found by comparing a state only with the first state under its key.
 Over rationals the key and the comparison are exact and the verdict is
 proved, and a step reads one dict entry.  In float mode positions are
-snapped to steps of the grid kernel's tolerance, `tilings.FLOAT_TOL`, a
-step looks up its key and the eight keys one step away, and the
-comparison allows that tolerance; a float position's record is plain
-float work.
+snapped to steps of the grid kernel's tolerance, `tilings.FLOAT_TOL`,
+and the comparison allows that tolerance.  The float states are kept
+in a two-level index: the outer key holds both edge axes and crossing
+signs and A's snapped position, the inner key B's.  A step reads the
+outer keys of A's step and the steps one below and one above, and reads
+B's three inner keys only under an outer key that is there, so it meets
+the same first states as a lookup of its key and the eight keys one
+step away, in three lookups where keys rarely repeat.  A float
+position's record is plain float work.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -159,20 +165,12 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
         b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge.axis)))
 
 
-def _key(particle: tuple, snap):
-    """(edge axis, position along the edge, crossing sign) of a particle
-    held as `tilings.move` steps it: invariant under period-lattice
-    translations.  For snap > 0 the position is snapped to floor(position
-    / snap), an exact (p, q) divided as float() of its Fraction divides;
-    for snap 0 it is the exact (p, q), which hashes without a modular
-    inverse.
-    """
-    axis, _, _, pos, across = particle
-    if snap > 0:
-        if type(pos) is tuple:
-            pos = pos[0] / pos[1]
-        pos = math.floor(pos / snap)
-    return axis, pos, across
+def _snap(pos, snap) -> int:
+    """floor(position / snap) of a position held as `tilings.move` holds
+    it, an exact (p, q) divided as float() of its Fraction divides."""
+    if type(pos) is tuple:
+        pos = pos[0] / pos[1]
+    return math.floor(pos / snap)
 
 
 def _shift(now: Particle, prev: Particle) -> Vec2:
@@ -267,11 +265,14 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     each period adding the same shifts: no later state under a key closes
     unless the first one does, and an exact step reads one dict entry.
     Float inputs use tol = tilings.FLOAT_TOL; the key then snaps
-    positions to steps of tol, and the nine keys whose steps are at most
-    one away for each particle are looked up.  The earliest matching
-    state wins.  Zero translation is a periodic orbit, nonzero a drift
-    orbit.  Vertex hits terminate the run and are recorded rather than
-    raised.
+    positions to steps of tol, and the candidates are the first states
+    under the nine keys whose steps are at most one away for each
+    particle.  They are kept under an outer key of both axes and
+    crossing signs and A's step, then an inner key of B's step, so a
+    step looks up three outer keys and reads B's three inner keys only
+    under those it finds.  The earliest matching state wins.  Zero
+    translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
+    terminate the run and are recorded rather than raised.
 
     An exact run also records each step's joint branch symbol (see
     `certify`).  Once the last 2p symbols repeat with a period p <=
@@ -287,11 +288,12 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     that `tilings.move` steps, the move `step` makes through
     `GridTiling.first_hit`; on two exact grids a Fraction position is
     held as its (numerator, denominator).  Each move reads its branch
-    from the grids' one table per other grid and edge axis, and the
-    record's points and bit lengths come from `GridTiling.float_point`
-    on the same tuple: over rationals both are integer work whose gcds
-    each take one small argument, so a step costs time linear in the bit
-    length, and a float position's step and record are plain float work.
+    from the entries its grid keeps per other grid
+    (`GridTiling.branches`), and the record's points and bit lengths
+    come from `GridTiling.float_point` on the same tuple: over rationals
+    both are integer work whose gcds each take one small argument, so a
+    step costs time linear in the bit length, and a float position's
+    step and record are plain float work.
     A `Particle` is built only for the start, a state kept with
     keep_states, a key-repeat candidate, which `_closure` compares, and
     the location of a vertex hit.
@@ -304,8 +306,8 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     tol = 0 if exact else tilings.FLOAT_TOL
     # Each particle's branch, keyed by (its axis, its across, the other
     # particle's axis).
-    branches_a = _branches(a_tiling, b_tiling)
-    branches_b = _branches(b_tiling, a_tiling)
+    branches_a = a_tiling.branches(b_tiling)
+    branches_b = b_tiling.branches(a_tiling)
 
     states = [start] if keep_states else None
     a_points = []
@@ -325,24 +327,32 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         bit_lengths.append(max(a_bits, b_bits))
 
     def check_recurrence(a, b, idx: int):
-        ka, kb = _key(a, tol), _key(b, tol)
+        axis_a, _, _, pos_a, across_a = a
+        axis_b, _, _, pos_b, across_b = b
         if exact:
             # One lookup, which also keeps the state when its key is new.
-            hit = seen.setdefault((ka, kb), (idx, a, b))
+            # An exact position is keyed as its (p, q), which hashes
+            # without a modular inverse.
+            hit = seen.setdefault(
+                (axis_a, pos_a, across_a, axis_b, pos_b, across_b),
+                (idx, a, b))
             candidates = (hit,) if hit[0] < idx else ()
         else:
-            (axis_a, pos_a, across_a), (axis_b, pos_b, across_b) = ka, kb
-            near_b = [(axis_b, pos_b + d, across_b) for d in (-1, 0, 1)]
+            # Outer key: both axes and acrosses and A's snapped position;
+            # inner key: B's snapped position.
+            ka, kb = _snap(pos_a, tol), _snap(pos_b, tol)
             candidates = []
-            for d in (-1, 0, 1):
-                near_a = axis_a, pos_a + d, across_a
-                for key_b in near_b:
-                    hit = seen.get((near_a, key_b))
-                    if hit is not None:
-                        candidates.append(hit)
+            for near_a in (ka - 1, ka, ka + 1):
+                inner = seen.get((axis_a, across_a, axis_b, across_b, near_a))
+                if inner is not None:
+                    for near_b in (kb - 1, kb, kb + 1):
+                        hit = inner.get(near_b)
+                        if hit is not None:
+                            candidates.append(hit)
             if len(candidates) > 1:
                 candidates.sort()
-            seen.setdefault((ka, kb), (idx, a, b))
+            seen.setdefault((axis_a, across_a, axis_b, across_b, ka),
+                            {}).setdefault(kb, (idx, a, b))
         for prev_idx, prev_a, prev_b in candidates:
             residual, drift = _closure(a_tiling, b_tiling, _pair(a, b),
                                        _pair(prev_a, prev_b))
@@ -405,15 +415,6 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         termination = Termination("max-steps", index)
     return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
                        exact, states)
-
-
-def _branches(tiling, other) -> dict:
-    """The `branch_table` entries that move a particle of tiling, keyed
-    by (its edge axis, its across, the other particle's edge axis), read
-    from the tables `GridTiling.chord` keeps for the pair."""
-    return {(axis, across, other_axis):
-            tiling.chord(other, other_axis)[axis][across > 0]
-            for axis in "vh" for across in (1, -1) for other_axis in "vh"}
 
 
 def _pair(a: tuple, b: tuple) -> PairState:

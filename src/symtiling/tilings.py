@@ -90,6 +90,9 @@ class GridTiling:
         # Branch tables of the other grid's edge directions, keyed by
         # (other grid, edge axis): see `chord`.
         self._chords = {}
+        # Their entries per other grid, as `move` reads them: see
+        # `branches`.
+        self._branches = {}
         # `is_transverse` answers, keyed by (other grid, FLOAT_TOL).
         self._transverse = {}
         # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
@@ -149,6 +152,21 @@ class GridTiling:
                 self.to_local(other.direction_of(axis)))
         return table
 
+    def branches(self, other: "GridTiling") -> dict:
+        """The `branch_table` entries that move a particle of this grid,
+        keyed by (its edge axis, its across, the other particle's edge
+        axis), read from the tables `chord` keeps.  The grids must be
+        transverse.  It is built once per other grid and then read from
+        a table.
+        """
+        table = self._branches.get(other)
+        if table is None:
+            table = self._branches[other] = {
+                (axis, across, other_axis):
+                self.chord(other, other_axis)[axis][across > 0]
+                for axis in "vh" for across in (1, -1) for other_axis in "vh"}
+        return table
+
     def point_on(self, edge: GridEdge, frac) -> Vec2:
         """World point at position frac in (0, 1) along the edge."""
         if edge.axis == "v":
@@ -183,17 +201,20 @@ class GridTiling:
         d, (a, b, c, e) = self._basis
         if type(frac) is tuple:
             p, q = frac
-        elif not self.exact or isinstance(frac, float):
-            fa, fb, fc, fe = self._float_basis
+        elif (type(frac) is not float and self.exact
+              and not isinstance(frac, float)):
+            p, q = frac.numerator, frac.denominator
+        else:
+            # A float position, the common case, takes no isinstance test
+            # and no float() pass.
             along = cell + frac
-            if not isinstance(along, float):
+            if type(frac) is not float and not isinstance(along, float):
                 along = float(along)
+            fa, fb, fc, fe = self._float_basis
             if axis == "v":
                 return (a * line / d + fb * along,
                         c * line / d + fe * along, 53)
             return fa * along + b * line / d, fc * along + e * line / d, 53
-        else:
-            p, q = frac.numerator, frac.denominator
         if axis == "v":
             kx, ky, cx, cy = a * line + b * cell, c * line + e * cell, b, e
         else:

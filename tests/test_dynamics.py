@@ -171,11 +171,18 @@ def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
     """Each grid builds the branch table of the other grid's edge axis on
     first use: at most four tables for a pair of grids however long the
     run, in exact and in float mode, and none on a second run over the
-    same grids.  A step that built its branch data again would fail."""
+    same grids, which reads no `chord` either: each grid keeps its
+    particle's branches per other grid.  A step that built its branch
+    data again would fail."""
     built = []
     build = tilings.branch_table
     monkeypatch.setattr(tilings, "branch_table",
                         lambda chord: built.append(chord) or build(chord))
+    chords = []
+    chord = GridTiling.chord
+    monkeypatch.setattr(GridTiling, "chord",
+                        lambda self, *args: chords.append(args)
+                        or chord(self, *args))
     fa, fb = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)), float_grid(theta=1.0)
     floats = fa, fb, PairState(
         fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
@@ -183,9 +190,11 @@ def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
     for a, b, start in (seven_elevenths_start(), floats):
         for run in range(2):
             built.clear()
+            chords.clear()
             rec = run_orbit(a, b, start, 200, keep_states=False)
             assert rec.steps > 4
             assert len(built) <= (4 if run == 0 else 0)
+            assert (len(chords) > 0) == (run == 0)
 
 
 def recorded(tiling, particle):
@@ -445,21 +454,28 @@ def test_float_records_skip_point_on(monkeypatch, grid_a):
     assert len(calls) == kinds.count("vertex")
 
 
+KEY_ARC_TOL = 2.0 ** -20
+
+
+def key_arc_starts(place):
+    """The pi/4 pair and its starts at place(j / 8) on both edges."""
+    a = GridTiling.standard()
+    b = float_grid(theta=math.pi / 4)
+    for ea, eb, sa, sb in itertools.product("vh", "vh", (1, -1), (1, -1)):
+        for j, k in itertools.product(range(1, 8), repeat=2):
+            yield a, b, PairState(
+                a.particle_on(GridEdge(ea, 0, 0), place(j / 8), sa),
+                b.particle_on(GridEdge(eb, 0, 0), place(k / 8), sb))
+
+
 def check_key_arcs(monkeypatch, place):
     """Periodic orbits on the pi/4 pair from starts at place(j / 8),
     recurring as the linear scan finds, at a grid tolerance of 2^-20."""
-    a = GridTiling.standard()
-    b = float_grid(theta=math.pi / 4)
-    tol = 2.0 ** -20
-    monkeypatch.setattr(tilings, "FLOAT_TOL", tol)
-    for ea, eb, sa, sb in itertools.product("vh", "vh", (1, -1), (1, -1)):
-        for j, k in itertools.product(range(1, 8), repeat=2):
-            start = PairState(
-                a.particle_on(GridEdge(ea, 0, 0), place(j / 8), sa),
-                b.particle_on(GridEdge(eb, 0, 0), place(k / 8), sb))
-            want = oracle_float_termination(a, b, start, 40, tol)
-            got = run_orbit(a, b, start, 40, keep_states=False).termination
-            assert got == want and got.kind == "periodic"
+    monkeypatch.setattr(tilings, "FLOAT_TOL", KEY_ARC_TOL)
+    for a, b, start in key_arc_starts(place):
+        want = oracle_float_termination(a, b, start, 40, KEY_ARC_TOL)
+        got = run_orbit(a, b, start, 40, keep_states=False).termination
+        assert got == want and got.kind == "periodic"
 
 
 def test_float_recurrence_across_key_arcs(monkeypatch):
@@ -474,6 +490,28 @@ def test_float_recurrence_across_key_arcs_from_below(monkeypatch):
     below a boundary, so a return a rounding error above the start lands
     in the step above."""
     check_key_arcs(monkeypatch, lambda x: math.nextafter(x, 0))
+
+
+def test_float_recurrence_reads_neighbour_keys(monkeypatch):
+    """On the key-arc starts, from both placements, run_orbit's
+    terminations are the nine-key reference's, and the snapped positions
+    of a recurrence's state and of the state it matches differ by -1, 0
+    or +1, each of which occurs for A and for B.  So a float probe that
+    skipped the keys one step away, for either particle, would fail."""
+    monkeypatch.setattr(tilings, "FLOAT_TOL", KEY_ARC_TOL)
+    offsets_a, offsets_b = set(), set()
+    for place in (lambda x: x, lambda x: math.nextafter(x, 0)):
+        for a, b, start in key_arc_starts(place):
+            want = oracle_run_orbit(a, b, start, 40, keep_states=True)
+            got = run_orbit(a, b, start, 40, keep_states=False)
+            assert repr(got.termination) == repr(want.termination)
+            t = want.termination
+            now, prev = want.states[t.step], want.states[t.step - t.period]
+            offsets_a.add(math.floor(now.a.pos / KEY_ARC_TOL)
+                          - math.floor(prev.a.pos / KEY_ARC_TOL))
+            offsets_b.add(math.floor(now.b.pos / KEY_ARC_TOL)
+                          - math.floor(prev.b.pos / KEY_ARC_TOL))
+    assert offsets_a == offsets_b == {-1, 0, 1}
 
 
 def test_exact_recurrence_needs_no_direction_match():
