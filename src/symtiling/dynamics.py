@@ -11,9 +11,12 @@ A particle's move reads only its own state and the axis of the other
 particle's edge.  So it moves along one of two chords, the other grid's
 edge directions in its own grid's frame, and reads that chord's branch
 data from the entries its grid keeps per other grid
-(`GridTiling.branches`, from `GridTiling.chord`'s tables).  Each
-state is recorded as float world points and a bit length
-(`GridTiling.float_point`).
+(`GridTiling.branches`, from `GridTiling.chord`'s tables).  A run
+keeps each state's pair of particle tuples, and its record builds the
+states' float world points and bit lengths (`GridTiling.float_point`)
+on their first read.  `classify` reads them only for a run that stops
+as 'attracted' or at its step budget, so a run that ends at a vertex or
+a recurrence never builds them.
 
 `run_orbit` holds each particle as the plain tuple (axis, line, cell,
 pos, across) that `tilings.move` steps, with an exact position as its
@@ -21,9 +24,9 @@ coprime pair (p, q) of ints and a float position as a float, and builds
 a `Particle` only where it reports or compares one.  `step` is the
 single-step API on `PairState`s, over the same move through
 `GridTiling.first_hit`.  Over rationals, a position's bit length grows
-with every step, while chords and grid bases stay small; so in
-`run_orbit` both the move and the record are integer work that reduces
-a big integer only by gcds with a small one, and a step costs time
+with every step, while chords and grid bases stay small; so both the
+move and the record's point of a state are integer work that reduces
+a big integer only by gcds with a small one, and each costs time
 linear in the bit length.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
@@ -41,7 +44,7 @@ outer keys of A's step and the steps one below and one above, and reads
 B's three inner keys only under an outer key that is there, so it meets
 the same first states as a lookup of its key and the eight keys one
 step away, in three lookups where keys rarely repeat.  A float
-position's record is plain float work.
+position's point is plain float work.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -131,8 +134,22 @@ class Termination:
     certificate: Optional[tuple] = None
 
 
-@dataclass(slots=True)
+@dataclass
 class OrbitRecord:
+    """One orbit run: per state, from the start on, the float world
+    points of A and of B and the larger bit length of the two
+    (`GridTiling.float_point`).
+
+    `run_orbit` makes its record with `traced`, which holds each state's
+    pair of particle tuples and the grid pair instead of the three
+    lists.  The first read of any of them builds all three, in one pass
+    of `float_point` over the tuples, and later reads find them set.  So
+    a run whose verdict needs no trace, as a recurrence's or a vertex
+    hit's does not, never builds one, while `==`, repr and the wire
+    rule, which read every field, see the same lists as a record built
+    with them.  steps, termination and exact build nothing.
+    """
+
     start: PairState
     termination: Termination
     a_points: list
@@ -141,9 +158,42 @@ class OrbitRecord:
     exact: bool
     states: Optional[list] = None
 
+    @classmethod
+    def traced(cls, start, termination, exact, states, grids, trace):
+        """A record whose lists are built on first read, from trace, the
+        (A, B) pairs of particle tuples that `tilings.move` steps, on
+        grids, the pair (A's grid, B's grid)."""
+        record = cls.__new__(cls)
+        record.start, record.termination = start, termination
+        record.exact, record.states = exact, states
+        record._grids, record._trace = grids, trace
+        return record
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: on a traced
+        # record, one of the three lists before the first read.
+        if name not in ("a_points", "b_points", "bit_lengths"):
+            raise AttributeError(name)
+        (a_tiling, b_tiling), trace = self._grids, self._trace
+        a_point, b_point = a_tiling.float_point, b_tiling.float_point
+        a_points, b_points, bit_lengths = [], [], []
+        for a, b in trace:
+            ax, ay, a_bits = a_point(a[:3], a[3])
+            bx, by, b_bits = b_point(b[:3], b[3])
+            a_points.append((ax, ay))
+            b_points.append((bx, by))
+            bit_lengths.append(a_bits if a_bits > b_bits else b_bits)
+        self.a_points, self.b_points, self.bit_lengths = (
+            a_points, b_points, bit_lengths)
+        del self._grids, self._trace
+        return getattr(self, name)
+
     @property
     def steps(self) -> int:
-        return len(self.a_points) - 1
+        """The steps the run made, one fewer than its states: the step
+        that meets a vertex is not one of them."""
+        t = self.termination
+        return t.step - 1 if t.kind == "vertex" else t.step
 
 
 @dataclass(frozen=True, slots=True)
@@ -289,14 +339,17 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     `GridTiling.first_hit`; on two exact grids a Fraction position is
     held as its (numerator, denominator).  Each move reads its branch
     from the entries its grid keeps per other grid
-    (`GridTiling.branches`), and the record's points and bit lengths
-    come from `GridTiling.float_point` on the same tuple: over rationals
-    both are integer work whose gcds each take one small argument, so a
-    step costs time linear in the bit length, and a float position's
-    step and record are plain float work.
-    A `Particle` is built only for the start, a state kept with
-    keep_states, a key-repeat candidate, which `_closure` compares, and
-    the location of a vertex hit.
+    (`GridTiling.branches`): over rationals it is integer work whose
+    gcds each take one small argument, so a step costs time linear in
+    the bit length, and a float position's step is plain float work.
+    The run keeps each state's pair of tuples, and the record
+    (`OrbitRecord.traced`) builds its points and bit lengths from them
+    on their first read, through `GridTiling.float_point`, at the same
+    cost per state as the step.  A run whose reader never asks for
+    them, as `classify` does not for a recurrence or a vertex hit,
+    never builds them.  A `Particle` is built only for the start, a
+    state kept with keep_states, a key-repeat candidate, which
+    `_closure` compares, and the location of a vertex hit.
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
@@ -310,21 +363,12 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     branches_b = b_tiling.branches(a_tiling)
 
     states = [start] if keep_states else None
-    a_points = []
-    b_points = []
-    bit_lengths = []
     seen = {}
     termination = None
     a = tilings.to_tuple(start.a, exact_slopes)
     b = tilings.to_tuple(start.b, exact_slopes)
+    trace = [(a, b)]
     index = 0
-
-    def record_state(a, b):
-        ax, ay, a_bits = a_tiling.float_point(a[:3], a[3])
-        bx, by, b_bits = b_tiling.float_point(b[:3], b[3])
-        a_points.append((ax, ay))
-        b_points.append((bx, by))
-        bit_lengths.append(max(a_bits, b_bits))
 
     def check_recurrence(a, b, idx: int):
         axis_a, _, _, pos_a, across_a = a
@@ -390,7 +434,6 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             then = before[then]
         return None
 
-    record_state(a, b)
     check_recurrence(a, b, 0)
     move = tilings.move
     while termination is None and index < max_steps:
@@ -407,24 +450,31 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         index += 1
         if keep_states:
             states.append(_pair(a, b))
-        record_state(a, b)
+        trace.append((a, b))
         termination = check_recurrence(a, b, index)
         if termination is None and exact:
             termination = check_certificate(prev_a, prev_b, a, b, index)
     if termination is None:
         termination = Termination("max-steps", index)
-    return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
-                       exact, states)
+    return OrbitRecord.traced(start, termination, exact, states,
+                              (a_tiling, b_tiling), trace)
 
 
 def _pair(a: tuple, b: tuple) -> PairState:
     return PairState(tilings.from_tuple(a), tilings.from_tuple(b))
 
 
-def _bbox_diameter(points) -> float:
-    """Diagonal of the bounding box of a list of float pairs."""
-    xs, ys = zip(*points)
-    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+def _bbox_diameters(a_points, b_points, half: int) -> tuple:
+    """Diagonals of the bounding box of both particles' points: over the
+    first half states, and over all of them.  The whole box is the first
+    half's widened by the rest's, so each point is scanned once; min and
+    max are exact, so both equal a scan of all the points they cover."""
+    xs, ys = zip(*(a_points[:half] + b_points[:half]))
+    rest_xs, rest_ys = zip(*(a_points[half:] + b_points[half:]))
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    return (math.hypot(x1 - x0, y1 - y0),
+            math.hypot(max(x1, max(rest_xs)) - min(x0, min(rest_xs)),
+                       max(y1, max(rest_ys)) - min(y0, min(rest_ys))))
 
 
 def classify(record: OrbitRecord) -> Classification:
@@ -442,7 +492,9 @@ def classify(record: OrbitRecord) -> Classification:
     by less than 1 percent during the second half); that
     verdict is heuristic and ships its evidence.  The growth measure is
     baseline-subtracted so that steady linear bit growth from a simple
-    start counts as climbing.
+    start counts as climbing.  Only these trace measures read the
+    record's points and bit lengths, so a recurrence or a vertex hit is
+    classified without building them.
     """
     t = record.termination
     if t.kind == "periodic":
@@ -454,18 +506,17 @@ def classify(record: OrbitRecord) -> Classification:
     if t.kind == "vertex":
         return Classification(SINGULAR, {"step": t.step,
                                          "location": t.location})
-    n = len(record.bit_lengths)
+    n = record.steps + 1
     # A certificate needs two periods, so an 'attracted' record has at
     # least three states.
     if n < 4 and t.kind != "attracted":
         return Classification(INCONCLUSIVE, {"steps": n - 1})
     half = n // 2
-    base = record.bit_lengths[0]
-    peak_half = max(record.bit_lengths[:half]) - base
-    peak_end = max(record.bit_lengths) - base
-    diam_half = _bbox_diameter(record.a_points[:half]
-                               + record.b_points[:half])
-    diam_end = _bbox_diameter(record.a_points + record.b_points)
+    bits = record.bit_lengths
+    peak_half = max(bits[:half]) - bits[0]
+    peak_end = max(peak_half, max(bits[half:]) - bits[0])
+    diam_half, diam_end = _bbox_diameters(record.a_points, record.b_points,
+                                          half)
     growth = peak_end / peak_half if peak_half > 0 else math.inf
     spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
     evidence = {"bit_growth": growth, "bbox_spread": spread,

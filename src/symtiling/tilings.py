@@ -12,24 +12,26 @@ keeps once per other grid and edge axis (`GridTiling.chord`).  The table
 also states each exact branch as an affine map of the position and the
 open interval on which it holds, which `dynamics.certify` composes.  World
 points serve only to draw and report an orbit (`point_on`, and
-`float_point` for the floats and bit length an orbit record keeps).
+`float_point` for the floats and bit length of an orbit record's
+states, which the record builds on their first read).
 
 There is one particle move, `move`, and it works on a plain tuple
 (axis, line, cell, pos, across) in which an exact position is its
 coprime pair (p, q) of ints and any other position is itself.
-`dynamics.run_orbit` steps and records such tuples and builds a
+`dynamics.run_orbit` steps and keeps such tuples and builds a
 `Particle` only where it reports one.  `GridTiling.first_hit` is the
 single-step API over the same move: it takes and returns a `Particle`,
 and pays one normalising `Fraction` per exact call.
 
 Exact positions grow by some bits every step, while chords and grid
-bases stay small.  So an exact move and its record do integer work whose
-every gcd takes one small argument (`_lowest_terms`): a reduction of a
-big integer by a big one would cost time quadratic in the bit length,
-and a step of `run_orbit` costs time linear in it.  A float position's
-move and record are plain float work, the record on a float copy of the
-basis and, for an exact grid's line terms, int true divisions, rounded
-as `point_on`'s point is.
+bases stay small.  So an exact move and its `float_point` do integer
+work whose every gcd takes one small argument (`_lowest_terms`): a
+reduction of a big integer by a big one would cost time quadratic in the
+bit length, and a step of `run_orbit`, and the point its record builds
+for it when read, each cost time linear in it.  A float position's move
+and point are plain float work, the point on a float copy of the basis
+and, for an exact grid's line terms, int true divisions, rounded as
+`point_on`'s point is.
 """
 
 from __future__ import annotations
@@ -178,7 +180,10 @@ class GridTiling:
         bit length of its two coordinates, each the larger of its
         numerator's and denominator's; 53 for floats.  The edge may be
         any (axis, line, cell) triple, and frac an exact position held as
-        its coprime pair (p, q) of ints, as `move` holds it.
+        its coprime pair (p, q) of ints, as `move` holds it.  This is the
+        one place an orbit record's points and bit lengths come from: a
+        `dynamics.OrbitRecord` calls it once per particle and state, on
+        the first read of its points or bit lengths, and not before.
 
         On an exact grid a rational frac = p/q is worked in integers:
         each world coordinate is (k q + c p) / (d q), with d the common

@@ -1,12 +1,13 @@
 import collections
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from symtiling import dynamics, tilings
+from symtiling import dynamics, serialize, svgout, tilings
 from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 SINGULAR, UNBOUNDED_DRIFT, OrbitRecord,
                                 PairState, Termination, certify, classify,
@@ -306,6 +307,8 @@ def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
 
     monkeypatch.setattr(math, "gcd", recording_gcd)
     rec = run_orbit(*seven_elevenths_mirror_start(), 3000, keep_states=False)
+    # The record builds its points and bit lengths on first read.
+    rec.bit_lengths, rec.a_points
     monkeypatch.undo()
     assert max(rec.bit_lengths) > 10_000
     assert len(sizes) > 2500 and max(sizes) <= 64
@@ -959,9 +962,73 @@ def test_exact_steps_build_no_fraction_or_particle(monkeypatch):
         built.clear()
         rec = run_orbit(a, b, start, budget, keep_states=False)
         assert rec.steps == budget
+        # The record builds its points and bit lengths on first read.
+        rec.bit_lengths, rec.a_points
         counts.append(dict(built))
     monkeypatch.undo()
     assert counts[0] == counts[1]
+
+
+def test_trace_is_built_once_on_first_read(monkeypatch):
+    """run_orbit and classify call `GridTiling.float_point` on no state
+    of a run that ends at a vertex or a recurrence.  The first read of
+    any of the record's points and bit lengths builds all three, with
+    one call per particle and state, and later reads build nothing."""
+    calls = []
+    float_point = GridTiling.float_point
+    monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
+        calls.append(1) or float_point(self, *args)))
+    fa, fb = float_a(), float_grid(theta=math.pi / 5)
+    ea, eb = GridTiling(Vec2(-3, 0), Vec2(-1, 1)), GridTiling(Vec2(3, 2),
+                                                              Vec2(0, 3))
+    exact_start = PairState(
+        Particle(GridEdge("v", 1, -2), Fraction(4, 25), 1),
+        Particle(GridEdge("h", 1, 0), Fraction(49, 100), 1))
+    runs = [
+        (fa, fb, PairState(fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
+                           fb.particle_on(GridEdge("h", 0, 0), 0.6, -1)),
+         "vertex"),
+        (*next(key_arc_starts(lambda x: x)), "periodic"),
+        (ea, eb, exact_start, "vertex")]
+    for a, b, start, kind in runs:
+        for name in ("a_points", "b_points", "bit_lengths"):
+            calls.clear()
+            rec = run_orbit(a, b, start, 200, keep_states=False)
+            classify(rec)
+            assert rec.termination.kind == kind and rec.steps > 3
+            assert rec.exact == (a is ea) and not calls
+            assert len(getattr(rec, name)) == rec.steps + 1
+            assert len(calls) == 2 * (rec.steps + 1)
+            calls.clear()
+            rec.a_points, rec.b_points, rec.bit_lengths
+            assert not calls
+
+
+def test_traced_record_writes_as_the_eager_record():
+    """A record that builds its lists on first read gives the JSON text,
+    key order included, and the figure of the oracle's record, which is
+    built with them; no particle tuple or grid reaches the wire."""
+    fa, fb = float_a(), float_grid(theta=1.0)
+    float_start = PairState(fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
+                            fb.particle_on(GridEdge("h", 0, 0), 0.6, -1))
+    runs = [seven_elevenths_start(), seven_elevenths_mirror_start(),
+            (fa, fb, float_start)]
+    kinds = []
+    for a, b, start in runs:
+        want = oracle_run_orbit(a, b, start, 200, keep_states=False)
+        text = json.dumps(run_orbit(a, b, start, 200, keep_states=False),
+                          default=serialize.encode)
+        assert text == json.dumps(want, default=serialize.encode)
+        assert list(json.loads(text)) == ["start", "termination", "a_points",
+                                          "b_points", "bit_lengths", "exact"]
+        figure = svgout.orbit_figure(
+            run_orbit(a, b, start, 200, keep_states=False), a, b)
+        assert figure.render() == svgout.orbit_figure(want, a, b).render()
+        got = run_orbit(a, b, start, 200, keep_states=False)
+        assert got == want
+        kinds.append((got.termination.kind, got.exact))
+    assert kinds[:2] == [("attracted", True), ("max-steps", True)]
+    assert kinds[2][1] is False
 
 
 def test_affine_naturality_single_map():
