@@ -6,28 +6,30 @@ in its own grid's local coordinates (`tilings.Particle`).  One step
 moves each particle along the direction of the edge currently holding
 the other particle, to its first hit on its own grid; the particle's
 `across` sign picks which way along that direction, and transversality
-of the two grids, which `run_orbit` checks, makes the move well defined.
-A particle's move reads only its own state and the axis of the other
-particle's edge.  So it moves along one of two chords, the other grid's
-edge directions in its own grid's frame, and reads that chord's branch
-data from the entries its grid keeps per other grid
-(`GridTiling.branches`, from `GridTiling.chord`'s tables).  A run
-keeps each state's pair of particle tuples, and its record builds the
-states' float world points and bit lengths (`GridTiling.float_point`)
-on their first read.  `classify` reads them only for a run that stops
-as 'attracted' or at its step budget, so a run that ends at a vertex or
-a recurrence never builds them.
+of the two grids makes the move well defined.  A particle's move reads
+only its own state and the axis of the other particle's edge.  So it
+moves along one of two chords, the other grid's edge directions in its
+own grid's frame, and reads that chord's branch data from the entries
+its grid keeps per other grid (`GridTiling.branches`).
 
-`run_orbit` holds each particle as the plain tuple (axis, line, cell,
-pos, across) that `tilings.move` steps, with an exact position as its
-coprime pair (p, q) of ints and a float position as a float, and builds
-a `Particle` only where it reports or compares one.  `step` is the
-single-step API on `PairState`s, over the same move through
-`GridTiling.first_hit`.  Over rationals, a position's bit length grows
-with every step, while chords and grid bases stay small; so both the
-move and the record's point of a state are integer work that reduces
-a big integer only by gcds with a small one, and each costs time
-linear in the bit length.
+`step` and `run_orbit` move particles in one way.  Both start in
+`_hold`, which refuses a pair of grids with parallel edges before any
+branch table is built, and which decides the one arithmetic of the step
+or run: exact when both grids are exact and both positions rational,
+else float.  It holds each particle as the plain tuple (axis, line,
+cell, pos, across) that `tilings.move` steps, with an exact position as
+its coprime pair (p, q) of ints and any other position as a float from
+the start, so a float run rounds a rational start position once.  Both
+build a `Particle` only where they report or compare one.  Over
+rationals, a position's bit length grows with every step, while chords
+and grid bases stay small; so both the move and the record's point of a
+state are integer work that reduces a big integer only by gcds with a
+small one, and each costs time linear in the bit length.  A run keeps
+each state's pair of particle tuples, and its record builds the states'
+float world points and bit lengths (`GridTiling.float_point`) on their
+first read.  `classify` reads them only for a run that stops as
+'attracted' or at its step budget, so a run that ends at a vertex or a
+recurrence never builds them.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -69,7 +71,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import tilings
-from .errors import NonTransverseEdges
+from .errors import NonTransverseEdges, VertexHit
 from .exact import Vec2
 from .tilings import Particle
 
@@ -202,25 +204,42 @@ class Classification:
     evidence: dict = field(default_factory=dict)
 
 
+def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
+    """(exact, a, b): the arithmetic of a step or run from the state, and
+    its two particles as `tilings.to_tuple` holds them for it.  It is
+    exact when both grids are exact and both positions rational, and
+    then holds each position as its (p, q); otherwise it holds each as
+    a float.  Raises NonTransverseEdges, before any branch table is
+    built, when the grids have parallel edges.
+    """
+    if not tilings.is_transverse(a_tiling, b_tiling):
+        raise NonTransverseEdges("the two grids have parallel edges")
+    exact = a_tiling.exact and b_tiling.exact and not (
+        isinstance(state.a.pos, float) or isinstance(state.b.pos, float))
+    return (exact, tilings.to_tuple(state.a, exact),
+            tilings.to_tuple(state.b, exact))
+
+
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
     """One move of each particle, each along the direction of the edge
     currently holding the other particle.  The two moves commute; the
-    update reads only the incoming state.  Each is `GridTiling.first_hit`
-    over the move `run_orbit` steps, so an exact step here also pays
-    first_hit's normalising Fraction per particle.
+    update reads only the incoming state.  It holds and moves the
+    particles as a step of `run_orbit` does, from `_hold` through
+    `GridTiling.branches` and `tilings.move`, so a float step rounds a
+    rational position.  Raises NonTransverseEdges when the grids have
+    parallel edges, and VertexHit, A's first, at the world point of a
+    grid vertex that a move meets.
     """
-    a, b = state.a, state.b
-    return PairState(
-        a_tiling.first_hit(a, a_tiling.chord(b_tiling, b.edge.axis)),
-        b_tiling.first_hit(b, b_tiling.chord(a_tiling, a.edge.axis)))
-
-
-def _snap(pos, snap) -> int:
-    """floor(position / snap) of a position held as `tilings.move` holds
-    it, an exact (p, q) divided as float() of its Fraction divides."""
-    if type(pos) is tuple:
-        pos = pos[0] / pos[1]
-    return math.floor(pos / snap)
+    _, a, b = _hold(a_tiling, b_tiling, state)
+    next_a, inside_a = tilings.move(
+        a_tiling.branches(b_tiling)[a[0], a[4], b[0]], *a)
+    next_b, inside_b = tilings.move(
+        b_tiling.branches(a_tiling)[b[0], b[4], a[0]], *b)
+    if not inside_a:
+        raise VertexHit(a_tiling.vertex_location(next_a))
+    if not inside_b:
+        raise VertexHit(b_tiling.vertex_location(next_b))
+    return _pair(next_a, next_b)
 
 
 def _shift(now: Particle, prev: Particle) -> Vec2:
@@ -258,7 +277,8 @@ def certify(a_tiling, b_tiling, word: tuple):
     B's across, A's next edge axis, B's next edge axis).  A particle went
     to the parallel line when its next axis is its axis.  So each step
     names, per particle, one map and open interval of the branch table
-    that the move read (`tilings.branch_table`, from `GridTiling.chord`).
+    that the move read (`tilings.branch_table`, from
+    `GridTiling.branches`).
     Composing a particle's maps over the word gives pos -> lam * pos + c,
     and pulling each interval back to the word's start gives the cylinder
     of positions that follow the word.
@@ -287,8 +307,9 @@ def _contraction(tiling, other, symbols):
     its cylinder."""
     lam, c = Fraction(1), Fraction(0)
     lo, hi = Fraction(0), Fraction(1)
+    branches = tiling.branches(other)
     for axis, across, other_axis, next_axis in symbols:
-        maps = tiling.chord(other, other_axis)[axis][across > 0][3]
+        maps = branches[axis, across, other_axis][3]
         m, shift, low, high = maps[next_axis == axis]
         ends = sorted(((low - c) / lam, (high - c) / lam))
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
@@ -334,14 +355,17 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     costs one lookup in a dict of edge pairs.  A lock with a nonzero
     shift runs on.  Float runs record no symbols.
 
+    `_hold` decides the run's one arithmetic, as for `step`: exact, with
+    each position held as its (p, q), when both grids are exact and
+    both start positions rational, and floats from step 0 otherwise.
     Each particle is held as the tuple (axis, line, cell, pos, across)
-    that `tilings.move` steps, the move `step` makes through
-    `GridTiling.first_hit`; on two exact grids a Fraction position is
-    held as its (numerator, denominator).  Each move reads its branch
-    from the entries its grid keeps per other grid
+    that `tilings.move` steps, the move `step` makes.  Each move reads
+    its branch from the entries its grid keeps per other grid
     (`GridTiling.branches`): over rationals it is integer work whose
     gcds each take one small argument, so a step costs time linear in
     the bit length, and a float position's step is plain float work.
+    The record's start is the caller's start, and its states, when
+    kept, are the states as the run holds them, from the start's on.
     The run keeps each state's pair of tuples, and the record
     (`OrbitRecord.traced`) builds its points and bit lengths from them
     on their first read, through `GridTiling.float_point`, at the same
@@ -351,22 +375,16 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     state kept with keep_states, a key-repeat candidate, which
     `_closure` compares, and the location of a vertex hit.
     """
-    if not tilings.is_transverse(a_tiling, b_tiling):
-        raise NonTransverseEdges("the two grids have parallel edges")
-    exact_slopes = a_tiling.exact and b_tiling.exact
-    exact = exact_slopes and not any(
-        isinstance(p.pos, float) for p in (start.a, start.b))
+    exact, a, b = _hold(a_tiling, b_tiling, start)
     tol = 0 if exact else tilings.FLOAT_TOL
     # Each particle's branch, keyed by (its axis, its across, the other
     # particle's axis).
     branches_a = a_tiling.branches(b_tiling)
     branches_b = b_tiling.branches(a_tiling)
 
-    states = [start] if keep_states else None
+    states = [_pair(a, b)] if keep_states else None
     seen = {}
     termination = None
-    a = tilings.to_tuple(start.a, exact_slopes)
-    b = tilings.to_tuple(start.b, exact_slopes)
     trace = [(a, b)]
     index = 0
 
@@ -384,7 +402,7 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         else:
             # Outer key: both axes and acrosses and A's snapped position;
             # inner key: B's snapped position.
-            ka, kb = _snap(pos_a, tol), _snap(pos_b, tol)
+            ka, kb = math.floor(pos_a / tol), math.floor(pos_b / tol)
             candidates = []
             for near_a in (ka - 1, ka, ka + 1):
                 inner = seen.get((axis_a, across_a, axis_b, across_b, near_a))

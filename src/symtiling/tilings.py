@@ -2,36 +2,43 @@
 the billiard map in `dynamics` steps on.  Sunbursts, the finite fans of
 rays whose paired orbits follow in closed form, live in `weave`.
 
+A grid is exact when its four basis entries are rational.  A grid with
+any float entry holds all four as floats, so a grid is in one
+arithmetic.
+
 A particle lives in its grid's local coordinates, where the edges are
 the integer grid's: an open unit edge, a position in (0, 1) along it,
 and the sign with which its next move crosses the edge's line.  So a
 first hit is O(1), exact over rationals, and in float mode works on
 positions in (0, 1) however far the orbit goes.  It reads a branch
-table (`branch_table`) of the direction it moves along, which each grid
-keeps once per other grid and edge axis (`GridTiling.chord`).  The table
+table (`branch_table`) of the direction it moves along, whose entries
+each grid keeps once per other grid (`GridTiling.branches`).  The table
 also states each exact branch as an affine map of the position and the
-open interval on which it holds, which `dynamics.certify` composes.  World
-points serve only to draw and report an orbit (`point_on`, and
+open interval on which it holds, which `dynamics.certify` composes.
+World points serve only to draw and report an orbit (`point_on`, and
 `float_point` for the floats and bit length of an orbit record's
 states, which the record builds on their first read).
 
 There is one particle move, `move`, and it works on a plain tuple
-(axis, line, cell, pos, across) in which an exact position is its
-coprime pair (p, q) of ints and any other position is itself.
-`dynamics.run_orbit` steps and keeps such tuples and builds a
-`Particle` only where it reports one.  `GridTiling.first_hit` is the
-single-step API over the same move: it takes and returns a `Particle`,
-and pays one normalising `Fraction` per exact call.
+(axis, line, cell, pos, across) (`to_tuple`) whose position has one of
+two types: an exact position is its coprime pair (p, q) of ints, and
+any other position is a float.  `dynamics` picks the type once per run
+or step: (p, q) when both grids are exact and both positions rational,
+floats from the start otherwise.  It also refuses a pair of grids with
+parallel edges before any branch table is built, so every table's chord
+crosses both edge axes of its grid.  `dynamics.step` and
+`dynamics.run_orbit` both step such tuples and build a `Particle`
+(`from_tuple`) only where they report one.
 
 Exact positions grow by some bits every step, while chords and grid
 bases stay small.  So an exact move and its `float_point` do integer
 work whose every gcd takes one small argument (`_lowest_terms`): a
 reduction of a big integer by a big one would cost time quadratic in the
-bit length, and a step of `run_orbit`, and the point its record builds
-for it when read, each cost time linear in it.  A float position's move
-and point are plain float work, the point on a float copy of the basis
-and, for an exact grid's line terms, int true divisions, rounded as
-`point_on`'s point is.
+bit length, and a move, and the point a record builds for it when read,
+each cost time linear in it.  A float position's move and point are
+plain float work, the point on a float copy of the basis and, for an
+exact grid's line terms, int true divisions, rounded as `point_on`'s
+point is.
 """
 
 from __future__ import annotations
@@ -41,12 +48,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NonTransverseEdges, VertexHit
 from .exact import Vec2, rational_circle_point
 
 
-# Float tolerance of first_hit's vertex guard and of dynamics.run_orbit's
-# key snap and closure residual, in grid-local units, read at call time.
+# Float tolerance of move's vertex guard and of dynamics.run_orbit's key
+# snap and closure residual, in grid-local units, read at call time.
 FLOAT_TOL = 1e-9
 
 
@@ -78,28 +84,29 @@ class Particle:
 
 
 class GridTiling:
-    """Image of the unit integer grid under an invertible linear map."""
+    """Image of the unit integer grid under an invertible linear map:
+    exact, with Fraction entries, when every basis entry is rational,
+    and with four float entries when any one is a float."""
 
     def __init__(self, e1: Vec2, e2: Vec2):
         e1, e2 = e1.exactify(), e2.exactify()
+        self.exact = e1.is_exact() and e2.is_exact()
+        if not self.exact:
+            e1, e2 = (Vec2(float(v.x), float(v.y)) for v in (e1, e2))
         det = e1.cross(e2)
         if det == 0:
             raise ValueError("grid basis is singular")
         self.e1 = e1
         self.e2 = e2
         self.det = det
-        self.exact = e1.is_exact() and e2.is_exact()
-        # Branch tables of the other grid's edge directions, keyed by
-        # (other grid, edge axis): see `chord`.
-        self._chords = {}
-        # Their entries per other grid, as `move` reads them: see
+        # Branch table entries per other grid, as `move` reads them: see
         # `branches`.
         self._branches = {}
         # `is_transverse` answers, keyed by (other grid, FLOAT_TOL).
         self._transverse = {}
         # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
         # ints over their common denominator on an exact grid, and with
-        # the entries themselves over d = 1 on a float grid.
+        # the float entries themselves over d = 1 on a float grid.
         # _float_basis holds float(a / d), ...: see `float_point`.
         m = e1.x, e2.x, e1.y, e2.y
         self._float_basis = tuple(float(v) for v in m)
@@ -142,30 +149,22 @@ class GridTiling:
         """Direction of this grid's edges of the given axis."""
         return self.e2 if axis == "v" else self.e1
 
-    def chord(self, other: "GridTiling", axis: str) -> dict:
-        """The `branch_table` of the direction of the other grid's edges of
-        the given axis, in this grid's local frame.  It is built once per
-        other grid and axis and then read from a table.
-        """
-        key = other, axis
-        table = self._chords.get(key)
-        if table is None:
-            table = self._chords[key] = branch_table(
-                self.to_local(other.direction_of(axis)))
-        return table
-
     def branches(self, other: "GridTiling") -> dict:
         """The `branch_table` entries that move a particle of this grid,
         keyed by (its edge axis, its across, the other particle's edge
-        axis), read from the tables `chord` keeps.  The grids must be
-        transverse.  It is built once per other grid and then read from
-        a table.
+        axis): the tables of the other grid's two edge directions in this
+        grid's local frame.  The grids must be transverse, which
+        `dynamics` checks before it asks.  The entries are built once per
+        other grid and then read from a table.
         """
         table = self._branches.get(other)
         if table is None:
+            chords = {other_axis: branch_table(
+                self.to_local(other.direction_of(other_axis)))
+                for other_axis in "vh"}
             table = self._branches[other] = {
                 (axis, across, other_axis):
-                self.chord(other, other_axis)[axis][across > 0]
+                chords[other_axis][axis][across > 0]
                 for axis in "vh" for across in (1, -1) for other_axis in "vh"}
         return table
 
@@ -179,47 +178,36 @@ class GridTiling:
         """(x, y, bits): `point_on(edge, frac)` as floats, and the larger
         bit length of its two coordinates, each the larger of its
         numerator's and denominator's; 53 for floats.  The edge may be
-        any (axis, line, cell) triple, and frac an exact position held as
-        its coprime pair (p, q) of ints, as `move` holds it.  This is the
-        one place an orbit record's points and bit lengths come from: a
+        any (axis, line, cell) triple, and frac a position as `to_tuple`
+        holds it: on an exact grid, an exact position's coprime pair
+        (p, q) of ints, and otherwise a float.  This is the one place an
+        orbit record's points and bit lengths come from: a
         `dynamics.OrbitRecord` calls it once per particle and state, on
         the first read of its points or bit lengths, and not before.
 
-        On an exact grid a rational frac = p/q is worked in integers:
-        each world coordinate is (k q + c p) / (d q), with d the common
-        denominator of the basis and k, c small ints, and is brought to
-        lowest terms by gcds with one small argument only
-        (`_lowest_terms`).  Dividing the reduced ints rounds as float()
-        of the Fraction does.
+        An exact frac = p/q is worked in integers: each world coordinate
+        is (k q + c p) / (d q), with d the common denominator of the
+        basis and k, c small ints, and is brought to lowest terms by gcds
+        with one small argument only (`_lowest_terms`).  Dividing the
+        reduced ints rounds as float() of the Fraction does.
 
-        Every other position is worked in plain floats, and each
-        coordinate is rounded as in `point_on`: a line term plus an along
-        term.  The along term is the float basis entry times cell + frac,
-        passed through float() unless it is a float already.  The line
+        A float frac is worked in plain floats, and each coordinate is
+        rounded as in `point_on`: a line term plus an along term.  The
+        along term is the float basis entry times cell + frac.  The line
         term is (k * line) / d: on an exact grid an int true division,
         which rounds as float() of the Fraction product does, and on a
-        float grid, with d = 1, the entry times line.  A grid may mix
-        float and Fraction entries; a Fraction position there, which
-        `particle_on` never makes, is rounded term by term.
+        float grid, with d = 1, the entry times line.
         """
         axis, line, cell = edge
         d, (a, b, c, e) = self._basis
-        if type(frac) is tuple:
-            p, q = frac
-        elif (type(frac) is not float and self.exact
-              and not isinstance(frac, float)):
-            p, q = frac.numerator, frac.denominator
-        else:
-            # A float position, the common case, takes no isinstance test
-            # and no float() pass.
+        if type(frac) is not tuple:
             along = cell + frac
-            if type(frac) is not float and not isinstance(along, float):
-                along = float(along)
             fa, fb, fc, fe = self._float_basis
             if axis == "v":
                 return (a * line / d + fb * along,
                         c * line / d + fe * along, 53)
             return fa * along + b * line / d, fc * along + e * line / d, 53
+        p, q = frac
         if axis == "v":
             kx, ky, cx, cy = a * line + b * cell, c * line + e * cell, b, e
         else:
@@ -244,35 +232,6 @@ class GridTiling:
         across = side if edge.axis == "h" else -side
         return Particle(edge, frac, across if self.det > 0 else -across)
 
-    def first_hit(self, particle: Particle, table: dict) -> Particle:
-        """The particle moved along a grid-local chord or its negative,
-        whichever crosses the edge's line the `across` way, to the next
-        grid line: the next particle, which keeps crossing the way it
-        moved.  The chord is given by its `branch_table`, as `chord`
-        keeps it, and the move reads nothing else of it.
-
-        This is the single-step API over `move`, the one move that
-        `dynamics.run_orbit` steps on tuples.  A Fraction position on an
-        exact slope goes in as its (numerator, denominator) and comes
-        back as one normalising Fraction, so unlike a step of
-        `run_orbit` a call pays a gcd of two big integers.
-
-        Raises NonTransverseEdges when the chord is parallel to the edge,
-        and VertexHit, at the world point `point_on` gives, when the
-        crossing is a grid vertex; in float mode, when the new position
-        lies within FLOAT_TOL of an edge end.
-        """
-        slopes = table[particle.edge.axis]
-        if slopes is None:
-            raise NonTransverseEdges(
-                "chord direction is parallel to the particle's edge")
-        branch = slopes[particle.across > 0]
-        moved, inside = move(branch,
-                             *to_tuple(particle, branch[2] is not None))
-        if not inside:
-            raise VertexHit(self.vertex_location(moved))
-        return from_tuple(moved)
-
     def vertex_location(self, moved: tuple) -> tuple:
         """The float world point, from `point_on`, of a grid vertex that a
         particle held as `move` holds it has hit."""
@@ -282,13 +241,13 @@ class GridTiling:
 
 
 def to_tuple(particle: Particle, exact: bool) -> tuple:
-    """(axis, line, cell, pos, across), the particle as `move` steps it.
-    When exact, for a move along an exact slope, a Fraction position is
-    held as its (numerator, denominator); any other position as itself.
+    """(axis, line, cell, pos, across), the particle as `move` steps it:
+    when exact, for a run on two exact grids from rational positions,
+    the position as its coprime pair (p, q) of ints, and otherwise as
+    float(pos).
     """
     edge, pos = particle.edge, particle.pos
-    if exact and type(pos) is Fraction:
-        pos = pos.numerator, pos.denominator
+    pos = (pos.numerator, pos.denominator) if exact else float(pos)
     return edge.axis, edge.line, edge.cell, pos, particle.across
 
 
@@ -319,10 +278,9 @@ def move(branch: tuple, axis: str, line: int, cell: int, pos,
     The new position is n / m, or at a cell's end the branch's turn map
     (k q + c p) / (d q), and `_lowest_terms` reduces either by gcds with
     small arguments only, so a move costs time linear in the position's
-    bit length.  Any other position, a float or a Fraction on a slope
-    without int terms (a float slope, or 0), uses the formulas above in
-    its own arithmetic, and in float mode a new position within
-    FLOAT_TOL of an edge end is a vertex.
+    bit length.  A float position uses the formulas above in floats (a
+    Fraction slope, on two exact grids, meets it as its float()), and a
+    new position within FLOAT_TOL of an edge end is a vertex.
     """
     slope, up, terms, _ = branch
     if type(pos) is tuple:
@@ -338,8 +296,7 @@ def move(branch: tuple, axis: str, line: int, cell: int, pos,
         if not parallel:
             travel = (1 - pos) / slope if up else pos / -slope
             end = travel if across > 0 else 1 - travel
-        tol = FLOAT_TOL if isinstance(end, float) else 0
-        inside = tol < end < 1 - tol
+        inside = FLOAT_TOL < end < 1 - FLOAT_TOL
     if parallel:
         return (axis, line + across, cell, end, across), inside
     return ("h" if axis == "v" else "v", cell + 1 if up else cell,
@@ -347,14 +304,14 @@ def move(branch: tuple, axis: str, line: int, cell: int, pos,
 
 
 def branch_table(chord: Vec2) -> dict:
-    """`first_hit`'s branch data for a grid-local chord, per own edge
-    axis: None when the chord is parallel to that axis's edges, else a
-    pair indexed by across > 0 of (slope, slope > 0, terms, maps).  Chord
-    components are Fractions or floats, as `to_local` gives them, or
-    ints, which divide as Fractions.
+    """`move`'s branch data for a grid-local chord that crosses both
+    edge axes, as the chords of a transverse pair of grids do: per own
+    edge axis, a pair indexed by across > 0 of (slope, slope > 0, terms,
+    maps).  Chord components are nonzero Fractions or floats, as
+    `to_local` gives them, or ints, which divide as Fractions.
 
     slope is along over normal, negated for across < 0, in the chord's
-    arithmetic.  For a nonzero Fraction slope a / b in lowest terms,
+    arithmetic.  For a Fraction slope a / b in lowest terms,
     let pos * scale + shift be the position met at the cell's end:
     (1 - pos) / slope or pos / -slope, and one minus that when across <
     0.  terms is then the ints (a, b, k, c, d) with which `move` steps
@@ -366,15 +323,12 @@ def branch_table(chord: Vec2) -> dict:
     interval (lo, hi).  The parallel line is met when 0 < pos + slope <
     1, so the parallel map is (1, slope) on (max(0, -slope), min(1, 1 -
     slope)); the turn map is (scale, shift) on (max(0, 1 - slope), 1)
-    for slope > 0 and on (0, min(1, -slope)) for slope < 0.  Otherwise
-    terms and maps are None.
+    for slope > 0 and on (0, min(1, -slope)) for slope < 0.  For a float
+    slope terms and maps are None.
     """
     table = {}
     for axis, normal, along in (("v", chord.x, chord.y),
                                 ("h", chord.y, chord.x)):
-        if normal == 0:
-            table[axis] = None
-            continue
         if type(normal) is int:
             normal = Fraction(normal)
         table[axis] = tuple(_branch(slope, forward) for slope, forward in
@@ -385,7 +339,7 @@ def branch_table(chord: Vec2) -> dict:
 def _branch(slope, forward: bool) -> tuple:
     """One entry of `branch_table`: (slope, slope > 0, terms, maps)."""
     up = slope > 0
-    if not isinstance(slope, Fraction) or slope == 0:
+    if not isinstance(slope, Fraction):
         return slope, up, None, None
     inv = 1 / slope
     scale = -inv if forward else inv

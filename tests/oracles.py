@@ -1,5 +1,6 @@
 """Reference implementations that the unit tests compare the package
-against, and the samplers, predicates and inputs those tests use.
+against, and the samplers, predicates, inputs and helpers those tests
+use.
 Nothing in the package calls them.  pytest collects no tests from this
 file.
 """
@@ -44,6 +45,19 @@ def dot(u: Vec2, v: Vec2):
 
 
 # Grid orbits.
+
+def move_particle(tiling, particle: Particle, table: dict) -> Particle:
+    """The particle moved by `tilings.move` along the chord of a
+    `tilings.branch_table`, held as a run holds it: as its (p, q) from a
+    rational position on an exact chord, else as a float.  Raises
+    VertexHit at a grid vertex, as `step` does."""
+    branch = table[particle.edge.axis][particle.across > 0]
+    exact = branch[2] is not None and not isinstance(particle.pos, float)
+    moved, inside = tilings.move(branch, *tilings.to_tuple(particle, exact))
+    if not inside:
+        raise VertexHit(tiling.vertex_location(moved))
+    return tilings.from_tuple(moved)
+
 
 # The orbit loop on Particles: one `step` of a PairState per step, and
 # keys read from Particles.  run_orbit, which steps tuples, must give
@@ -95,12 +109,14 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     costs one lookup in a dict of edge pairs.  A lock with a nonzero
     shift runs on.  Float runs record no symbols.
 
-    Steps read their branch data from each grid's one table per other
-    grid and edge axis, and the record's points and bit lengths come from
-    `GridTiling.float_point`: over rationals both are integer work whose
-    gcds each take one small argument, and a float position's record is
-    plain float work.  Exact keys hold a position as its (numerator,
-    denominator).
+    The run is exact when both grids are exact and both start positions
+    rational; otherwise every position is a float from the start on,
+    and the kept states hold the start so.  The record's points and bit
+    lengths come from `GridTiling.float_point`, given each position as
+    `tilings.to_tuple` holds it: over rationals that is integer work
+    whose gcds each take one small argument, and a float position's
+    record is plain float work.  Exact keys hold a position as its
+    (numerator, denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
@@ -108,18 +124,23 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
         isinstance(p.pos, float) for p in (start.a, start.b))
     tol = 0 if exact else tilings.FLOAT_TOL
 
-    states = [start] if keep_states else None
+    def held(particle: Particle) -> tuple:
+        return tilings.to_tuple(particle, exact)
+
+    state = PairState(tilings.from_tuple(held(start.a)),
+                      tilings.from_tuple(held(start.b)))
+    states = [state] if keep_states else None
     a_points = []
     b_points = []
     bit_lengths = []
     seen = {}
     termination = None
-    state = start
     index = 0
 
     def record_state(st: PairState):
-        ax, ay, a_bits = a_tiling.float_point(st.a.edge, st.a.pos)
-        bx, by, b_bits = b_tiling.float_point(st.b.edge, st.b.pos)
+        a, b = held(st.a), held(st.b)
+        ax, ay, a_bits = a_tiling.float_point(a[:3], a[3])
+        bx, by, b_bits = b_tiling.float_point(b[:3], b[3])
         a_points.append((ax, ay))
         b_points.append((bx, by))
         bit_lengths.append(max(a_bits, b_bits))
@@ -180,8 +201,8 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
             then = before[then]
         return None
 
-    record_state(start)
-    check_recurrence(start, 0)
+    record_state(state)
+    check_recurrence(state, 0)
     while termination is None and index < max_steps:
         prev = state
         try:

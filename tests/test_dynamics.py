@@ -17,7 +17,7 @@ from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
-from oracles import bit_length, oracle_run_orbit
+from oracles import bit_length, move_particle, oracle_run_orbit
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -25,7 +25,7 @@ def oracle_advance(tiling, particle, chord_dir, window=64):
     crosses the particle's edge line the `across` way, then scan every
     grid line in a window for the nearest crossing.  Returns the world
     hit point, the hit edge and the new crossing sign.  Written
-    independently of first_hit."""
+    independently of tilings.move."""
     start = tiling.point_on(particle.edge, particle.pos)
     ls = tiling.to_local(start)
     lt = tiling.to_local(chord_dir)
@@ -141,10 +141,10 @@ def test_run_orbit_replay_and_states():
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_step_reads_each_grid_pairs_own_chords(exact):
-    """One A stepped against two B grids in turn moves as first_hit does
-    on the branch_table of chords freshly computed by to_local, for every
-    pair of edge axes and crossing signs: a table keyed on A alone, or a
-    float chord that drifts from to_local, fails."""
+    """One A stepped against two B grids in turn moves as tilings.move
+    does on the branch_table of chords freshly computed by to_local, for
+    every pair of edge axes and crossing signs: a table keyed on A
+    alone, or a float chord that drifts from to_local, fails."""
     ts = (Fraction(1, 3), Fraction(7, 11))
     if exact:
         a = GridTiling(Vec2(2, 1), Vec2(-1, 3))
@@ -163,27 +163,21 @@ def test_step_reads_each_grid_pairs_own_chords(exact):
             chord_a = a.to_local(b.direction_of(state.b.edge.axis))
             chord_b = b.to_local(a.direction_of(state.a.edge.axis))
             want = PairState(
-                a.first_hit(state.a, tilings.branch_table(chord_a)),
-                b.first_hit(state.b, tilings.branch_table(chord_b)))
+                move_particle(a, state.a, tilings.branch_table(chord_a)),
+                move_particle(b, state.b, tilings.branch_table(chord_b)))
             assert step(a, b, state) == want
 
 
 def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
-    """Each grid builds the branch table of the other grid's edge axis on
-    first use: at most four tables for a pair of grids however long the
-    run, in exact and in float mode, and none on a second run over the
-    same grids, which reads no `chord` either: each grid keeps its
-    particle's branches per other grid.  A step that built its branch
-    data again would fail."""
+    """Each grid builds the branch tables of the other grid's edge axes
+    on first use: at most four tables for a pair of grids however long
+    the run, in exact and in float mode, and none on a second run over
+    the same grids: each grid keeps its particle's branches per other
+    grid.  A step that built its branch data again would fail."""
     built = []
     build = tilings.branch_table
     monkeypatch.setattr(tilings, "branch_table",
                         lambda chord: built.append(chord) or build(chord))
-    chords = []
-    chord = GridTiling.chord
-    monkeypatch.setattr(GridTiling, "chord",
-                        lambda self, *args: chords.append(args)
-                        or chord(self, *args))
     fa, fb = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)), float_grid(theta=1.0)
     floats = fa, fb, PairState(
         fa.particle_on(GridEdge("v", 0, 0), 0.3, 1),
@@ -191,11 +185,9 @@ def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
     for a, b, start in (seven_elevenths_start(), floats):
         for run in range(2):
             built.clear()
-            chords.clear()
             rec = run_orbit(a, b, start, 200, keep_states=False)
             assert rec.steps > 4
             assert len(built) <= (4 if run == 0 else 0)
-            assert (len(chords) > 0) == (run == 0)
 
 
 def recorded(tiling, particle):
@@ -244,26 +236,23 @@ def test_recorded_points_and_bits_match_point_on_with_a_float_a():
 def test_float_point_matches_point_on_bit_for_bit():
     """float_point's plain float work rounds as float() of point_on's
     world point does, 53 bits: float positions on exact grids, three of
-    whose bases have a common denominator d > 1, and on a grid that
-    mixes Fraction and float entries, and float and Fraction positions
-    on float grids, on both axes, with lines and cells up to 10^6 either
-    way."""
+    whose bases have a common denominator d > 1, and on float grids, one
+    of them given Fraction and float entries, on both axes, with lines
+    and cells up to 10^6 either way."""
     rng = random.Random(19)
     exact = [GridTiling.standard(), GridTiling.from_parameter(Fraction(7, 11)),
              GridTiling.from_parameter(Fraction(3, 7)),
              GridTiling(Vec2(Fraction(2, 3), Fraction(-5, 7)),
                         Vec2(Fraction(1, 9), Fraction(13, 5)))]
-    mixed = GridTiling(Vec2(Fraction(1, 3), 0.5), Vec2(0.25, Fraction(2, 7)))
     floats = [float_a(), float_grid(theta=math.pi / 5), float_grid(theta=2.0),
-              float_grid(t=Fraction(7, 11))]
-    for tiling in exact + [mixed] + floats:
-        for n in range(1500):
+              float_grid(t=Fraction(7, 11)),
+              GridTiling(Vec2(Fraction(1, 3), 0.5), Vec2(0.25, Fraction(2, 7)))]
+    for tiling in exact + floats:
+        for _ in range(1500):
             span = 10 ** rng.randint(0, 6)
             edge = GridEdge(rng.choice("vh"), rng.randint(-span, span),
                             rng.randint(-span, span))
             pos = rng.uniform(0.0, 1.0) or 0.5
-            if tiling in floats and n % 2:
-                pos = Fraction(rng.randint(1, 10 ** 6 - 1), 10 ** 6)
             (x, y), bits = recorded(tiling, Particle(edge, pos, 1))
             assert tiling.float_point(edge, pos) == (x, y, bits) == (
                 x, y, 53)
@@ -322,6 +311,68 @@ def test_float_position_on_an_exact_grid_records_53_bits():
     assert a.float_point(start.a.edge, start.a.pos) == (0.0, 0.25, 53)
     rec = check_recording(a, b, start, 40)
     assert rec.bit_lengths[0] == 53
+
+
+def test_a_run_holds_one_arithmetic():
+    """A run that is not exact holds every position as a float from step
+    0, a rational start position included: on the exact 7/11 pair from a
+    float A and a Fraction B, and on the standard grid against a float
+    grid from two Fraction positions.  Each record is the record of the
+    same start with float() positions, all of its bit lengths are 53,
+    and step moves the start, and each kept state, to the next kept
+    state, up to the vertex that ends the run."""
+    a = GridTiling.standard()
+    b = GridTiling.from_parameter(Fraction(7, 11))
+    v, h = GridEdge("v", 0, 0), GridEdge("h", 0, 0)
+    runs = [(a, b, Particle(v, pos_a, 1), Particle(v, pos_b, -1))
+            for pos_a, pos_b in ((0.25, Fraction(3, 4)), (0.3, Fraction(1, 3)),
+                                 (0.5, Fraction(2, 5)))]
+    runs += [(a, float_grid(theta=1.0), Particle(v, Fraction(1, 3), across),
+              Particle(h, Fraction(2, 5), 1)) for across in (1, -1)]
+    for grid_a, grid_b, pa, pb in runs:
+        start = PairState(pa, pb)
+        floated = PairState(Particle(pa.edge, float(pa.pos), pa.across),
+                            Particle(pb.edge, float(pb.pos), pb.across))
+        got = run_orbit(grid_a, grid_b, start, 200)
+        want = run_orbit(grid_a, grid_b, floated, 200)
+        assert got.start is start
+        assert repr(got.termination) == repr(want.termination)
+        assert (got.a_points, got.b_points, got.bit_lengths, got.exact) == (
+            want.a_points, want.b_points, want.bit_lengths, want.exact)
+        assert set(got.bit_lengths) == {53} and not got.exact
+        assert [(type(st.a.pos), type(st.b.pos)) for st in got.states] == [
+            (float, float)] * len(want.states)
+        assert got.states == want.states
+        assert step(grid_a, grid_b, start) == got.states[1]
+        for prev, now in zip(got.states, got.states[1:]):
+            assert step(grid_a, grid_b, prev) == now
+        assert got.termination.kind == "vertex"
+        with pytest.raises(VertexHit):
+            step(grid_a, grid_b, got.states[-1])
+
+
+def test_a_grid_with_a_float_entry_is_a_float_grid():
+    """One float basis entry makes a grid hold all four entries as
+    floats, and a run on such a grid is the run from the same start on
+    the grid given in floats."""
+    for tiling in (GridTiling(Vec2(1.0, 0), Vec2(0, 1.0)),
+                   GridTiling.standard().transformed(0.5, 0, 0, 1)):
+        assert not tiling.exact
+        assert [type(v) for v in (tiling.e1.x, tiling.e1.y, tiling.e2.x,
+                                  tiling.e2.y)] == [float] * 4
+    mixed = GridTiling(Vec2(1.0, 0), Vec2(0, 1.0))
+    starts = float_pairs(mixed)
+    b = GridTiling.from_parameter(Fraction(1, 3))
+    starts.append((b, PairState(
+        mixed.particle_on(GridEdge("v", 0, 0), Fraction(1, 3), 1),
+        b.particle_on(GridEdge("h", 0, 0), Fraction(2, 5), -1))))
+    for b, start in starts:
+        got = run_orbit(mixed, b, start, 120)
+        want = run_orbit(float_a(), b, start, 120)
+        assert repr(got.termination) == repr(want.termination)
+        assert (got.a_points, got.b_points, got.bit_lengths, got.exact,
+                got.states) == (want.a_points, want.b_points,
+                                want.bit_lengths, want.exact, want.states)
 
 
 def test_crafted_vertex_hit():
@@ -444,7 +495,7 @@ def test_float_recurrence_matches_linear_scan_with_a_float_a():
                          ids=["exact-a", "float-a"])
 def test_float_records_skip_point_on(monkeypatch, grid_a):
     """A float run's record is plain float work: point_on runs only where
-    first_hit reports a VertexHit, once per vertex termination."""
+    a move meets a vertex, once per vertex termination."""
     a = grid_a()
     calls = []
     point_on = GridTiling.point_on
@@ -711,9 +762,10 @@ class OneBranchGrid:
     def __init__(self, m, c, lo=Fraction(0), hi=Fraction(1)):
         self.maps = ((m, c, lo, hi),) * 2
 
-    def chord(self, other, axis):
+    def branches(self, other):
         entry = (None, None, None, self.maps)
-        return {"v": (entry, entry), "h": (entry, entry)}
+        return {(axis, across, other_axis): entry for axis in "vh"
+                for across in (1, -1) for other_axis in "vh"}
 
 
 def test_certify_accepts_only_maps_that_contract_into_their_cylinder():
@@ -813,17 +865,21 @@ def test_portrait_rejects_parallel_edges():
 
 def test_run_orbit_rejects_non_transverse_grids_before_any_step(
         monkeypatch):
-    """The first step of this start is well defined; the pair is not."""
+    """Each particle's first move from this start would cross its edge,
+    but the pair of grids is not transverse: step and run_orbit refuse
+    it before they build a branch table or move a particle."""
     a = GridTiling.standard()
     b = a.transformed(2, 0, 0, 3)
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
                       b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), 1))
-    step(a, b, state)
 
     def no_step(*args):
-        raise AssertionError("run_orbit stepped a non-transverse pair")
+        raise AssertionError("a non-transverse pair was stepped")
 
-    monkeypatch.setattr(dynamics, "step", no_step)
+    monkeypatch.setattr(tilings, "branch_table", no_step)
+    monkeypatch.setattr(tilings, "move", no_step)
+    with pytest.raises(NonTransverseEdges):
+        step(a, b, state)
     with pytest.raises(NonTransverseEdges):
         run_orbit(a, b, state, max_steps=10)
 

@@ -5,16 +5,27 @@ from fractions import Fraction
 import pytest
 
 from symtiling import tilings
-from symtiling.errors import NonTransverseEdges, VertexHit
+from symtiling.errors import VertexHit
 from symtiling.exact import Vec2, rational_circle_point, unit_from_angle
 from symtiling.tilings import (GridEdge, GridTiling, Particle, branch_table,
                                is_transverse)
 
-from oracles import dot
+from oracles import dot, move_particle
 
 
 def rand_fraction(rng, span=8, den=40):
     return Fraction(rng.randint(-span * den, span * den), den)
+
+
+def rand_chord(rng, span=8, den=40):
+    """A chord with two nonzero rand_fraction components: a chord with a
+    zero component is parallel to an edge axis, and no transverse pair
+    of grids moves along one."""
+    while True:
+        chord = Vec2(rand_fraction(rng, span, den),
+                     rand_fraction(rng, span, den))
+        if chord.x and chord.y:
+            return chord
 
 
 def brute_first_hit(tiling, start, travel, window=200):
@@ -53,12 +64,8 @@ def test_first_hit_matches_brute_force_scan():
                                      rng.randint(-8, 8)),
                             Fraction(rng.randint(1, 39), 40),
                             rng.choice((1, -1)))
-        chord = Vec2(rand_fraction(rng, 3), rand_fraction(rng, 3))
+        chord = rand_chord(rng, 3)
         normal = chord.x if particle.edge.axis == "v" else chord.y
-        if normal == 0:
-            with pytest.raises(NonTransverseEdges):
-                tiling.first_hit(particle, branch_table(chord))
-            continue
         if (normal > 0) != (particle.across > 0):
             chord = -chord
         start = tiling.point_on(particle.edge, particle.pos)
@@ -66,10 +73,10 @@ def test_first_hit_matches_brute_force_scan():
         expect = brute_first_hit(tiling, start, travel)
         if expect == "vertex":
             with pytest.raises(VertexHit):
-                tiling.first_hit(particle, branch_table(chord))
+                move_particle(tiling, particle, branch_table(chord))
             continue
         s, axis, line, cell = expect
-        hit = tiling.first_hit(particle, branch_table(chord))
+        hit = move_particle(tiling, particle, branch_table(chord))
         assert tiling.point_on(hit.edge, hit.pos) == start + travel * s
         assert hit.edge == GridEdge(axis, line, cell)
         assert hit.across == (1 if (chord.x if axis == "v" else chord.y) > 0
@@ -78,40 +85,28 @@ def test_first_hit_matches_brute_force_scan():
     assert checked > 200
 
 
-def test_first_hit_starts_on_edge():
-    tiling = GridTiling.standard()
-    start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
-    hit = tiling.first_hit(start, branch_table(Vec2(1, 0).exactify()))
-    assert hit.edge == GridEdge("v", 1, 0)
-    assert tiling.point_on(hit.edge, hit.pos) == Vec2(1, Fraction(1, 3))
-    back = Particle(GridEdge("v", 0, 0), Fraction(1, 3), -1)
-    chord = Vec2(-1, 0).exactify()
-    assert (tiling.first_hit(back, branch_table(chord)).edge
-            == GridEdge("v", -1, 0))
-
-
 def test_first_hit_divides_int_chords_exactly():
     tiling = GridTiling.standard()
     start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
-    hit = tiling.first_hit(start, branch_table(Vec2(1, 0)))
-    assert isinstance(hit.pos, Fraction) and hit.pos == Fraction(1, 3)
-    turn = tiling.first_hit(start, branch_table(Vec2(1, 2)))
+    hit = move_particle(tiling, start, branch_table(Vec2(2, 1)))
+    assert isinstance(hit.pos, Fraction) and hit.pos == Fraction(5, 6)
+    assert hit.edge == GridEdge("v", 1, 0)
+    turn = move_particle(tiling, start, branch_table(Vec2(1, 2)))
     assert turn == Particle(GridEdge("h", 1, 0), Fraction(1, 3), 1)
     assert isinstance(turn.pos, Fraction)
-    float_hit = tiling.first_hit(start, branch_table(Vec2(1.0, 0.0)))
+    float_hit = move_particle(tiling, start, branch_table(Vec2(1.0, 2.0)))
     assert isinstance(float_hit.pos, float)
 
 
 def oracle_first_hit(tiling, particle, chord):
-    """first_hit as one formula in the scalars' own arithmetic: the slope
-    is divided out on every call, and every test compares scalars."""
+    """A first hit as one formula in the scalars' own arithmetic: the
+    slope is divided out on every call, and every test compares
+    scalars."""
     edge, pos, across = particle.edge, particle.pos, particle.across
     if edge.axis == "v":
         normal, along, other = chord.x, chord.y, "h"
     else:
         normal, along, other = chord.y, chord.x, "v"
-    if normal == 0:
-        raise NonTransverseEdges("parallel")
     if type(normal) is int:
         normal = Fraction(normal)
     slope = along / normal if across > 0 else -along / normal
@@ -132,22 +127,21 @@ def oracle_first_hit(tiling, particle, chord):
     return hit
 
 
-def outcome(first_hit, *args):
+def outcome(mover, *args):
     try:
-        hit = first_hit(*args)
+        hit = mover(*args)
     except VertexHit as exc:
         return "vertex", exc.location
-    except NonTransverseEdges:
-        return "parallel", None
     return hit, type(hit.pos)
 
 
 def test_first_hit_matches_the_fraction_formula():
     """Int, Fraction and float chords, each stepped through its
-    branch_table, and chords stepped through the table GridTiling.chord
-    keeps; both edge axes and both crossing signs, from Fraction
-    positions of a few and of about 10,000 bits, and from float
-    positions; the same hit, or the same vertex."""
+    branch_table, and chords stepped through the entries
+    GridTiling.branches keeps for a transverse grid; both edge axes and
+    both crossing signs, from Fraction positions of a few and of about
+    10,000 bits, which a float chord moves as their float(), and from
+    float positions; the same hit, or the same vertex."""
     rng = random.Random(16)
     grids = [GridTiling.standard(),
              GridTiling.from_parameter(Fraction(7, 11)),
@@ -168,25 +162,28 @@ def test_first_hit_matches_the_fraction_formula():
         tiling = rng.choice(grids)
         kind = rng.choice(list(kinds))
         chord = Vec2(kinds[kind](), kinds[kind]())
-        other = rng.choice(grids)
+        other = rng.choice([g for g in grids if is_transverse(tiling, g)])
         other_axis = rng.choice("vh")
         shared = tiling.to_local(other.direction_of(other_axis))
-        for chord, table in ((chord, branch_table(chord)),
-                             (shared, tiling.chord(other, other_axis))):
+        branches = tiling.branches(other)
+        kept = {axis: tuple(branches[axis, across, other_axis]
+                            for across in (-1, 1)) for axis in "vh"}
+        for chord, table in ((chord, branch_table(chord)), (shared, kept)):
             edge = GridEdge(rng.choice("vh"), rng.randint(-5, 5),
                             rng.randint(-5, 5))
             across = rng.choice((1, -1))
             normal, along = ((chord.x, chord.y) if edge.axis == "v"
                              else (chord.y, chord.x))
-            slope = Fraction(along) / normal * across if normal else 0
+            slope = Fraction(along) / normal * across
             for pos in (position(rng.choice((8, 10_000))), position("float"),
                         1 - slope, -slope):
                 if not 0 < pos < 1:
                     continue
                 particle = Particle(edge, pos, across)
-                got = outcome(tiling.first_hit, particle, table)
-                assert got == outcome(oracle_first_hit, tiling, particle,
-                                      chord)
+                held = (Particle(edge, float(pos), across)
+                        if type(chord.x) is float else particle)
+                got = outcome(move_particle, tiling, particle, table)
+                assert got == outcome(oracle_first_hit, tiling, held, chord)
                 size = ("float" if isinstance(pos, float) else
                         "big" if pos.denominator.bit_length() > 9000
                         else "small")
@@ -203,7 +200,7 @@ def test_first_hit_matches_the_fraction_formula():
 
 def test_branch_maps_give_first_hits_new_position():
     """Each exact branch's map (m, c) on its open interval (lo, hi) is
-    first_hit's move: from random positions in the interval, the hit is
+    the move's: from random positions in the interval, the hit is
     at m * pos + c, on the parallel line exactly for the parallel map.
     The two intervals meet at the one position whose move ends on a
     vertex."""
@@ -213,7 +210,7 @@ def test_branch_maps_give_first_hits_new_position():
              (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7),
               Fraction(-2, 9))]
     grids.append(GridTiling(Vec2(-2, 1), Vec2(1, -2)))
-    tables = [tiling.chord(other, axis)
+    tables = [branch_table(tiling.to_local(other.direction_of(axis)))
               for tiling, other in [(standard, g) for g in grids]
               + [(g, standard) for g in grids] for axis in "vh"]
     tables += [branch_table(Vec2(rand_fraction(rng, 3, 13) or 1,
@@ -231,8 +228,8 @@ def test_branch_maps_give_first_hits_new_position():
                         q = rng.randint(2, 2 ** 40)
                         pos = lo + (hi - lo) * Fraction(rng.randrange(1, q),
                                                         q)
-                        hit = standard.first_hit(Particle(edge, pos, across),
-                                                 table)
+                        hit = move_particle(
+                            standard, Particle(edge, pos, across), table)
                         assert hit.pos == m * pos + c
                         assert (hit.edge.axis == axis) == parallel
                         checked.add((axis, across, up, parallel))
@@ -241,7 +238,8 @@ def test_branch_maps_give_first_hits_new_position():
                 if 0 < cut < 1:
                     assert parts == {(0, cut), (cut, 1)}
                     with pytest.raises(VertexHit):
-                        standard.first_hit(Particle(edge, cut, across), table)
+                        move_particle(standard, Particle(edge, cut, across),
+                                      table)
                 else:
                     assert parts == {(0, 1)}
     assert len(checked) == 16
@@ -250,7 +248,7 @@ def test_branch_maps_give_first_hits_new_position():
 def test_first_hit_float_skips_resident_edge():
     tiling = GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
     start = Particle(GridEdge("v", 0, 0), 0.25, 1)
-    hit = tiling.first_hit(start, branch_table(Vec2(1.0, 0.0)))
+    hit = move_particle(tiling, start, branch_table(Vec2(1.0, 0.5)))
     assert hit.edge.line == 1
 
 
@@ -268,13 +266,13 @@ def test_first_hit_float_far_from_origin():
         table = branch_table(
             tiling.to_local(Vec2(math.cos(angle), math.sin(angle))))
         try:
-            hit = tiling.first_hit(particle, table)
+            hit = move_particle(tiling, particle, table)
         except VertexHit:
             continue
         line, cell = (dx, dy) if edge.axis == "v" else (dy, dx)
         far = Particle(GridEdge(edge.axis, line, cell), particle.pos,
                        particle.across)
-        far_hit = tiling.first_hit(far, table)
+        far_hit = move_particle(tiling, far, table)
         assert far_hit.pos == hit.pos and far_hit.across == hit.across
         line, cell = (dx, dy) if hit.edge.axis == "v" else (dy, dx)
         assert far_hit.edge == GridEdge(hit.edge.axis, hit.edge.line + line,
