@@ -78,6 +78,15 @@ def parse_steps(text: str) -> int:
     return steps
 
 
+def parse_fraction(flag: str, text: str) -> Fraction:
+    """The flag's rational value, else ValueError naming the flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a rational such as 1/3, "
+                         f"got {text!r}") from None
+
+
 def build_tilings(args):
     """The standard grid paired with its rotation: by --angle in floats,
     else exactly by the rational circle parameter --t, 1/3 if unset."""
@@ -85,7 +94,7 @@ def build_tilings(args):
         if args.t is None:
             args.t = "1/3"
         return (GridTiling.standard(),
-                GridTiling.from_parameter(Fraction(args.t)))
+                GridTiling.from_parameter(parse_fraction("--t", args.t)))
     theta = parse_angle(args.angle)
     return (GridTiling(Vec2(1.0, 0.0), Vec2(0.0, 1.0)),
             GridTiling.rotated(Vec2(math.cos(theta), math.sin(theta))))
@@ -109,7 +118,8 @@ def start_state(a, b, args) -> PairState:
     else:
         vars(args).update({key: value for key, value in START_DEFAULTS.items()
                            if key not in given})
-        fa, fb = Fraction(args.frac_a), Fraction(args.frac_b)
+        fa = parse_fraction("--frac-a", args.frac_a)
+        fb = parse_fraction("--frac-b", args.frac_b)
         sa, sb = args.side_a, args.side_b
     return PairState(a.particle_on(parse_edge(args.edge_a), fa, sa),
                      b.particle_on(parse_edge(args.edge_b), fb, sb))
@@ -276,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=about)
         if max_steps is not None:
             rotation = sub.add_mutually_exclusive_group()
-            rotation.add_argument("--t", help="rational circle parameter")
+            rotation.add_argument(
+                "--t", help="rational circle parameter, e.g. 1/3; write a "
+                            "negative one as --t=-1/3")
             rotation.add_argument("--angle", default=None,
                                   help="rotation angle in place of --t, "
                                        "e.g. pi/4; runs in float arithmetic")

@@ -22,12 +22,12 @@ its coprime pair (p, q) of ints and any other position as a float from
 the start, so a float run rounds a rational start position once.  Both
 build a `Particle` only where they report or compare one.  Over
 rationals, a position's bit length grows with every step, while chords
-and grid bases stay small; so both the move and the record's point of a
-state are integer work that reduces a big integer only by gcds with a
-small one, and each costs time linear in the bit length.  A run keeps
-each state's pair of particle tuples, and its record builds the states'
-float world points and bit lengths (`GridTiling.float_point`) on their
-first read.  `classify` reads them only for a run that stops as
+and grid bases stay small; so a move is integer work that reduces a big
+integer only by gcds with a small one, and costs time linear in the bit
+length.  A run keeps each state's pair of particle tuples, and its
+record builds the states' float world points and bit lengths
+(`GridTiling.float_point`) on their first read, in float work with no
+gcd.  `classify` reads them only for a run that stops as
 'attracted' or at its step budget, so a run that ends at a vertex or a
 recurrence never builds them.
 
@@ -45,8 +45,7 @@ signs and A's snapped position, the inner key B's.  A step reads the
 outer keys of A's step and the steps one below and one above, and reads
 B's three inner keys only under an outer key that is there, so it meets
 the same first states as a lookup of its key and the eight keys one
-step away, in three lookups where keys rarely repeat.  A float
-position's point is plain float work.
+step away, in three lookups where keys rarely repeat.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -139,8 +138,8 @@ class Termination:
 @dataclass
 class OrbitRecord:
     """One orbit run: per state, from the start on, the float world
-    points of A and of B and the larger bit length of the two
-    (`GridTiling.float_point`).
+    points of A and of B and the larger bit length of the two positions
+    (`GridTiling.float_point`): of their denominators, or 53 for floats.
 
     `run_orbit` makes its record with `traced`, which holds each state's
     pair of particle tuples and the grid pair instead of the three
@@ -368,10 +367,9 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     kept, are the states as the run holds them, from the start's on.
     The run keeps each state's pair of tuples, and the record
     (`OrbitRecord.traced`) builds its points and bit lengths from them
-    on their first read, through `GridTiling.float_point`, at the same
-    cost per state as the step.  A run whose reader never asks for
-    them, as `classify` does not for a recurrence or a vertex hit,
-    never builds them.  A `Particle` is built only for the start, a
+    on their first read, through `GridTiling.float_point`.  A run whose
+    reader never asks for them, as `classify` does not for a recurrence
+    or a vertex hit, never builds them.  A `Particle` is built only for the start, a
     state kept with keep_states, a key-repeat candidate, which
     `_closure` compares, and the location of a vertex hit.
     """
@@ -510,9 +508,10 @@ def classify(record: OrbitRecord) -> Classification:
     by less than 1 percent during the second half); that
     verdict is heuristic and ships its evidence.  The growth measure is
     baseline-subtracted so that steady linear bit growth from a simple
-    start counts as climbing.  Only these trace measures read the
-    record's points and bit lengths, so a recurrence or a vertex hit is
-    classified without building them.
+    start counts as climbing.  The bit lengths are the positions' own,
+    so scaling a grid moves no verdict.  Only these trace measures read
+    the record's points and bit lengths, so a recurrence or a vertex hit
+    is classified without building them.
     """
     t = record.termination
     if t.kind == "periodic":

@@ -31,14 +31,12 @@ crosses both edge axes of its grid.  `dynamics.step` and
 (`from_tuple`) only where they report one.
 
 Exact positions grow by some bits every step, while chords and grid
-bases stay small.  So an exact move and its `float_point` do integer
-work whose every gcd takes one small argument (`_lowest_terms`): a
-reduction of a big integer by a big one would cost time quadratic in the
-bit length, and a move, and the point a record builds for it when read,
-each cost time linear in it.  A float position's move and point are
-plain float work, the point on a float copy of the basis and, for an
-exact grid's line terms, int true divisions, rounded as `point_on`'s
-point is.
+bases stay small.  So an exact move does integer work whose every gcd
+takes one small argument (`_lowest_terms`): a reduction of a big integer
+by a big one would cost time quadratic in the bit length, and a move
+costs time linear in it.  A point (`float_point`) is float work for both
+types of position, and its bit length is q's, or 53 for a float: it
+takes no gcd, and does not change when a grid is scaled.
 """
 
 from __future__ import annotations
@@ -175,47 +173,34 @@ class GridTiling:
         return self.to_world(Vec2(edge.cell + frac, edge.line))
 
     def float_point(self, edge, frac) -> tuple:
-        """(x, y, bits): `point_on(edge, frac)` as floats, and the larger
-        bit length of its two coordinates, each the larger of its
-        numerator's and denominator's; 53 for floats.  The edge may be
-        any (axis, line, cell) triple, and frac a position as `to_tuple`
-        holds it: on an exact grid, an exact position's coprime pair
-        (p, q) of ints, and otherwise a float.  This is the one place an
-        orbit record's points and bit lengths come from: a
-        `dynamics.OrbitRecord` calls it once per particle and state, on
-        the first read of its points or bit lengths, and not before.
+        """(x, y, bits): `point_on(edge, frac)` as floats, and the bit
+        length of the position: q's for an exact p/q, which lies in (0, 1)
+        so q > p, and 53 for a float.  The edge may be any (axis, line,
+        cell) triple, and frac a position as `to_tuple` holds it.  This is
+        the one place an orbit record's points and bit lengths come from:
+        a `dynamics.OrbitRecord` calls it once per particle and state, on
+        the first read of its points or bit lengths.
 
-        An exact frac = p/q is worked in integers: each world coordinate
-        is (k q + c p) / (d q), with d the common denominator of the
-        basis and k, c small ints, and is brought to lowest terms by gcds
-        with one small argument only (`_lowest_terms`).  Dividing the
-        reduced ints rounds as float() of the Fraction does.
-
-        A float frac is worked in plain floats, and each coordinate is
-        rounded as in `point_on`: a line term plus an along term.  The
-        along term is the float basis entry times cell + frac.  The line
-        term is (k * line) / d: on an exact grid an int true division,
-        which rounds as float() of the Fraction product does, and on a
-        float grid, with d = 1, the entry times line.
+        Each coordinate is a line term plus an along term, as in
+        `point_on`.  The along term is the float basis entry times cell +
+        frac, for an exact position (cell q + p) / q, one int true
+        division.  The line term is (k * line) / d: on an exact grid an
+        int true division, and on a float grid, with d = 1, the entry
+        times line.  So a float position's point rounds as float() of
+        `point_on`'s does, and an exact position's lies within 3 ulps of
+        the larger of its two exact terms.
         """
         axis, line, cell = edge
         d, (a, b, c, e) = self._basis
-        if type(frac) is not tuple:
-            along = cell + frac
-            fa, fb, fc, fe = self._float_basis
-            if axis == "v":
-                return (a * line / d + fb * along,
-                        c * line / d + fe * along, 53)
-            return fa * along + b * line / d, fc * along + e * line / d, 53
-        p, q = frac
-        if axis == "v":
-            kx, ky, cx, cy = a * line + b * cell, c * line + e * cell, b, e
+        fa, fb, fc, fe = self._float_basis
+        if type(frac) is tuple:
+            p, q = frac
+            along, bits = (cell * q + p) / q, q.bit_length()
         else:
-            kx, ky, cx, cy = a * cell + b * line, c * cell + e * line, a, c
-        x, dx = _lowest_terms(kx, cx, p, q, d)
-        y, dy = _lowest_terms(ky, cy, p, q, d)
-        return x / dx, y / dy, max(x.bit_length(), dx.bit_length(),
-                                   y.bit_length(), dy.bit_length())
+            along, bits = cell + frac, 53
+        if axis == "v":
+            return a * line / d + fb * along, c * line / d + fe * along, bits
+        return fa * along + b * line / d, fc * along + e * line / d, bits
 
     def particle_on(self, edge: GridEdge, frac, side: int = 1) -> Particle:
         """Particle at frac in (0, 1) along the open edge, else ValueError,
@@ -308,7 +293,7 @@ def branch_table(chord: Vec2) -> dict:
     edge axes, as the chords of a transverse pair of grids do: per own
     edge axis, a pair indexed by across > 0 of (slope, slope > 0, terms,
     maps).  Chord components are nonzero Fractions or floats, as
-    `to_local` gives them, or ints, which divide as Fractions.
+    `to_local` gives them.
 
     slope is along over normal, negated for across < 0, in the chord's
     arithmetic.  For a Fraction slope a / b in lowest terms,
@@ -329,8 +314,6 @@ def branch_table(chord: Vec2) -> dict:
     table = {}
     for axis, normal, along in (("v", chord.x, chord.y),
                                 ("h", chord.y, chord.x)):
-        if type(normal) is int:
-            normal = Fraction(normal)
         table[axis] = tuple(_branch(slope, forward) for slope, forward in
                             ((-along / normal, False), (along / normal, True)))
     return table

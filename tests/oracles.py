@@ -113,9 +113,8 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     rational; otherwise every position is a float from the start on,
     and the kept states hold the start so.  The record's points and bit
     lengths come from `GridTiling.float_point`, given each position as
-    `tilings.to_tuple` holds it: over rationals that is integer work
-    whose gcds each take one small argument, and a float position's
-    record is plain float work.  Exact keys hold a position as its
+    `tilings.to_tuple` holds it, in float work that takes no gcd.
+    Exact keys hold a position as its
     (numerator, denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):

@@ -428,6 +428,33 @@ def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     assert not jpath.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["grid-orbit", "--t", "1/0"], "--t"),
+    (["grid-portrait", "--t", "1/0", "--resolution", "2x2"], "--t"),
+    (["grid-orbit", "--frac-a", "1/0"], "--frac-a"),
+    (["grid-orbit", "--frac-b", "1/0"], "--frac-b"),
+])
+def test_zero_denominator_exits_two_naming_its_flag(tmp_path, capsys, argv,
+                                                    flag):
+    jpath = tmp_path / "run.json"
+    assert cli.main(argv + ["--json", str(jpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "'1/0'" in err
+    assert not jpath.exists()
+
+
+def test_t_help_spells_a_negative_parameter(tmp_path, capsys, monkeypatch):
+    """argparse reads `--t -1/3` as a missing value, so the help shows
+    the spelling that runs."""
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli.main(["grid-orbit", "--help"]) == 0
+    assert "--t=-1/3" in capsys.readouterr().out
+    jpath = tmp_path / "run.json"
+    assert cli.main(["grid-orbit", "--t=-1/3", "--max-steps", "20",
+                     "--json", str(jpath)]) == 0
+    assert json.loads(jpath.read_text())["config"]["t"] == "-1/3"
+
+
 def run_module(tmp_path, argv, timeout):
     """The CLI as a fresh `python -m symtiling` process."""
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -17,7 +17,7 @@ from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
-from oracles import bit_length, move_particle, oracle_run_orbit
+from oracles import move_particle, oracle_run_orbit
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -192,19 +192,46 @@ def test_branch_tables_are_built_once_per_grid_pair(monkeypatch):
 
 def recorded(tiling, particle):
     """Oracle of one particle's record: float() of point_on's world
-    coordinates, and their largest oracles.bit_length."""
+    coordinates, and the position's bit length: 53 for a float, and its
+    denominator's for an exact position."""
     p = tiling.point_on(particle.edge, particle.pos)
-    return (float(p.x), float(p.y)), max(bit_length(p.x), bit_length(p.y))
+    bits = (53 if isinstance(particle.pos, float)
+            else particle.pos.denominator.bit_length())
+    return (float(p.x), float(p.y)), bits
+
+
+def ulps_off(tiling, particle, point) -> Fraction:
+    """How far point's coordinates lie from point_on's exact ones, at
+    most, each in ulps of the larger of its two exact terms: the line
+    term and the along term."""
+    edge, pos = particle.edge, particle.pos
+    along = edge.cell + pos
+    local = (edge.line, along) if edge.axis == "v" else (along, edge.line)
+    want = tiling.point_on(edge, pos)
+    off = Fraction(0)
+    for got, exact, entries in ((point[0], want.x, (tiling.e1.x, tiling.e2.x)),
+                                (point[1], want.y, (tiling.e1.y, tiling.e2.y))):
+        larger = max(abs(u * v) for u, v in zip(entries, local))
+        off = max(off, abs(Fraction(got) - exact)
+                  / Fraction(math.ulp(float(larger))))
+    return off
 
 
 def check_recording(a, b, start, max_steps):
+    """Every state's record: exact states within 3 ulps of point_on and
+    the larger bit length of the two denominators, float states equal to
+    float() of point_on at 53 bits."""
     rec = run_orbit(a, b, start, max_steps)
     assert len(rec.states) == len(rec.a_points) == len(rec.bit_lengths)
     for st, pa, pb, bits in zip(rec.states, rec.a_points, rec.b_points,
                                 rec.bit_lengths):
         (want_a, bits_a), (want_b, bits_b) = (recorded(a, st.a),
                                               recorded(b, st.b))
-        assert (pa, pb, bits) == (want_a, want_b, max(bits_a, bits_b))
+        assert bits == max(bits_a, bits_b)
+        if rec.exact:
+            assert ulps_off(a, st.a, pa) <= 3 and ulps_off(b, st.b, pb) <= 3
+        else:
+            assert (pa, pb) == (want_a, want_b)
     return rec
 
 
@@ -226,10 +253,16 @@ def check_recordings(a):
 
 
 def test_recorded_points_and_bits_match_point_on():
+    """Exact runs on rotation and integer pairs record points within 3
+    ulps of point_on and the bit length of the larger denominator; the
+    float run at pi/5 records float() of point_on at 53 bits."""
     check_recordings(GridTiling.standard())
 
 
 def test_recorded_points_and_bits_match_point_on_with_a_float_a():
+    """The same checks with a float A: its runs against the rotation
+    grids are float runs, and the integer pairs, which do not use A, run
+    exact."""
     check_recordings(float_a())
 
 
@@ -279,15 +312,42 @@ def seven_elevenths_mirror_start():
 
 
 def test_long_exact_orbit_records_match_point_on():
+    """3,000 exact steps whose positions reach 10,000 bits: every point
+    is within 3 ulps of point_on, and every bit length is the larger
+    denominator's."""
     rec = check_recording(*seven_elevenths_mirror_start(), 3000)
     assert rec.termination.kind == "max-steps"
     assert rec.steps == 3000 and max(rec.bit_lengths) > 10_000
 
 
+def test_records_do_not_change_when_b_is_scaled():
+    """A move reads only slopes, so scaling B's grid by k > 0 changes no
+    step.  Against B at t = 1/3, 7/11 and 3/7, and against kB with k the
+    denominator of B's circle point, 5, 85 and 29, which makes kB an
+    integer grid, the same exact starts end the same way at the same
+    step, with the same bit lengths and the same verdict."""
+    rng = random.Random(33)
+    a = GridTiling.standard()
+    for t, k in ((Fraction(1, 3), 5), (Fraction(7, 11), 85),
+                 (Fraction(3, 7), 29)):
+        b = GridTiling.from_parameter(t)
+        scaled_b = b.transformed(k, 0, 0, k)
+        for _ in range(100):
+            start = random_state(rng, a, b)
+            rec, scaled = (run_orbit(a, grid, start, 200, keep_states=False)
+                           for grid in (b, scaled_b))
+            assert rec.exact and scaled.exact
+            assert (rec.termination.kind, rec.termination.step) == (
+                scaled.termination.kind, scaled.termination.step)
+            assert rec.bit_lengths == scaled.bit_lengths
+            assert classify(rec).verdict == classify(scaled).verdict
+
+
 def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
     """A gcd of two big integers costs time quadratic in their length;
-    every gcd of an exact step and its record has one argument of at
-    most 64 bits, so a step costs time linear in the length."""
+    every gcd of an exact step has one argument of at most 64 bits, so a
+    step costs time linear in the length.  Reading the record's points
+    and bit lengths takes no gcd at all."""
     gcd, sizes = math.gcd, []
 
     def recording_gcd(*args):
@@ -296,11 +356,14 @@ def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
 
     monkeypatch.setattr(math, "gcd", recording_gcd)
     rec = run_orbit(*seven_elevenths_mirror_start(), 3000, keep_states=False)
+    run_gcds = len(sizes)
     # The record builds its points and bit lengths on first read.
     rec.bit_lengths, rec.a_points
+    read_gcds = len(sizes) - run_gcds
     monkeypatch.undo()
     assert max(rec.bit_lengths) > 10_000
-    assert len(sizes) > 2500 and max(sizes) <= 64
+    assert run_gcds > 2500 and max(sizes) <= 64
+    assert read_gcds == 0
 
 
 def test_float_position_on_an_exact_grid_records_53_bits():

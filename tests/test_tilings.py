@@ -86,12 +86,17 @@ def test_first_hit_matches_brute_force_scan():
 
 
 def test_first_hit_divides_int_chords_exactly():
+    """Chords of integral Fractions, as `to_local` gives them on integer
+    grids, move a Fraction position exactly; a float chord gives a
+    float."""
     tiling = GridTiling.standard()
     start = Particle(GridEdge("v", 0, 0), Fraction(1, 3), 1)
-    hit = move_particle(tiling, start, branch_table(Vec2(2, 1)))
+    hit = move_particle(tiling, start,
+                        branch_table(Vec2(Fraction(2), Fraction(1))))
     assert isinstance(hit.pos, Fraction) and hit.pos == Fraction(5, 6)
     assert hit.edge == GridEdge("v", 1, 0)
-    turn = move_particle(tiling, start, branch_table(Vec2(1, 2)))
+    turn = move_particle(tiling, start,
+                         branch_table(Vec2(Fraction(1), Fraction(2))))
     assert turn == Particle(GridEdge("h", 1, 0), Fraction(1, 3), 1)
     assert isinstance(turn.pos, Fraction)
     float_hit = move_particle(tiling, start, branch_table(Vec2(1.0, 2.0)))
@@ -107,8 +112,6 @@ def oracle_first_hit(tiling, particle, chord):
         normal, along, other = chord.x, chord.y, "h"
     else:
         normal, along, other = chord.y, chord.x, "v"
-    if type(normal) is int:
-        normal = Fraction(normal)
     slope = along / normal if across > 0 else -along / normal
     end = pos + slope
     if 0 < end < 1:
@@ -136,18 +139,18 @@ def outcome(mover, *args):
 
 
 def test_first_hit_matches_the_fraction_formula():
-    """Int, Fraction and float chords, each stepped through its
-    branch_table, and chords stepped through the entries
-    GridTiling.branches keeps for a transverse grid; both edge axes and
-    both crossing signs, from Fraction positions of a few and of about
-    10,000 bits, which a float chord moves as their float(), and from
-    float positions; the same hit, or the same vertex."""
+    """Integral and other Fraction chords and float chords, each
+    stepped through its branch_table, and chords stepped through the
+    entries GridTiling.branches keeps for a transverse grid; both edge
+    axes and both crossing signs, from Fraction positions of a few and of
+    about 10,000 bits, which a float chord moves as their float(), and
+    from float positions; the same hit, or the same vertex."""
     rng = random.Random(16)
     grids = [GridTiling.standard(),
              GridTiling.from_parameter(Fraction(7, 11)),
              GridTiling.from_parameter(Fraction(3, 7)).transformed(
                  2, 1, -1, 3)]
-    kinds = {"int": lambda: rng.choice([-3, -2, -1, 1, 2, 3]),
+    kinds = {"int": lambda: Fraction(rng.choice([-3, -2, -1, 1, 2, 3])),
              "fraction": lambda: rand_fraction(rng, 3, 13) or Fraction(1, 2),
              "float": lambda: rng.uniform(-3.0, 3.0)}
 
@@ -195,7 +198,7 @@ def test_first_hit_matches_the_fraction_formula():
         (a, s) for a in "vh" for s in (1, -1)}
     assert {(p, c) for _, _, _, p, c in seen} == {
         (p, c) for p in ("float", "small", "big")
-        for c in (int, Fraction, float)}
+        for c in (Fraction, float)}
 
 
 def test_branch_maps_give_first_hits_new_position():
@@ -213,8 +216,8 @@ def test_branch_maps_give_first_hits_new_position():
     tables = [branch_table(tiling.to_local(other.direction_of(axis)))
               for tiling, other in [(standard, g) for g in grids]
               + [(g, standard) for g in grids] for axis in "vh"]
-    tables += [branch_table(Vec2(rand_fraction(rng, 3, 13) or 1,
-                                 rand_fraction(rng, 3, 13) or 1))
+    tables += [branch_table(Vec2(rand_fraction(rng, 3, 13) or Fraction(1),
+                                 rand_fraction(rng, 3, 13) or Fraction(1)))
                for _ in range(40)]
     checked = set()
     for table in tables:
