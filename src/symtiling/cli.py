@@ -54,9 +54,12 @@ def parse_angle(text: str) -> float:
 
 def parse_edge(text: str) -> GridEdge:
     parts = text.split(":")
-    if len(parts) != 3 or parts[0] not in ("v", "h"):
-        raise ValueError(f"edge must look like v:0:0 or h:2:-1, got {text!r}")
-    return GridEdge(parts[0], int(parts[1]), int(parts[2]))
+    try:
+        if len(parts) == 3 and parts[0] in ("v", "h"):
+            return GridEdge(parts[0], int(parts[1]), int(parts[2]))
+    except ValueError:
+        pass
+    raise ValueError(f"edge must look like v:0:0 or h:2:-1, got {text!r}")
 
 
 def parse_resolution(text: str):
@@ -64,7 +67,11 @@ def parse_resolution(text: str):
     w, x, h = text.lower().partition("x")
     if x and not h:
         raise ValueError(f"resolution needs a height after x, got {text!r}")
-    hw, hh = int(w), int(h or w)
+    try:
+        hw, hh = int(w), int(h or w)
+    except ValueError:
+        raise ValueError(f"resolution must look like 64x64 or 64, "
+                         f"got {text!r}") from None
     if hw < 1 or hh < 1:
         raise ValueError(f"resolution must be positive, got {text!r}")
     return hw, hh
@@ -126,8 +133,15 @@ def start_state(a, b, args) -> PairState:
 
 
 def input_files(args):
-    """The input files, which fix the input: refuse with them the flags
-    that only shape a random draw; without them --n is 5 if unset."""
+    """The input files, which fix the input: refuse more of them than the
+    command reads, two for sunburst-solve and one otherwise, and with
+    them the flags that only shape a random draw; without them --n is 5
+    if unset."""
+    most = 2 if args.command == "sunburst-solve" else 1
+    if len(args.files) > most:
+        raise ValueError(f"{args.command} reads at most {most} input "
+                         f"file{'s' if most > 1 else ''}, got "
+                         f"{len(args.files)}")
     given = [flag for flag, on in (("--n", args.n is not None),
                                    ("--seed", args.seed is not None),
                                    ("--free", vars(args).get("free")))
@@ -156,8 +170,7 @@ def _summary(cls) -> str:
 def cmd_grid_orbit(args):
     a, b = build_tilings(args)
     state = start_state(a, b, args)
-    record = run_orbit(a, b, state, max_steps=args.max_steps,
-                       keep_states=False)
+    record = run_orbit(a, b, state, max_steps=args.max_steps)
     verdict = classify(record)
     payload = dict(serialize.encode(record), verdict=verdict.verdict)
     return (_summary(verdict), payload,

@@ -13,23 +13,26 @@ own grid's frame, and reads that chord's branch data from the entries
 its grid keeps per other grid (`GridTiling.branches`).
 
 `step` and `run_orbit` move particles in one way.  Both start in
-`_hold`, which refuses a pair of grids with parallel edges before any
-branch table is built, and which decides the one arithmetic of the step
-or run: exact when both grids are exact and both positions rational,
-else float.  It holds each particle as the plain tuple (axis, line,
-cell, pos, across) that `tilings.move` steps, with an exact position as
-its coprime pair (p, q) of ints and any other position as a float from
-the start, so a float run rounds a rational start position once.  Both
-build a `Particle` only where they report or compare one.  Over
-rationals, a position's bit length grows with every step, while chords
-and grid bases stay small; so a move is integer work that reduces a big
-integer only by gcds with a small one, and costs time linear in the bit
-length.  A run keeps each state's pair of particle tuples, and its
-record builds the states' float world points and bit lengths
-(`GridTiling.float_point`) on their first read, in float work with no
-gcd.  `classify` reads them only for a run that stops as
-'attracted' or at its step budget, so a run that ends at a vertex or a
-recurrence never builds them.
+`_hold`, which decides the one arithmetic of the step or run: exact
+when both grids are exact and both positions rational, else float.  It
+holds each particle as the plain tuple (axis, line, cell, pos, across)
+that `tilings.move` steps, with an exact position as its coprime pair
+(p, q) of ints and any other position as a float from the start, so a
+float run rounds a rational start position once.  It also reads both
+grids' branch entries from `GridTiling.branches`, the one set-up of a
+pair of grids, which refuses a pair with parallel edges before it
+builds a table.  Both build a `Particle` only where they report one.
+Over rationals, a position's bit length grows with every step, while
+chords and grid bases stay small; so a move is integer work that
+reduces a big integer only by gcds with a small one, and costs time
+linear in the bit length.  A run keeps each state once, as its pair of
+particle tuples in the run's trace: its recurrence indexes hold trace
+indices, and its kept states and its record's float world points and
+bit lengths (`GridTiling.float_point`) are built from the trace, the
+points and bit lengths on their first read, in float work with no gcd.
+`classify` reads them only for a run that stops as 'attracted' or at
+its step budget, so a run that ends at a vertex or a recurrence never
+builds them.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -45,7 +48,8 @@ signs and A's snapped position, the inner key B's.  A step reads the
 outer keys of A's step and the steps one below and one above, and reads
 B's three inner keys only under an outer key that is there, so it meets
 the same first states as a lookup of its key and the eight keys one
-step away, in three lookups where keys rarely repeat.
+step away, in three lookups where keys rarely repeat.  A candidate is
+compared with the state as two trace entries (`_closure`).
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -70,7 +74,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import tilings
-from .errors import NonTransverseEdges, VertexHit
+from .errors import VertexHit
 from .exact import Vec2
 from .tilings import Particle
 
@@ -204,19 +208,21 @@ class Classification:
 
 
 def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
-    """(exact, a, b): the arithmetic of a step or run from the state, and
-    its two particles as `tilings.to_tuple` holds them for it.  It is
-    exact when both grids are exact and both positions rational, and
-    then holds each position as its (p, q); otherwise it holds each as
-    a float.  Raises NonTransverseEdges, before any branch table is
-    built, when the grids have parallel edges.
+    """(exact, a, b, branches_a, branches_b): the arithmetic of a step or
+    run from the state, its two particles as `tilings.to_tuple` holds
+    them for it, and each grid's branch entries against the other
+    (`GridTiling.branches`), keyed by (the particle's axis, its across,
+    the other particle's axis).  It is exact when both grids are exact
+    and both positions rational, and then holds each position as its
+    (p, q); otherwise it holds each as a float.  `GridTiling.branches`
+    raises NonTransverseEdges, before it builds a table, when the grids
+    have parallel edges.
     """
-    if not tilings.is_transverse(a_tiling, b_tiling):
-        raise NonTransverseEdges("the two grids have parallel edges")
+    branches = a_tiling.branches(b_tiling), b_tiling.branches(a_tiling)
     exact = a_tiling.exact and b_tiling.exact and not (
         isinstance(state.a.pos, float) or isinstance(state.b.pos, float))
     return (exact, tilings.to_tuple(state.a, exact),
-            tilings.to_tuple(state.b, exact))
+            tilings.to_tuple(state.b, exact)) + branches
 
 
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
@@ -229,11 +235,9 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     parallel edges, and VertexHit, A's first, at the world point of a
     grid vertex that a move meets.
     """
-    _, a, b = _hold(a_tiling, b_tiling, state)
-    next_a, inside_a = tilings.move(
-        a_tiling.branches(b_tiling)[a[0], a[4], b[0]], *a)
-    next_b, inside_b = tilings.move(
-        b_tiling.branches(a_tiling)[b[0], b[4], a[0]], *b)
+    _, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
+    next_a, inside_a = tilings.move(branches_a[a[0], a[4], b[0]], *a)
+    next_b, inside_b = tilings.move(branches_b[b[0], b[4], a[0]], *b)
     if not inside_a:
         raise VertexHit(a_tiling.vertex_location(next_a))
     if not inside_b:
@@ -241,23 +245,31 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     return _pair(next_a, next_b)
 
 
-def _shift(now: Particle, prev: Particle) -> Vec2:
-    """Grid-local translation from prev to now, two particles on edges
-    of one axis."""
-    normal = now.edge.line - prev.edge.line
-    along = now.edge.cell - prev.edge.cell + (now.pos - prev.pos)
-    return Vec2(normal, along) if now.edge.axis == "v" else Vec2(along, normal)
+def _shift(now: tuple, prev: tuple) -> Vec2:
+    """Grid-local translation from prev to now, two particles held as
+    `tilings.move` holds them, on edges of one axis.  An exact pair is a
+    key repeat, whose positions are equal, so its translation is the
+    integer change of line and cell."""
+    axis, line, cell, pos, _ = now
+    _, prev_line, prev_cell, prev_pos, _ = prev
+    along = cell - prev_cell
+    if type(pos) is not tuple:
+        along += pos - prev_pos
+    normal = line - prev_line
+    return Vec2(normal, along) if axis == "v" else Vec2(along, normal)
 
 
-def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
-    """(residual, drift) of now against prev, in the scalars' arithmetic.
+def _closure(a_tiling, b_tiling, now: tuple, prev: tuple):
+    """(residual, drift) of now against prev, two trace entries of
+    `run_orbit`, each the (A, B) pair of held particles of a state with
+    the same key, in the scalars' arithmetic.
 
     The residual is the largest of the gap between the two particles'
     world translations and the distance of each translation, in its own
     grid-local coordinates, from the nearest integer vector.  drift is
     the A-local integer vector nearest the A translation.
     """
-    la, lb = _shift(now.a, prev.a), _shift(now.b, prev.b)
+    la, lb = _shift(now[0], prev[0]), _shift(now[1], prev[1])
     va, vb = a_tiling.to_world(la), b_tiling.to_world(lb)
     drift = (round(la.x), round(la.y))
     residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
@@ -321,11 +333,12 @@ def _contraction(tiling, other, symbols):
 
 
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
-              keep_states: bool = True) -> OrbitRecord:
+              keep_states: bool = False) -> OrbitRecord:
     """Iterate the pair map until recurrence, a singularity, or max_steps.
 
     The grids must be transverse, else NonTransverseEdges is raised
-    before the first step.  The first state under each key (edge axis,
+    before the first step, by `GridTiling.branches` before it builds a
+    branch table.  The first state under each key (edge axis,
     position along the edge, crossing sign of each particle) is kept.  A
     state recurs when the state kept under a matching key has a closure
     residual of at most tol: both particles moved by one and the same
@@ -363,24 +376,24 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     (`GridTiling.branches`): over rationals it is integer work whose
     gcds each take one small argument, so a step costs time linear in
     the bit length, and a float position's step is plain float work.
-    The record's start is the caller's start, and its states, when
-    kept, are the states as the run holds them, from the start's on.
-    The run keeps each state's pair of tuples, and the record
-    (`OrbitRecord.traced`) builds its points and bit lengths from them
-    on their first read, through `GridTiling.float_point`.  A run whose
-    reader never asks for them, as `classify` does not for a recurrence
-    or a vertex hit, never builds them.  A `Particle` is built only for the start, a
-    state kept with keep_states, a key-repeat candidate, which
-    `_closure` compares, and the location of a vertex hit.
-    """
-    exact, a, b = _hold(a_tiling, b_tiling, start)
-    tol = 0 if exact else tilings.FLOAT_TOL
-    # Each particle's branch, keyed by (its axis, its across, the other
-    # particle's axis).
-    branches_a = a_tiling.branches(b_tiling)
-    branches_b = b_tiling.branches(a_tiling)
 
-    states = [_pair(a, b)] if keep_states else None
+    The trace, each state's pair of tuples, is the run's one store of
+    its states.  Both recurrence indexes hold trace indices, and
+    `_closure` compares two trace entries.  The record's start is the
+    caller's start, and its states, with keep_states, are built from
+    the trace after the last step, as `PairState`s of the states as the
+    run holds them, from the start's on.  The record
+    (`OrbitRecord.traced`) builds its points and bit lengths from the
+    trace on their first read, through `GridTiling.float_point`.  A run
+    whose reader never asks for them, as `classify` does not for a
+    recurrence or a vertex hit, never builds them.  No `Particle` or
+    `PairState` is built inside the step loop: only the caller's start,
+    the kept states and a vertex hit's location are built as
+    `Particle`s.
+    """
+    exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, start)
+    tol = 0 if exact else tilings.FLOAT_TOL
+
     seen = {}
     termination = None
     trace = [(a, b)]
@@ -390,16 +403,15 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
         axis_a, _, _, pos_a, across_a = a
         axis_b, _, _, pos_b, across_b = b
         if exact:
-            # One lookup, which also keeps the state when its key is new.
-            # An exact position is keyed as its (p, q), which hashes
-            # without a modular inverse.
+            # One lookup, which also keeps the state's trace index when
+            # its key is new.  An exact position is keyed as its (p, q),
+            # which hashes without a modular inverse.
             hit = seen.setdefault(
-                (axis_a, pos_a, across_a, axis_b, pos_b, across_b),
-                (idx, a, b))
-            candidates = (hit,) if hit[0] < idx else ()
+                (axis_a, pos_a, across_a, axis_b, pos_b, across_b), idx)
+            candidates = (hit,) if hit < idx else ()
         else:
             # Outer key: both axes and acrosses and A's snapped position;
-            # inner key: B's snapped position.
+            # inner key: B's snapped position; value: a trace index.
             ka, kb = math.floor(pos_a / tol), math.floor(pos_b / tol)
             candidates = []
             for near_a in (ka - 1, ka, ka + 1):
@@ -412,10 +424,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             if len(candidates) > 1:
                 candidates.sort()
             seen.setdefault((axis_a, across_a, axis_b, across_b, ka),
-                            {}).setdefault(kb, (idx, a, b))
-        for prev_idx, prev_a, prev_b in candidates:
-            residual, drift = _closure(a_tiling, b_tiling, _pair(a, b),
-                                       _pair(prev_a, prev_b))
+                            {}).setdefault(kb, idx)
+        for prev_idx in candidates:
+            residual, drift = _closure(a_tiling, b_tiling, trace[idx],
+                                       trace[prev_idx])
             if residual > tol:
                 continue
             if drift == (0, 0):
@@ -464,14 +476,13 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             break
         prev_a, prev_b, a, b = a, b, next_a, next_b
         index += 1
-        if keep_states:
-            states.append(_pair(a, b))
         trace.append((a, b))
         termination = check_recurrence(a, b, index)
         if termination is None and exact:
             termination = check_certificate(prev_a, prev_b, a, b, index)
     if termination is None:
         termination = Termination("max-steps", index)
+    states = [_pair(a, b) for a, b in trace] if keep_states else None
     return OrbitRecord.traced(start, termination, exact, states,
                               (a_tiling, b_tiling), trace)
 
@@ -556,7 +567,7 @@ def portrait_cell(a_tiling, b_tiling, edge_a, edge_b, frac_a, frac_b,
     """
     state = PairState(a_tiling.particle_on(edge_a, frac_a),
                       b_tiling.particle_on(edge_b, frac_b))
-    record = run_orbit(a_tiling, b_tiling, state, max_steps, keep_states=False)
+    record = run_orbit(a_tiling, b_tiling, state, max_steps)
     return classify(record).verdict
 
 

@@ -12,9 +12,12 @@ and the sign with which its next move crosses the edge's line.  So a
 first hit is O(1), exact over rationals, and in float mode works on
 positions in (0, 1) however far the orbit goes.  It reads a branch
 table (`branch_table`) of the direction it moves along, whose entries
-each grid keeps once per other grid (`GridTiling.branches`).  The table
-also states each exact branch as an affine map of the position and the
-open interval on which it holds, which `dynamics.certify` composes.
+each grid keeps once per other grid (`GridTiling.branches`).  That one
+set-up per pair of grids also decides that the pair is transverse: it
+refuses a pair with parallel edges before it builds a table, so every
+table's chord crosses both edge axes of its grid.  The table also
+states each exact branch as an affine map of the position and the open
+interval on which it holds, which `dynamics.certify` composes.
 World points serve only to draw and report an orbit (`point_on`, and
 `float_point` for the floats and bit length of an orbit record's
 states, which the record builds on their first read).
@@ -24,9 +27,7 @@ There is one particle move, `move`, and it works on a plain tuple
 two types: an exact position is its coprime pair (p, q) of ints, and
 any other position is a float.  `dynamics` picks the type once per run
 or step: (p, q) when both grids are exact and both positions rational,
-floats from the start otherwise.  It also refuses a pair of grids with
-parallel edges before any branch table is built, so every table's chord
-crosses both edge axes of its grid.  `dynamics.step` and
+floats from the start otherwise.  `dynamics.step` and
 `dynamics.run_orbit` both step such tuples and build a `Particle`
 (`from_tuple`) only where they report one.
 
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .errors import NonTransverseEdges
 from .exact import Vec2, rational_circle_point
 
 
@@ -100,8 +102,6 @@ class GridTiling:
         # Branch table entries per other grid, as `move` reads them: see
         # `branches`.
         self._branches = {}
-        # `is_transverse` answers, keyed by (other grid, FLOAT_TOL).
-        self._transverse = {}
         # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
         # ints over their common denominator on an exact grid, and with
         # the float entries themselves over d = 1 on a float grid.
@@ -151,12 +151,17 @@ class GridTiling:
         """The `branch_table` entries that move a particle of this grid,
         keyed by (its edge axis, its across, the other particle's edge
         axis): the tables of the other grid's two edge directions in this
-        grid's local frame.  The grids must be transverse, which
-        `dynamics` checks before it asks.  The entries are built once per
-        other grid and then read from a table.
+        grid's local frame.  This is the one set-up of a pair of grids:
+        the entries are built once per other grid and then read from a
+        table, and before it builds them it raises NonTransverseEdges
+        when `is_transverse` finds parallel edges.  So the pair's
+        transversality is decided once, and no table is built for a
+        parallel pair.
         """
         table = self._branches.get(other)
         if table is None:
+            if not is_transverse(self, other):
+                raise NonTransverseEdges("the two grids have parallel edges")
             chords = {other_axis: branch_table(
                 self.to_local(other.direction_of(other_axis)))
                 for other_axis in "vh"}
@@ -365,17 +370,11 @@ def is_transverse(a, b) -> bool:
     cross products u x v of a basis vector of a with one of b are
     nonzero.  When either grid is float, |u x v| must also exceed
     FLOAT_TOL |u| |v|, so that edges parallel up to rounding count as
-    parallel.  Grid a keeps the answer per other grid and FLOAT_TOL, so
-    the products are taken once per pair and tolerance.
+    parallel.  It keeps no answer: `GridTiling.branches` asks it once
+    per pair of grids, before it builds their branch table.
     """
-    key = b, FLOAT_TOL
-    answer = a._transverse.get(key)
-    if answer is None:
-        pairs = [(u, v) for u in (a.e1, a.e2) for v in (b.e1, b.e2)]
-        if a.exact and b.exact:
-            answer = all(u.cross(v) != 0 for u, v in pairs)
-        else:
-            answer = all(abs(u.cross(v)) > FLOAT_TOL * u.norm() * v.norm()
-                         for u, v in pairs)
-        a._transverse[key] = answer
-    return answer
+    pairs = [(u, v) for u in (a.e1, a.e2) for v in (b.e1, b.e2)]
+    if a.exact and b.exact:
+        return all(u.cross(v) != 0 for u, v in pairs)
+    return all(abs(u.cross(v)) > FLOAT_TOL * u.norm() * v.norm()
+               for u, v in pairs)

@@ -6,10 +6,10 @@ that tests/test_bench_pools.py compares a checkout's outputs with.
 pools.json holds, per grid workload of the bench and per stratum of its
 pool, one line of digests, one per start: the sha256, cut to 16 hex
 digits, of the repr of the start's termination, points, bit lengths,
-`exact` and classification.  cli.json holds, per command line of CLI_SET, the exit
-code and the sha256 of its stdout, --json bytes and --out bytes, run
-in process through `cli.main` from a fresh directory with relative
-output names.
+`exact` and classification.  cli.json holds, per command line of
+CLI_SET, the exit code and the sha256 of its stdout, --json bytes and
+--out bytes, run in process through `cli.main` from a fresh directory
+with relative output names.
 
 Re-record only in a change that lists every moved start in CHANGES.md:
 a re-recording is never a way to make a failing check pass.
@@ -22,6 +22,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -84,8 +85,12 @@ def main():
             pools[name] = [" ".join(record_digest(workload.run((s, v, None)))
                                     for v in range(len(stratum)))
                            for s, stratum in enumerate(workload.strata)]
-        with contextlib.chdir(workdir):
+        home = os.getcwd()
+        os.chdir(workdir)
+        try:
             runs = {" ".join(argv): cli_digests(argv) for argv in CLI_SET}
+        finally:
+            os.chdir(home)
     for name, data in (("pools.json", pools), ("cli.json", runs)):
         with open(GOLDEN / name, "w") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)

@@ -12,7 +12,7 @@ import numpy as np
 
 from symtiling import tilings
 from symtiling.dynamics import (MAX_PERIOD, OrbitRecord, PairState,
-                                Termination, _closure, certify, step)
+                                Termination, certify, step)
 from symtiling.errors import (EmptyInterval, NonTransverseEdges, NotConvex,
                               ParallelWitnessLines, VertexHit)
 from symtiling.exact import Vec2
@@ -75,6 +75,31 @@ def _key(particle: Particle, snap):
     else:
         pos = pos.numerator, pos.denominator
     return particle.edge.axis, pos, particle.across
+
+
+def _shift(now: Particle, prev: Particle) -> Vec2:
+    """Grid-local translation from prev to now, two particles on edges
+    of one axis."""
+    normal = now.edge.line - prev.edge.line
+    along = now.edge.cell - prev.edge.cell + (now.pos - prev.pos)
+    return Vec2(normal, along) if now.edge.axis == "v" else Vec2(along, normal)
+
+
+def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
+    """(residual, drift) of now against prev, in the scalars' arithmetic.
+
+    The residual is the largest of the gap between the two particles'
+    world translations and the distance of each translation, in its own
+    grid-local coordinates, from the nearest integer vector.  drift is
+    the A-local integer vector nearest the A translation.
+    """
+    la, lb = _shift(now.a, prev.a), _shift(now.b, prev.b)
+    va, vb = a_tiling.to_world(la), b_tiling.to_world(lb)
+    drift = (round(la.x), round(la.y))
+    residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
+                   abs(la.x - drift[0]), abs(la.y - drift[1]),
+                   abs(lb.x - round(lb.x)), abs(lb.y - round(lb.y)))
+    return residual, drift
 
 
 def oracle_run_orbit(a_tiling, b_tiling, start: PairState,

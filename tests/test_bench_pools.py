@@ -12,8 +12,6 @@ import pytest
 
 from golden import record
 
-GOLDEN = record.GOLDEN
-
 
 @pytest.mark.parametrize("name, size", [("grid-exact", 1728),
                                         ("grid-float", 6144)])
@@ -21,7 +19,7 @@ def test_grid_pool_verdicts_match_the_reference(name, size, tmp_path):
     workload = record.load_workloads().WORKLOADS[name]()
     recorded = json.loads((record.BENCH / "reference.json").read_text())
     recorded = recorded["workloads"][name]
-    golden = json.loads((GOLDEN / "pools.json").read_text())[name]
+    golden = json.loads((record.GOLDEN / "pools.json").read_text())[name]
     assert recorded["pool_sha256"] == workload.pool_sha256()
     workload.prepare(str(tmp_path))
     moved, changed = [], []
@@ -49,5 +47,5 @@ def test_cli_outputs_match_the_golden_bytes(argv, tmp_path, monkeypatch):
     """stdout, --json and --out of each run, from a fresh directory with
     relative output names, since the JSON config records the paths."""
     monkeypatch.chdir(tmp_path)
-    golden = json.loads((GOLDEN / "cli.json").read_text())
+    golden = json.loads((record.GOLDEN / "cli.json").read_text())
     assert record.cli_digests(argv) == golden[" ".join(argv)]

@@ -372,13 +372,16 @@ UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
     ("sunburst-solve", REGULAR_RAYS, ["--n", "5"]),
     ("linkage-convert", UNIT_SQUARE, ["--n", "9"]),
     ("moduli-embed", UNIT_SQUARE, ["--n", "4", "--seed", "0"]),
+    ("sunburst-solve", REGULAR_RAYS, ["b.json", "c.json"]),
+    ("linkage-convert", UNIT_SQUARE, ["missing.json"]),
+    ("moduli-embed", UNIT_SQUARE, ["missing.json"]),
 ])
 def test_input_files_refuse_the_random_draw_flags(tmp_path, capsys, command,
                                                   data, flags):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(data))
     jpath = tmp_path / "out.json"
-    assert cli.main([command, str(path), "--json", str(jpath)] + flags) == 2
+    assert cli.main([command, str(path)] + flags + ["--json", str(jpath)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert all(flag in err for flag in flags if flag.startswith("--"))
@@ -419,6 +422,8 @@ def test_angle_runs_in_floats(tmp_path, argv):
     ["grid-orbit", "--angle", "inf"],
     ["grid-portrait", "--angle", "nan", "--resolution", "2x2"],
     ["grid-portrait", "--angle", "infpi/4", "--resolution", "2x2"],
+    ["grid-orbit", "--edge-a", "v:a:0"],
+    ["grid-portrait", "--resolution", "x3"],
 ])
 def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     jpath = tmp_path / "run.json"

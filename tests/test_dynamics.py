@@ -129,8 +129,8 @@ def test_run_orbit_replay_and_states():
     b = GridTiling.from_parameter(Fraction(1, 3))
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), 1),
                       b.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -1))
-    rec1 = run_orbit(a, b, state, max_steps=120)
-    rec2 = run_orbit(a, b, state, max_steps=120)
+    rec1 = run_orbit(a, b, state, max_steps=120, keep_states=True)
+    rec2 = run_orbit(a, b, state, max_steps=120, keep_states=True)
     assert rec1.termination == rec2.termination
     assert rec1.a_points == rec2.a_points
     assert rec1.states is not None
@@ -221,7 +221,7 @@ def check_recording(a, b, start, max_steps):
     """Every state's record: exact states within 3 ulps of point_on and
     the larger bit length of the two denominators, float states equal to
     float() of point_on at 53 bits."""
-    rec = run_orbit(a, b, start, max_steps)
+    rec = run_orbit(a, b, start, max_steps, keep_states=True)
     assert len(rec.states) == len(rec.a_points) == len(rec.bit_lengths)
     for st, pa, pb, bits in zip(rec.states, rec.a_points, rec.b_points,
                                 rec.bit_lengths):
@@ -396,8 +396,8 @@ def test_a_run_holds_one_arithmetic():
         start = PairState(pa, pb)
         floated = PairState(Particle(pa.edge, float(pa.pos), pa.across),
                             Particle(pb.edge, float(pb.pos), pb.across))
-        got = run_orbit(grid_a, grid_b, start, 200)
-        want = run_orbit(grid_a, grid_b, floated, 200)
+        got = run_orbit(grid_a, grid_b, start, 200, keep_states=True)
+        want = run_orbit(grid_a, grid_b, floated, 200, keep_states=True)
         assert got.start is start
         assert repr(got.termination) == repr(want.termination)
         assert (got.a_points, got.b_points, got.bit_lengths, got.exact) == (
@@ -639,7 +639,7 @@ def test_exact_recurrence_needs_no_direction_match():
     b = a.transformed(1, 1, -1, 1)
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 2), 1),
                       b.particle_on(GridEdge("v", 0, 0), Fraction(1, 5), 1))
-    rec = run_orbit(a, b, state, max_steps=50)
+    rec = run_orbit(a, b, state, max_steps=50, keep_states=True)
     assert rec.termination == Termination("periodic", 4, period=4,
                                           residual=0.0)
     assert rec.states[4] == state
@@ -687,7 +687,7 @@ def test_exact_bounded_orbit_classifies():
     b = GridTiling.from_parameter(Fraction(1, 3))
     state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(1, 32), 1),
                       b.particle_on(GridEdge("v", 0, 0), Fraction(1, 32), 1))
-    rec = run_orbit(a, b, state, max_steps=400)
+    rec = run_orbit(a, b, state, max_steps=400, keep_states=True)
     t = rec.termination
     assert (t.kind, t.period) == ("attracted", 4) and t.step < 400
     # Zero shift: each particle's edge after one period is its edge before.
@@ -726,7 +726,7 @@ def test_certified_orbits_keep_their_certificate():
                 b.particle_on(GridEdge(rng.choice("vh"), 0, 0),
                               Fraction(rng.randint(1, 99), 100),
                               rng.choice((1, -1))))
-            rec = run_orbit(a, b, start, 200)
+            rec = run_orbit(a, b, start, 200, keep_states=True)
             term = rec.termination
             if term.kind != "attracted":
                 continue
@@ -807,7 +807,7 @@ def test_a_lock_with_a_lattice_shift_runs_on():
     b = GridTiling(Vec2(-2, 1), Vec2(1, -2))
     start = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(12, 25), -1),
                       b.particle_on(GridEdge("v", 0, 0), Fraction(39, 50), 1))
-    rec = run_orbit(a, b, start, 60)
+    rec = run_orbit(a, b, start, 60, keep_states=True)
     assert rec.termination.kind == "max-steps"
     symbols = [joint_symbol(prev, now)
                for prev, now in zip(rec.states, rec.states[1:])]
@@ -1039,8 +1039,9 @@ def test_run_orbit_matches_the_particle_loop():
 
 def test_transversality_is_decided_once_per_grid_pair(monkeypatch):
     """A second run on the same pair of grids takes no cross product:
-    run_orbit's transversality test reads the answer its first run
-    kept, in exact and in float mode."""
+    `GridTiling.branches` decides transversality when the first run
+    builds the pair's branch tables, and a later run only reads the
+    tables, in exact and in float mode."""
     crossed = []
     cross = Vec2.cross
     monkeypatch.setattr(Vec2, "cross",
@@ -1060,9 +1061,23 @@ def test_exact_steps_build_no_fraction_or_particle(monkeypatch):
     """run_orbit steps and records an exact position as a pair of ints.
     After a warm-up run has built the chord tables and certify's memo,
     300 and 3,000 steps of the mirror start build the same numbers of
-    Fractions and of Particles: no step builds either."""
+    Fractions and of Particles: no step builds either.  A start whose
+    exact keys repeat without closing builds as many Particles in 300
+    steps as in 3,000, so comparing a key repeat builds none, and a
+    float run on the pi/4 pair that ends periodic builds no Particle:
+    a candidate is compared as two trace entries."""
     a, b, start = seven_elevenths_mirror_start()
-    run_orbit(a, b, start, 3000, keep_states=False)
+    repeat = GridTiling(Vec2(-2, -1), Vec2(2, -1))
+    edge = GridEdge("v", 0, 0)
+    repeat_start = PairState(a.particle_on(edge, Fraction(27, 50), -1),
+                             repeat.particle_on(edge, Fraction(23, 50), -1))
+    fa, fb = float_a(), float_grid(theta=math.pi / 4)
+    float_start = PairState(fa.particle_on(edge, 0.3, 1),
+                            fb.particle_on(GridEdge("h", 0, 0), 0.6, -1))
+    runs = {"mirror": (a, b, start), "repeat": (a, repeat, repeat_start),
+            "float": (fa, fb, float_start)}
+    for run in runs.values():
+        run_orbit(*run, 3000)
     built = collections.Counter()
     new, init = Fraction.__new__, Particle.__init__
 
@@ -1076,16 +1091,21 @@ def test_exact_steps_build_no_fraction_or_particle(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counted_new)
     monkeypatch.setattr(Particle, "__init__", counted_init)
-    counts = []
-    for budget in (300, 3000):
-        built.clear()
-        rec = run_orbit(a, b, start, budget, keep_states=False)
-        assert rec.steps == budget
-        # The record builds its points and bit lengths on first read.
-        rec.bit_lengths, rec.a_points
-        counts.append(dict(built))
+    counts, kinds = collections.defaultdict(list), {}
+    for name, run in runs.items():
+        for budget in (300, 3000):
+            built.clear()
+            rec = run_orbit(*run, budget)
+            # The record builds its points and bit lengths on first read.
+            rec.bit_lengths, rec.a_points
+            counts[name].append(dict(built))
+            kinds[name] = rec.termination.kind
     monkeypatch.undo()
-    assert counts[0] == counts[1]
+    assert kinds == {"mirror": "max-steps", "repeat": "max-steps",
+                     "float": "periodic"}
+    assert counts["mirror"][0] == counts["mirror"][1]
+    assert [c.get("Particle", 0) for c in counts["repeat"]] == [0, 0]
+    assert [c.get("Particle", 0) for c in counts["float"]] == [0, 0]
 
 
 def test_trace_is_built_once_on_first_read(monkeypatch):
