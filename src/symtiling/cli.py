@@ -46,7 +46,7 @@ def parse_angle(text: str) -> float:
             if not tail.startswith("/"):
                 raise ValueError(f"cannot parse angle {text!r}")
             den = float(tail[1:])
-        angle = num * math.pi / den
+        angle = num * math.pi / den if den else math.inf
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {text!r}")
     return angle

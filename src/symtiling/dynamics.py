@@ -13,26 +13,27 @@ own grid's frame, and reads that chord's branch data from the entries
 its grid keeps per other grid (`GridTiling.branches`).
 
 `step` and `run_orbit` move particles in one way.  Both start in
-`_hold`, which decides the one arithmetic of the step or run: exact
-when both grids are exact and both positions rational, else float.  It
-holds each particle as the plain tuple (axis, line, cell, pos, across)
-that `tilings.move` steps, with an exact position as its coprime pair
-(p, q) of ints and any other position as a float from the start, so a
-float run rounds a rational start position once.  It also reads both
-grids' branch entries from `GridTiling.branches`, the one set-up of a
-pair of grids, which refuses a pair with parallel edges before it
-builds a table.  Both build a `Particle` only where they report one.
-Over rationals, a position's bit length grows with every step, while
-chords and grid bases stay small; so a move is integer work that
-reduces a big integer only by gcds with a small one, and costs time
+`_hold`, which decides the one arithmetic of the step or run from the
+grids alone: exact when both grids are exact, else float.  It holds each
+particle as the plain tuple (axis, line, cell, pos, across) that
+`tilings.move` steps: on an exact pair every position as its exact
+ratio, a coprime pair (p, q) of ints, a float start position's included,
+and on a pair with a float grid every position as a float from the
+start, so a float run rounds a rational start position once.  It also
+reads both grids' branch entries from `GridTiling.branches`, the one
+set-up of a pair of grids, which refuses a pair with parallel edges
+before it builds a table.  Both build a `Particle` only where they
+report one.  Over rationals, a position's bit length grows with every
+step, while chords and grid bases stay small; so a move is integer work
+that reduces a big integer only by gcds with a small one, and costs time
 linear in the bit length.  A run keeps each state once, as its pair of
 particle tuples in the run's trace: its recurrence indexes hold trace
-indices, and its kept states and its record's float world points and
-bit lengths (`GridTiling.float_point`) are built from the trace, the
-points and bit lengths on their first read, in float work with no gcd.
-`classify` reads them only for a run that stops as 'attracted' or at
-its step budget, so a run that ends at a vertex or a recurrence never
-builds them.
+indices, and its kept states and its record's float world points and bit
+lengths (`GridTiling.float_point`) are built from the trace, the points
+and bit lengths on their first read, in float work with no gcd.
+`classify` reads them only for a run that stops as 'attracted' or at its
+step budget, so a run that ends at a vertex or a recurrence never builds
+them.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -212,15 +213,15 @@ def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
     run from the state, its two particles as `tilings.to_tuple` holds
     them for it, and each grid's branch entries against the other
     (`GridTiling.branches`), keyed by (the particle's axis, its across,
-    the other particle's axis).  It is exact when both grids are exact
-    and both positions rational, and then holds each position as its
-    (p, q); otherwise it holds each as a float.  `GridTiling.branches`
+    the other particle's axis).  It is exact when both grids are exact,
+    whatever the positions' types, and then holds each position as its
+    exact ratio (p, q), a float's included; otherwise it holds each as a
+    float.  `GridTiling.branches`
     raises NonTransverseEdges, before it builds a table, when the grids
     have parallel edges.
     """
     branches = a_tiling.branches(b_tiling), b_tiling.branches(a_tiling)
-    exact = a_tiling.exact and b_tiling.exact and not (
-        isinstance(state.a.pos, float) or isinstance(state.b.pos, float))
+    exact = a_tiling.exact and b_tiling.exact
     return (exact, tilings.to_tuple(state.a, exact),
             tilings.to_tuple(state.b, exact)) + branches
 
@@ -230,10 +231,12 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     currently holding the other particle.  The two moves commute; the
     update reads only the incoming state.  It holds and moves the
     particles as a step of `run_orbit` does, from `_hold` through
-    `GridTiling.branches` and `tilings.move`, so a float step rounds a
-    rational position.  Raises NonTransverseEdges when the grids have
-    parallel edges, and VertexHit, A's first, at the world point of a
-    grid vertex that a move meets.
+    `GridTiling.branches` and `tilings.move`: on two exact grids it
+    steps every position exactly, a float's from its binary value, and
+    on a pair with a float grid it rounds a rational position.  Raises
+    NonTransverseEdges when the grids have parallel edges, and
+    VertexHit, A's first, at the world point of a grid vertex that a
+    move meets.
     """
     _, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
     next_a, inside_a = tilings.move(branches_a[a[0], a[4], b[0]], *a)
@@ -367,11 +370,12 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     costs one lookup in a dict of edge pairs.  A lock with a nonzero
     shift runs on.  Float runs record no symbols.
 
-    `_hold` decides the run's one arithmetic, as for `step`: exact, with
-    each position held as its (p, q), when both grids are exact and
-    both start positions rational, and floats from step 0 otherwise.
-    Each particle is held as the tuple (axis, line, cell, pos, across)
-    that `tilings.move` steps, the move `step` makes.  Each move reads
+    `_hold` decides the run's one arithmetic from the grids, as for
+    `step`: exact, with each position held as its exact ratio (p, q), a
+    float start position's from its binary value, when both grids are
+    exact, and floats from step 0 when either is a float grid.  Each
+    particle is held as the tuple (axis, line, cell, pos, across) that
+    `tilings.move` steps, the move `step` makes.  Each move reads
     its branch from the entries its grid keeps per other grid
     (`GridTiling.branches`): over rationals it is integer work whose
     gcds each take one small argument, so a step costs time linear in

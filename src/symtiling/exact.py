@@ -3,7 +3,9 @@
 Scalars are polymorphic.  The same Vec2 works over `fractions.Fraction`
 (exact mode, the default for square grids, where every predicate is
 decided exactly) and over `float` (for configurations whose angles are
-transcendental, such as a grid rotated by pi/4).
+transcendental, such as a grid rotated by pi/4).  A Vec2 does not decide
+its arithmetic: a `tilings.GridTiling` decides its own, from its four
+basis entries.
 """
 
 from __future__ import annotations
@@ -50,18 +52,6 @@ class Vec2:
 
     def norm(self) -> float:
         return math.hypot(float(self.x), float(self.y))
-
-    def is_exact(self) -> bool:
-        return not (isinstance(self.x, float) or isinstance(self.y, float))
-
-    def exactify(self) -> "Vec2":
-        """Coerce integer components to Fraction so that later divisions
-        stay exact instead of falling into float true division.  Other
-        scalar types (Fraction, floats) pass through.
-        """
-        x = Fraction(self.x) if isinstance(self.x, int) else self.x
-        y = Fraction(self.y) if isinstance(self.y, int) else self.y
-        return Vec2(x, y)
 
 
 def rational_circle_point(t) -> Vec2:

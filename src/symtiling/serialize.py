@@ -59,5 +59,10 @@ def write_json(data, path):
 
 
 def read_json(path):
+    """The JSON value in the file; ValueError, naming the file, when its
+    text is not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path} is not JSON: {exc}") from None

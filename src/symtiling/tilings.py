@@ -2,9 +2,10 @@
 the billiard map in `dynamics` steps on.  Sunbursts, the finite fans of
 rays whose paired orbits follow in closed form, live in `weave`.
 
-A grid is exact when its four basis entries are rational.  A grid with
-any float entry holds all four as floats, so a grid is in one
-arithmetic.
+A grid decides its arithmetic once, from its four basis entries: it
+holds four Fractions when none of them is a float, and four floats
+otherwise.  A pair of grids decides a run's: exact when both grids are,
+and float when either is a float grid.
 
 A particle lives in its grid's local coordinates, where the edges are
 the integer grid's: an open unit edge, a position in (0, 1) along it,
@@ -23,12 +24,11 @@ World points serve only to draw and report an orbit (`point_on`, and
 states, which the record builds on their first read).
 
 There is one particle move, `move`, and it works on a plain tuple
-(axis, line, cell, pos, across) (`to_tuple`) whose position has one of
-two types: an exact position is its coprime pair (p, q) of ints, and
-any other position is a float.  `dynamics` picks the type once per run
-or step: (p, q) when both grids are exact and both positions rational,
-floats from the start otherwise.  `dynamics.step` and
-`dynamics.run_orbit` both step such tuples and build a `Particle`
+(axis, line, cell, pos, across) (`to_tuple`) whose position has the
+pair's type: on two exact grids it is the position's exact ratio, a
+coprime pair (p, q) of ints, which a float position has too, and on a
+pair with a float grid it is a float from the start.  `dynamics.step`
+and `dynamics.run_orbit` both step such tuples and build a `Particle`
 (`from_tuple`) only where they report one.
 
 Exact positions grow by some bits every step, while chords and grid
@@ -84,15 +84,16 @@ class Particle:
 
 
 class GridTiling:
-    """Image of the unit integer grid under an invertible linear map:
-    exact, with Fraction entries, when every basis entry is rational,
-    and with four float entries when any one is a float."""
+    """Image of the unit integer grid under an invertible linear map.  It
+    decides its arithmetic from its four basis entries and converts them
+    once: to four Fractions, exact, when none is a float, and to four
+    floats when any one is."""
 
     def __init__(self, e1: Vec2, e2: Vec2):
-        e1, e2 = e1.exactify(), e2.exactify()
-        self.exact = e1.is_exact() and e2.is_exact()
-        if not self.exact:
-            e1, e2 = (Vec2(float(v.x), float(v.y)) for v in (e1, e2))
+        m = e1.x, e2.x, e1.y, e2.y
+        self.exact = not any(isinstance(v, float) for v in m)
+        m = tuple(map(Fraction if self.exact else float, m))
+        e1, e2 = Vec2(m[0], m[2]), Vec2(m[1], m[3])
         det = e1.cross(e2)
         if det == 0:
             raise ValueError("grid basis is singular")
@@ -106,11 +107,9 @@ class GridTiling:
         # ints over their common denominator on an exact grid, and with
         # the float entries themselves over d = 1 on a float grid.
         # _float_basis holds float(a / d), ...: see `float_point`.
-        m = e1.x, e2.x, e1.y, e2.y
-        self._float_basis = tuple(float(v) for v in m)
+        self._float_basis = tuple(map(float, m))
         self._basis = 1, m
         if self.exact:
-            m = [Fraction(v) for v in m]
             d = math.lcm(*(v.denominator for v in m))
             self._basis = d, tuple(
                 v.numerator * (d // v.denominator) for v in m)
@@ -211,7 +210,10 @@ class GridTiling:
         """Particle at frac in (0, 1) along the open edge, else ValueError,
         whose first move crosses the edge toward its counterclockwise side
         in the world (side +1) or its clockwise side (side -1).  A float
-        grid stores float(frac), so its particles run in floats.
+        grid stores float(frac), and an exact grid frac as given.  A run
+        holds it by the pair's arithmetic (`to_tuple`): as its exact ratio
+        on two exact grids, a float frac's included, and as a float when
+        either grid is a float grid.
         """
         if not self.exact:
             frac = float(frac)
@@ -232,12 +234,13 @@ class GridTiling:
 
 def to_tuple(particle: Particle, exact: bool) -> tuple:
     """(axis, line, cell, pos, across), the particle as `move` steps it:
-    when exact, for a run on two exact grids from rational positions,
-    the position as its coprime pair (p, q) of ints, and otherwise as
+    when exact, for a run on two exact grids, the position as its exact
+    ratio, the coprime pair (p, q) of ints of `as_integer_ratio()`, which
+    a float has too, and otherwise, for a pair with a float grid, as
     float(pos).
     """
     edge, pos = particle.edge, particle.pos
-    pos = (pos.numerator, pos.denominator) if exact else float(pos)
+    pos = pos.as_integer_ratio() if exact else float(pos)
     return edge.axis, edge.line, edge.cell, pos, particle.across
 
 
@@ -268,9 +271,10 @@ def move(branch: tuple, axis: str, line: int, cell: int, pos,
     The new position is n / m, or at a cell's end the branch's turn map
     (k q + c p) / (d q), and `_lowest_terms` reduces either by gcds with
     small arguments only, so a move costs time linear in the position's
-    bit length.  A float position uses the formulas above in floats (a
-    Fraction slope, on two exact grids, meets it as its float()), and a
-    new position within FLOAT_TOL of an edge end is a vertex.
+    bit length.  A float position uses the formulas above in floats, and
+    a new position within FLOAT_TOL of an edge end is a vertex.  No run
+    hands it a float position on a Fraction chord: a run holds floats
+    only on a pair with a float grid, whose chords are float.
     """
     slope, up, terms, _ = branch
     if type(pos) is tuple:

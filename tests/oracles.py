@@ -48,9 +48,10 @@ def dot(u: Vec2, v: Vec2):
 
 def move_particle(tiling, particle: Particle, table: dict) -> Particle:
     """The particle moved by `tilings.move` along the chord of a
-    `tilings.branch_table`, held as a run holds it: as its (p, q) from a
-    rational position on an exact chord, else as a float.  Raises
-    VertexHit at a grid vertex, as `step` does."""
+    `tilings.branch_table`: held as its (p, q) from a rational position
+    on an exact chord, else as a float, so a float position on an exact
+    chord, which no run makes, moves in floats.  Raises VertexHit at a
+    grid vertex, as `step` does."""
     branch = table[particle.edge.axis][particle.across > 0]
     exact = branch[2] is not None and not isinstance(particle.pos, float)
     moved, inside = tilings.move(branch, *tilings.to_tuple(particle, exact))
@@ -134,18 +135,17 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     costs one lookup in a dict of edge pairs.  A lock with a nonzero
     shift runs on.  Float runs record no symbols.
 
-    The run is exact when both grids are exact and both start positions
-    rational; otherwise every position is a float from the start on,
-    and the kept states hold the start so.  The record's points and bit
+    The run is exact when both grids are exact, and then holds every
+    position as its exact ratio, a float start position's included; when
+    either grid is a float grid every position is a float from the start
+    on.  The kept states hold the start so.  The record's points and bit
     lengths come from `GridTiling.float_point`, given each position as
-    `tilings.to_tuple` holds it, in float work that takes no gcd.
-    Exact keys hold a position as its
-    (numerator, denominator).
+    `tilings.to_tuple` holds it, in float work that takes no gcd.  Exact
+    keys hold a position as its (numerator, denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
-    exact = a_tiling.exact and b_tiling.exact and not any(
-        isinstance(p.pos, float) for p in (start.a, start.b))
+    exact = a_tiling.exact and b_tiling.exact
     tol = 0 if exact else tilings.FLOAT_TOL
 
     def held(particle: Particle) -> tuple:

@@ -424,6 +424,9 @@ def test_angle_runs_in_floats(tmp_path, argv):
     ["grid-portrait", "--angle", "infpi/4", "--resolution", "2x2"],
     ["grid-orbit", "--edge-a", "v:a:0"],
     ["grid-portrait", "--resolution", "x3"],
+    ["grid-orbit", "--angle", "pi/0"],
+    ["grid-portrait", "--angle", "3pi/0", "--resolution", "2"],
+    ["grid-orbit", "--angle", "pi4"],
 ])
 def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     jpath = tmp_path / "run.json"
@@ -595,6 +598,34 @@ def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path.write_text(json.dumps(data))
     assert cli.main([command, str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["sunburst-solve", "linkage-convert",
+                                     "moduli-embed"])
+@pytest.mark.parametrize("text", ["", "[1, 2"])
+def test_input_files_that_are_not_json_exit_two_naming_the_file(
+        tmp_path, capsys, command, text):
+    path = tmp_path / "in.json"
+    jpath = tmp_path / "out.json"
+    path.write_text(text)
+    assert cli.main([command, str(path), "--json", str(jpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not JSON: ")
+    assert not jpath.exists()
+
+
+def test_sunburst_solve_refuses_unequal_ray_counts(tmp_path, capsys):
+    apath, bpath = tmp_path / "a.json", tmp_path / "b.json"
+    jpath = tmp_path / "out.json"
+    # Six rays against five: without the count check, A's sixth ray
+    # would index past B's rays.
+    for path, n in ((apath, 6), (bpath, 5)):
+        serialize.write_json([math.tau * k / n for k in range(n)], path)
+    assert cli.main(["sunburst-solve", str(apath), str(bpath),
+                     "--json", str(jpath)]) == 2
+    assert capsys.readouterr().err == (
+        "error: paired sunbursts must have equal ray counts\n")
+    assert not jpath.exists()
 
 
 def test_sunburst_solve_rejects_boolean_angles(tmp_path, capsys):

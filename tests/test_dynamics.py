@@ -366,24 +366,30 @@ def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
     assert read_gcds == 0
 
 
-def test_float_position_on_an_exact_grid_records_53_bits():
+def test_float_position_on_an_exact_pair_is_held_exactly():
+    """The exact 1/3 pair holds A's float 0.25 as 1/4, so the record is
+    exact and its first bit length is 3, that of 1/4, above B's 1/2.
+    `float_point`, handed the float itself, still reads 53 bits."""
     a = GridTiling.standard()
     b = GridTiling.from_parameter(Fraction(1, 3))
     start = PairState(Particle(GridEdge("v", 0, 0), 0.25, 1),
                       b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), -1))
     assert a.float_point(start.a.edge, start.a.pos) == (0.0, 0.25, 53)
     rec = check_recording(a, b, start, 40)
-    assert rec.bit_lengths[0] == 53
+    assert rec.exact and rec.bit_lengths[0] == 3
+    assert rec.states[0].a.pos == Fraction(1, 4)
 
 
 def test_a_run_holds_one_arithmetic():
-    """A run that is not exact holds every position as a float from step
-    0, a rational start position included: on the exact 7/11 pair from a
-    float A and a Fraction B, and on the standard grid against a float
-    grid from two Fraction positions.  Each record is the record of the
-    same start with float() positions, all of its bit lengths are 53,
-    and step moves the start, and each kept state, to the next kept
-    state, up to the vertex that ends the run."""
+    """A run holds every position in its pair's one arithmetic from step
+    0.  On the exact 7/11 pair three float A starts run exact, from their
+    binary values: each record is the record of the same start with
+    Fraction(float) positions, and its kept states are Fractions.  On
+    the standard grid against a float grid two Fraction starts run in
+    floats: each record is the record of the same start with float()
+    positions, all of its bit lengths are 53, and it ends at a vertex,
+    which step raises on its last state.  In both, step moves the start,
+    and each kept state, to the next kept state."""
     a = GridTiling.standard()
     b = GridTiling.from_parameter(Fraction(7, 11))
     v, h = GridEdge("v", 0, 0), GridEdge("h", 0, 0)
@@ -393,25 +399,59 @@ def test_a_run_holds_one_arithmetic():
     runs += [(a, float_grid(theta=1.0), Particle(v, Fraction(1, 3), across),
               Particle(h, Fraction(2, 5), 1)) for across in (1, -1)]
     for grid_a, grid_b, pa, pb in runs:
+        exact = grid_b.exact
+        held = Fraction if exact else float
         start = PairState(pa, pb)
-        floated = PairState(Particle(pa.edge, float(pa.pos), pa.across),
-                            Particle(pb.edge, float(pb.pos), pb.across))
+        converted = PairState(Particle(pa.edge, held(pa.pos), pa.across),
+                              Particle(pb.edge, held(pb.pos), pb.across))
         got = run_orbit(grid_a, grid_b, start, 200, keep_states=True)
-        want = run_orbit(grid_a, grid_b, floated, 200, keep_states=True)
+        want = run_orbit(grid_a, grid_b, converted, 200, keep_states=True)
         assert got.start is start
         assert repr(got.termination) == repr(want.termination)
         assert (got.a_points, got.b_points, got.bit_lengths, got.exact) == (
             want.a_points, want.b_points, want.bit_lengths, want.exact)
-        assert set(got.bit_lengths) == {53} and not got.exact
+        assert got.exact == exact
         assert [(type(st.a.pos), type(st.b.pos)) for st in got.states] == [
-            (float, float)] * len(want.states)
+            (held, held)] * len(want.states)
         assert got.states == want.states
         assert step(grid_a, grid_b, start) == got.states[1]
         for prev, now in zip(got.states, got.states[1:]):
             assert step(grid_a, grid_b, prev) == now
-        assert got.termination.kind == "vertex"
-        with pytest.raises(VertexHit):
-            step(grid_a, grid_b, got.states[-1])
+        if not exact:
+            assert set(got.bit_lengths) == {53}
+            assert got.termination.kind == "vertex"
+            with pytest.raises(VertexHit):
+                step(grid_a, grid_b, got.states[-1])
+
+
+def test_float_starts_on_an_exact_pair_run_exact():
+    """Float start positions on the exact 1/3, 7/11 and 3/7 pairs run
+    exactly, from their binary values: each run is exact, certifies
+    'attracted', and is the run from the same start with
+    Fraction(float) positions, but for its start, which is the
+    caller's."""
+    rng = random.Random(5)
+    a = GridTiling.standard()
+    for t in (Fraction(1, 3), Fraction(7, 11), Fraction(3, 7)):
+        b = GridTiling.from_parameter(t)
+        for _ in range(12):
+            pa, pb = (tiling.particle_on(
+                GridEdge(rng.choice("vh"), 0, 0),
+                rng.randint(1, 9999) / 10000, rng.choice((1, -1)))
+                for tiling in (a, b))
+            start = PairState(pa, pb)
+            converted = PairState(
+                Particle(pa.edge, Fraction(pa.pos), pa.across),
+                Particle(pb.edge, Fraction(pb.pos), pb.across))
+            got = run_orbit(a, b, start, 200, keep_states=True)
+            want = run_orbit(a, b, converted, 200, keep_states=True)
+            assert got.start is start and got.exact, t
+            assert got.termination.kind == "attracted", t
+            assert classify(got).verdict == BOUNDED_ATTRACTED
+            assert repr(got.termination) == repr(want.termination)
+            assert repr((got.a_points, got.b_points, got.bit_lengths,
+                         got.states)) == repr((want.a_points, want.b_points,
+                                               want.bit_lengths, want.states))
 
 
 def test_a_grid_with_a_float_entry_is_a_float_grid():
@@ -773,9 +813,9 @@ def test_rotation_pairs_contract_by_the_fourth_power_of_the_circle_ratio():
 
 
 def test_float_runs_never_certify(monkeypatch):
-    """The certificate is exact-only: a float-grid run and an exact-grid
-    run from a float position call it never, while the same exact run
-    from Fraction positions does."""
+    """The certificate is exact-only: a run on two float grids and a run
+    of the standard grid against a float grid call it never, while an
+    exact run from Fraction positions does."""
     calls = []
     certify = dynamics.certify
     monkeypatch.setattr(dynamics, "certify",
@@ -787,8 +827,8 @@ def test_float_runs_never_certify(monkeypatch):
     edge = GridEdge("v", 0, 0)
     runs = [(fa, fb, PairState(fa.particle_on(edge, 0.3, 1),
                                fb.particle_on(edge, 0.4, 1))),
-            (a, b, PairState(Particle(edge, 0.3, -1),
-                             b.particle_on(edge, Fraction(2, 5), 1)))]
+            (a, fb, PairState(Particle(edge, 0.3, -1),
+                              fb.particle_on(edge, Fraction(2, 5), 1)))]
     for grid_a, grid_b, start in runs:
         rec = run_orbit(grid_a, grid_b, start, 200, keep_states=False)
         assert rec.steps >= 24

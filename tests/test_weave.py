@@ -141,6 +141,11 @@ def test_degenerate_pair_raises():
         orbit_points(SunburstPair(a, a, 0.0))
 
 
+def test_a_pair_of_unequal_ray_counts_raises():
+    with pytest.raises(InvalidSunburst, match="equal ray counts"):
+        SunburstPair(regular_sunburst(5), regular_sunburst(6))
+
+
 def test_phase_arcs_widths():
     rng = random.Random(3)
     for _ in range(40):
