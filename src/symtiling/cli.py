@@ -26,7 +26,7 @@ from .linkage import Polygon, random_convex_equilateral, solve_equiangular
 from .tilings import GridEdge, GridTiling
 from .weave import (Sunburst, SunburstPair, holonomy_product, orbit_points,
                     random_balanced_sunburst, random_oriented_weave,
-                    regular_sunburst, solve_phase, weave_interval)
+                    regular_sunburst, solve_in, weave_interval)
 
 # pentagon-verify's pass bound; the closed-form walls miss by about 5e-16.
 PENTAGON_TOL = 1e-9
@@ -201,7 +201,7 @@ def cmd_sunburst_solve(args):
         a = random_balanced_sunburst(rng, args.n)
         b = regular_sunburst(args.n)
     interval = weave_interval(a, b)
-    theta = solve_phase(a, b)
+    theta = solve_in(interval, a, b)
     pair = SunburstPair(a, b, theta)
     report = holonomy_product(pair)
     pts = orbit_points(pair)
@@ -228,7 +228,7 @@ def _input_polygon(args) -> Polygon:
 def cmd_linkage_convert(args):
     poly = _input_polygon(args)
     sol = solve_equiangular(poly)
-    line = (f"n={poly.n} side={poly.edge_lengths()[0]:.6g} "
+    line = (f"n={poly.n} side={sol.side:.6g} "
             f"phase={sol.phase:.12f} closure={sol.residual:.3e} "
             f"convex={sol.polygon.is_convex()}")
     payload = {"input": poly.vertices, "equiangular": sol.polygon.vertices,
@@ -246,11 +246,7 @@ def cmd_moduli_embed(args):
     disk = moduli.to_disk(point)
 
     def draw(path):
-        chords = []
-        if poly.n == 5:
-            corners = [moduli.to_disk(moduli.HyperbolicPoint(5, tuple(c)))
-                       for c in moduli.pentagon_report()["vertices"]]
-            chords = [(corners[i], corners[(i + 1) % 5]) for i in range(5)]
+        chords = moduli.pentagon_disk_chords() if poly.n == 5 else ()
         svgout.disk_figure([disk], chords).write(path)
 
     line = (f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "

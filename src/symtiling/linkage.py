@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotConvex, NotEquilateral
@@ -25,7 +26,9 @@ EQUILATERAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Polygon:
-    """Planar polygon, vertices listed once, counterclockwise when convex."""
+    """Planar polygon, vertices listed once, counterclockwise when convex.
+    Its edge vectors are computed once, on first use, and shared by the
+    edge predicates and measures."""
 
     vertices: tuple
 
@@ -36,16 +39,20 @@ class Polygon:
     def n(self) -> int:
         return len(self.vertices)
 
-    def edge_vectors(self):
+    @cached_property
+    def _edges(self):
         v = self.vertices
-        return [v[(i + 1) % self.n] - v[i] for i in range(self.n)]
+        return tuple(q - p for p, q in zip(v, v[1:] + v[:1]))
+
+    def edge_vectors(self):
+        return self._edges
 
     def is_convex(self) -> bool:
-        e = self.edge_vectors()
-        return all(e[i].cross(e[(i + 1) % self.n]) > 0 for i in range(self.n))
+        e = self._edges
+        return all(d.cross(f) > 0 for d, f in zip(e, e[1:] + e[:1]))
 
     def edge_lengths(self):
-        return [e.norm() for e in self.edge_vectors()]
+        return [e.norm() for e in self._edges]
 
     def translated(self, t: Vec2) -> "Polygon":
         return Polygon(v + t for v in self.vertices)
@@ -93,10 +100,10 @@ def check_equilateral(poly: Polygon) -> float:
 
 
 def directions_to_sunburst(poly: Polygon) -> Sunburst:
-    """The balanced sunburst of edge directions of a convex equilateral
-    polygon: one angle per edge vector, after the polygon is checked.
+    """The balanced sunburst of edge directions of a polygon that
+    check_equilateral passes: one angle per edge vector.  Sunburst
+    refuses the directions of a polygon that is not convex.
     """
-    check_equilateral(poly)
     return Sunburst(math.atan2(float(e.y), float(e.x))
                     for e in poly.edge_vectors())
 
@@ -105,18 +112,21 @@ class EquiangularSolution(NamedTuple):
     polygon: Polygon
     phase: float
     residual: float
+    side: float     # the common edge length of the input polygon
 
 
 def solve_equiangular(poly: Polygon, radius: float = 1.0
                       ) -> EquiangularSolution:
     """Closed holonomy-1 orbit for (edge-direction sunburst, regular).
 
-    The returned polygon has vertex 0 at distance radius along the first
-    direction ray; residual is the closure error of the orbit loop.
+    The input is checked by check_equilateral first.  The returned
+    polygon has vertex 0 at distance radius along the first direction
+    ray; residual is the closure error of the orbit loop.
     """
+    side = check_equilateral(poly)
     burst = directions_to_sunburst(poly)
     regular = regular_sunburst(poly.n)
     phase = solve_phase(burst, regular)
     pts = orbit_points(SunburstPair(burst, regular, phase), r0=radius)
     residual = (pts[-1] - pts[0]).norm()
-    return EquiangularSolution(Polygon(pts[:poly.n]), phase, residual)
+    return EquiangularSolution(Polygon(pts[:poly.n]), phase, residual, side)

@@ -274,3 +274,14 @@ def to_disk(p: HyperbolicPoint) -> np.ndarray:
     """
     y = area_form(p.n).frame @ p.as_array()
     return y[1:] / (1.0 + y[0])
+
+
+@lru_cache(maxsize=None)
+def pentagon_disk_chords():
+    """The sides of the right-angled pentagon as chords of the Poincare
+    disk: consecutive pairs of its vertices under to_disk, as float
+    (x, y) pairs.  Built once and shared by every caller, which only
+    reads it."""
+    corners = [tuple(map(float, to_disk(HyperbolicPoint(5, tuple(c)))))
+               for c in pentagon_report()["vertices"]]
+    return tuple((corners[i], corners[(i + 1) % 5]) for i in range(5))

@@ -35,6 +35,8 @@ def encode(obj):
 
 def _coordinate(value):
     """A real JSON number other than a boolean, or a "p/q" string."""
+    if type(value) is float or type(value) is int:
+        return value
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, Real) and not isinstance(value, bool):

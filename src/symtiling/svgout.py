@@ -37,57 +37,60 @@ VERDICT_COLORS = {
 
 
 def _xy(p):
+    if type(p) is tuple:
+        return float(p[0]), float(p[1])
     if hasattr(p, "x"):
         return float(p.x), float(p.y)
     return float(p[0]), float(p[1])
 
 
 class Canvas:
-    """Accumulates elements, each a function of the stroke unit returning
-    its finished SVG text, then renders one auto-fitted SVG."""
+    """Accumulates elements and their running bounding box, then renders
+    one auto-fitted SVG.  An element is its finished SVG text around one
+    slot, a width that render writes as a multiple of the stroke unit."""
 
     def __init__(self):
-        self._elements = []
-        self._xs = []
-        self._ys = []
+        self._elements = []     # (text before the slot, width, text after)
+        self._box = None        # xmin, ymin, xmax, ymax of all seen points
 
-    def _see(self, x, y, pad=0.0):
-        self._xs.extend((x - pad, x + pad))
-        self._ys.extend((y - pad, y + pad))
+    def _fit(self, xs, ys):
+        box = self._box
+        if box is None:
+            self._box = min(xs), min(ys), max(xs), max(ys)
+        else:
+            self._box = (min(box[0], *xs), min(box[1], *ys),
+                         max(box[2], *xs), max(box[3], *ys))
 
     def polyline(self, points, color, width, closed=False):
         pts = [_xy(p) for p in points]
         if len(pts) < 2:
             return
-        for x, y in pts:
-            self._see(x, y)
-        coords = " ".join(f"{_f(x)},{_f(-y)}" for x, y in pts)
+        self._fit(*zip(*pts))
+        coords = " ".join([f"{x:.8g},{-y:.8g}" for x, y in pts])
         tag = "polygon" if closed else "polyline"
-        self._elements.append(lambda unit: (
+        self._elements.append((
             f'<{tag} points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="{_f(width * unit)}" '
-            f'stroke-linejoin="round" stroke-linecap="round"/>'))
+            'stroke-width="', width,
+            '" stroke-linejoin="round" stroke-linecap="round"/>'))
 
     def circle(self, center, radius, color, width):
         x, y = _xy(center)
-        self._see(x, y, pad=radius)
-        self._elements.append(lambda unit: (
-            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(radius)}" fill="none" '
-            f'stroke="{color}" stroke-width="{_f(width * unit)}"/>'))
+        self._fit((x - radius, x + radius), (y - radius, y + radius))
+        self._elements.append((
+            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(radius)}" '
+            f'fill="none" stroke="{color}" stroke-width="', width, '"/>'))
 
     def dot(self, center, size, color):
         """Filled marker whose radius is size stroke units."""
         x, y = _xy(center)
-        self._see(x, y)
-        self._elements.append(lambda unit: (
-            f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(size * unit)}" '
-            f'fill="{color}" stroke="none"/>'))
+        self._fit((x,), (y,))
+        self._elements.append((f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="',
+                               size, f'" fill="{color}" stroke="none"/>'))
 
     def _frame(self):
-        if not self._xs:
+        if self._box is None:
             return -1.0, -1.0, 2.0, 2.0
-        xmin, xmax = min(self._xs), max(self._xs)
-        ymin, ymax = min(self._ys), max(self._ys)
+        xmin, ymin, xmax, ymax = self._box
         w = xmax - xmin
         h = ymax - ymin
         scale = max(w, h, 1e-9)
@@ -108,7 +111,10 @@ class Canvas:
             f'width="{pw}" height="{ph}" '
             f'viewBox="{_f(xmin)} {_f(-(ymin + h))} {_f(w)} {_f(h)}">',
         ]
-        out.extend(element(unit) for element in self._elements)
+        widths = {width: _f(width * unit)
+                  for _, width, _ in self._elements}
+        out.extend(head + widths[width] + tail
+                   for head, width, tail in self._elements)
         out.append("</svg>")
         return "\n".join(out) + "\n"
 

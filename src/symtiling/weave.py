@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 
 from .errors import DegenerateStep, EmptyInterval, InvalidSunburst
-from .exact import unit_from_angle
+from .exact import Vec2
 
 # solve_phase's stop on |log h|: the orbit then closes to 1e-12 of r0.
 PHASE_TOL = 1e-12
@@ -56,14 +57,15 @@ class Sunburst:
             raise InvalidSunburst("ray angles must be a list") from None
         if len(angles) < 3:
             raise InvalidSunburst("a sunburst needs at least 3 rays")
-        if not all(isinstance(t, Real) and not isinstance(t, bool)
+        if not all((type(t) is float or type(t) is int
+                    or isinstance(t, Real) and not isinstance(t, bool))
                    and math.isfinite(t) for t in angles):
             raise InvalidSunburst("ray angles must be finite real numbers")
         angles = tuple(map(float, angles))
         n = len(angles)
         total = 0.0
-        for i in range(n):
-            turn = (angles[(i + 1) % n] - angles[i]) % math.tau
+        for i, (t, u) in enumerate(zip(angles, angles[1:] + angles[:1])):
+            turn = (u - t) % math.tau
             if not 0.0 < turn < math.pi:
                 raise InvalidSunburst(
                     f"rays {i} and {(i + 1) % n} do not turn counterclockwise "
@@ -78,8 +80,10 @@ class Sunburst:
         return len(self.angles)
 
 
+@lru_cache(maxsize=None)
 def regular_sunburst(n: int) -> Sunburst:
-    """Rays at the n-th roots of unity."""
+    """Rays at the n-th roots of unity.  Built once per n and shared by
+    every caller, which only reads it."""
     return Sunburst(math.tau * k / n for k in range(n))
 
 
@@ -121,25 +125,28 @@ def orbit_points(pair: SunburstPair, r0=1.0):
     intersects the chord through the current point parallel to the
     phased ray B[j+1] with the next A-ray; a nonpositive intersection
     coefficient means the pair is not woven and raises DegenerateStep.
+    The steps run on coordinate pairs in the order of `Vec2.cross` and
+    `Vec2.__mul__`, so each point is the Vec2 those would give.
     """
-    rays = [unit_from_angle(t) for t in pair.a.angles]
-    chords = [unit_from_angle(t) for t in pair.b_angles]
-    n = pair.n
-    p = rays[0] * r0
-    points = [p]
+    cos, sin, phase = math.cos, math.sin, pair.phase
+    rays = [(cos(t), sin(t)) for t in pair.a.angles]
+    chords = [(cos(t + phase), sin(t + phase)) for t in pair.b.angles]
+    n = len(rays)
+    x, y = rays[0]
+    x, y = x * r0, y * r0
+    points = [Vec2(x, y)]
     for j in range(n):
-        nxt = rays[(j + 1) % n]
-        chord = chords[(j + 1) % n]
-        den = nxt.cross(chord)
+        k = (j + 1) % n
+        (rx, ry), (cx, cy) = rays[k], chords[k]
+        den = rx * cy - ry * cx
         if den == 0:
-            raise DegenerateStep(
-                f"chord B[{(j + 1) % n}] is parallel to ray A[{(j + 1) % n}]")
-        s = p.cross(chord) / den
+            raise DegenerateStep(f"chord B[{k}] is parallel to ray A[{k}]")
+        s = (x * cy - y * cx) / den
         if s <= 0:
             raise DegenerateStep(
-                f"step {j} leaves ray A[{(j + 1) % n}] at nonpositive radius")
-        p = nxt * s
-        points.append(p)
+                f"step {j} leaves ray A[{k}] at nonpositive radius")
+        x, y = rx * s, ry * s
+        points.append(Vec2(x, y))
     return points
 
 
@@ -154,24 +161,32 @@ def _phase_offsets(a: Sunburst, b: Sunburst):
     """Per step j, the angles c_j from A[j] to B[j+1] and d_j from
     A[j+1] to B[j+1], before the phase rotation of B.
     """
+    if a.n != b.n:
+        raise InvalidSunburst("paired sunbursts must have equal ray counts")
     alpha, beta = a.angles, b.angles
     beta = beta[1:] + beta[:1]
     return ([bj - aj for aj, bj in zip(alpha, beta)],
             [bj - aj for aj, bj in zip(alpha[1:] + alpha[:1], beta)])
 
 
-def holonomy_product(pair: SunburstPair) -> HolonomyReport:
-    """Closed-form holonomy: per step j the radius ratio is
-    cross(A[j], B[j+1]) / cross(A[j+1], B[j+1]) over unit rays, that is
-    sin(c_j + phase) / sin(d_j + phase), as sunburst-solve reports it.
-    """
+def _step_factors(a: Sunburst, b: Sunburst, theta: float):
+    """Per step j the radius ratio cross(A[j], B[j+1]) / cross(A[j+1],
+    B[j+1]) over unit rays, B turned by theta: sin(c_j + theta) /
+    sin(d_j + theta)."""
     factors = []
-    for j, (cj, dj) in enumerate(zip(*_phase_offsets(pair.a, pair.b))):
-        den = math.sin(dj + pair.phase)
+    for j, (cj, dj) in enumerate(zip(*_phase_offsets(a, b))):
+        den = math.sin(dj + theta)
         if den == 0:
-            k = (j + 1) % pair.n
+            k = (j + 1) % a.n
             raise DegenerateStep(f"chord B[{k}] is parallel to ray A[{k}]")
-        factors.append(math.sin(cj + pair.phase) / den)
+        factors.append(math.sin(cj + theta) / den)
+    return factors
+
+
+def holonomy_product(pair: SunburstPair) -> HolonomyReport:
+    """Closed-form holonomy: the product of the step factors, as
+    sunburst-solve reports it."""
+    factors = _step_factors(pair.a, pair.b, pair.phase)
     return HolonomyReport(math.prod(factors), tuple(factors), "product")
 
 
@@ -213,6 +228,8 @@ def phase_arcs(a: Sunburst, b: Sunburst):
     cone from A[i] to -A[i-1].  Each arc is (lo, width) with width =
     pi minus the gap from A[i-1] to A[i], hence always below pi.
     """
+    if a.n != b.n:
+        raise InvalidSunburst("paired sunbursts must have equal ray counts")
     alpha, beta = a.angles, b.angles
     arcs = []
     for i in range(a.n):
@@ -230,8 +247,6 @@ def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:
     walk moves to each start strictly ahead, keeping the first of exact
     ties.  A width <= 0 past the start it ends on means it is empty.
     """
-    if a.n != b.n:
-        raise InvalidSunburst("paired sunbursts must have equal ray counts")
     arcs = tuple(phase_arcs(a, b))
     lo = arcs[0][0]
     for alo, _ in arcs:
@@ -245,13 +260,18 @@ def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:
 
 def log_holonomy(a: Sunburst, b: Sunburst, theta: float) -> float:
     """Summed per step: the product h underflows near the interval ends."""
-    report = holonomy_product(SunburstPair(a, b, theta))
-    return math.fsum(math.log(f) for f in report.step_factors)
+    return math.fsum(map(math.log, _step_factors(a, b, theta)))
 
 
 def solve_phase(a: Sunburst, b: Sunburst) -> float:
-    """The unique phase in the weave interval with holonomy 1, as tested:
-    in (lo, lo + width) with lo in [0, tau), so it may exceed tau.
+    """The unique phase in the weave interval with holonomy 1."""
+    return solve_in(weave_interval(a, b), a, b)
+
+
+def solve_in(interval: PhaseInterval, a: Sunburst, b: Sunburst) -> float:
+    """The unique phase with holonomy 1 in the pair's weave interval,
+    which the caller has: in (lo, lo + width) with lo in [0, tau), so it
+    may exceed tau.
 
     log h falls strictly across the interval, from +inf at its clockwise
     end to -inf at the other: its slope, the sum of cot(c_j + phase) -
@@ -262,7 +282,6 @@ def solve_phase(a: Sunburst, b: Sunburst) -> float:
     DegenerateStep names the |log h| reached after 100 evaluations, or
     once no float lies inside the bracket and so none can do better.
     """
-    interval = weave_interval(a, b)
     pad = max(interval.width * 1e-9, 4 * math.ulp(interval.hi))
     lo, hi = interval.lo + pad, interval.hi - pad
     c, d = _phase_offsets(a, b)

@@ -13,14 +13,15 @@ import numpy as np
 from symtiling import tilings
 from symtiling.dynamics import (MAX_PERIOD, OrbitRecord, PairState,
                                 Termination, certify, step)
-from symtiling.errors import (EmptyInterval, NonTransverseEdges, NotConvex,
+from symtiling.errors import (DegenerateStep, EmptyInterval,
+                              NonTransverseEdges, NotConvex,
                               ParallelWitnessLines, VertexHit)
-from symtiling.exact import Vec2
+from symtiling.exact import Vec2, unit_from_angle
 from symtiling.linkage import Polygon
 from symtiling.moduli import (HyperbolicPoint, area_form, family_directions,
                               reference_point)
 from symtiling.tilings import Particle
-from symtiling.weave import PhaseInterval, phase_arcs
+from symtiling.weave import PhaseInterval, SunburstPair, phase_arcs
 
 # is_balanced and is_regular: above the rounding of their n-term sums.
 SUNBURST_TOL = 1e-12
@@ -424,3 +425,53 @@ def oracle_weave_interval(a, b) -> PhaseInterval:
     if best is None:
         raise EmptyInterval(tuple(arcs))
     return best
+
+
+# The sunburst orbit and holonomy on Vec2s and pairs, one object per
+# step and per evaluation: weave.orbit_points and weave.log_holonomy,
+# which step floats, must give the same floats.
+
+def oracle_orbit_points(pair, r0=1.0):
+    """weave.orbit_points by Vec2 arithmetic: unit rays and phased unit
+    chords, the point carried to the next ray by cross products."""
+    rays = [unit_from_angle(t) for t in pair.a.angles]
+    chords = [unit_from_angle(t) for t in pair.b_angles]
+    n = pair.n
+    p = rays[0] * r0
+    points = [p]
+    for j in range(n):
+        nxt = rays[(j + 1) % n]
+        chord = chords[(j + 1) % n]
+        den = nxt.cross(chord)
+        if den == 0:
+            raise DegenerateStep(
+                f"chord B[{(j + 1) % n}] is parallel to ray A[{(j + 1) % n}]")
+        s = p.cross(chord) / den
+        if s <= 0:
+            raise DegenerateStep(
+                f"step {j} leaves ray A[{(j + 1) % n}] at nonpositive radius")
+        p = nxt * s
+        points.append(p)
+    return points
+
+
+def oracle_step_factors(pair):
+    """The holonomy step factors of a SunburstPair, per step j
+    sin(c_j + phase) / sin(d_j + phase), with c_j = B[j+1] - A[j] and
+    d_j = B[j+1] - A[j+1] before the phase."""
+    alpha, beta, n = pair.a.angles, pair.b.angles, pair.n
+    factors = []
+    for j in range(n):
+        k = (j + 1) % n
+        den = math.sin((beta[k] - alpha[k]) + pair.phase)
+        if den == 0:
+            raise DegenerateStep(f"chord B[{k}] is parallel to ray A[{k}]")
+        factors.append(math.sin((beta[k] - alpha[j]) + pair.phase) / den)
+    return factors
+
+
+def oracle_log_holonomy(a, b, theta: float) -> float:
+    """weave.log_holonomy through a SunburstPair, which refuses unequal
+    ray counts: the step factors' logs, summed."""
+    factors = oracle_step_factors(SunburstPair(a, b, theta))
+    return math.fsum(math.log(f) for f in factors)
