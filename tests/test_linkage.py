@@ -53,12 +53,13 @@ def test_polygon_transforms_preserve_shape():
 def test_check_equilateral_rejects_bad_polygons():
     square = Polygon([Vec2(0.0, 0.0), Vec2(2.0, 0.0), Vec2(2.0, 1.0),
                       Vec2(0.0, 1.0)])
-    with pytest.raises(NotEquilateral):
-        check_equilateral(square)
     reflex = Polygon([Vec2(0.0, 0.0), Vec2(2.0, 0.0), Vec2(1.0, 0.5),
                       Vec2(1.0, 2.0)])
-    with pytest.raises(NotConvex):
-        check_equilateral(reflex)
+    for check in (check_equilateral, solve_equiangular):
+        with pytest.raises(NotEquilateral):
+            check(square)
+        with pytest.raises(NotConvex):
+            check(reflex)
 
 
 def test_directions_form_balanced_sunburst():
