@@ -357,12 +357,17 @@ def main(argv=None) -> int:
     its command, which returns its summary line, JSON payload and figure
     drawer.  The line goes to stdout, the payload with the flags as "config"
     to --json, the figure to --out; "passed": false in it exits 2.  Refused
-    flags return 2 and --help 0: every outcome is a returned code."""
+    flags return 2 and --help 0: every outcome is a returned code.  Python
+    3.11's argparse stores a value flag written --flag=-- as an empty
+    list, so a list anywhere but the input files is a missing value."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code
     try:
+        for key, value in vars(args).items():
+            if type(value) is list and key != "files":
+                raise ValueError(f"--{key.replace('_', '-')} needs a value")
         line, payload, draw = args.func(args)
         print(line)
         if args.json:
@@ -377,6 +382,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if payload.get("passed", True) else 2
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -205,7 +205,7 @@ class OrbitRecord:
 @dataclass(frozen=True, slots=True)
 class Classification:
     verdict: str
-    evidence: dict = field(default_factory=dict)
+    evidence: dict
 
 
 def _hold(a_tiling, b_tiling, state: PairState) -> tuple:

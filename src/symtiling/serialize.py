@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from fractions import Fraction
-from numbers import Real
 
 from .exact import Vec2
 from .linkage import Polygon
@@ -34,13 +33,12 @@ def encode(obj):
 
 
 def _coordinate(value):
-    """A real JSON number other than a boolean, or a "p/q" string."""
+    """A JSON number, which `json.load` makes an int or a float, or a
+    "p/q" string; a boolean is refused."""
     if type(value) is float or type(value) is int:
         return value
     if isinstance(value, str):
         return Fraction(value)
-    if isinstance(value, Real) and not isinstance(value, bool):
-        return value
     raise ValueError(f"a polygon coordinate is a number or a \"p/q\" "
                      f"string, got {value!r}")
 

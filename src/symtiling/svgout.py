@@ -36,18 +36,12 @@ VERDICT_COLORS = {
 }
 
 
-def _xy(p):
-    if type(p) is tuple:
-        return float(p[0]), float(p[1])
-    if hasattr(p, "x"):
-        return float(p.x), float(p.y)
-    return float(p[0]), float(p[1])
-
-
 class Canvas:
     """Accumulates elements and their running bounding box, then renders
-    one auto-fitted SVG.  An element is its finished SVG text around one
-    slot, a width that render writes as a multiple of the stroke unit."""
+    one auto-fitted SVG.  Points and centres are (x, y) pairs of numbers,
+    which are drawn as floats.  An element is its finished SVG text
+    around one slot, a width that render writes as a multiple of the
+    stroke unit."""
 
     def __init__(self):
         self._elements = []     # (text before the slot, width, text after)
@@ -62,7 +56,7 @@ class Canvas:
                          max(box[2], *xs), max(box[3], *ys))
 
     def polyline(self, points, color, width, closed=False):
-        pts = [_xy(p) for p in points]
+        pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 2:
             return
         self._fit(*zip(*pts))
@@ -74,7 +68,7 @@ class Canvas:
             '" stroke-linejoin="round" stroke-linecap="round"/>'))
 
     def circle(self, center, radius, color, width):
-        x, y = _xy(center)
+        x, y = map(float, center)
         self._fit((x - radius, x + radius), (y - radius, y + radius))
         self._elements.append((
             f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="{_f(radius)}" '
@@ -82,7 +76,7 @@ class Canvas:
 
     def dot(self, center, size, color):
         """Filled marker whose radius is size stroke units."""
-        x, y = _xy(center)
+        x, y = map(float, center)
         self._fit((x,), (y,))
         self._elements.append((f'<circle cx="{_f(x)}" cy="{_f(-y)}" r="',
                                size, f'" fill="{color}" stroke="none"/>'))
@@ -135,7 +129,7 @@ def _bounds(points):
 
 def _grid_backdrop(canvas, tiling, points, shift=0.0):
     """Draws the grid lines of a tiling behind a cloud of world points."""
-    local = [tiling.to_local(Vec2(*_xy(p))) for p in points]
+    local = [tiling.to_local(Vec2(*p)) for p in points]
     lx = [float(p.x) for p in local]
     ly = [float(p.y) for p in local]
     x0, x1 = math.floor(min(lx)) - 1, math.ceil(max(lx)) + 1
@@ -154,18 +148,16 @@ def _grid_backdrop(canvas, tiling, points, shift=0.0):
 def orbit_figure(record, a_tiling, b_tiling) -> Canvas:
     """Both factor projections of a pair orbit, drawn side by side."""
     canvas = Canvas()
-    a_pts = [_xy(p) for p in record.a_points]
-    b_pts = [_xy(p) for p in record.b_points]
+    a_pts, b_pts = record.a_points, record.b_points
     ax0, ay0, ax1, ay1 = _bounds(a_pts)
     bx0, by0, bx1, by1 = _bounds(b_pts)
     gap = 0.12 * max(ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0, 1.0)
     shift = (ax1 - bx0) + gap + 2.0
-    _grid_backdrop(canvas, a_tiling, record.a_points)
-    _grid_backdrop(canvas, b_tiling, record.b_points, shift=shift)
+    _grid_backdrop(canvas, a_tiling, a_pts)
+    _grid_backdrop(canvas, b_tiling, b_pts, shift=shift)
     shifted = [(x + shift, y) for x, y in b_pts]
-    if len(a_pts) >= 2:
-        canvas.polyline(a_pts, A_COLOR, 1.0)
-        canvas.polyline(shifted, B_COLOR, 1.0)
+    canvas.polyline(a_pts, A_COLOR, 1.0)
+    canvas.polyline(shifted, B_COLOR, 1.0)
     canvas.dot(a_pts[0], 2.4, "#111111")
     canvas.dot(shifted[0], 2.4, "#111111")
     return canvas
@@ -181,7 +173,7 @@ def sunburst_figure(pair, points) -> Canvas:
     """
     canvas = Canvas()
     n = pair.n
-    pts = [_xy(p) for p in points[:n]]
+    pts = [(float(p.x), float(p.y)) for p in points[:n]]
     rmax = max(math.hypot(x, y) for x, y in pts)
     for t in pair.a.angles:
         tip = (1.12 * rmax * math.cos(t), 1.12 * rmax * math.sin(t))
@@ -220,7 +212,7 @@ def polygon_figure(polys) -> Canvas:
     canvas = Canvas()
     shift = 0.0
     for i, poly in enumerate(polys):
-        pts = [_xy(v) for v in poly.vertices]
+        pts = [(float(v.x), float(v.y)) for v in poly.vertices]
         x0, y0, x1, y1 = _bounds(pts)
         dx = shift - x0
         canvas.polyline([(x + dx, y) for x, y in pts],

@@ -226,17 +226,15 @@ class PhaseInterval:
 def phase_arcs(a: Sunburst, b: Sunburst):
     """Per-index arcs of phases theta with rot_theta(B[i]) inside the
     cone from A[i] to -A[i-1].  Each arc is (lo, width) with width =
-    pi minus the gap from A[i-1] to A[i], hence always below pi.
+    pi minus the gap from A[i-1] to A[i], hence always below pi.  Arc i
+    starts at the phase that turns B[i] onto A[i], which is -d_{i-1} of
+    `_phase_offsets`.
     """
-    if a.n != b.n:
-        raise InvalidSunburst("paired sunbursts must have equal ray counts")
-    alpha, beta = a.angles, b.angles
-    arcs = []
-    for i in range(a.n):
-        gap = (alpha[i] - alpha[i - 1]) % math.tau
-        lo = (alpha[i] - beta[i]) % math.tau
-        arcs.append((lo, math.pi - gap))
-    return arcs
+    _, d = _phase_offsets(a, b)
+    alpha = a.angles
+    return [((-d[i - 1]) % math.tau,
+             math.pi - (alpha[i] - alpha[i - 1]) % math.tau)
+            for i in range(a.n)]
 
 
 def weave_interval(a: Sunburst, b: Sunburst) -> PhaseInterval:

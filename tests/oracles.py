@@ -408,6 +408,15 @@ def interval_contains(interval, theta: float) -> bool:
     return 0.0 < (theta - interval.lo) % math.tau < interval.width
 
 
+def oracle_phase_arcs(a, b):
+    """phase_arcs with each arc start taken from the angles themselves,
+    (A[i] - B[i]) mod tau, not from the step offsets."""
+    alpha, beta = a.angles, b.angles
+    return [((alpha[i] - beta[i]) % math.tau,
+             math.pi - (alpha[i] - alpha[i - 1]) % math.tau)
+            for i in range(a.n)]
+
+
 def oracle_weave_interval(a, b) -> PhaseInterval:
     """weave_interval by trying every arc start as the intersection's
     start, in O(n^2): a start is a candidate when it lies in every arc,

@@ -99,12 +99,18 @@ def test_grid_orbit_float_diagonal_is_periodic(tmp_path, capsys):
 
 
 def test_grid_orbit_zero_budget_keeps_start_only(tmp_path):
-    jpath = tmp_path / "orbit.json"
+    """The figure of a one-state orbit has its grids and two start dots,
+    and no orbit line."""
+    jpath, spath = tmp_path / "orbit.json", tmp_path / "orbit.svg"
     assert cli.main(["grid-orbit", "--t", "1/3", "--max-steps", "0",
-                     "--json", str(jpath)]) == 0
+                     "--json", str(jpath), "--out", str(spath)]) == 0
     payload = json.loads(jpath.read_text())
     assert payload["termination"]["kind"] == "max-steps"
     assert len(payload["a_points"]) == 1
+    figure = spath.read_text()
+    assert figure.count('fill="#111111"') == 2
+    assert svgout.A_COLOR not in figure and svgout.B_COLOR not in figure
+    assert svgout.GRID_COLOR in figure
 
 
 def test_grid_orbit_rejects_degenerate_parameter(tmp_path):
@@ -449,6 +455,37 @@ def test_zero_denominator_exits_two_naming_its_flag(tmp_path, capsys, argv,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and "'1/0'" in err
     assert not jpath.exists()
+
+
+@pytest.mark.parametrize("command", ["grid-orbit", "grid-portrait"])
+def test_negative_step_budget_exits_two(tmp_path, capsys, command):
+    jpath = tmp_path / "run.json"
+    assert cli.main([command, "--max-steps", "-1", "--json", str(jpath)]) == 2
+    assert "--max-steps: must be at least 0, got -1" in capsys.readouterr().err
+    assert not jpath.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    *(("grid-orbit", flag) for flag in (
+        "--t", "--angle", "--frac-a", "--frac-b", "--edge-a", "--edge-b",
+        "--max-steps", "--seed", "--side-a", "--side-b", "--json", "--out")),
+    *(("grid-portrait", flag) for flag in (
+        "--t", "--angle", "--edge-a", "--max-steps", "--resolution",
+        "--json")),
+    *((command, flag) for command in ("sunburst-solve", "linkage-convert",
+                                      "moduli-embed")
+      for flag in ("--n", "--seed", "--json", "--out")),
+    ("pentagon-verify", "--json"),
+])
+def test_a_flag_written_with_an_empty_value_exits_two(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     flag):
+    """Python 3.11's argparse parses --flag=-- into an empty list; the
+    run refuses it before it reads any flag, and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, "--json", "run.json", f"{flag}=--"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} needs a value\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_t_help_spells_a_negative_parameter(tmp_path, capsys, monkeypatch):

@@ -1152,7 +1152,9 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
     """run_orbit and classify call `GridTiling.float_point` on no state
     of a run that ends at a vertex or a recurrence.  The first read of
     any of the record's points and bit lengths builds all three, with
-    one call per particle and state, and later reads build nothing."""
+    one call per particle and state, and later reads build nothing.  An
+    attribute that a record does not have raises AttributeError and
+    builds nothing."""
     calls = []
     float_point = GridTiling.float_point
     monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
@@ -1176,6 +1178,7 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
             classify(rec)
             assert rec.termination.kind == kind and rec.steps > 3
             assert rec.exact == (a is ea) and not calls
+            assert not hasattr(rec, "lock") and not calls
             assert len(getattr(rec, name)) == rec.steps + 1
             assert len(calls) == 2 * (rec.steps + 1)
             calls.clear()

@@ -33,3 +33,19 @@ def test_canvas_renders_each_element_format():
 def test_disk_figure_puts_one_coordinate_on_the_x_axis():
     one = svgout.disk_figure([np.array([0.3])], []).render()
     assert one == svgout.disk_figure([(0.3, 0.0)], []).render()
+
+
+def test_a_vertical_segment_gets_a_narrow_frame():
+    """A box of zero width is padded to a thousandth of its height, so
+    the figure keeps a width."""
+    canvas = svgout.Canvas()
+    canvas.polyline([(0, 0), (0, 10)], "#000000", 1.0)
+    assert 'width="66" height="720"' in canvas.render()
+
+
+def test_an_empty_canvas_frames_the_unit_square_around_the_origin():
+    assert svgout.Canvas().render() == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="720" '
+        'height="720" viewBox="-1 -1 2 2">\n'
+        '</svg>\n')

@@ -16,7 +16,8 @@ from symtiling.weave import (Sunburst, SunburstPair, holonomy_iteration,
 from oracles import (STRADDLING_SUNBURST, UNSOLVABLE_SUNBURSTS, dot,
                      interval_contains, is_balanced, is_oriented_weave,
                      is_regular, oracle_log_holonomy, oracle_orbit_points,
-                     oracle_step_factors, oracle_weave_interval)
+                     oracle_phase_arcs, oracle_step_factors,
+                     oracle_weave_interval)
 
 TWO_PI = 2.0 * math.pi
 
@@ -137,9 +138,28 @@ def test_orbit_dilation_invariance():
 
 
 def test_degenerate_pair_raises():
+    """On the regular 4-ray pair, phase 0 turns B[1] onto A[1], and at
+    phase 2.0 the chord from A[0] parallel to B[1] meets the line of A[1]
+    behind the origin."""
     a = regular_sunburst(4)
-    with pytest.raises(DegenerateStep):
+    with pytest.raises(DegenerateStep,
+                       match=r"^chord B\[1\] is parallel to ray A\[1\]$"):
         orbit_points(SunburstPair(a, a, 0.0))
+    with pytest.raises(DegenerateStep, match=r"^step 0 leaves ray A\[1\] "
+                                             r"at nonpositive radius$"):
+        orbit_points(SunburstPair(a, a, 2.0))
+
+
+def test_holonomy_at_a_step_pole_raises():
+    """At theta = -d_0 the first step's denominator sin(d_0 + theta) is
+    zero: B[1] lies along A[1]."""
+    a = regular_sunburst(5)
+    _, d = weave._phase_offsets(a, a)
+    message = r"^chord B\[1\] is parallel to ray A\[1\]$"
+    with pytest.raises(DegenerateStep, match=message):
+        log_holonomy(a, a, -d[0])
+    with pytest.raises(DegenerateStep, match=message):
+        holonomy_product(SunburstPair(a, a, -d[0]))
 
 
 def test_a_pair_of_unequal_ray_counts_raises():
@@ -202,6 +222,25 @@ def test_phase_arcs_widths():
             gap = (ang[i] - ang[i - 1]) % TWO_PI
             assert abs(width - (math.pi - gap)) <= 1e-12
             assert 0 < width < math.pi
+
+
+def test_phase_arcs_start_where_the_angles_say():
+    """Arc i starts at -d_{i-1}, the negated step offset, which is the
+    float A[i] - B[i]: IEEE subtraction is exactly antisymmetric.  Checked
+    on balanced, oriented-weave and unrelated pairs, and on a pair with
+    equal angles, whose zero start must not become -0.0."""
+    rng = random.Random(35)
+    pairs = [(regular_sunburst(5), regular_sunburst(5))]
+    for n in range(3, 65):
+        weave_pair = random_oriented_weave(rng, n)
+        pairs += [(random_balanced_sunburst(rng, n), regular_sunburst(n)),
+                  (weave_pair.a, weave_pair.b),
+                  (random_oriented_weave(rng, n).a,
+                   random_oriented_weave(rng, n).a)]
+    for a, b in pairs:
+        got = phase_arcs(a, b)
+        assert got == oracle_phase_arcs(a, b)
+        assert [math.copysign(1.0, lo) for lo, _ in got] == [1.0] * a.n
 
 
 def test_interval_membership_matches_weave_predicate():
