@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from random import Random
 
-from . import serialize, svgout
+from . import moduli, pipeline, serialize, svgout
 from .dynamics import PairState, classify, phase_portrait, run_orbit
 from .errors import GeometryError
 from .exact import Vec2
@@ -238,9 +238,6 @@ def cmd_linkage_convert(args):
 
 
 def cmd_moduli_embed(args):
-    # Imported here so that numpy, which moduli loads, stays out of the
-    # other commands.
-    from . import moduli, pipeline
     poly = _input_polygon(args)
     point = pipeline.equilateral_to_hyperbolic(poly)
     disk = moduli.to_disk(point)
@@ -252,11 +249,10 @@ def cmd_moduli_embed(args):
     line = (f"n={poly.n} coords={[f'{c:.9f}' for c in point.coords]} "
             f"disk=({', '.join(f'{c:.9f}' for c in disk)})")
     return line, {"input": poly.vertices, "point": point,
-                  "disk": disk.tolist()}, draw
+                  "disk": disk}, draw
 
 
 def cmd_pentagon_verify(args):
-    from . import moduli
     form = moduli.area_form(5)
     report = moduli.pentagon_report()
     angle_residual = max(abs(a - math.pi / 2) for a in report["angles"])

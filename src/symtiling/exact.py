@@ -35,9 +35,6 @@ class Vec2:
     def __sub__(self, other: "Vec2") -> "Vec2":
         return Vec2(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Vec2":
-        return Vec2(-self.x, -self.y)
-
     def __mul__(self, k) -> "Vec2":
         return Vec2(self.x * k, self.y * k)
 

@@ -28,6 +28,14 @@ reads the real Fourier modes j != +-1, which are the form's
 eigenvectors: mode 0 is the timelike axis through the regular polygon,
 so the regular polygon sits at the centre.
 
+Offsets, points, walls and disk points are tuples of floats, and every
+closed form is evaluated with math alone: the form is a sum over
+neighbouring offsets, exactly rounded by math.fsum, and the disk chart
+is one fsum dot product per Fourier row.  The matrix-valued API
+(AreaForm.gram and quotient_gram, butterfly_matrix, quotient_map,
+cyclic_matrix and HyperbolicPoint.as_array), which only tests read,
+returns numpy arrays and imports numpy inside its own body.
+
 The form depends on N alone: each function reads the cached
 area_form(N) itself, with N taken from its offsets, point or argument.
 """
@@ -35,66 +43,79 @@ area_form(N) itself, with N taken from its offsets, point or argument.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cached_property, lru_cache
 
 from .errors import NonPositiveArea, ParallelWitnessLines
-
-
-def family_directions(n: int) -> np.ndarray:
-    ang = math.tau * np.arange(n) / n
-    return np.column_stack([np.cos(ang), np.sin(ang)])
-
-
-def family_normals(n: int) -> np.ndarray:
-    """Rows: the left normals n_k.  Read as columns, they are also the
-    offset changes induced by unit x and y translations."""
-    d = family_directions(n)
-    return np.column_stack([-d[:, 1], d[:, 0]])
 
 
 @dataclass(frozen=True)
 class AreaForm:
     """Signed area as a quadratic form on offset space.
 
-    gram is the full N x N Gram matrix.  The radical (translations) is
-    quotiented away by translating until s_0 = s_1 = 0, which leaves
-    s_2..s_{N-1} as coordinates with Gram matrix quotient_gram.
-    signature is its (1, N-3), the counts of positive and negative
-    eigenvalues read off the closed-form spectrum
+    The radical (translations) is quotiented away by translating until
+    s_0 = s_1 = 0, which leaves s_2..s_{N-1} as coordinates; on them
+    the form is the tridiagonal block of the circulant, which pairing
+    sums directly.  signature is its (1, N-3), the counts of positive
+    and negative eigenvalues read off the closed-form spectrum
     (cos(2 pi j/N) - cos theta)/sin theta.  frame maps those coordinates
     to the Fourier frame, where the form is diag(1, -1, ..., -1).
+    gram and quotient_gram are the same form as ndarrays, built on
+    first read.
     """
 
     n: int
-    gram: np.ndarray
-    quotient_gram: np.ndarray
     signature: tuple
-    frame: np.ndarray
+    frame: tuple
+
+    @cached_property
+    def gram(self):
+        """The full N x N Gram matrix."""
+        import numpy as np
+        theta = math.tau / self.n
+        c = cyclic_matrix(self.n)
+        return ((c + c.T) / (2.0 * math.sin(theta))
+                - np.eye(self.n) / math.tan(theta))
+
+    @cached_property
+    def quotient_gram(self):
+        return self.gram[2:, 2:]
 
     def value(self, s) -> float:
-        s = np.asarray(s, dtype=float)
-        return float(s @ self.gram @ s)
+        """Signed area of offsets s: the translations are the form's
+        radical, so it is the pairing of s's quotient coordinates with
+        themselves."""
+        x = self.reduce(s)
+        return self.pairing(x, x)
 
-    def reduce(self, s) -> np.ndarray:
+    def reduce(self, s) -> tuple:
         """Quotient coordinates: translate by the v that zeroes s_0 and
         s_1, v = ((s_1 - cos theta s_0)/sin theta, -s_0) with
         theta = 2 pi/N, then read off components 2..N-1.  They are
-        s_k + (sin((k-1) theta) s_0 - sin(k theta) s_1)/sin theta.  An
-        N x m matrix is reduced column by column.
+        s_k + (sin((k-1) theta) s_0 - sin(k theta) s_1)/sin theta.
         """
-        s = np.asarray(s, dtype=float)
-        t = family_normals(self.n)
-        v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
-        return (s + t @ v)[2:]
+        theta = math.tau / self.n
+        a, b = s[0] / math.sin(theta), s[1] / math.sin(theta)
+        return tuple(s[k] + math.sin((k - 1) * theta) * a
+                     - math.sin(k * theta) * b for k in range(2, self.n))
 
     def pairing(self, x, y) -> float:
-        return float(np.asarray(x) @ self.quotient_gram @ np.asarray(y))
+        """The form on quotient coordinates: the circulant's diagonal
+        -cot theta and neighbours 1/(2 sin theta) without its cyclic
+        corner, which pairs the zeroed s_0 with s_{N-1}.  Its terms
+        cancel by a factor growing with N, so they are summed by fsum,
+        which rounds once.
+        """
+        theta = math.tau / self.n
+        side, diag = 0.5 / math.sin(theta), -1.0 / math.tan(theta)
+        terms = [diag * a * b for a, b in zip(x, y)]
+        for k in range(1, len(x)):
+            terms += (side * x[k - 1] * y[k], side * x[k] * y[k - 1])
+        return math.fsum(terms)
 
 
-def _fourier_frame(n: int) -> np.ndarray:
+def _fourier_frame(n: int) -> tuple:
     """Rows: the orthonormal real Fourier modes j != +-1, each scaled by
     sqrt|lambda_j| with lambda_j = (cos j theta - cos theta)/sin theta
     and restricted to columns 2..N-1.  They come in the order j = 0,
@@ -103,23 +124,24 @@ def _fourier_frame(n: int) -> np.ndarray:
     same value off any translate of the offsets.
     """
     theta = math.tau / n
-    k = np.arange(n)
-    modes = [(0, np.full(n, 1.0 / math.sqrt(n)))]
+    modes = [(0, [1.0 / math.sqrt(n)] * n)]
     for j in range(2, (n + 1) // 2):
-        modes.append((j, math.sqrt(2.0 / n) * np.cos(j * theta * k)))
-        modes.append((j, math.sqrt(2.0 / n) * np.sin(j * theta * k)))
+        for wave in (math.cos, math.sin):
+            modes.append((j, [math.sqrt(2.0 / n) * wave(j * theta * k)
+                              for k in range(n)]))
     if n % 2 == 0:
-        modes.append((n // 2, (-1.0) ** k / math.sqrt(n)))
-    return np.array([
-        math.sqrt(abs(math.cos(j * theta) - math.cos(theta))
-                  / math.sin(theta)) * u[2:] for j, u in modes])
+        modes.append((n // 2, [(-1.0) ** k / math.sqrt(n) for k in range(n)]))
+    return tuple(
+        tuple(math.sqrt(abs(math.cos(j * theta) - math.cos(theta))
+                        / math.sin(theta)) * u for u in row[2:])
+        for j, row in modes)
 
 
 @lru_cache(maxsize=None)
 def area_form(n: int) -> AreaForm:
-    """Gram matrix of signed area, with theta = 2 pi/N: the circulant
-    with diagonal -cot theta, both cyclic neighbours 1/(2 sin theta)
-    and zeros elsewhere.  Its eigenvalues
+    """Signed area, with theta = 2 pi/N: the circulant Gram matrix with
+    diagonal -cot theta, both cyclic neighbours 1/(2 sin theta) and
+    zeros elsewhere.  Its eigenvalues
     (cos(2 pi j/N) - cos theta)/sin theta are positive only for j = 0
     and vanish only for j = +-1, whose eigenvectors span the
     translations; hence the quotient signature (1, N-3).  Both facts
@@ -128,19 +150,17 @@ def area_form(n: int) -> AreaForm:
     """
     if n < 4:
         raise ValueError("area form needs at least 4 families")
-    theta = math.tau / n
-    c = cyclic_matrix(n)
-    gram = (c + c.T) / (2.0 * math.sin(theta)) - np.eye(n) / math.tan(theta)
-    return AreaForm(n, gram, gram[2:, 2:], (1, n - 3), _fourier_frame(n))
+    return AreaForm(n, (1, n - 3), _fourier_frame(n))
 
 
-def butterfly_matrix(n: int, k: int) -> np.ndarray:
+def butterfly_matrix(n: int, k: int):
     """Linear move replacing line k by its mirror image through the
     intersection p of lines k-1 and k+1: s_k' = 2 n_k . p - s_k with all
     other offsets fixed.  Since n_{k-1} + n_{k+1} = 2 cos(2 pi/N) n_k,
     that is s_k' = (s_{k-1} + s_{k+1})/cos(2 pi/N) - s_k.  The witness
     lines are parallel, and cos(2 pi/N) = 0, exactly when N = 4.
     """
+    import numpy as np
     if n == 4:
         raise ParallelWitnessLines(
             f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
@@ -152,17 +172,21 @@ def butterfly_matrix(n: int, k: int) -> np.ndarray:
     return m
 
 
-def quotient_map(matrix: np.ndarray) -> np.ndarray:
+def quotient_map(matrix):
     """The map induced on quotient coordinates by a
-    translation-equivariant linear map of offset space.
+    translation-equivariant linear map of offset space: each column
+    reduced.
     """
-    return area_form(len(matrix)).reduce(matrix[:, 2:])
+    import numpy as np
+    form = area_form(len(matrix))
+    return np.column_stack([form.reduce(col) for col in matrix[:, 2:].T])
 
 
-def cyclic_matrix(n: int) -> np.ndarray:
+def cyclic_matrix(n: int):
     """Offset relabeling (Cs)_k = s_{k+1}; geometrically a rotation of
     the polygon by -2 pi / N, hence an area isometry.
     """
+    import numpy as np
     return np.roll(np.eye(n), 1, axis=1)
 
 
@@ -173,31 +197,30 @@ class HyperbolicPoint:
     n: int
     coords: tuple
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array(self.coords)
 
 
-def reference_point(n: int) -> np.ndarray:
+def reference_point(n: int) -> tuple:
     """Image of the regular n-gon (all offsets equal), selecting the
     positive sheet.
     """
-    form = area_form(n)
-    ones = np.ones(n)
-    return form.reduce(ones) / math.sqrt(form.value(ones))
+    return to_hyperbolic((1.0,) * n).coords
 
 
 def to_hyperbolic(s) -> HyperbolicPoint:
     """Reduce to quotient coordinates and normalize to unit area."""
-    s = np.asarray(s, dtype=float)
     form = area_form(len(s))
-    area = form.value(s)
+    x = form.reduce(s)
+    area = form.pairing(x, x)
     if area <= 0:
         raise NonPositiveArea(f"signed area {area:.6g} is not positive")
-    x = form.reduce(s) / math.sqrt(area)
-    return HyperbolicPoint(form.n, tuple(x))
+    scale = math.sqrt(area)
+    return HyperbolicPoint(form.n, tuple(c / scale for c in x))
 
 
-def wall_normal(n: int, k: int) -> np.ndarray:
+def wall_normal(n: int, k: int) -> tuple:
     """Unit spacelike Q-normal of the fixed hyperplane of butterfly k in
     the quotient, positive against the regular polygon.
 
@@ -211,8 +234,9 @@ def wall_normal(n: int, k: int) -> np.ndarray:
     if n == 4:
         raise ParallelWitnessLines(
             f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
-    return (area_form(n).reduce(np.eye(n)[k % n])
-            / math.sqrt(1.0 / math.tan(math.tau / n)))
+    x = area_form(n).reduce([float(i == k % n) for i in range(n)])
+    norm = math.sqrt(1.0 / math.tan(math.tau / n))
+    return tuple(c / norm for c in x)
 
 
 def pentagon_walls():
@@ -250,7 +274,8 @@ def pentagon_report():
     for i in range(5):
         wa, wb = walls[order[i]], walls[order[(i + 1) % 5]]
         wm = walls[(order[i] + 1) % 5]
-        verts.append((wm + phi * (wa + wb)) / phi ** 1.5)
+        verts.append(tuple((m + phi * (a + b)) / phi ** 1.5
+                           for m, a, b in zip(wm, wa, wb)))
         angles.append(math.acos(max(-1.0, min(1.0, -form.pairing(wa, wb)))))
     sides = [math.acosh(max(form.pairing(verts[i], verts[(i + 1) % 5]), 1.0))
              for i in range(5)]
@@ -263,25 +288,26 @@ def cyclic_fixed_point(n: int) -> HyperbolicPoint:
     positive sheet: the regular n-gon, since relabeling leaves the
     all-ones offset vector unchanged.
     """
-    return HyperbolicPoint(n, tuple(reference_point(n)))
+    return HyperbolicPoint(n, reference_point(n))
 
 
-def to_disk(p: HyperbolicPoint) -> np.ndarray:
+def to_disk(p: HyperbolicPoint) -> tuple:
     """Poincare ball projection of a positive-sheet point in the Fourier
     frame: N - 3 coordinates, with the regular polygon at the centre.
     For N >= 6 the first two are the j = 2 mode, the polygon's affine
     deformation, which the disk figures show.
     """
-    y = area_form(p.n).frame @ p.as_array()
-    return y[1:] / (1.0 + y[0])
+    y = [math.fsum(map(operator.mul, row, p.coords))
+         for row in area_form(p.n).frame]
+    return tuple(c / (1.0 + y[0]) for c in y[1:])
 
 
 @lru_cache(maxsize=None)
 def pentagon_disk_chords():
     """The sides of the right-angled pentagon as chords of the Poincare
-    disk: consecutive pairs of its vertices under to_disk, as float
+    disk: consecutive pairs of its vertices under to_disk, as
     (x, y) pairs.  Built once and shared by every caller, which only
     reads it."""
-    corners = [tuple(map(float, to_disk(HyperbolicPoint(5, tuple(c)))))
+    corners = [to_disk(HyperbolicPoint(5, c))
                for c in pentagon_report()["vertices"]]
     return tuple((corners[i], corners[(i + 1) % 5]) for i in range(5))

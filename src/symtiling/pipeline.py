@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .exact import unit_from_angle
 from .linkage import EquiangularSolution, Polygon, solve_equiangular
 from .moduli import HyperbolicPoint, to_hyperbolic
 
 
-def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
+def equiangular_offsets(sol: EquiangularSolution) -> tuple:
     """Line offsets in the canonical families of the solved polygon p
     turned by pi - phase: s_k = cross(p_{k-1}, b_k), with b_k the unit
     vector at angle phase + 2 pi k / n, ray k of the regular sunburst
@@ -30,8 +28,8 @@ def equiangular_offsets(sol: EquiangularSolution) -> np.ndarray:
     """
     p = sol.polygon.vertices
     n = len(p)
-    return np.array([float(p[k - 1].cross(
-        unit_from_angle(sol.phase + math.tau * k / n))) for k in range(n)])
+    return tuple(float(p[k - 1].cross(
+        unit_from_angle(sol.phase + math.tau * k / n))) for k in range(n))
 
 
 def equilateral_to_hyperbolic(poly: Polygon) -> HyperbolicPoint:

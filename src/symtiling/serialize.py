@@ -3,9 +3,8 @@ default= hook `encode`.  A dataclass becomes an object of its fields,
 leaving out fields that are None; a `Vec2` becomes [x, y]; a `Fraction`
 becomes a "p/q" string, so exact records keep their rationals bit for
 bit.  Floats are JSON numbers, printed with enough digits to round-trip
-exactly, and tuples become lists; a caller hands an array over as its
-`tolist()`.  The one reader, `polygon_from_json`, is the CLI's polygon
-input.
+exactly, and tuples become lists.  The one reader, `polygon_from_json`,
+is the CLI's polygon input.
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ pool, one line of digests, one per start: the sha256, cut to 16 hex
 digits, of the repr of the start's termination, points, bit lengths,
 `exact` and classification.  cli.json holds, per command line of
 CLI_SET, the exit code and the sha256 of its stdout, --json bytes and
---out bytes, run in process through `cli.main` from a fresh directory
-with relative output names.
+--out bytes (pentagon-verify has no --out), run in process through
+`cli.main` from a fresh directory with relative output names.
 
 Re-record only in a change that lists every moved start in CHANGES.md:
 a re-recording is never a way to make a failing check pass.
@@ -31,8 +31,6 @@ from symtiling import cli
 GOLDEN = Path(__file__).resolve().parent
 BENCH = GOLDEN.parents[1] / "bench"
 POOLS = ("grid-exact", "grid-float")
-# The numpy-free commands: moduli-embed and pentagon-verify stay out,
-# since numpy's BLAS can change the last bits of their floats.
 CLI_SET = (
     ("grid-orbit", "--t", "1/3", "--seed", "5"),
     ("grid-orbit", "--t", "7/11", "--seed", "3"),
@@ -45,6 +43,9 @@ CLI_SET = (
     ("sunburst-solve", "--n", "32", "--seed", "1"),
     ("linkage-convert", "--n", "7", "--seed", "3"),
     ("linkage-convert", "--n", "24", "--seed", "2"),
+    ("moduli-embed", "--n", "5", "--seed", "4"),
+    ("moduli-embed", "--n", "32", "--seed", "1"),
+    ("pentagon-verify",),
 )
 
 
@@ -72,14 +73,20 @@ def record_digest(output) -> str:
 
 def cli_digests(argv) -> dict:
     """Exit code and digests of one CLI_SET run, in the current
-    directory, which it leaves its two output files in."""
-    out = "out.ppm" if argv[0] == "grid-portrait" else "out.svg"
+    directory, which it leaves its output files in: --json and --out,
+    or --json alone for pentagon-verify, which draws no figure."""
+    paths = {"json": "out.json"}
+    if argv[0] != "pentagon-verify":
+        paths["out"] = "out.ppm" if argv[0] == "grid-portrait" else "out.svg"
+    args = list(argv)
+    for key, path in paths.items():
+        args += (f"--{key}", path)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        code = cli.main(list(argv) + ["--json", "out.json", "--out", out])
+        code = cli.main(args)
     return {"code": code, "stdout": sha256(stdout.getvalue().encode()),
-            "json": sha256(Path("out.json").read_bytes()),
-            "out": sha256(Path(out).read_bytes())}
+            **{key: sha256(Path(path).read_bytes())
+               for key, path in paths.items()}}
 
 
 def main():

@@ -18,8 +18,7 @@ from symtiling.errors import (DegenerateStep, EmptyInterval,
                               ParallelWitnessLines, VertexHit)
 from symtiling.exact import Vec2, unit_from_angle
 from symtiling.linkage import Polygon
-from symtiling.moduli import (HyperbolicPoint, area_form, family_directions,
-                              reference_point)
+from symtiling.moduli import HyperbolicPoint, area_form, reference_point
 from symtiling.tilings import Particle
 from symtiling.weave import PhaseInterval, SunburstPair, phase_arcs
 
@@ -270,6 +269,18 @@ def interior_angles(poly: Polygon):
 
 # Equiangular polygons as line-family offsets.
 
+def family_directions(n: int) -> np.ndarray:
+    ang = math.tau * np.arange(n) / n
+    return np.column_stack([np.cos(ang), np.sin(ang)])
+
+
+def family_normals(n: int) -> np.ndarray:
+    """Rows: the left normals n_k.  Read as columns, they are also the
+    offset changes induced by unit x and y translations."""
+    d = family_directions(n)
+    return np.column_stack([-d[:, 1], d[:, 0]])
+
+
 def line_intersection(n: int, s, i: int, j: int) -> np.ndarray:
     """Intersection of the lines of families i and j at offsets s."""
     ang = math.tau * np.array([i % n, j % n]) / n
@@ -358,6 +369,41 @@ def oracle_wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     if form.pairing(reference_point(form.n), v) < 0:
         v = -v
     return v
+
+
+# The ndarray charts that moduli's closed forms replaced: the area as
+# s @ gram @ s, the quotient coordinates from the translation along the
+# family normals that zeroes s_0 and s_1, and the disk point from the
+# Fourier frame as a matrix.
+
+def oracle_to_hyperbolic(s) -> HyperbolicPoint:
+    s = np.asarray(s, dtype=float)
+    n = len(s)
+    t = family_normals(n)
+    v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
+    x = (s + t @ v)[2:] / math.sqrt(float(s @ area_form(n).gram @ s))
+    return HyperbolicPoint(n, tuple(x))
+
+
+def oracle_fourier_frame(n: int) -> np.ndarray:
+    """Rows: the real Fourier modes j != +-1 in moduli's order, scaled
+    by sqrt|lambda_j| and restricted to columns 2..N-1."""
+    theta = math.tau / n
+    k = np.arange(n)
+    modes = [(0, np.full(n, 1.0 / math.sqrt(n)))]
+    for j in range(2, (n + 1) // 2):
+        modes.append((j, math.sqrt(2.0 / n) * np.cos(j * theta * k)))
+        modes.append((j, math.sqrt(2.0 / n) * np.sin(j * theta * k)))
+    if n % 2 == 0:
+        modes.append((n // 2, (-1.0) ** k / math.sqrt(n)))
+    return np.array([
+        math.sqrt(abs(math.cos(j * theta) - math.cos(theta))
+                  / math.sin(theta)) * u[2:] for j, u in modes])
+
+
+def oracle_to_disk(p: HyperbolicPoint) -> np.ndarray:
+    y = oracle_fourier_frame(p.n) @ p.as_array()
+    return y[1:] / (1.0 + y[0])
 
 
 # Sunbursts.

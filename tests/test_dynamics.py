@@ -32,7 +32,7 @@ def oracle_advance(tiling, particle, chord_dir, window=64):
     normal = lt.x if particle.edge.axis == "v" else lt.y
     assert normal != 0
     if (normal > 0) != (particle.across > 0):
-        lt = -lt
+        lt = Vec2(-lt.x, -lt.y)
     hits = []
     for n in range(-window, window + 1):
         if lt.x != 0:

@@ -87,43 +87,65 @@ def test_no_identity_keyed_caches():
     assert found == []
 
 
+# The matrix-valued API of moduli, which only tests read: the one place
+# under src that may import numpy, inside the function body.
+MATRIX_BUILDERS = {"gram", "butterfly_matrix", "quotient_map",
+                   "cyclic_matrix", "as_array"}
+
+
+def numpy_imports(node, owner=None):
+    """(name of the def around it, line) of each numpy import under
+    node; the name is None at module level."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [a.name for a in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        found += [(owner, child.lineno) for name in names
+                  if name.split(".")[0] == "numpy"]
+        inner = (child.name if isinstance(child, ast.FunctionDef)
+                 else owner)
+        found += numpy_imports(child, inner)
+    return found
+
+
 def test_only_the_moduli_layer_imports_numpy():
-    """numpy serves the hyperbolic geometry alone: no other module under
-    src imports it, at module level or inside a function."""
+    """numpy serves the matrix-valued API of moduli alone: no module
+    under src imports it at module level, and inside a function only
+    moduli's matrix builders do."""
     found = []
     for path in sorted(SRC.glob("*.py")):
-        if path.name in ("moduli.py", "pipeline.py"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            found += [f"{path.name}:{node.lineno}: {name}" for name in names
-                      if name.split(".")[0] == "numpy"]
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}: in {owner}"
+                  for owner, line in numpy_imports(tree)
+                  if path.name != "moduli.py" or owner not in MATRIX_BUILDERS]
     assert found == []
 
 
 NUMPY_FREE_RUN = """
 import sys
-from symtiling import cli
+from symtiling import cli, moduli, pipeline
+assert "numpy" not in sys.modules, "numpy loaded on import"
 for argv in (["grid-orbit", "--t", "1/3", "--seed", "5"],
              ["grid-orbit", "--angle", "pi/5", "--seed", "5"],
              ["grid-portrait", "--t", "1/3", "--resolution", "4x4"],
              ["sunburst-solve", "--n", "6", "--seed", "3"],
-             ["linkage-convert", "--n", "7", "--seed", "3"]):
+             ["linkage-convert", "--n", "7", "--seed", "3"],
+             ["moduli-embed", "--n", "5", "--seed", "2", "--out", "m.svg"],
+             ["moduli-embed", "--n", "9", "--seed", "2", "--json", "m.json"],
+             ["pentagon-verify"]):
     assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "numpy loaded"
-assert cli.main(["moduli-embed", "--n", "5", "--seed", "2"]) == 0
-assert "numpy" in sys.modules
 """
 
 
-def test_grid_sunburst_and_linkage_commands_never_load_numpy(tmp_path):
-    """Four of the six commands run in one fresh process without numpy;
-    moduli-embed, run after them, loads it."""
+def test_no_command_loads_numpy(tmp_path):
+    """All six commands run in one fresh process, each writing what it
+    writes, and none of them loads numpy; nor does importing cli, moduli
+    and pipeline."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
                           cwd=tmp_path, capture_output=True, text=True,

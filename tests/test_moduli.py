@@ -7,7 +7,6 @@ import pytest
 from symtiling.errors import NonPositiveArea, ParallelWitnessLines
 from symtiling.moduli import (area_form, butterfly_matrix,
                               cyclic_fixed_point, cyclic_matrix,
-                              family_directions, family_normals,
                               pentagon_report, pentagon_wall_order,
                               pentagon_walls, quotient_map, reference_point,
                               to_disk, to_hyperbolic, wall_normal)
@@ -15,11 +14,12 @@ from symtiling.moduli import (area_form, butterfly_matrix,
 from symtiling.linkage import random_convex_equilateral
 from symtiling.pipeline import equilateral_to_hyperbolic
 
-from oracles import (hyperbolic_distance, is_convex_offsets,
-                     line_intersection, oracle_wall_intersection,
-                     polygon_area, polygon_from_offsets,
-                     random_convex_offsets, signed_area, signed_edge_lengths,
-                     vertices_from_offsets)
+from oracles import (family_directions, family_normals,
+                     hyperbolic_distance, is_convex_offsets,
+                     line_intersection, oracle_to_disk, oracle_to_hyperbolic,
+                     oracle_wall_intersection, polygon_area,
+                     polygon_from_offsets, random_convex_offsets, signed_area,
+                     signed_edge_lengths, vertices_from_offsets)
 
 
 def oracle_polarized_gram(n):
@@ -174,11 +174,32 @@ def test_closed_form_reduce_matches_the_gauge_solve_oracle():
 def test_fourier_frame_diagonalizes_the_quotient_form():
     for n in (*range(4, 13), 30, 64, 200):
         form = area_form(n)
+        frame = np.array(form.frame)
         signs = np.diag([1.0] + [-1.0] * (n - 3))
         q = form.quotient_gram
-        assert form.frame.shape == (n - 2, n - 2)
-        assert np.max(np.abs(form.frame.T @ signs @ form.frame - q)) <= (
+        assert frame.shape == (n - 2, n - 2)
+        assert np.max(np.abs(frame.T @ signs @ frame - q)) <= (
             1e-12 * max(1.0, np.max(np.abs(q))))
+
+
+@pytest.mark.parametrize("n", [*range(4, 13), 16, 24, 32, 60, 100, 200])
+def test_closed_forms_match_the_ndarray_oracles(n):
+    """to_hyperbolic, to_disk and pairing against the ndarray charts
+    that their closed forms replaced."""
+    rng = random.Random(n)
+    form = area_form(n)
+    pts = []
+    for _ in range(10):
+        s = random_convex_offsets(rng, n)
+        p, q = to_hyperbolic(s), oracle_to_hyperbolic(s)
+        assert np.max(np.abs(p.as_array() - q.as_array())) <= 1e-12
+        assert np.max(np.abs(np.asarray(to_disk(p))
+                             - oracle_to_disk(q))) <= 1e-12
+        pts.append(p)
+    for p, q in zip(pts, pts[1:]):
+        assert math.isclose(form.pairing(p.coords, q.coords),
+                            p.as_array() @ form.quotient_gram @ q.as_array(),
+                            rel_tol=1e-12)
 
 
 def test_regular_polygon_is_the_disk_centre():
@@ -412,7 +433,7 @@ def test_disk_projection_is_an_isometry():
         pts = []
         for _ in range(10):
             p = to_hyperbolic(random_convex_offsets(rng, n))
-            z = to_disk(p)
+            z = np.asarray(to_disk(p))
             assert len(z) == n - 3 and np.linalg.norm(z) < 1.0
             pts.append((p, z))
         for _ in range(30):

@@ -7,12 +7,12 @@ from symtiling.exact import Vec2
 from symtiling.linkage import (Polygon, random_convex_equilateral,
                                regular_equilateral, solve_equiangular)
 from symtiling.moduli import (HyperbolicPoint, area_form, cyclic_fixed_point,
-                              cyclic_matrix, family_directions,
-                              family_normals, pentagon_walls, quotient_map,
+                              cyclic_matrix, pentagon_walls, quotient_map,
                               to_hyperbolic)
 from symtiling.pipeline import equiangular_offsets, equilateral_to_hyperbolic
 
-from oracles import hyperbolic_distance, polygon_area, vertices_from_offsets
+from oracles import (family_directions, family_normals, hyperbolic_distance,
+                     polygon_area, vertices_from_offsets)
 
 TWO_PI = 2.0 * math.pi
 

@@ -67,7 +67,7 @@ def test_first_hit_matches_brute_force_scan():
         chord = rand_chord(rng, 3)
         normal = chord.x if particle.edge.axis == "v" else chord.y
         if (normal > 0) != (particle.across > 0):
-            chord = -chord
+            chord = Vec2(-chord.x, -chord.y)
         start = tiling.point_on(particle.edge, particle.pos)
         travel = tiling.to_world(chord)
         expect = brute_first_hit(tiling, start, travel)
