@@ -44,13 +44,18 @@ Over rationals the key and the comparison are exact and the verdict is
 proved, and a step reads one dict entry.  In float mode positions are
 snapped to steps of the grid kernel's tolerance, `tilings.FLOAT_TOL`,
 and the comparison allows that tolerance.  The float states are kept
-in a two-level index: the outer key holds both edge axes and crossing
-signs and A's snapped position, the inner key B's.  A step reads the
-outer keys of A's step and the steps one below and one above, and reads
-B's three inner keys only under an outer key that is there, so it meets
-the same first states as a lookup of its key and the eight keys one
-step away, in three lookups where keys rarely repeat.  A candidate is
-compared with the state as two trace entries (`_closure`).
+in a two-level index: the outer key is A's snapped step, an int, and
+the inner key holds both edge axes and crossing signs and B's snapped
+step.  A step looks up the outer keys of A's step and the steps one
+below and one above, and builds and reads the three inner keys of B's
+steps only under an outer key that is there, so it meets the same first
+states as a lookup of its key and the eight keys one step away, in
+three int lookups where keys rarely repeat.  A state is kept by a new
+one-entry dict under a new outer key, and by one insert into the inner
+dict that is there.  A candidate is compared with the state as two
+trace entries (`_closure`): exactly in exact mode, and in float mode by
+the float formula of `GridTiling.float_point`, so that a float run does
+no Fraction arithmetic once `_hold` has held its start.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -248,18 +253,25 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     return _pair(next_a, next_b)
 
 
-def _shift(now: tuple, prev: tuple) -> Vec2:
-    """Grid-local translation from prev to now, two particles held as
-    `tilings.move` holds them, on edges of one axis.  An exact pair is a
-    key repeat, whose positions are equal, so its translation is the
-    integer change of line and cell."""
+def _shift(tiling, now: tuple, prev: tuple) -> tuple:
+    """(local, world): the translation from prev to now, two particles of
+    the tiling held as `tilings.move` holds them, on edges of one axis,
+    in grid-local coordinates and in the world.  An exact pair is a key
+    repeat, whose positions are equal, so its translation is the integer
+    change of line and cell, and `to_world` maps it exactly.  A float
+    pair's world translation is `GridTiling.float_point`'s float formula,
+    which rounds as `to_world`'s does, with no Fraction arithmetic."""
     axis, line, cell, pos, _ = now
     _, prev_line, prev_cell, prev_pos, _ = prev
-    along = cell - prev_cell
-    if type(pos) is not tuple:
-        along += pos - prev_pos
-    normal = line - prev_line
-    return Vec2(normal, along) if axis == "v" else Vec2(along, normal)
+    normal, along = line - prev_line, cell - prev_cell
+    if type(pos) is tuple:
+        local = Vec2(normal, along) if axis == "v" else Vec2(along, normal)
+        return local, tiling.to_world(local)
+    frac = pos - prev_pos
+    x, y, _ = tiling.float_point((axis, normal, along), frac)
+    along += frac
+    local = Vec2(normal, along) if axis == "v" else Vec2(along, normal)
+    return local, Vec2(x, y)
 
 
 def _closure(a_tiling, b_tiling, now: tuple, prev: tuple):
@@ -272,8 +284,8 @@ def _closure(a_tiling, b_tiling, now: tuple, prev: tuple):
     grid-local coordinates, from the nearest integer vector.  drift is
     the A-local integer vector nearest the A translation.
     """
-    la, lb = _shift(now[0], prev[0]), _shift(now[1], prev[1])
-    va, vb = a_tiling.to_world(la), b_tiling.to_world(lb)
+    (la, va), (lb, vb) = (_shift(a_tiling, now[0], prev[0]),
+                          _shift(b_tiling, now[1], prev[1]))
     drift = (round(la.x), round(la.y))
     residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
                    abs(la.x - drift[0]), abs(la.y - drift[1]),
@@ -353,10 +365,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     Float inputs use tol = tilings.FLOAT_TOL; the key then snaps
     positions to steps of tol, and the candidates are the first states
     under the nine keys whose steps are at most one away for each
-    particle.  They are kept under an outer key of both axes and
-    crossing signs and A's step, then an inner key of B's step, so a
-    step looks up three outer keys and reads B's three inner keys only
-    under those it finds.  The earliest matching state wins.  Zero
+    particle.  They are kept under an outer key of A's step, an int,
+    then an inner key of both axes and crossing signs and B's step, so
+    a step looks up three int outer keys and reads B's three inner keys
+    only under those it finds.  The earliest matching state wins.  Zero
     translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
     terminate the run and are recorded rather than raised.
 
@@ -380,6 +392,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     (`GridTiling.branches`): over rationals it is integer work whose
     gcds each take one small argument, so a step costs time linear in
     the bit length, and a float position's step is plain float work.
+    The run picks its per-step check once, from that arithmetic: the
+    exact key and the certificate, or the float index.  A float run's
+    closures and vertex location are float work too, through
+    `GridTiling.float_point`'s formula.
 
     The trace, each state's pair of tuples, is the run's one store of
     its states.  Both recurrence indexes hold trace indices, and
@@ -392,60 +408,41 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     whose reader never asks for them, as `classify` does not for a
     recurrence or a vertex hit, never builds them.  No `Particle` or
     `PairState` is built inside the step loop: only the caller's start,
-    the kept states and a vertex hit's location are built as
+    the kept states and an exact vertex hit's location are built as
     `Particle`s.
     """
     exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, start)
     tol = 0 if exact else tilings.FLOAT_TOL
-
     seen = {}
-    termination = None
     trace = [(a, b)]
-    index = 0
 
-    def check_recurrence(a, b, idx: int):
-        axis_a, _, _, pos_a, across_a = a
-        axis_b, _, _, pos_b, across_b = b
-        if exact:
-            # One lookup, which also keeps the state's trace index when
-            # its key is new.  An exact position is keyed as its (p, q),
-            # which hashes without a modular inverse.
-            hit = seen.setdefault(
-                (axis_a, pos_a, across_a, axis_b, pos_b, across_b), idx)
-            candidates = (hit,) if hit < idx else ()
-        else:
-            # Outer key: both axes and acrosses and A's snapped position;
-            # inner key: B's snapped position; value: a trace index.
-            ka, kb = math.floor(pos_a / tol), math.floor(pos_b / tol)
-            candidates = []
-            for near_a in (ka - 1, ka, ka + 1):
-                inner = seen.get((axis_a, across_a, axis_b, across_b, near_a))
-                if inner is not None:
-                    for near_b in (kb - 1, kb, kb + 1):
-                        hit = inner.get(near_b)
-                        if hit is not None:
-                            candidates.append(hit)
-            if len(candidates) > 1:
-                candidates.sort()
-            seen.setdefault((axis_a, across_a, axis_b, across_b, ka),
-                            {}).setdefault(kb, idx)
-        for prev_idx in candidates:
-            residual, drift = _closure(a_tiling, b_tiling, trace[idx],
-                                       trace[prev_idx])
-            if residual > tol:
-                continue
-            if drift == (0, 0):
-                return Termination("periodic", idx, period=idx - prev_idx,
-                                   residual=float(residual))
-            return Termination("translation", idx, period=idx - prev_idx,
-                               drift=drift, residual=float(residual))
-        return None
+    def closes(idx: int, prev_idx: int):
+        residual, drift = _closure(a_tiling, b_tiling, trace[idx],
+                                   trace[prev_idx])
+        if residual > tol:
+            return None
+        if drift == (0, 0):
+            return Termination("periodic", idx, period=idx - prev_idx,
+                               residual=float(residual))
+        return Termination("translation", idx, period=idx - prev_idx,
+                           drift=drift, residual=float(residual))
 
     symbols = []
     last_at = {}        # A's edge + B's edge -> the last step there
     before = [None]     # per step, the step before it at the same edges
 
-    def check_certificate(prev_a, prev_b, a, b, idx: int):
+    def check_exact(a, b, idx: int):
+        # One lookup, which also keeps the state's trace index when its
+        # key is new.  An exact position is keyed as its (p, q), which
+        # hashes without a modular inverse.
+        hit = seen.setdefault((a[0], a[3], a[4], b[0], b[3], b[4]), idx)
+        if hit < idx:
+            termination = closes(idx, hit)
+            if termination is not None:
+                return termination
+        if not idx:     # the start: no step made, no symbol
+            return None
+        prev_a, prev_b = trace[idx - 1]
         symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
                         a[0], b[0]))
         edges = a[:3] + b[:3]
@@ -466,7 +463,28 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             then = before[then]
         return None
 
-    check_recurrence(a, b, 0)
+    def check_float(a, b, idx: int):
+        # Outer key: A's snapped step; inner key: both axes and acrosses
+        # and B's snapped step; value: a trace index.
+        ka, kb = math.floor(a[3] / tol), math.floor(b[3] / tol)
+        key = a[0], a[4], b[0], b[4], kb
+        below, here, above = seen.get(ka - 1), seen.get(ka), seen.get(ka + 1)
+        if below or here or above:
+            near = [key[:4] + (kb + d,) for d in (-1, 0, 1)]
+            for prev_idx in sorted(inner[k] for inner in (below, here, above)
+                                   if inner for k in near if k in inner):
+                termination = closes(idx, prev_idx)
+                if termination is not None:
+                    return termination
+        if here is None:
+            seen[ka] = {key: idx}
+        else:
+            here.setdefault(key, idx)
+        return None
+
+    check = check_exact if exact else check_float
+    termination = check(a, b, 0)
+    index = 0
     move = tilings.move
     while termination is None and index < max_steps:
         next_a, inside_a = move(branches_a[a[0], a[4], b[0]], *a)
@@ -478,12 +496,10 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             termination = Termination("vertex", index + 1,
                                       location=tiling.vertex_location(hit))
             break
-        prev_a, prev_b, a, b = a, b, next_a, next_b
+        a, b = next_a, next_b
         index += 1
         trace.append((a, b))
-        termination = check_recurrence(a, b, index)
-        if termination is None and exact:
-            termination = check_certificate(prev_a, prev_b, a, b, index)
+        termination = check(a, b, index)
     if termination is None:
         termination = Termination("max-steps", index)
     states = [_pair(a, b) for a, b in trace] if keep_states else None

@@ -21,7 +21,8 @@ states each exact branch as an affine map of the position and the open
 interval on which it holds, which `dynamics.certify` composes.
 World points serve only to draw and report an orbit (`point_on`, and
 `float_point` for the floats and bit length of an orbit record's
-states, which the record builds on their first read).
+states, which the record builds on their first read, and for a float
+run's vertex hits and closure translations).
 
 There is one particle move, `move`, and it works on a plain tuple
 (axis, line, cell, pos, across) (`to_tuple`) whose position has the
@@ -183,7 +184,10 @@ class GridTiling:
         cell) triple, and frac a position as `to_tuple` holds it.  This is
         the one place an orbit record's points and bit lengths come from:
         a `dynamics.OrbitRecord` calls it once per particle and state, on
-        the first read of its points or bit lengths.
+        the first read of its points or bit lengths.  A float run also
+        locates its vertex hit with it (`vertex_location`), and takes the
+        world translations of its closures from it, with a line and cell
+        change for the edge and a position change for frac.
 
         Each coordinate is a line term plus an along term, as in
         `point_on`.  The along term is the float basis entry times cell +
@@ -225,8 +229,12 @@ class GridTiling:
         return Particle(edge, frac, across if self.det > 0 else -across)
 
     def vertex_location(self, moved: tuple) -> tuple:
-        """The float world point, from `point_on`, of a grid vertex that a
-        particle held as `move` holds it has hit."""
+        """The float world point of a grid vertex that a particle held as
+        `move` holds it has hit: float() of `point_on`'s.  A float
+        position takes `float_point`'s float formula, which rounds so, and
+        an exact one `point_on` itself."""
+        if type(moved[3]) is not tuple:
+            return self.float_point(moved[:3], moved[3])[:2]
         hit = from_tuple(moved)
         point = self.point_on(hit.edge, hit.pos)
         return float(point.x), float(point.y)

@@ -17,6 +17,7 @@ from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
+import oracles
 from oracles import move_particle, oracle_run_orbit
 
 
@@ -271,15 +272,23 @@ def test_float_point_matches_point_on_bit_for_bit():
     world point does, 53 bits: float positions on exact grids, three of
     whose bases have a common denominator d > 1, and on float grids, one
     of them given Fraction and float entries, on both axes, with lines
-    and cells up to 10^6 either way."""
+    and cells up to 10^6 either way.  A float run's vertex location and
+    the world translations its closures compare (`dynamics._shift`) take
+    the same formula, so they are float() of point_on at positions next
+    to both edge ends and float() of to_world over the Fraction basis,
+    bit for bit, signed zeros included."""
     rng = random.Random(19)
     exact = [GridTiling.standard(), GridTiling.from_parameter(Fraction(7, 11)),
              GridTiling.from_parameter(Fraction(3, 7)),
              GridTiling(Vec2(Fraction(2, 3), Fraction(-5, 7)),
-                        Vec2(Fraction(1, 9), Fraction(13, 5)))]
+                        Vec2(Fraction(1, 9), Fraction(13, 5))),
+             GridTiling.from_parameter(Fraction(1, 3))]
+    exact.append(exact[1].transformed(2, 1, -1, 3))
     floats = [float_a(), float_grid(theta=math.pi / 5), float_grid(theta=2.0),
               float_grid(t=Fraction(7, 11)),
-              GridTiling(Vec2(Fraction(1, 3), 0.5), Vec2(0.25, Fraction(2, 7)))]
+              GridTiling(Vec2(Fraction(1, 3), 0.5), Vec2(0.25, Fraction(2, 7))),
+              float_grid(theta=1.0)]
+    zeros = set()
     for tiling in exact + floats:
         for _ in range(1500):
             span = 10 ** rng.randint(0, 6)
@@ -289,6 +298,21 @@ def test_float_point_matches_point_on_bit_for_bit():
             (x, y), bits = recorded(tiling, Particle(edge, pos, 1))
             assert tiling.float_point(edge, pos) == (x, y, bits) == (
                 x, y, 53)
+            end = rng.choice((pos, pos * 1e-9, 1 - pos * 1e-9))
+            moved = (*edge, end, 1)
+            want = recorded(tiling, tilings.from_tuple(moved))[0]
+            assert repr(tiling.vertex_location(moved)) == repr(want)
+            line, cell = rng.choice((edge[1:], (edge.line + rng.randint(
+                -3, 3), edge.cell + rng.randint(-3, 3))))
+            prev = (edge.axis, line, cell, rng.choice((end, rng.random())), 1)
+            local = oracles._shift(tilings.from_tuple(moved),
+                                   tilings.from_tuple(prev))
+            want = tiling.to_world(local)
+            got = dynamics._shift(tiling, moved, prev)
+            assert repr(got) == repr((local, Vec2(float(want.x),
+                                                  float(want.y))))
+            zeros.update(repr(v) for v in (got[1].x, got[1].y) if v == 0)
+    assert zeros == {"0.0", "-0.0"}
 
 
 def seven_elevenths_start():
@@ -597,8 +621,9 @@ def test_float_recurrence_matches_linear_scan_with_a_float_a():
 @pytest.mark.parametrize("grid_a", [GridTiling.standard, float_a],
                          ids=["exact-a", "float-a"])
 def test_float_records_skip_point_on(monkeypatch, grid_a):
-    """A float run's record is plain float work: point_on runs only where
-    a move meets a vertex, once per vertex termination."""
+    """A float run is plain float work after its start is held: it calls
+    point_on on no state, not even where a move meets a vertex, whose
+    location comes from float_point's formula."""
     a = grid_a()
     calls = []
     point_on = GridTiling.point_on
@@ -608,7 +633,7 @@ def test_float_records_skip_point_on(monkeypatch, grid_a):
     kinds = [run_orbit(a, b, start, 120, keep_states=False).termination.kind
              for b, start in float_pairs(a)]
     assert kinds.count("vertex") >= 24
-    assert len(calls) == kinds.count("vertex")
+    assert not calls
 
 
 KEY_ARC_TOL = 2.0 ** -20
@@ -654,7 +679,31 @@ def test_float_recurrence_reads_neighbour_keys(monkeypatch):
     terminations are the nine-key reference's, and the snapped positions
     of a recurrence's state and of the state it matches differ by -1, 0
     or +1, each of which occurs for A and for B.  So a float probe that
-    skipped the keys one step away, for either particle, would fail."""
+    skipped the keys one step away, for either particle, would fail.
+    Seeded random starts on every grid pair of the bench's grid-float
+    workload (pi/4, pi/5, 1 rad, 2 rad, and float copies of the 1/3 and
+    7/11 grids) end as the reference's too, at 2^-20 and at the grid
+    kernel's own tolerance: the pi/4 starts as 'periodic', the others at
+    a vertex."""
+    rng = random.Random(83)
+    a = GridTiling.standard()
+    grids = [float_grid(theta=theta)
+             for theta in (math.pi / 4, math.pi / 5, 1.0, 2.0)]
+    grids += [float_grid(t=Fraction(1, 3)), float_grid(t=Fraction(7, 11))]
+    for tol in (KEY_ARC_TOL, tilings.FLOAT_TOL):
+        monkeypatch.setattr(tilings, "FLOAT_TOL", tol)
+        kinds = set()
+        for b in grids:
+            for _ in range(16):
+                start = PairState(*(
+                    grid.particle_on(GridEdge(rng.choice("vh"), 0, 0),
+                                     rng.randint(1, 9999) / 10000,
+                                     rng.choice((1, -1))) for grid in (a, b)))
+                want = oracle_run_orbit(a, b, start, 120, keep_states=False)
+                got = run_orbit(a, b, start, 120, keep_states=False)
+                assert repr(got.termination) == repr(want.termination)
+                kinds.add((b is grids[0], got.termination.kind))
+        assert kinds == {(True, "periodic"), (False, "vertex")}
     monkeypatch.setattr(tilings, "FLOAT_TOL", KEY_ARC_TOL)
     offsets_a, offsets_b = set(), set()
     for place in (lambda x: x, lambda x: math.nextafter(x, 0)):
@@ -1150,15 +1199,19 @@ def test_exact_steps_build_no_fraction_or_particle(monkeypatch):
 
 def test_trace_is_built_once_on_first_read(monkeypatch):
     """run_orbit and classify call `GridTiling.float_point` on no state
-    of a run that ends at a vertex or a recurrence.  The first read of
-    any of the record's points and bit lengths builds all three, with
-    one call per particle and state, and later reads build nothing.  An
-    attribute that a record does not have raises AttributeError and
-    builds nothing."""
-    calls = []
-    float_point = GridTiling.float_point
+    of a run that ends at a vertex or a recurrence.  A float run calls it
+    only to locate a vertex hit, once, and to compare a candidate state,
+    twice per `_closure`, once per particle's world translation; an exact
+    run never.  The first read of any of the record's points and bit
+    lengths builds all three, with one call per particle and state, and
+    later reads build nothing.  An attribute that a record does not have
+    raises AttributeError and builds nothing."""
+    calls, closures = [], []
+    float_point, closure = GridTiling.float_point, dynamics._closure
     monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
         calls.append(1) or float_point(self, *args)))
+    monkeypatch.setattr(dynamics, "_closure", lambda *args: (
+        closures.append(1) or closure(*args)))
     fa, fb = float_a(), float_grid(theta=math.pi / 5)
     ea, eb = GridTiling(Vec2(-3, 0), Vec2(-1, 1)), GridTiling(Vec2(3, 2),
                                                               Vec2(0, 3))
@@ -1174,10 +1227,15 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
     for a, b, start, kind in runs:
         for name in ("a_points", "b_points", "bit_lengths"):
             calls.clear()
+            closures.clear()
             rec = run_orbit(a, b, start, 200, keep_states=False)
             classify(rec)
             assert rec.termination.kind == kind and rec.steps > 3
-            assert rec.exact == (a is ea) and not calls
+            assert rec.exact == (a is ea)
+            run_calls = 0 if rec.exact else (
+                (kind == "vertex") + 2 * len(closures))
+            assert len(calls) == run_calls
+            calls.clear()
             assert not hasattr(rec, "lock") and not calls
             assert len(getattr(rec, name)) == rec.steps + 1
             assert len(calls) == 2 * (rec.steps + 1)
