@@ -15,22 +15,24 @@ its grid keeps per other grid (`GridTiling.branches`).
 `step` and `run_orbit` move particles in one way.  Both start in
 `_hold`, which decides the one arithmetic of the step or run from the
 grids alone: exact when both grids are exact, else float.  It holds each
-particle as the plain tuple (axis, line, cell, pos, across) that
-`tilings.move` steps: on an exact pair every position as its exact
-ratio, a coprime pair (p, q) of ints, a float start position's included,
-and on a pair with a float grid every position as a float from the
-start, so a float run rounds a rational start position once.  It also
-reads both grids' branch entries from `GridTiling.branches`, the one
-set-up of a pair of grids, which refuses a pair with parallel edges
-before it builds a table.  Both build a `Particle` only where they
+particle as the plain tuple (axis, line, cell, pos, across) that the
+pair's move steps: on an exact pair `tilings.move`, with every position
+its exact ratio, a coprime pair (p, q) of ints, a float start position's
+included, and on a pair with a float grid `tilings.move_float`, with
+every position a float from the start, so a float run rounds a rational
+start position once.  It also reads both grids' branch entries from
+`GridTiling.branches`, the one set-up of a pair of grids, which refuses
+a pair with parallel edges before it builds a table.  Both `step` and
+`run_orbit` then pick the pair's move once from that arithmetic,
+`run_orbit` with its whole loop, and build a `Particle` only where they
 report one.  Over rationals, a position's bit length grows with every
 step, while chords and grid bases stay small; so a move is integer work
 that reduces a big integer only by gcds with a small one, and costs time
 linear in the bit length.  A run keeps each state once, as its pair of
 particle tuples in the run's trace: its recurrence indexes hold trace
-indices, and its kept states and its record's float world points and bit
-lengths (`GridTiling.float_point`) are built from the trace, the points
-and bit lengths on their first read, in float work with no gcd.
+indices, and its kept states and its record's float world points
+(`GridTiling.float_point`) and bit lengths are built from the trace, the
+points and bit lengths on their first read, with no gcd.
 `classify` reads them only for a run that stops as 'attracted' or at its
 step budget, so a run that ends at a vertex or a recurrence never builds
 them.
@@ -55,7 +57,11 @@ one-entry dict under a new outer key, and by one insert into the inner
 dict that is there.  A candidate is compared with the state as two
 trace entries (`_closure`): exactly in exact mode, and in float mode by
 the float formula of `GridTiling.float_point`, so that a float run does
-no Fraction arithmetic once `_hold` has held its start.
+no Fraction arithmetic once `_hold` has held its start.  The float loop
+makes the index's common case in its own body: it snaps both positions,
+looks up the three outer keys, and, when none is there, keeps the state
+under a new outer key.  It searches candidates only under an outer key
+that is there.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -148,17 +154,19 @@ class Termination:
 @dataclass
 class OrbitRecord:
     """One orbit run: per state, from the start on, the float world
-    points of A and of B and the larger bit length of the two positions
-    (`GridTiling.float_point`): of their denominators, or 53 for floats.
+    points of A and of B (`GridTiling.float_point`) and the larger bit
+    length of the two positions: of their denominators, or 53 for floats.
 
     `run_orbit` makes its record with `traced`, which holds each state's
     pair of particle tuples and the grid pair instead of the three
-    lists.  The first read of any of them builds all three, in one pass
-    of `float_point` over the tuples, and later reads find them set.  So
-    a run whose verdict needs no trace, as a recurrence's or a vertex
-    hit's does not, never builds one, while `==`, repr and the wire
-    rule, which read every field, see the same lists as a record built
-    with them.  steps, termination and exact build nothing.
+    lists.  The first read of either point list builds both, in one pass
+    of `float_point` over the tuples.  The first read of the bit lengths
+    builds them alone, from the positions' denominators, or as 53s for a
+    float run, with no point.  Later reads find them set.  So a run whose
+    verdict needs no trace, as a recurrence's or a vertex hit's does not,
+    never builds one, while `==`, repr and the wire rule, which read
+    every field, see the same lists as a record built with them.  steps,
+    termination and exact build nothing.
     """
 
     start: PairState
@@ -182,21 +190,19 @@ class OrbitRecord:
 
     def __getattr__(self, name):
         # Reached only for an attribute that is not set: on a traced
-        # record, one of the three lists before the first read.
-        if name not in ("a_points", "b_points", "bit_lengths"):
+        # record, one of the three lists before its first read.
+        if name == "bit_lengths":
+            trace = self._trace
+            self.bit_lengths = ([max(a[3][1].bit_length(),
+                                     b[3][1].bit_length()) for a, b in trace]
+                                if self.exact else [53] * len(trace))
+        elif name in ("a_points", "b_points"):
+            (a_tiling, b_tiling), trace = self._grids, self._trace
+            a_point, b_point = a_tiling.float_point, b_tiling.float_point
+            self.a_points = [a_point(a[:3], a[3])[:2] for a, _ in trace]
+            self.b_points = [b_point(b[:3], b[3])[:2] for _, b in trace]
+        else:
             raise AttributeError(name)
-        (a_tiling, b_tiling), trace = self._grids, self._trace
-        a_point, b_point = a_tiling.float_point, b_tiling.float_point
-        a_points, b_points, bit_lengths = [], [], []
-        for a, b in trace:
-            ax, ay, a_bits = a_point(a[:3], a[3])
-            bx, by, b_bits = b_point(b[:3], b[3])
-            a_points.append((ax, ay))
-            b_points.append((bx, by))
-            bit_lengths.append(a_bits if a_bits > b_bits else b_bits)
-        self.a_points, self.b_points, self.bit_lengths = (
-            a_points, b_points, bit_lengths)
-        del self._grids, self._trace
         return getattr(self, name)
 
     @property
@@ -236,16 +242,18 @@ def step(a_tiling, b_tiling, state: PairState) -> PairState:
     currently holding the other particle.  The two moves commute; the
     update reads only the incoming state.  It holds and moves the
     particles as a step of `run_orbit` does, from `_hold` through
-    `GridTiling.branches` and `tilings.move`: on two exact grids it
-    steps every position exactly, a float's from its binary value, and
-    on a pair with a float grid it rounds a rational position.  Raises
+    `GridTiling.branches` and the pair's move: on two exact grids
+    `tilings.move` steps every position exactly, a float's from its
+    binary value, and on a pair with a float grid `tilings.move_float`
+    steps floats, a rational position rounded once.  Raises
     NonTransverseEdges when the grids have parallel edges, and
     VertexHit, A's first, at the world point of a grid vertex that a
     move meets.
     """
-    _, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
-    next_a, inside_a = tilings.move(branches_a[a[0], a[4], b[0]], *a)
-    next_b, inside_b = tilings.move(branches_b[b[0], b[4], a[0]], *b)
+    exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
+    move = tilings.move if exact else tilings.move_float
+    next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
+    next_b, inside_b = move(branches_b[b[0], b[4], a[0]], b)
     if not inside_a:
         raise VertexHit(a_tiling.vertex_location(next_a))
     if not inside_b:
@@ -387,15 +395,18 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     float start position's from its binary value, when both grids are
     exact, and floats from step 0 when either is a float grid.  Each
     particle is held as the tuple (axis, line, cell, pos, across) that
-    `tilings.move` steps, the move `step` makes.  Each move reads
-    its branch from the entries its grid keeps per other grid
-    (`GridTiling.branches`): over rationals it is integer work whose
-    gcds each take one small argument, so a step costs time linear in
-    the bit length, and a float position's step is plain float work.
-    The run picks its per-step check once, from that arithmetic: the
-    exact key and the certificate, or the float index.  A float run's
-    closures and vertex location are float work too, through
-    `GridTiling.float_point`'s formula.
+    the pair's move steps, `tilings.move` or `tilings.move_float`, as in
+    `step`.  Each move reads its branch from the entries its grid keeps
+    per other grid (`GridTiling.branches`): over rationals it is integer
+    work whose gcds each take one small argument, so a step costs time
+    linear in the bit length, and a float position's step is plain float
+    work.  The run picks its loop once, from that arithmetic, and no
+    step tests it: `_run_exact` checks the exact key and the
+    certificate, and `_run_float` reads tilings.FLOAT_TOL once and keeps
+    the float index in its own body, with the candidate search only
+    under an outer key that is there.  A float run's closures and vertex
+    location are float work too, through `GridTiling.float_point`'s
+    formula.
 
     The trace, each state's pair of tuples, is the run's one store of
     its states.  Both recurrence indexes hold trace indices, and
@@ -404,7 +415,8 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     the trace after the last step, as `PairState`s of the states as the
     run holds them, from the start's on.  The record
     (`OrbitRecord.traced`) builds its points and bit lengths from the
-    trace on their first read, through `GridTiling.float_point`.  A run
+    trace on their first read, the points through
+    `GridTiling.float_point`.  A run
     whose reader never asks for them, as `classify` does not for a
     recurrence or a vertex hit, never builds them.  No `Particle` or
     `PairState` is built inside the step loop: only the caller's start,
@@ -412,32 +424,33 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     `Particle`s.
     """
     exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, start)
-    tol = 0 if exact else tilings.FLOAT_TOL
-    seen = {}
     trace = [(a, b)]
+    run = _run_exact if exact else _run_float
+    termination = run(a_tiling, b_tiling, branches_a, branches_b, trace,
+                      max_steps)
+    states = [_pair(a, b) for a, b in trace] if keep_states else None
+    return OrbitRecord.traced(start, termination, exact, states,
+                              (a_tiling, b_tiling), trace)
 
-    def closes(idx: int, prev_idx: int):
-        residual, drift = _closure(a_tiling, b_tiling, trace[idx],
-                                   trace[prev_idx])
-        if residual > tol:
-            return None
-        if drift == (0, 0):
-            return Termination("periodic", idx, period=idx - prev_idx,
-                               residual=float(residual))
-        return Termination("translation", idx, period=idx - prev_idx,
-                           drift=drift, residual=float(residual))
 
+def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
+               max_steps: int) -> Termination:
+    """The exact loop of `run_orbit`: from the state in trace[0] on, it
+    appends each state to trace and returns the run's termination.  Each
+    state makes one keyed lookup and, from step 1 on, the certificate's
+    check."""
+    seen = {}
     symbols = []
     last_at = {}        # A's edge + B's edge -> the last step there
     before = [None]     # per step, the step before it at the same edges
 
-    def check_exact(a, b, idx: int):
+    def check(a, b, idx: int):
         # One lookup, which also keeps the state's trace index when its
         # key is new.  An exact position is keyed as its (p, q), which
         # hashes without a modular inverse.
         hit = seen.setdefault((a[0], a[3], a[4], b[0], b[3], b[4]), idx)
         if hit < idx:
-            termination = closes(idx, hit)
+            termination = _closes(a_tiling, b_tiling, trace, idx, hit, 0)
             if termination is not None:
                 return termination
         if not idx:     # the start: no step made, no symbol
@@ -463,48 +476,91 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
             then = before[then]
         return None
 
-    def check_float(a, b, idx: int):
-        # Outer key: A's snapped step; inner key: both axes and acrosses
-        # and B's snapped step; value: a trace index.
-        ka, kb = math.floor(a[3] / tol), math.floor(b[3] / tol)
+    move = tilings.move
+    a, b = trace[0]
+    index = 0
+    while True:
+        termination = check(a, b, index)
+        if termination is not None:
+            return termination
+        if index >= max_steps:
+            return Termination("max-steps", index)
+        next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
+        next_b, inside_b = move(branches_b[b[0], b[4], a[0]], b)
+        if not (inside_a and inside_b):
+            return _vertex(a_tiling, b_tiling, next_a, inside_a, next_b,
+                           index + 1)
+        a, b = next_a, next_b
+        index += 1
+        trace.append((a, b))
+
+
+def _run_float(a_tiling, b_tiling, branches_a, branches_b, trace: list,
+               max_steps: int) -> Termination:
+    """The float loop of `run_orbit`, as `_run_exact` is the exact one.
+    It reads `tilings.FLOAT_TOL` once, and each state makes the index's
+    common case in the loop itself: three outer lookups that find no key,
+    and a new outer key.  The candidate search runs only under an outer
+    key that is there."""
+    tol = tilings.FLOAT_TOL
+    move, floor = tilings.move_float, math.floor
+    # Outer key: A's snapped step; inner key: both axes and acrosses and
+    # B's snapped step; value: a trace index.
+    seen = {}
+    get, append = seen.get, trace.append
+    a, b = trace[0]
+    index = 0
+    while True:
+        ka, kb = floor(a[3] / tol), floor(b[3] / tol)
         key = a[0], a[4], b[0], b[4], kb
-        below, here, above = seen.get(ka - 1), seen.get(ka), seen.get(ka + 1)
+        below, here, above = get(ka - 1), get(ka), get(ka + 1)
         if below or here or above:
             near = [key[:4] + (kb + d,) for d in (-1, 0, 1)]
             for prev_idx in sorted(inner[k] for inner in (below, here, above)
                                    if inner for k in near if k in inner):
-                termination = closes(idx, prev_idx)
+                termination = _closes(a_tiling, b_tiling, trace, index,
+                                      prev_idx, tol)
                 if termination is not None:
                     return termination
         if here is None:
-            seen[ka] = {key: idx}
+            seen[ka] = {key: index}
         else:
-            here.setdefault(key, idx)
-        return None
-
-    check = check_exact if exact else check_float
-    termination = check(a, b, 0)
-    index = 0
-    move = tilings.move
-    while termination is None and index < max_steps:
-        next_a, inside_a = move(branches_a[a[0], a[4], b[0]], *a)
-        next_b, inside_b = move(branches_b[b[0], b[4], a[0]], *b)
+            here.setdefault(key, index)
+        if index >= max_steps:
+            return Termination("max-steps", index)
+        next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
+        next_b, inside_b = move(branches_b[b[0], b[4], a[0]], b)
         if not (inside_a and inside_b):
-            # A's vertex first, as `step` raises it.
-            tiling, hit = ((a_tiling, next_a) if not inside_a
-                           else (b_tiling, next_b))
-            termination = Termination("vertex", index + 1,
-                                      location=tiling.vertex_location(hit))
-            break
+            return _vertex(a_tiling, b_tiling, next_a, inside_a, next_b,
+                           index + 1)
         a, b = next_a, next_b
         index += 1
-        trace.append((a, b))
-        termination = check(a, b, index)
-    if termination is None:
-        termination = Termination("max-steps", index)
-    states = [_pair(a, b) for a, b in trace] if keep_states else None
-    return OrbitRecord.traced(start, termination, exact, states,
-                              (a_tiling, b_tiling), trace)
+        append((a, b))
+
+
+def _closes(a_tiling, b_tiling, trace: list, idx: int, prev_idx: int, tol):
+    """The recurrence termination of trace[idx] against trace[prev_idx],
+    a state kept under a matching key, or None when their closure
+    residual exceeds tol."""
+    residual, drift = _closure(a_tiling, b_tiling, trace[idx],
+                               trace[prev_idx])
+    if residual > tol:
+        return None
+    if drift == (0, 0):
+        return Termination("periodic", idx, period=idx - prev_idx,
+                           residual=float(residual))
+    return Termination("translation", idx, period=idx - prev_idx,
+                       drift=drift, residual=float(residual))
+
+
+def _vertex(a_tiling, b_tiling, next_a, inside_a: bool, next_b,
+            index: int) -> Termination:
+    """The termination of a step to index whose moves, to next_a and
+    next_b, meet a vertex: A's when inside_a is False, as `step` raises
+    it first, else B's."""
+    tiling, hit = ((a_tiling, next_a) if not inside_a
+                   else (b_tiling, next_b))
+    return Termination("vertex", index, location=tiling.vertex_location(hit))
 
 
 def _pair(a: tuple, b: tuple) -> PairState:

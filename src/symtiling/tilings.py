@@ -20,16 +20,18 @@ table's chord crosses both edge axes of its grid.  The table also
 states each exact branch as an affine map of the position and the open
 interval on which it holds, which `dynamics.certify` composes.
 World points serve only to draw and report an orbit (`point_on`, and
-`float_point` for the floats and bit length of an orbit record's
-states, which the record builds on their first read, and for a float
-run's vertex hits and closure translations).
+`float_point` for the float points of an orbit record's states, which
+the record builds on their first read, and for a float run's vertex
+hits and closure translations).
 
-There is one particle move, `move`, and it works on a plain tuple
+There is one particle move per arithmetic, `move` over the exact
+ratios and `move_float` over floats, and both work on a plain tuple
 (axis, line, cell, pos, across) (`to_tuple`) whose position has the
 pair's type: on two exact grids it is the position's exact ratio, a
 coprime pair (p, q) of ints, which a float position has too, and on a
 pair with a float grid it is a float from the start.  `dynamics.step`
-and `dynamics.run_orbit` both step such tuples and build a `Particle`
+and `dynamics.run_orbit` both pick the move once from the pair's
+arithmetic, step such tuples with it, and build a `Particle`
 (`from_tuple`) only where they report one.
 
 Exact positions grow by some bits every step, while chords and grid
@@ -52,8 +54,9 @@ from .errors import NonTransverseEdges
 from .exact import Vec2, rational_circle_point
 
 
-# Float tolerance of move's vertex guard and of dynamics.run_orbit's key
-# snap and closure residual, in grid-local units, read at call time.
+# Float tolerance of move_float's vertex guard and of dynamics.run_orbit's
+# key snap and closure residual, in grid-local units, read at call time:
+# by move_float on each move, and by run_orbit once per run.
 FLOAT_TOL = 1e-9
 
 
@@ -101,7 +104,7 @@ class GridTiling:
         self.e1 = e1
         self.e2 = e2
         self.det = det
-        # Branch table entries per other grid, as `move` reads them: see
+        # Branch table entries per other grid, as the moves read them: see
         # `branches`.
         self._branches = {}
         # The matrix of columns e1, e2 is [[a, b], [c, e]] / d: with
@@ -182,9 +185,10 @@ class GridTiling:
         length of the position: q's for an exact p/q, which lies in (0, 1)
         so q > p, and 53 for a float.  The edge may be any (axis, line,
         cell) triple, and frac a position as `to_tuple` holds it.  This is
-        the one place an orbit record's points and bit lengths come from:
-        a `dynamics.OrbitRecord` calls it once per particle and state, on
-        the first read of its points or bit lengths.  A float run also
+        the one place an orbit record's points come from: a
+        `dynamics.OrbitRecord` calls it once per particle and state, on
+        the first read of its points, and reads its bit lengths, these
+        same bits, off the positions alone.  A float run also
         locates its vertex hit with it (`vertex_location`), and takes the
         world translations of its closures from it, with a line and cell
         change for the edge and a position change for frac.
@@ -230,7 +234,7 @@ class GridTiling:
 
     def vertex_location(self, moved: tuple) -> tuple:
         """The float world point of a grid vertex that a particle held as
-        `move` holds it has hit: float() of `point_on`'s.  A float
+        the moves hold it has hit: float() of `point_on`'s.  A float
         position takes `float_point`'s float formula, which rounds so, and
         an exact one `point_on` itself."""
         if type(moved[3]) is not tuple:
@@ -241,7 +245,7 @@ class GridTiling:
 
 
 def to_tuple(particle: Particle, exact: bool) -> tuple:
-    """(axis, line, cell, pos, across), the particle as `move` steps it:
+    """(axis, line, cell, pos, across), the particle as the moves step it:
     when exact, for a run on two exact grids, the position as its exact
     ratio, the coprime pair (p, q) of ints of `as_integer_ratio()`, which
     a float has too, and otherwise, for a pair with a float grid, as
@@ -260,53 +264,59 @@ def from_tuple(moved: tuple) -> Particle:
     return Particle(GridEdge(axis, line, cell), pos, across)
 
 
-def move(branch: tuple, axis: str, line: int, cell: int, pos,
-         across: int) -> tuple:
-    """(hit, inside): the first hit, as a tuple (axis, line, cell, pos,
-    across) like the one moved, and False when it is a grid vertex.
+def move(branch: tuple, held: tuple) -> tuple:
+    """(hit, inside): the first hit of the particle held as the tuple
+    (axis, line, cell, (p, q), across), with its position the exact
+    ratio p / q, as a tuple like it, and False when it is a grid vertex.
     branch is the entry of the particle's edge axis and `across` sign in
-    the `branch_table` of the chord it moves along.
+    the `branch_table` of the chord it moves along, a Fraction chord.
 
     Per unit of travel normal to the edge the position moves by the
-    slope, along over normal.  So the next parallel line, line + across,
-    is met at pos + slope, unless that leaves (0, 1): then the cell's
-    end comes first, after (1 - pos) / slope or pos / -slope, and the
-    particle goes on crossing the way it moved.
-
-    An exact position (p, q) on a slope a / b steps in ints.  The branch
-    and vertex tests compare n = p b + a q with m = q b, unreduced: the
+    slope a / b, along over normal.  So the next parallel line, line +
+    across, is met at pos + slope, unless that leaves (0, 1): then the
+    cell's end comes first, after (1 - pos) / slope or pos / -slope, and
+    the particle goes on crossing the way it moved.  The branch and
+    vertex tests compare n = p b + a q with m = q b, unreduced: the
     parallel line is met when 0 < n < m, and n = 0 or n = m is a vertex.
     The new position is n / m, or at a cell's end the branch's turn map
     (k q + c p) / (d q), and `_lowest_terms` reduces either by gcds with
     small arguments only, so a move costs time linear in the position's
-    bit length.  A float position uses the formulas above in floats, and
-    a new position within FLOAT_TOL of an edge end is a vertex.  No run
-    hands it a float position on a Fraction chord: a run holds floats
-    only on a pair with a float grid, whose chords are float.
+    bit length.  `move_float` is the same move in floats.
     """
-    slope, up, terms, _ = branch
-    if type(pos) is tuple:
-        p, q = pos
-        a, b, k, c, d = terms
-        n, m = p * b + a * q, q * b
-        parallel, inside = 0 < n < m, n != 0 and n != m
-        end = (_lowest_terms(a, b, p, q, b) if parallel
-               else _lowest_terms(k, c, p, q, d))
-    else:
-        end = pos + slope
-        parallel = 0 < end < 1
-        if not parallel:
-            travel = (1 - pos) / slope if up else pos / -slope
-            end = travel if across > 0 else 1 - travel
-        inside = FLOAT_TOL < end < 1 - FLOAT_TOL
-    if parallel:
-        return (axis, line + across, cell, end, across), inside
+    axis, line, cell, (p, q), across = held
+    _, up, (a, b, k, c, d), _ = branch
+    n, m = p * b + a * q, q * b
+    if 0 < n < m:
+        return (axis, line + across, cell, _lowest_terms(a, b, p, q, b),
+                across), True
     return ("h" if axis == "v" else "v", cell + 1 if up else cell,
-            line if across > 0 else line - 1, end, 1 if up else -1), inside
+            line if across > 0 else line - 1, _lowest_terms(k, c, p, q, d),
+            1 if up else -1), n != 0 and n != m
+
+
+def move_float(branch: tuple, held: tuple) -> tuple:
+    """`move` of a particle held with a float position, by the formulas
+    of `move` in floats: the new position is pos + slope when that lies
+    in (0, 1), and otherwise the travel to the cell's end, (1 - pos) /
+    slope or pos / -slope, or one minus that when across < 0.  A new
+    position within FLOAT_TOL of an edge end is a vertex.  A run holds
+    floats only on a pair with a float grid, whose chords are float.
+    """
+    axis, line, cell, pos, across = held
+    slope, up, _, _ = branch
+    end = pos + slope
+    if 0 < end < 1:
+        return ((axis, line + across, cell, end, across),
+                FLOAT_TOL < end < 1 - FLOAT_TOL)
+    travel = (1 - pos) / slope if up else pos / -slope
+    end = travel if across > 0 else 1 - travel
+    return ("h" if axis == "v" else "v", cell + 1 if up else cell,
+            line if across > 0 else line - 1, end,
+            1 if up else -1), FLOAT_TOL < end < 1 - FLOAT_TOL
 
 
 def branch_table(chord: Vec2) -> dict:
-    """`move`'s branch data for a grid-local chord that crosses both
+    """The moves' branch data for a grid-local chord that crosses both
     edge axes, as the chords of a transverse pair of grids do: per own
     edge axis, a pair indexed by across > 0 of (slope, slope > 0, terms,
     maps).  Chord components are nonzero Fractions or floats, as

@@ -1,7 +1,13 @@
 """Record tests/golden/pools.json and tests/golden/cli.json, the digests
 that tests/test_bench_pools.py compares a checkout's outputs with.
 
-    PYTHONPATH=src python3 tests/golden/record.py
+    PYTHONPATH=src python3 tests/golden/record.py [--check]
+
+With --check it recomputes both files and writes nothing: it prints each
+start (workload, stratum, variant) and each CLI line whose digests
+differ from the recorded ones, and exits 1 when any does.  It needs only
+the standard library, so it also runs on interpreters that have no
+pytest, such as the oldest Python the package supports.
 
 pools.json holds, per grid workload of the bench and per stratum of its
 pool, one line of digests, one per start: the sha256, cut to 16 hex
@@ -17,6 +23,7 @@ a re-recording is never a way to make a failing check pass.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -89,7 +96,9 @@ def cli_digests(argv) -> dict:
                for key, path in paths.items()}}
 
 
-def main():
+def digests() -> dict:
+    """The contents of pools.json and cli.json for this checkout, keyed
+    by file name."""
     workloads = load_workloads().WORKLOADS
     pools = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -105,11 +114,53 @@ def main():
             runs = {" ".join(argv): cli_digests(argv) for argv in CLI_SET}
         finally:
             os.chdir(home)
-    for name, data in (("pools.json", pools), ("cli.json", runs)):
+    return {"pools.json": pools, "cli.json": runs}
+
+
+def moved(files: dict) -> list:
+    """One line per start and per CLI line whose digests in files differ
+    from the recorded files'."""
+    lines = []
+    pools = json.loads((GOLDEN / "pools.json").read_text())
+    for name in sorted(set(pools) | set(files["pools.json"])):
+        old, new = pools.get(name, []), files["pools.json"].get(name, [])
+        for s in range(max(len(old), len(new))):
+            was = old[s].split() if s < len(old) else []
+            now = new[s].split() if s < len(new) else []
+            for v in range(max(len(was), len(now))):
+                pair = [d[v] if v < len(d) else None for d in (was, now)]
+                if pair[0] != pair[1]:
+                    lines.append(f"{name} stratum {s} variant {v}: "
+                                 f"{pair[0]} -> {pair[1]}")
+    runs = json.loads((GOLDEN / "cli.json").read_text())
+    for argv in sorted(set(runs) | set(files["cli.json"])):
+        old, new = runs.get(argv, {}), files["cli.json"].get(argv, {})
+        keys = sorted(k for k in set(old) | set(new)
+                      if old.get(k) != new.get(k))
+        if keys:
+            lines.append(f"cli {argv}: {', '.join(keys)} moved")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the recorded files and write "
+                        "nothing; exit 1 on any difference")
+    args = parser.parse_args(argv)
+    files = digests()
+    if args.check:
+        lines = moved(files)
+        for line in lines:
+            print(line)
+        print(f"{len(lines)} digests moved")
+        return 1 if lines else 0
+    for name, data in files.items():
         with open(GOLDEN / name, "w") as fh:
             json.dump(data, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

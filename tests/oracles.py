@@ -47,14 +47,16 @@ def dot(u: Vec2, v: Vec2):
 # Grid orbits.
 
 def move_particle(tiling, particle: Particle, table: dict) -> Particle:
-    """The particle moved by `tilings.move` along the chord of a
-    `tilings.branch_table`: held as its (p, q) from a rational position
-    on an exact chord, else as a float, so a float position on an exact
-    chord, which no run makes, moves in floats.  Raises VertexHit at a
+    """The particle moved along the chord of a `tilings.branch_table`,
+    by `tilings.move` when held as its (p, q), from a rational position
+    on an exact chord, and else by `tilings.move_float` as a float, so a
+    float position on an exact chord, which no run makes, moves in
+    floats.  Raises VertexHit at a
     grid vertex, as `step` does."""
     branch = table[particle.edge.axis][particle.across > 0]
     exact = branch[2] is not None and not isinstance(particle.pos, float)
-    moved, inside = tilings.move(branch, *tilings.to_tuple(particle, exact))
+    move = tilings.move if exact else tilings.move_float
+    moved, inside = move(branch, tilings.to_tuple(particle, exact))
     if not inside:
         raise VertexHit(tiling.vertex_location(moved))
     return tilings.from_tuple(moved)

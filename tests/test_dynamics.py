@@ -639,10 +639,11 @@ def test_float_records_skip_point_on(monkeypatch, grid_a):
 KEY_ARC_TOL = 2.0 ** -20
 
 
-def key_arc_starts(place):
-    """The pi/4 pair and its starts at place(j / 8) on both edges."""
+def key_arc_starts(place, theta=math.pi / 4):
+    """The pi/4 pair, or the standard grid against the grid turned by
+    theta, and its starts at place(j / 8) on both edges."""
     a = GridTiling.standard()
-    b = float_grid(theta=math.pi / 4)
+    b = float_grid(theta=theta)
     for ea, eb, sa, sb in itertools.product("vh", "vh", (1, -1), (1, -1)):
         for j, k in itertools.product(range(1, 8), repeat=2):
             yield a, b, PairState(
@@ -1070,17 +1071,17 @@ def test_exact_run_checks_one_earlier_state_per_step(monkeypatch):
 
 def check_same_record(a, b, start, max_steps, keep_states):
     """run_orbit and the Particle loop of oracles.oracle_run_orbit give
-    the same record; returns its termination kind."""
+    the same record; returns its termination."""
     got = run_orbit(a, b, start, max_steps, keep_states)
     want = oracle_run_orbit(a, b, start, max_steps, keep_states)
     assert repr(got.termination) == repr(want.termination)
     assert (got.a_points, got.b_points, got.bit_lengths, got.exact) == (
         want.a_points, want.b_points, want.bit_lengths, want.exact)
     assert got.states == want.states
-    return got.termination.kind
+    return got.termination
 
 
-def test_run_orbit_matches_the_particle_loop():
+def test_run_orbit_matches_the_particle_loop(monkeypatch):
     """run_orbit steps each particle as a tuple, holding an exact position
     as a pair of ints; the oracle steps Particles through `step`.  Whole
     records agree, certificates and vertex locations included, with and
@@ -1088,9 +1089,16 @@ def test_run_orbit_matches_the_particle_loop():
     on float grids against an exact and a float A, from float positions
     on exact grids, at a vertex on the first step, at a zero budget, on
     a start whose exact keys repeat without closing, and on the mirror
-    start's 3,000 steps.  Every termination kind but 'translation'
-    occurs; random searches over integer and float grid pairs found no
-    translation run to add."""
+    start's 3,000 steps.  The float loop also runs 16 seeded starts on
+    each float grid against the standard A, a float start within
+    FLOAT_TOL of its edge's end that meets a vertex on its first move,
+    alone and with B meeting one on the same step, where A's is
+    reported, as `step` raises it, and a key-arc start on the pi/4 pair
+    turned by 2e-10.  At the grid kernel's tolerance that start meets
+    candidates that do not close, and runs to its budget; at 2^-20 it
+    recurs, so the loop reads tilings.FLOAT_TOL per run.  Every
+    termination kind but 'translation' occurs; random searches over
+    integer and float grid pairs found no translation run to add."""
     rng = random.Random(27)
     a = GridTiling.standard()
     runs = []
@@ -1119,11 +1127,40 @@ def test_run_orbit_matches_the_particle_loop():
     runs.append((a, repeat, PairState(
         a.particle_on(edge, Fraction(27, 50), -1),
         repeat.particle_on(edge, Fraction(23, 50), -1)), 300))
-    kinds = [check_same_record(*run, keep_states=n % 2 == 0)
-             for n, run in enumerate(runs)]
-    assert set(kinds) == {"periodic", "attracted", "vertex", "max-steps"}
+    for b in floats:
+        runs += [(a, b, PairState(*(
+            grid.particle_on(GridEdge(rng.choice("vh"), 0, 0),
+                             rng.randint(1, 9999) / 10000,
+                             rng.choice((1, -1))) for grid in (a, b))), 120)
+                 for _ in range(16)]
+    # A on its edge's top within FLOAT_TOL, moving up: a vertex on the
+    # first move, then with B at its top moving up too.  A's vertex is
+    # near (0, 1), and B's near e2 of the pi/5 grid.
+    top, pi5 = 1 - tilings.FLOAT_TOL / 2, floats[1]
+    vertex_starts = [
+        PairState(a.particle_on(edge, top, -1),
+                  pi5.particle_on(GridEdge("h", 0, 0), 0.5, 1)),
+        PairState(a.particle_on(edge, top, 1), pi5.particle_on(edge, top, -1))]
+    runs += [(a, pi5, start, 10) for start in vertex_starts]
+    ends = [check_same_record(*run, keep_states=n % 2 == 0)
+            for n, run in enumerate(runs)]
+    assert {t.kind for t in ends} == {
+        "periodic", "attracted", "vertex", "max-steps"}
+    for t in ends[-2:]:
+        assert t.kind == "vertex" and t.step == 1
+        assert math.dist(t.location, (0, 1)) < tilings.FLOAT_TOL
+    turned = next(key_arc_starts(lambda x: x, theta=math.pi / 4 + 2e-10))
+    closures, closure = [], dynamics._closure
+    monkeypatch.setattr(dynamics, "_closure", lambda *args: (
+        closures.append(1) or closure(*args)))
+    assert check_same_record(*turned, 40, keep_states=True).kind == (
+        "max-steps")
+    assert closures
+    monkeypatch.setattr(tilings, "FLOAT_TOL", KEY_ARC_TOL)
+    assert check_same_record(*turned, 40, keep_states=True).kind == "periodic"
+    monkeypatch.undo()
     assert check_same_record(*seven_elevenths_mirror_start(), 3000,
-                             keep_states=False) == "max-steps"
+                             keep_states=False).kind == "max-steps"
 
 
 def test_transversality_is_decided_once_per_grid_pair(monkeypatch):
@@ -1202,10 +1239,11 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
     of a run that ends at a vertex or a recurrence.  A float run calls it
     only to locate a vertex hit, once, and to compare a candidate state,
     twice per `_closure`, once per particle's world translation; an exact
-    run never.  The first read of any of the record's points and bit
-    lengths builds all three, with one call per particle and state, and
-    later reads build nothing.  An attribute that a record does not have
-    raises AttributeError and builds nothing."""
+    run never.  The first read of either point list builds both, with
+    one call per particle and state.  The bit lengths are built on their
+    own first read, with no call: from the positions' denominators, or
+    as 53 for floats.  Later reads build nothing.  An attribute that a
+    record does not have raises AttributeError and builds nothing."""
     calls, closures = [], []
     float_point, closure = GridTiling.float_point, dynamics._closure
     monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
@@ -1237,11 +1275,16 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
             assert len(calls) == run_calls
             calls.clear()
             assert not hasattr(rec, "lock") and not calls
-            assert len(getattr(rec, name)) == rec.steps + 1
-            assert len(calls) == 2 * (rec.steps + 1)
-            calls.clear()
-            rec.a_points, rec.b_points, rec.bit_lengths
-            assert not calls
+            done = set()
+            for read in (name, "bit_lengths", "a_points", "b_points"):
+                points = read != "bit_lengths"
+                built = read in done or (points and "points" in done)
+                assert (read in vars(rec)) == built
+                assert len(getattr(rec, read)) == rec.steps + 1
+                assert len(calls) == (
+                    2 * (rec.steps + 1) if points and not built else 0)
+                calls.clear()
+                done |= {read, "points"} if points else {read}
 
 
 def test_traced_record_writes_as_the_eager_record():
