@@ -371,7 +371,7 @@ def main(argv=None) -> int:
             serialize.write_json({"config": config, **payload}, args.json)
         if vars(args).get("out"):
             draw(args.out)
-    except (GeometryError, ValueError, ZeroDivisionError) as exc:
+    except (GeometryError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -41,27 +41,32 @@ Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
 edge, crossing sign of each particle), so both literal periodicity and
 periodicity up to a common lattice translation (a drift orbit) are
-found by comparing a state only with the first state under its key.
-Over rationals the key and the comparison are exact and the verdict is
-proved, and a step reads one dict entry.  In float mode positions are
-snapped to steps of the grid kernel's tolerance, `tilings.FLOAT_TOL`,
-and the comparison allows that tolerance.  The float states are kept
-in a two-level index: the outer key is A's snapped step, an int, and
-the inner key holds both edge axes and crossing signs and B's snapped
-step.  A step looks up the outer keys of A's step and the steps one
-below and one above, and builds and reads the three inner keys of B's
-steps only under an outer key that is there, so it meets the same first
-states as a lookup of its key and the eight keys one step away, in
-three int lookups where keys rarely repeat.  A state is kept by a new
-one-entry dict under a new outer key, and by one insert into the inner
-dict that is there.  A candidate is compared with the state as two
-trace entries (`_closure`): exactly in exact mode, and in float mode by
-the float formula of `GridTiling.float_point`, so that a float run does
-no Fraction arithmetic once `_hold` has held its start.  The float loop
-makes the index's common case in its own body: it snaps both positions,
-looks up the three outer keys, and, when none is there, keeps the state
-under a new outer key.  It searches candidates only under an outer key
-that is there.
+found by comparing a state only with the first state under its key:
+it recurs when both particles moved by one and the same translation,
+integral in both period lattices.  Each next key reads only the pair's
+keys, so keys that repeat repeat periodically, each period adding the
+same shifts, and no later state under a key closes unless the first
+one does.  Over rationals the key and the comparison are exact and the
+verdict is proved, and a step reads one dict entry.  In float mode
+positions are snapped to steps of the grid kernel's tolerance,
+`tilings.FLOAT_TOL`, and the comparison allows that tolerance.  The
+float states are kept in a two-level index: the outer key is A's
+snapped step, an int, and the inner key holds both edge axes and
+crossing signs and B's snapped step.  A step looks up the outer keys of
+A's step and the steps one below and one above, and builds and reads
+the three inner keys of B's steps only under an outer key that is
+there, so it meets the same first states as a lookup of its key and the
+eight keys one step away, in three int lookups where keys rarely
+repeat.  A state is kept by a new one-entry dict under a new outer key,
+and by one insert into the inner dict that is there.  A candidate is
+compared with the state as two trace entries (`_closure`): exactly in
+exact mode, and in float mode by the float formula of
+`GridTiling.float_point`, so that a float run does no Fraction
+arithmetic once `_hold` has held its start.  The float loop makes the
+index's common case in its own body: it snaps both positions, looks up
+the three outer keys, and, when none is there, keeps the state under a
+new outer key.  It searches candidates only under an outer key that is
+there.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -224,12 +229,9 @@ def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
     run from the state, its two particles as `tilings.to_tuple` holds
     them for it, and each grid's branch entries against the other
     (`GridTiling.branches`), keyed by (the particle's axis, its across,
-    the other particle's axis).  It is exact when both grids are exact,
-    whatever the positions' types, and then holds each position as its
-    exact ratio (p, q), a float's included; otherwise it holds each as a
-    float.  `GridTiling.branches`
-    raises NonTransverseEdges, before it builds a table, when the grids
-    have parallel edges.
+    the other particle's axis).  Raises NonTransverseEdges, from
+    `GridTiling.branches` before it builds a table, when the grids have
+    parallel edges.
     """
     branches = a_tiling.branches(b_tiling), b_tiling.branches(a_tiling)
     exact = a_tiling.exact and b_tiling.exact
@@ -239,16 +241,11 @@ def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
 
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
     """One move of each particle, each along the direction of the edge
-    currently holding the other particle.  The two moves commute; the
-    update reads only the incoming state.  It holds and moves the
-    particles as a step of `run_orbit` does, from `_hold` through
-    `GridTiling.branches` and the pair's move: on two exact grids
-    `tilings.move` steps every position exactly, a float's from its
-    binary value, and on a pair with a float grid `tilings.move_float`
-    steps floats, a rational position rounded once.  Raises
-    NonTransverseEdges when the grids have parallel edges, and
-    VertexHit, A's first, at the world point of a grid vertex that a
-    move meets.
+    currently holding the other particle, in the arithmetic and by the
+    move of a `run_orbit` step.  The two moves commute; the update reads
+    only the incoming state.  Raises NonTransverseEdges when the grids
+    have parallel edges, and VertexHit, A's first, at the world point of
+    a grid vertex that a move meets.
     """
     exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
     move = tilings.move if exact else tilings.move_float
@@ -357,71 +354,24 @@ def _contraction(tiling, other, symbols):
 
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
               keep_states: bool = False) -> OrbitRecord:
-    """Iterate the pair map until recurrence, a singularity, or max_steps.
+    """Iterate the pair map from start until a recurrence, a vertex hit
+    or max_steps steps, in the arithmetic that `_hold` picks from the
+    grids.
 
-    The grids must be transverse, else NonTransverseEdges is raised
-    before the first step, by `GridTiling.branches` before it builds a
-    branch table.  The first state under each key (edge axis,
-    position along the edge, crossing sign of each particle) is kept.  A
-    state recurs when the state kept under a matching key has a closure
-    residual of at most tol: both particles moved by one and the same
-    translation, integral in both period lattices.  Exact inputs use tol
-    = 0, so the key is exact and a recurrence is proved.  Each next key
-    reads only the pair's keys, so keys that repeat repeat periodically,
-    each period adding the same shifts: no later state under a key closes
-    unless the first one does, and an exact step reads one dict entry.
-    Float inputs use tol = tilings.FLOAT_TOL; the key then snaps
-    positions to steps of tol, and the candidates are the first states
-    under the nine keys whose steps are at most one away for each
-    particle.  They are kept under an outer key of A's step, an int,
-    then an inner key of both axes and crossing signs and B's step, so
-    a step looks up three int outer keys and reads B's three inner keys
-    only under those it finds.  The earliest matching state wins.  Zero
-    translation is a periodic orbit, nonzero a drift orbit.  Vertex hits
-    terminate the run and are recorded rather than raised.
+    Raises NonTransverseEdges before the first step when the grids have
+    parallel edges.  The termination's kind is 'periodic' or
+    'translation' when a state closes with an earlier one kept under a
+    matching key, at zero or at a nonzero common lattice translation;
+    'attracted' when an exact run's itinerary certificate holds
+    (`certify`); 'vertex' when a move meets a grid vertex, which is
+    recorded rather than raised; and 'max-steps' when none of these
+    comes within max_steps steps.
 
-    An exact run also records each step's joint branch symbol (see
-    `certify`).  Once the last 2p symbols repeat with a period p <=
-    MAX_PERIOD, both particles' edges are those of p steps before (zero
-    lattice shift) and `certify` proves the word contracting, the run
-    stops as 'attracted': from then on the orbit converges to a fixed
-    pair of points.  The candidate periods are the distances back to the
-    earlier visits of the same pair of edges, so a step that meets none
-    costs one lookup in a dict of edge pairs.  A lock with a nonzero
-    shift runs on.  Float runs record no symbols.
-
-    `_hold` decides the run's one arithmetic from the grids, as for
-    `step`: exact, with each position held as its exact ratio (p, q), a
-    float start position's from its binary value, when both grids are
-    exact, and floats from step 0 when either is a float grid.  Each
-    particle is held as the tuple (axis, line, cell, pos, across) that
-    the pair's move steps, `tilings.move` or `tilings.move_float`, as in
-    `step`.  Each move reads its branch from the entries its grid keeps
-    per other grid (`GridTiling.branches`): over rationals it is integer
-    work whose gcds each take one small argument, so a step costs time
-    linear in the bit length, and a float position's step is plain float
-    work.  The run picks its loop once, from that arithmetic, and no
-    step tests it: `_run_exact` checks the exact key and the
-    certificate, and `_run_float` reads tilings.FLOAT_TOL once and keeps
-    the float index in its own body, with the candidate search only
-    under an outer key that is there.  A float run's closures and vertex
-    location are float work too, through `GridTiling.float_point`'s
-    formula.
-
-    The trace, each state's pair of tuples, is the run's one store of
-    its states.  Both recurrence indexes hold trace indices, and
-    `_closure` compares two trace entries.  The record's start is the
-    caller's start, and its states, with keep_states, are built from
-    the trace after the last step, as `PairState`s of the states as the
-    run holds them, from the start's on.  The record
-    (`OrbitRecord.traced`) builds its points and bit lengths from the
-    trace on their first read, the points through
-    `GridTiling.float_point`.  A run
-    whose reader never asks for them, as `classify` does not for a
-    recurrence or a vertex hit, never builds them.  No `Particle` or
-    `PairState` is built inside the step loop: only the caller's start,
-    the kept states and an exact vertex hit's location are built as
-    `Particle`s.
+    The record's start is the caller's start.  With keep_states its
+    states are the run's states from the start's on, as `PairState`s
+    built after the last step; else they are None.  The record
+    (`OrbitRecord.traced`) builds its a_points, b_points and bit_lengths
+    from the run's trace on their first read.
     """
     exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, start)
     trace = [(a, b)]
@@ -438,7 +388,12 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
     """The exact loop of `run_orbit`: from the state in trace[0] on, it
     appends each state to trace and returns the run's termination.  Each
     state makes one keyed lookup and, from step 1 on, the certificate's
-    check."""
+    check.  The candidate periods p are the distances back to the earlier
+    visits of the same pair of edges, so a step that meets none costs one
+    lookup in a dict of edge pairs; the run stops as 'attracted' once the
+    last 2p symbols repeat and `certify` proves the word contracting.  A
+    lock with a nonzero lattice shift runs on, since its edges one period
+    back are not its own."""
     seen = {}
     symbols = []
     last_at = {}        # A's edge + B's edge -> the last step there
@@ -501,7 +456,8 @@ def _run_float(a_tiling, b_tiling, branches_a, branches_b, trace: list,
     It reads `tilings.FLOAT_TOL` once, and each state makes the index's
     common case in the loop itself: three outer lookups that find no key,
     and a new outer key.  The candidate search runs only under an outer
-    key that is there."""
+    key that is there, and tries the candidates earliest first: the first
+    that closes wins."""
     tol = tilings.FLOAT_TOL
     move, floor = tilings.move_float, math.floor
     # Outer key: A's snapped step; inner key: both axes and acrosses and

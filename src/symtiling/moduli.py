@@ -31,10 +31,7 @@ so the regular polygon sits at the centre.
 Offsets, points, walls and disk points are tuples of floats, and every
 closed form is evaluated with math alone: the form is a sum over
 neighbouring offsets, exactly rounded by math.fsum, and the disk chart
-is one fsum dot product per Fourier row.  The matrix-valued API
-(AreaForm.gram and quotient_gram, butterfly_matrix, quotient_map,
-cyclic_matrix and HyperbolicPoint.as_array), which only tests read,
-returns numpy arrays and imports numpy inside its own body.
+is one fsum dot product per Fourier row.
 
 The form depends on N alone: each function reads the cached
 area_form(N) itself, with N taken from its offsets, point or argument.
@@ -45,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import NonPositiveArea, ParallelWitnessLines
 
@@ -61,33 +58,11 @@ class AreaForm:
     and negative eigenvalues read off the closed-form spectrum
     (cos(2 pi j/N) - cos theta)/sin theta.  frame maps those coordinates
     to the Fourier frame, where the form is diag(1, -1, ..., -1).
-    gram and quotient_gram are the same form as ndarrays, built on
-    first read.
     """
 
     n: int
     signature: tuple
     frame: tuple
-
-    @cached_property
-    def gram(self):
-        """The full N x N Gram matrix."""
-        import numpy as np
-        theta = math.tau / self.n
-        c = cyclic_matrix(self.n)
-        return ((c + c.T) / (2.0 * math.sin(theta))
-                - np.eye(self.n) / math.tan(theta))
-
-    @cached_property
-    def quotient_gram(self):
-        return self.gram[2:, 2:]
-
-    def value(self, s) -> float:
-        """Signed area of offsets s: the translations are the form's
-        radical, so it is the pairing of s's quotient coordinates with
-        themselves."""
-        x = self.reduce(s)
-        return self.pairing(x, x)
 
     def reduce(self, s) -> tuple:
         """Quotient coordinates: translate by the v that zeroes s_0 and
@@ -153,53 +128,12 @@ def area_form(n: int) -> AreaForm:
     return AreaForm(n, (1, n - 3), _fourier_frame(n))
 
 
-def butterfly_matrix(n: int, k: int):
-    """Linear move replacing line k by its mirror image through the
-    intersection p of lines k-1 and k+1: s_k' = 2 n_k . p - s_k with all
-    other offsets fixed.  Since n_{k-1} + n_{k+1} = 2 cos(2 pi/N) n_k,
-    that is s_k' = (s_{k-1} + s_{k+1})/cos(2 pi/N) - s_k.  The witness
-    lines are parallel, and cos(2 pi/N) = 0, exactly when N = 4.
-    """
-    import numpy as np
-    if n == 4:
-        raise ParallelWitnessLines(
-            f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
-    c = math.cos(math.tau / n)
-    k %= n
-    m = np.eye(n)
-    m[k, k] = -1.0
-    m[k, (k - 1) % n] = m[k, (k + 1) % n] = 1.0 / c
-    return m
-
-
-def quotient_map(matrix):
-    """The map induced on quotient coordinates by a
-    translation-equivariant linear map of offset space: each column
-    reduced.
-    """
-    import numpy as np
-    form = area_form(len(matrix))
-    return np.column_stack([form.reduce(col) for col in matrix[:, 2:].T])
-
-
-def cyclic_matrix(n: int):
-    """Offset relabeling (Cs)_k = s_{k+1}; geometrically a rotation of
-    the polygon by -2 pi / N, hence an area isometry.
-    """
-    import numpy as np
-    return np.roll(np.eye(n), 1, axis=1)
-
-
 @dataclass(frozen=True)
 class HyperbolicPoint:
     """Point on the unit-area sheet in quotient coordinates."""
 
     n: int
     coords: tuple
-
-    def as_array(self):
-        import numpy as np
-        return np.array(self.coords)
 
 
 def reference_point(n: int) -> tuple:

@@ -190,17 +190,6 @@ def holonomy_product(pair: SunburstPair) -> HolonomyReport:
     return HolonomyReport(math.prod(factors), tuple(factors), "product")
 
 
-def holonomy_iteration(pair: SunburstPair) -> HolonomyReport:
-    """Holonomy measured by running the orbit once around: the distance
-    from the origin after N steps, starting from distance 1.  Serves as
-    an independent oracle for the product formula.
-    """
-    pts = orbit_points(pair, r0=1.0)
-    radii = [p.norm() for p in pts]
-    factors = tuple(radii[j + 1] / radii[j] for j in range(pair.n))
-    return HolonomyReport(radii[-1], factors, "iteration")
-
-
 def left_times_right_holonomy(pair: SunburstPair) -> float:
     """Product of the a-side holonomy and the b-side holonomy (the
     latter computed over the role-swapped orbit).

@@ -20,7 +20,8 @@ from symtiling.exact import Vec2, unit_from_angle
 from symtiling.linkage import Polygon
 from symtiling.moduli import HyperbolicPoint, area_form, reference_point
 from symtiling.tilings import Particle
-from symtiling.weave import PhaseInterval, SunburstPair, phase_arcs
+from symtiling.weave import (HolonomyReport, PhaseInterval, SunburstPair,
+                             orbit_points, phase_arcs)
 
 # is_balanced and is_regular: above the rounding of their n-term sums.
 SUNBURST_TOL = 1e-12
@@ -347,11 +348,77 @@ def random_convex_offsets(rng, n: int) -> np.ndarray:
     return s
 
 
+# The form as ndarrays, which moduli's closed forms on tuples replaced:
+# the Gram matrix, the area as the pairing of the quotient coordinates,
+# the butterfly moves and the cyclic relabeling as matrices, and the
+# maps they induce on quotient coordinates.
+
+def cyclic_matrix(n: int) -> np.ndarray:
+    """Offset relabeling (Cs)_k = s_{k+1}; geometrically a rotation of
+    the polygon by -2 pi / N, hence an area isometry.
+    """
+    return np.roll(np.eye(n), 1, axis=1)
+
+
+def gram(n: int) -> np.ndarray:
+    """The full N x N Gram matrix of signed area, with theta = 2 pi/N:
+    the circulant with diagonal -cot theta and both cyclic neighbours
+    1/(2 sin theta)."""
+    theta = math.tau / n
+    c = cyclic_matrix(n)
+    return (c + c.T) / (2.0 * math.sin(theta)) - np.eye(n) / math.tan(theta)
+
+
+def quotient_gram(n: int) -> np.ndarray:
+    """The Gram matrix on quotient coordinates s_2..s_{N-1}."""
+    return gram(n)[2:, 2:]
+
+
+def form_value(s) -> float:
+    """Signed area of offsets s: the translations are the form's
+    radical, so it is the pairing of s's quotient coordinates with
+    themselves."""
+    form = area_form(len(s))
+    x = form.reduce(s)
+    return form.pairing(x, x)
+
+
+def butterfly_matrix(n: int, k: int) -> np.ndarray:
+    """Linear move replacing line k by its mirror image through the
+    intersection p of lines k-1 and k+1: s_k' = 2 n_k . p - s_k with all
+    other offsets fixed.  Since n_{k-1} + n_{k+1} = 2 cos(2 pi/N) n_k,
+    that is s_k' = (s_{k-1} + s_{k+1})/cos(2 pi/N) - s_k.  The witness
+    lines are parallel, and cos(2 pi/N) = 0, exactly when N = 4.
+    """
+    if n == 4:
+        raise ParallelWitnessLines(
+            f"witness families {(k - 1) % n} and {(k + 1) % n} are parallel")
+    c = math.cos(math.tau / n)
+    k %= n
+    m = np.eye(n)
+    m[k, k] = -1.0
+    m[k, (k - 1) % n] = m[k, (k + 1) % n] = 1.0 / c
+    return m
+
+
+def quotient_map(matrix: np.ndarray) -> np.ndarray:
+    """The map induced on quotient coordinates by a
+    translation-equivariant linear map of offset space: each column
+    reduced.
+    """
+    form = area_form(len(matrix))
+    return np.column_stack([form.reduce(col) for col in matrix[:, 2:].T])
+
+
+def as_array(p: HyperbolicPoint) -> np.ndarray:
+    return np.array(p.coords)
+
+
 def hyperbolic_distance(p: HyperbolicPoint, q: HyperbolicPoint) -> float:
     """On the unit sheet Q(p - q) = -4 sinh^2(d/2), which stays accurate
     near d = 0, where acosh of the pairing loses half the digits."""
     form = area_form(p.n)
-    v = p.as_array() - q.as_array()
+    v = as_array(p) - as_array(q)
     return 2.0 * math.asinh(0.5 * math.sqrt(max(0.0, -form.pairing(v, v))))
 
 
@@ -363,7 +430,7 @@ def oracle_wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     closed-form vertices replaced.
     """
     form = area_form(len(wa) + 2)
-    g = form.quotient_gram
+    g = quotient_gram(form.n)
     v = np.cross(g @ wa, g @ wb)
     q = form.pairing(v, v)
     assert q > 0, "walls do not meet on the hyperboloid"
@@ -383,7 +450,7 @@ def oracle_to_hyperbolic(s) -> HyperbolicPoint:
     n = len(s)
     t = family_normals(n)
     v = np.array([(s[1] - t[1, 1] * s[0]) / -t[1, 0], -s[0]])
-    x = (s + t @ v)[2:] / math.sqrt(float(s @ area_form(n).gram @ s))
+    x = (s + t @ v)[2:] / math.sqrt(float(s @ gram(n) @ s))
     return HyperbolicPoint(n, tuple(x))
 
 
@@ -404,7 +471,7 @@ def oracle_fourier_frame(n: int) -> np.ndarray:
 
 
 def oracle_to_disk(p: HyperbolicPoint) -> np.ndarray:
-    y = oracle_fourier_frame(p.n) @ p.as_array()
+    y = oracle_fourier_frame(p.n) @ as_array(p)
     return y[1:] / (1.0 + y[0])
 
 
@@ -482,6 +549,17 @@ def oracle_weave_interval(a, b) -> PhaseInterval:
     if best is None:
         raise EmptyInterval(tuple(arcs))
     return best
+
+
+def holonomy_iteration(pair) -> HolonomyReport:
+    """Holonomy measured by running the orbit once around: the distance
+    from the origin after N steps, starting from distance 1.  The
+    independent oracle for weave.holonomy_product's product formula.
+    """
+    pts = orbit_points(pair, r0=1.0)
+    radii = [p.norm() for p in pts]
+    factors = tuple(radii[j + 1] / radii[j] for j in range(pair.n))
+    return HolonomyReport(radii[-1], factors, "iteration")
 
 
 # The sunburst orbit and holonomy on Vec2s and pairs, one object per

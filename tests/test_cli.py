@@ -614,6 +614,12 @@ def test_sunburst_solve_large_n_returns(tmp_path):
     (["grid-orbit", "--t", "1/3", "--max-steps", "-1"], 2),
     (["grid-portrait", "--max-steps", "-1"], 2),
     (["grid-orbit", "--t", "1/3", "--max-steps", "0"], 0),
+    (["grid-orbit", "--t", "1/3", "--edge-a", "v:0:1" + "0" * 400,
+      "--seed", "3"], 2),
+    (["grid-orbit", "--angle", "1", "--edge-a", f"v:{10 ** 400}:0",
+      "--seed", "3"], 2),
+    (["grid-portrait", "--t", "1/3", "--edge-a", f"v:{10 ** 400}:0",
+      "--resolution", "2x2"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     done = run_module(tmp_path, argv, timeout=20)
@@ -629,12 +635,16 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     ("sunburst-solve", 5),
     ("linkage-convert", [[0, 0], [1, 0], [None, 1]]),
     ("linkage-convert", [[0, 0], [1, 0], [True, 1]]),
+    *((command, [["1e400", 0], ["2e400", 0], ["15e399", "1e400"]])
+      for command in ("linkage-convert", "moduli-embed")),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"
+    jpath = tmp_path / "out.json"
     path.write_text(json.dumps(data))
-    assert cli.main([command, str(path)]) == 2
+    assert cli.main([command, str(path), "--json", str(jpath)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not jpath.exists()
 
 
 @pytest.mark.parametrize("command", ["sunburst-solve", "linkage-convert",

@@ -87,41 +87,20 @@ def test_no_identity_keyed_caches():
     assert found == []
 
 
-# The matrix-valued API of moduli, which only tests read: the one place
-# under src that may import numpy, inside the function body.
-MATRIX_BUILDERS = {"gram", "butterfly_matrix", "quotient_map",
-                   "cyclic_matrix", "as_array"}
-
-
-def numpy_imports(node, owner=None):
-    """(name of the def around it, line) of each numpy import under
-    node; the name is None at module level."""
+def test_no_package_module_imports_numpy():
+    """numpy serves the test oracles alone: no file under src imports
+    it, at module level or inside any function."""
     found = []
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            names = [a.name for a in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        else:
-            names = []
-        found += [(owner, child.lineno) for name in names
-                  if name.split(".")[0] == "numpy"]
-        inner = (child.name if isinstance(child, ast.FunctionDef)
-                 else owner)
-        found += numpy_imports(child, inner)
-    return found
-
-
-def test_only_the_moduli_layer_imports_numpy():
-    """numpy serves the matrix-valued API of moduli alone: no module
-    under src imports it at module level, and inside a function only
-    moduli's matrix builders do."""
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        found += [f"{path.name}:{line}: in {owner}"
-                  for owner, line in numpy_imports(tree)
-                  if path.name != "moduli.py" or owner not in MATRIX_BUILDERS]
+    for path in sorted(SRC.parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "numpy"]
     assert found == []
 
 

@@ -7,17 +7,17 @@ import pytest
 from symtiling import weave
 from symtiling.errors import DegenerateStep, EmptyInterval, InvalidSunburst
 from symtiling.exact import unit_from_angle
-from symtiling.weave import (Sunburst, SunburstPair, holonomy_iteration,
-                             holonomy_product, left_times_right_holonomy,
-                             log_holonomy, orbit_points, phase_arcs,
+from symtiling.weave import (Sunburst, SunburstPair, holonomy_product,
+                             left_times_right_holonomy, log_holonomy,
+                             orbit_points, phase_arcs,
                              random_balanced_sunburst, random_oriented_weave,
                              regular_sunburst, solve_phase, weave_interval)
 
 from oracles import (STRADDLING_SUNBURST, UNSOLVABLE_SUNBURSTS, dot,
-                     interval_contains, is_balanced, is_oriented_weave,
-                     is_regular, oracle_log_holonomy, oracle_orbit_points,
-                     oracle_phase_arcs, oracle_step_factors,
-                     oracle_weave_interval)
+                     holonomy_iteration, interval_contains, is_balanced,
+                     is_oriented_weave, is_regular, oracle_log_holonomy,
+                     oracle_orbit_points, oracle_phase_arcs,
+                     oracle_step_factors, oracle_weave_interval)
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +36,9 @@ def test_sunburst_validation():
                    5):
         with pytest.raises(InvalidSunburst):
             Sunburst(angles)
+    for n in (2, 0, -1):
+        with pytest.raises(InvalidSunburst, match="at least 3 rays"):
+            random_balanced_sunburst(random.Random(1), n)
 
 
 def test_regular_pair_symmetric_phase_is_a_weave():
