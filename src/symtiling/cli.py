@@ -52,14 +52,19 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def parse_edge(text: str) -> GridEdge:
+def parse_edge(flag: str, text: str) -> GridEdge:
+    """The flag's grid edge, else ValueError naming the flag: also when
+    its line or cell is beyond float range, which world points need."""
     parts = text.split(":")
     try:
         if len(parts) == 3 and parts[0] in ("v", "h"):
-            return GridEdge(parts[0], int(parts[1]), int(parts[2]))
+            edge = GridEdge(parts[0], int(parts[1]), int(parts[2]))
+            if max(abs(edge.line), abs(edge.cell)) <= sys.float_info.max:
+                return edge
     except ValueError:
         pass
-    raise ValueError(f"edge must look like v:0:0 or h:2:-1, got {text!r}")
+    raise ValueError(f"{flag} must look like v:0:0 or h:2:-1, within float "
+                     f"range, got {text!r}")
 
 
 def parse_resolution(text: str):
@@ -128,8 +133,9 @@ def start_state(a, b, args) -> PairState:
         fa = parse_fraction("--frac-a", args.frac_a)
         fb = parse_fraction("--frac-b", args.frac_b)
         sa, sb = args.side_a, args.side_b
-    return PairState(a.particle_on(parse_edge(args.edge_a), fa, sa),
-                     b.particle_on(parse_edge(args.edge_b), fb, sb))
+    return PairState(
+        a.particle_on(parse_edge("--edge-a", args.edge_a), fa, sa),
+        b.particle_on(parse_edge("--edge-b", args.edge_b), fb, sb))
 
 
 def input_files(args):
@@ -179,8 +185,8 @@ def cmd_grid_orbit(args):
 
 def cmd_grid_portrait(args):
     a, b = build_tilings(args)
-    rows = phase_portrait(a, b, parse_edge(args.edge_a),
-                          parse_edge(args.edge_b),
+    rows = phase_portrait(a, b, parse_edge("--edge-a", args.edge_a),
+                          parse_edge("--edge-b", args.edge_b),
                           parse_resolution(args.resolution),
                           max_steps=args.max_steps)
     counts = Counter(v for row in rows for v in row)

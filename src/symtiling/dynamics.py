@@ -387,57 +387,52 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
                max_steps: int) -> Termination:
     """The exact loop of `run_orbit`: from the state in trace[0] on, it
     appends each state to trace and returns the run's termination.  Each
-    state makes one keyed lookup and, from step 1 on, the certificate's
-    check.  The candidate periods p are the distances back to the earlier
-    visits of the same pair of edges, so a step that meets none costs one
-    lookup in a dict of edge pairs; the run stops as 'attracted' once the
-    last 2p symbols repeat and `certify` proves the word contracting.  A
-    lock with a nonzero lattice shift runs on, since its edges one period
-    back are not its own."""
+    state makes, in the loop itself: one keyed lookup, the closure test
+    against the first state under its key, and, from step 1 on, its
+    symbol and the certificate search; then the move.  The candidate
+    periods p are the distances back to the earlier visits of the same
+    pair of edges, so a step that meets none costs one lookup in a dict
+    of edge pairs; the run stops as 'attracted' once the last 2p symbols
+    repeat and `certify` proves the word contracting, and a candidate
+    that `certify` refuses ends the search.  A lock with a nonzero
+    lattice shift runs on, since its edges one period back are not its
+    own."""
+    move = tilings.move
     seen = {}
     symbols = []
     last_at = {}        # A's edge + B's edge -> the last step there
     before = [None]     # per step, the step before it at the same edges
-
-    def check(a, b, idx: int):
-        # One lookup, which also keeps the state's trace index when its
-        # key is new.  An exact position is keyed as its (p, q), which
-        # hashes without a modular inverse.
-        hit = seen.setdefault((a[0], a[3], a[4], b[0], b[3], b[4]), idx)
-        if hit < idx:
-            termination = _closes(a_tiling, b_tiling, trace, idx, hit, 0)
-            if termination is not None:
-                return termination
-        if not idx:     # the start: no step made, no symbol
-            return None
-        prev_a, prev_b = trace[idx - 1]
-        symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
-                        a[0], b[0]))
-        edges = a[:3] + b[:3]
-        then = last_at.get(edges)
-        last_at[edges] = idx
-        before.append(then)
-        while then is not None and idx - then <= MAX_PERIOD:
-            p = idx - then
-            if 2 * p <= idx and symbols[-p:] == symbols[-2 * p:-p]:
-                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
-                if proof is None:
-                    return None
-                lock = idx - 2 * p
-                while lock > 0 and symbols[lock - 1] == symbols[lock - 1 + p]:
-                    lock -= 1
-                return Termination("attracted", idx, period=p, lock=lock,
-                                   certificate=proof)
-            then = before[then]
-        return None
-
-    move = tilings.move
     a, b = trace[0]
     index = 0
     while True:
-        termination = check(a, b, index)
-        if termination is not None:
-            return termination
+        # One lookup, which also keeps the state's trace index when its
+        # key is new.  An exact position is keyed as its (p, q), which
+        # hashes without a modular inverse.
+        hit = seen.setdefault((a[0], a[3], a[4], b[0], b[3], b[4]), index)
+        if hit < index:
+            termination = _closes(a_tiling, b_tiling, trace, index, hit, 0)
+            if termination is not None:
+                return termination
+        if index:       # the start made no step, so it has no symbol
+            prev_a, prev_b = trace[index - 1]
+            symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
+                            a[0], b[0]))
+            edges = a[:3] + b[:3]
+            then = last_at.get(edges)
+            last_at[edges] = index
+            before.append(then)
+            while then is not None and index - then <= MAX_PERIOD:
+                p = index - then
+                if 2 * p <= index and symbols[-p:] == symbols[-2 * p:-p]:
+                    proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+                    if proof is None:
+                        break
+                    lock = index - 2 * p
+                    while lock and symbols[lock - 1] == symbols[lock - 1 + p]:
+                        lock -= 1
+                    return Termination("attracted", index, period=p,
+                                       lock=lock, certificate=proof)
+                then = before[then]
         if index >= max_steps:
             return Termination("max-steps", index)
         next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
@@ -453,11 +448,12 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
 def _run_float(a_tiling, b_tiling, branches_a, branches_b, trace: list,
                max_steps: int) -> Termination:
     """The float loop of `run_orbit`, as `_run_exact` is the exact one.
-    It reads `tilings.FLOAT_TOL` once, and each state makes the index's
-    common case in the loop itself: three outer lookups that find no key,
-    and a new outer key.  The candidate search runs only under an outer
-    key that is there, and tries the candidates earliest first: the first
-    that closes wins."""
+    It reads `tilings.FLOAT_TOL` once, and each state makes, in the loop
+    itself: the three outer lookups, the closure test of each candidate,
+    the keeping of the state, then the move.  Its common case is three
+    lookups that find no key and a new outer key.  The candidate search
+    runs only under an outer key that is there, and tries the candidates
+    earliest first: the first that closes wins."""
     tol = tilings.FLOAT_TOL
     move, floor = tilings.move_float, math.floor
     # Outer key: A's snapped step; inner key: both axes and acrosses and

@@ -27,8 +27,9 @@ EQUILATERAL_TOL = 1e-12
 @dataclass(frozen=True)
 class Polygon:
     """Planar polygon, vertices listed once, counterclockwise when convex.
-    Its edge vectors are computed once, on first use, and shared by the
-    edge predicates and measures."""
+    `edges` holds its edge vectors, edge j from vertex j to vertex j + 1,
+    computed once, on first read, and shared by the edge predicates and
+    measures."""
 
     vertices: tuple
 
@@ -40,19 +41,16 @@ class Polygon:
         return len(self.vertices)
 
     @cached_property
-    def _edges(self):
+    def edges(self) -> tuple:
         v = self.vertices
         return tuple(q - p for p, q in zip(v, v[1:] + v[:1]))
 
-    def edge_vectors(self):
-        return self._edges
-
     def is_convex(self) -> bool:
-        e = self._edges
+        e = self.edges
         return all(d.cross(f) > 0 for d, f in zip(e, e[1:] + e[:1]))
 
     def edge_lengths(self):
-        return [e.norm() for e in self._edges]
+        return [e.norm() for e in self.edges]
 
     def translated(self, t: Vec2) -> "Polygon":
         return Polygon(v + t for v in self.vertices)
@@ -105,7 +103,7 @@ def directions_to_sunburst(poly: Polygon) -> Sunburst:
     refuses the directions of a polygon that is not convex.
     """
     return Sunburst(math.atan2(float(e.y), float(e.x))
-                    for e in poly.edge_vectors())
+                    for e in poly.edges)
 
 
 class EquiangularSolution(NamedTuple):

@@ -177,23 +177,17 @@ def pentagon_walls():
     return [wall_normal(5, k) for k in range(5)]
 
 
-def pentagon_wall_order():
-    """Boundary order of the five walls: consecutive entries are
-    non-consecutive butterflies, whose walls meet at right angles.
-    """
-    return [0, 2, 4, 1, 3]
-
-
 @lru_cache(maxsize=None)
 def pentagon_report():
     """Vertices, interior angles, and side lengths of the right-angled
     pentagon bounded by the five butterfly walls.  Built once and
     shared by every caller, which only reads it.
 
-    Walls a and b consecutive in pentagon_wall_order() have b = a + 2,
-    and m = a + 1 is the wall next to both.  By the wall Gram closed
-    form, w_a and w_b are orthogonal with self-pairing -1, and each pairs
-    to phi = 1/(2 cos(2 pi/5)) with w_m.  Projecting w_m off both gives
+    The walls' boundary order lives here, as the report's "order",
+    [0, 2, 4, 1, 3]: walls a and b consecutive in it have b = a + 2, and
+    m = a + 1 is the wall next to both.  By the wall Gram closed form,
+    w_a and w_b are orthogonal with self-pairing -1, and each pairs to
+    phi = 1/(2 cos(2 pi/5)) with w_m.  Projecting w_m off both gives
     w_m + phi (w_a + w_b), of self-pairing 2 phi^2 - 1 = phi^3: the
     vertex is v = (w_m + phi (w_a + w_b))/phi^(3/2).  A positive sum of
     walls, v pairs positively with the regular polygon, so it needs no
@@ -201,7 +195,9 @@ def pentagon_report():
     """
     form = area_form(5)
     walls = pentagon_walls()
-    order = pentagon_wall_order()
+    # Consecutive entries are non-consecutive butterflies, whose walls
+    # meet at right angles.
+    order = [0, 2, 4, 1, 3]
     phi = 1.0 / (2.0 * math.cos(math.tau / 5))
     verts = []
     angles = []

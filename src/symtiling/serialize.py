@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 from .exact import Vec2
@@ -33,13 +34,14 @@ def encode(obj):
 
 def _coordinate(value):
     """A JSON number, which `json.load` makes an int or a float, or a
-    "p/q" string; a boolean is refused."""
-    if type(value) is float or type(value) is int:
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ValueError(f"a polygon coordinate is a number or a \"p/q\" "
-                     f"string, got {value!r}")
+    "p/q" string, within float range; a boolean, a value that is not
+    finite and one beyond float range are refused, naming the value."""
+    if type(value) in (float, int, str):
+        coordinate = Fraction(value) if type(value) is str else value
+        if abs(coordinate) <= sys.float_info.max:
+            return coordinate
+    raise ValueError(f"a polygon coordinate is a finite number or a \"p/q\" "
+                     f"string within float range, got {value!r}")
 
 
 def polygon_from_json(data) -> Polygon:

@@ -261,7 +261,7 @@ def polygon_area(poly: Polygon) -> float:
 
 
 def interior_angles(poly: Polygon):
-    e = poly.edge_vectors()
+    e = poly.edges
     out = []
     for i in range(poly.n):
         prev, cur = e[i - 1], e[i]

@@ -17,7 +17,8 @@ It then prints two lists:
 
 - each executable line of the package (`code.co_lines()` over every code
   object that compiling the file gives, less the line 0 of compiler-made
-  instructions) that no test ran;
+  instructions) that no test ran, with the `module.function` that holds
+  it, so that a document can cite the line by name;
 - each package function, lambdas and comprehensions aside, that ran and
   was called only from test frames.
 
@@ -46,11 +47,20 @@ def _zone(filename):
     return ZONES.get(os.path.dirname(os.path.realpath(filename)))
 
 
-def _code_objects(code):
-    yield code
+def _owned_lines(code, module, owner):
+    """(line, owner) for each executable line of code and of the code
+    objects it holds.  owner is the `module.function` qualname of the
+    innermost function that holds the line, a lambda or comprehension
+    counting as part of its enclosing function, or the module's name for
+    top-level code."""
+    if not code.co_name.startswith("<"):
+        owner = f"{module}.{code.co_qualname}"
+    for _, _, line in code.co_lines():
+        if line:
+            yield line, owner
     for const in code.co_consts:
         if hasattr(const, "co_lines"):
-            yield from _code_objects(const)
+            yield from _owned_lines(const, module, owner)
 
 
 def run(args):
@@ -90,11 +100,13 @@ def report(ran, callers):
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         source = text.splitlines()
-        lines = {line for code in _code_objects(compile(text, path, "exec"))
-                 for _, _, line in code.co_lines() if line}
-        unrun += [f"  {path.relative_to(ROOT)}:{line}: "
+        # A function's own lines come after its definer's, so the
+        # innermost owner of a shared line (a def's) is the one kept.
+        owners = dict(_owned_lines(compile(text, path, "exec"), path.stem,
+                                   path.stem))
+        unrun += [f"  {path.relative_to(ROOT)}:{line} ({owners[line]}): "
                   f"{source[line - 1].strip()}"
-                  for line in sorted(lines)
+                  for line in sorted(owners)
                   if (str(path), line) not in ran]
     test_only = sorted(
         f"  {os.path.relpath(code.co_filename, ROOT)}:{code.co_firstlineno}: "

@@ -302,10 +302,12 @@ def test_angle_and_edge_parsing():
     assert cli.parse_angle("pi/4") == pytest.approx(math.pi / 4)
     assert cli.parse_angle("3pi/8") == pytest.approx(3 * math.pi / 8)
     assert cli.parse_angle("0.75") == 0.75
-    edge = cli.parse_edge("h:2:-1")
+    edge = cli.parse_edge("--edge-a", "h:2:-1")
     assert (edge.axis, edge.line, edge.cell) == ("h", 2, -1)
-    with pytest.raises(ValueError):
-        cli.parse_edge("d:0:0")
+    with pytest.raises(ValueError, match="^--edge-a must look like"):
+        cli.parse_edge("--edge-a", "d:0:0")
+    with pytest.raises(ValueError, match="^--edge-b must look like"):
+        cli.parse_edge("--edge-b", FAR_EDGES[1])
     assert cli.parse_resolution("64") == (64, 64)
     for text in ("3x0", "3x"):
         with pytest.raises(ValueError):
@@ -592,6 +594,11 @@ def test_sunburst_solve_large_n_returns(tmp_path):
     assert "convex=True" in done.stdout
 
 
+# Grid edges whose line or cell is beyond float range: their refusal
+# names the flag that gave them.
+FAR_EDGES = ("v:0:1" + "0" * 400, f"v:{10 ** 400}:0")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["sunburst-solve", "--n", "2", "--seed", "1"], 2),
     (["sunburst-solve", "--free", "--n", "2", "--seed", "1"], 2),
@@ -614,16 +621,30 @@ def test_sunburst_solve_large_n_returns(tmp_path):
     (["grid-orbit", "--t", "1/3", "--max-steps", "-1"], 2),
     (["grid-portrait", "--max-steps", "-1"], 2),
     (["grid-orbit", "--t", "1/3", "--max-steps", "0"], 0),
-    (["grid-orbit", "--t", "1/3", "--edge-a", "v:0:1" + "0" * 400,
-      "--seed", "3"], 2),
-    (["grid-orbit", "--angle", "1", "--edge-a", f"v:{10 ** 400}:0",
-      "--seed", "3"], 2),
-    (["grid-portrait", "--t", "1/3", "--edge-a", f"v:{10 ** 400}:0",
+    (["grid-orbit", "--t", "1/3", "--edge-a", FAR_EDGES[0], "--seed", "3"],
+     2),
+    (["grid-orbit", "--angle", "1", "--edge-a", FAR_EDGES[1], "--seed", "3"],
+     2),
+    (["grid-portrait", "--t", "1/3", "--edge-a", FAR_EDGES[1],
       "--resolution", "2x2"], 2),
+    (["grid-orbit", "--t", "1/3", "--edge-a", FAR_EDGES[0], "--seed", "3",
+      "--max-steps", "2"], 2),
+    (["grid-portrait", "--t", "1/3", "--edge-b", FAR_EDGES[0],
+      "--max-steps", "2", "--resolution", "2x2"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
-    done = run_module(tmp_path, argv, timeout=20)
+    jpath = tmp_path / "out.json"
+    done = run_module(tmp_path, argv + ["--json", str(jpath)], timeout=20)
     assert done.returncode == code, done.stderr
+    assert jpath.exists() == (code == 0)
+    for flag, value in zip(argv, argv[1:]):
+        if value in FAR_EDGES:
+            assert done.stderr.startswith(f"error: {flag} "), done.stderr
+
+
+# Polygon coordinates refused for their value: not finite, or beyond
+# float range.
+REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400)
 
 
 @pytest.mark.parametrize("command, data", [
@@ -637,14 +658,23 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     ("linkage-convert", [[0, 0], [1, 0], [True, 1]]),
     *((command, [["1e400", 0], ["2e400", 0], ["15e399", "1e400"]])
       for command in ("linkage-convert", "moduli-embed")),
+    ("linkage-convert", [[0, 0], [1, 0], [math.inf, 1]]),
+    ("moduli-embed", [[0, 0], [1, 0], [0, 10 ** 400]]),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"
     jpath = tmp_path / "out.json"
     path.write_text(json.dumps(data))
     assert cli.main([command, str(path), "--json", str(jpath)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
     assert not jpath.exists()
+    # A coordinate refused for its value is named in the refusal.
+    refused = [c for vertex in (data if isinstance(data, list) else ())
+               if isinstance(vertex, list) for c in vertex
+               if c in REFUSED_COORDINATES]
+    if refused:
+        assert err.rstrip().endswith(f"got {refused[0]!r}"), err
 
 
 @pytest.mark.parametrize("command", ["sunburst-solve", "linkage-convert",

@@ -85,7 +85,7 @@ def test_solve_equiangular_produces_equiangular_polygon():
         target = math.pi * (n - 2) / n
         for angle in interior_angles(out):
             assert abs(angle - target) <= 1e-9
-        edges = out.edge_vectors()
+        edges = out.edges
         for i in range(n):
             cur, nxt = edges[i], edges[(i + 1) % n]
             turn = math.atan2(float(cur.cross(nxt)), float(dot(cur, nxt)))

@@ -6,9 +6,8 @@ import pytest
 
 from symtiling.errors import NonPositiveArea, ParallelWitnessLines
 from symtiling.moduli import (area_form, cyclic_fixed_point, pentagon_report,
-                              pentagon_wall_order, pentagon_walls,
-                              reference_point, to_disk, to_hyperbolic,
-                              wall_normal)
+                              pentagon_walls, reference_point, to_disk,
+                              to_hyperbolic, wall_normal)
 
 from symtiling.linkage import random_convex_equilateral
 from symtiling.pipeline import equilateral_to_hyperbolic
@@ -279,7 +278,7 @@ def test_nonconsecutive_butterflies_commute():
 def test_walls_are_normalized_and_adjacent_orthogonal():
     form = area_form(5)
     walls = pentagon_walls()
-    order = pentagon_wall_order()
+    order = pentagon_report()["order"]
     for w in walls:
         assert abs(form.pairing(w, w) + 1.0) <= 1e-9
     for i in range(5):

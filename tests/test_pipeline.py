@@ -28,7 +28,7 @@ def oracle_offsets_from_equiangular(poly: Polygon, tol: float = 1e-6
     equiangular in traversal order) raises ValueError.
     """
     n = poly.n
-    e = poly.edge_vectors()
+    e = poly.edges
     phi0 = math.atan2(float(e[0].y), float(e[0].x))
     rho = (TWO_PI / n + math.pi) - phi0
     rotated = poly.rotated(rho)

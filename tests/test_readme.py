@@ -1,6 +1,7 @@
 """The README's examples run against the code as it is: every CLI line
 parses, the minimal session prints the verdict it promises, each listed
-tolerance is the constant it names, and no tolerance goes unlisted."""
+tolerance is the constant it names, and no tolerance goes unlisted.  The
+README and `docs/decisions.md` cite code by name, not by line."""
 
 import ast
 import importlib
@@ -41,6 +42,15 @@ def test_readme_minimal_session_prints_its_verdict(capsys):
 def tolerance_section():
     section = README.read_text("utf-8").split("## Tolerances")[1]
     return section.split("\n## ")[0]
+
+
+def test_docs_cite_code_by_name_not_by_line():
+    """A `name.py:NNN` citation drifts whenever a line above it moves;
+    `module.function` and the statement stay put (`tests/reach.py`
+    prints both for each unrun line)."""
+    for path in (README, ROOT / "docs" / "decisions.md"):
+        cited = re.findall(r"[\w/.]*\w\.py:\d+", path.read_text("utf-8"))
+        assert not cited, (path.name, cited)
 
 
 def test_readme_tolerances_are_the_constants():
