@@ -33,22 +33,22 @@ PENTAGON_TOL = 1e-9
 
 
 def parse_angle(text: str) -> float:
-    """Angles like 'pi/4', '3pi/8', 'pi', or a plain float in radians;
-    ValueError unless the angle is finite."""
+    """--angle's value: 'pi/4', '3pi/8', '-pi', or a plain float in
+    radians; else ValueError naming the flag and the value, also when
+    the angle is not finite."""
     head, pi, tail = text.strip().replace(" ", "").partition("pi")
-    if not pi:
-        angle = float(head)
-    else:
-        num = float(head) if head not in ("", "+") else (
-            -1.0 if head == "-" else 1.0)
-        den = 1.0
-        if tail:
-            if not tail.startswith("/"):
-                raise ValueError(f"cannot parse angle {text!r}")
-            den = float(tail[1:])
-        angle = num * math.pi / den if den else math.inf
+    try:
+        angle = float(head + "1" if pi and head in ("", "+", "-") else head)
+        if pi:
+            if tail and not tail.startswith("/"):
+                raise ValueError
+            den = float(tail[1:]) if tail else 1.0
+            angle = angle * math.pi / den if den else math.inf
+    except ValueError:
+        angle = math.nan
     if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {text!r}")
+        raise ValueError(f"--angle must be a finite angle such as pi/4, "
+                         f"3pi/8 or 0.75, got {text!r}")
     return angle
 
 
@@ -68,18 +68,17 @@ def parse_edge(flag: str, text: str) -> GridEdge:
 
 
 def parse_resolution(text: str):
-    """WxH, or a bare W for a square."""
+    """--resolution's WxH, or a bare W for a square; else ValueError
+    naming the flag and the value."""
     w, x, h = text.lower().partition("x")
-    if x and not h:
-        raise ValueError(f"resolution needs a height after x, got {text!r}")
     try:
-        hw, hh = int(w), int(h or w)
+        size = int(w), int(h if x else w)
     except ValueError:
-        raise ValueError(f"resolution must look like 64x64 or 64, "
-                         f"got {text!r}") from None
-    if hw < 1 or hh < 1:
-        raise ValueError(f"resolution must be positive, got {text!r}")
-    return hw, hh
+        size = 0, 0
+    if min(size) < 1:
+        raise ValueError(f"--resolution must look like 64x64 or 64, with "
+                         f"positive sides, got {text!r}")
+    return size
 
 
 def parse_steps(text: str) -> int:
@@ -265,9 +264,7 @@ def cmd_pentagon_verify(args):
     right_angled = angle_residual <= PENTAGON_TOL
     golden = (1.0 + math.sqrt(5.0)) / 2.0
     side_residual = max(abs(math.cosh(s) - golden) for s in report["sides"])
-    walls, order = report["walls"], report["order"]
-    ortho = [abs(form.pairing(walls[order[i]], walls[order[(i + 1) % 5]]))
-             for i in range(5)]
+    ortho = [abs(p) for p in report["pairings"]]
     out = {
         "signature": list(form.signature),
         "angles": list(report["angles"]),

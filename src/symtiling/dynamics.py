@@ -165,13 +165,14 @@ class OrbitRecord:
     `run_orbit` makes its record with `traced`, which holds each state's
     pair of particle tuples and the grid pair instead of the three
     lists.  The first read of either point list builds both, in one pass
-    of `float_point` over the tuples.  The first read of the bit lengths
-    builds them alone, from the positions' denominators, or as 53s for a
-    float run, with no point.  Later reads find them set.  So a run whose
-    verdict needs no trace, as a recurrence's or a vertex hit's does not,
-    never builds one, while `==`, repr and the wire rule, which read
-    every field, see the same lists as a record built with them.  steps,
-    termination and exact build nothing.
+    of `float_point`, which gives points alone, over the tuples.  The
+    first read of the bit lengths builds them in a pass of their own,
+    from the positions' denominators, or as 53s for a float run, with no
+    point.  Later reads find them set.  So a run whose verdict needs no
+    trace, as a recurrence's or a vertex hit's does not, never builds
+    one, while `==`, repr and the wire rule, which read every field, see
+    the same lists as a record built with them.  steps, termination and
+    exact build nothing.
     """
 
     start: PairState
@@ -204,8 +205,8 @@ class OrbitRecord:
         elif name in ("a_points", "b_points"):
             (a_tiling, b_tiling), trace = self._grids, self._trace
             a_point, b_point = a_tiling.float_point, b_tiling.float_point
-            self.a_points = [a_point(a[:3], a[3])[:2] for a, _ in trace]
-            self.b_points = [b_point(b[:3], b[3])[:2] for _, b in trace]
+            self.a_points = [a_point(a[:3], a[3]) for a, _ in trace]
+            self.b_points = [b_point(b[:3], b[3]) for _, b in trace]
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -273,7 +274,7 @@ def _shift(tiling, now: tuple, prev: tuple) -> tuple:
         local = Vec2(normal, along) if axis == "v" else Vec2(along, normal)
         return local, tiling.to_world(local)
     frac = pos - prev_pos
-    x, y, _ = tiling.float_point((axis, normal, along), frac)
+    x, y = tiling.float_point((axis, normal, along), frac)
     along += frac
     local = Vec2(normal, along) if axis == "v" else Vec2(along, normal)
     return local, Vec2(x, y)
@@ -588,26 +589,20 @@ def classify(record: OrbitRecord) -> Classification:
     return Classification(INCONCLUSIVE, evidence)
 
 
-def portrait_cell(a_tiling, b_tiling, edge_a, edge_b, frac_a, frac_b,
-                  max_steps: int) -> str:
-    """Classify the orbit started at the given edge fractions.  Pure; the
-    portrait grid may evaluate cells in any order or in parallel.
-    """
-    state = PairState(a_tiling.particle_on(edge_a, frac_a),
-                      b_tiling.particle_on(edge_b, frac_b))
-    record = run_orbit(a_tiling, b_tiling, state, max_steps)
-    return classify(record).verdict
-
-
 def phase_portrait(a_tiling, b_tiling, edge_a, edge_b, resolution,
                    max_steps: int = 200):
     """Verdict raster over (position along edge_a) x (position along
     edge_b), sampled at cell centers (2i+1)/2w by (2j+1)/2h.  Returns h
-    rows of w verdict strings, row j holding edge_b fraction (2j+1)/2h.
+    rows of w verdict strings, row j holding edge_b fraction (2j+1)/2h:
+    cell (i, j) is the `classify` verdict of the orbit from that centre.
     """
     w, h = resolution
-    return [[portrait_cell(a_tiling, b_tiling, edge_a, edge_b,
-                           Fraction(2 * i + 1, 2 * w),
-                           Fraction(2 * j + 1, 2 * h), max_steps)
-             for i in range(w)]
-            for j in range(h)]
+
+    def verdict(i, j):
+        state = PairState(
+            a_tiling.particle_on(edge_a, Fraction(2 * i + 1, 2 * w)),
+            b_tiling.particle_on(edge_b, Fraction(2 * j + 1, 2 * h)))
+        return classify(run_orbit(a_tiling, b_tiling, state,
+                                  max_steps)).verdict
+
+    return [[verdict(i, j) for i in range(w)] for j in range(h)]

@@ -15,15 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-def rational(value) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a 'p/q' string."""
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"not a rational: {value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class Vec2:
     x: Fraction | float | int
@@ -55,9 +46,12 @@ def rational_circle_point(t) -> Vec2:
     """The unit-circle point ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)).
 
     Rational t gives a point with exactly rational coordinates, so grids
-    rotated by it stay inside exact arithmetic.
+    rotated by it stay inside exact arithmetic.  t is an int, a Fraction
+    or a 'p/q' string; anything else, a float included, is a TypeError.
     """
-    t = rational(t)
+    if not isinstance(t, (Fraction, int, str)):
+        raise TypeError(f"not a rational: {t!r}")
+    t = Fraction(t)
     d = 1 + t * t
     return Vec2((1 - t * t) / d, 2 * t / d)
 

@@ -136,13 +136,6 @@ class HyperbolicPoint:
     coords: tuple
 
 
-def reference_point(n: int) -> tuple:
-    """Image of the regular n-gon (all offsets equal), selecting the
-    positive sheet.
-    """
-    return to_hyperbolic((1.0,) * n).coords
-
-
 def to_hyperbolic(s) -> HyperbolicPoint:
     """Reduce to quotient coordinates and normalize to unit area."""
     form = area_form(len(s))
@@ -180,8 +173,9 @@ def pentagon_walls():
 @lru_cache(maxsize=None)
 def pentagon_report():
     """Vertices, interior angles, and side lengths of the right-angled
-    pentagon bounded by the five butterfly walls.  Built once and
-    shared by every caller, which only reads it.
+    pentagon bounded by the five butterfly walls, and the pairings of
+    its adjacent walls.  Built once and shared by every caller, which
+    only reads it.
 
     The walls' boundary order lives here, as the report's "order",
     [0, 2, 4, 1, 3]: walls a and b consecutive in it have b = a + 2, and
@@ -191,7 +185,9 @@ def pentagon_report():
     w_m + phi (w_a + w_b), of self-pairing 2 phi^2 - 1 = phi^3: the
     vertex is v = (w_m + phi (w_a + w_b))/phi^(3/2).  A positive sum of
     walls, v pairs positively with the regular polygon, so it needs no
-    sign test.  Angles and sides are measured from pairings.
+    sign test.  The angles are measured from the adjacent walls'
+    pairings, kept as the report's "pairings", and the sides from the
+    vertices' pairings.
     """
     form = area_form(5)
     walls = pentagon_walls()
@@ -200,17 +196,18 @@ def pentagon_report():
     order = [0, 2, 4, 1, 3]
     phi = 1.0 / (2.0 * math.cos(math.tau / 5))
     verts = []
-    angles = []
+    pairings = []
     for i in range(5):
         wa, wb = walls[order[i]], walls[order[(i + 1) % 5]]
         wm = walls[(order[i] + 1) % 5]
         verts.append(tuple((m + phi * (a + b)) / phi ** 1.5
                            for m, a, b in zip(wm, wa, wb)))
-        angles.append(math.acos(max(-1.0, min(1.0, -form.pairing(wa, wb)))))
+        pairings.append(form.pairing(wa, wb))
+    angles = [math.acos(max(-1.0, min(1.0, -p))) for p in pairings]
     sides = [math.acosh(max(form.pairing(verts[i], verts[(i + 1) % 5]), 1.0))
              for i in range(5)]
-    return {"walls": walls, "order": order, "vertices": verts,
-            "angles": angles, "sides": sides}
+    return {"walls": walls, "order": order, "pairings": pairings,
+            "vertices": verts, "angles": angles, "sides": sides}
 
 
 def cyclic_fixed_point(n: int) -> HyperbolicPoint:
@@ -218,7 +215,7 @@ def cyclic_fixed_point(n: int) -> HyperbolicPoint:
     positive sheet: the regular n-gon, since relabeling leaves the
     all-ones offset vector unchanged.
     """
-    return HyperbolicPoint(n, reference_point(n))
+    return to_hyperbolic((1.0,) * n)
 
 
 def to_disk(p: HyperbolicPoint) -> tuple:

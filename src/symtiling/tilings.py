@@ -39,8 +39,7 @@ bases stay small.  So an exact move does integer work whose every gcd
 takes one small argument (`_lowest_terms`): a reduction of a big integer
 by a big one would cost time quadratic in the bit length, and a move
 costs time linear in it.  A point (`float_point`) is float work for both
-types of position, and its bit length is q's, or 53 for a float: it
-takes no gcd, and does not change when a grid is scaled.
+types of position: it takes no gcd.
 """
 
 from __future__ import annotations
@@ -181,14 +180,11 @@ class GridTiling:
         return self.to_world(Vec2(edge.cell + frac, edge.line))
 
     def float_point(self, edge, frac) -> tuple:
-        """(x, y, bits): `point_on(edge, frac)` as floats, and the bit
-        length of the position: q's for an exact p/q, which lies in (0, 1)
-        so q > p, and 53 for a float.  The edge may be any (axis, line,
-        cell) triple, and frac a position as `to_tuple` holds it.  This is
-        the one place an orbit record's points come from: a
-        `dynamics.OrbitRecord` calls it once per particle and state, on
-        the first read of its points, and reads its bit lengths, these
-        same bits, off the positions alone.  A float run also
+        """(x, y): `point_on(edge, frac)` as floats.  The edge may be any
+        (axis, line, cell) triple, and frac a position as `to_tuple`
+        holds it.  This is the one place an orbit record's points come
+        from: a `dynamics.OrbitRecord` calls it once per particle and
+        state, on the first read of its points.  A float run also
         locates its vertex hit with it (`vertex_location`), and takes the
         world translations of its closures from it, with a line and cell
         change for the edge and a position change for frac.
@@ -207,12 +203,12 @@ class GridTiling:
         fa, fb, fc, fe = self._float_basis
         if type(frac) is tuple:
             p, q = frac
-            along, bits = (cell * q + p) / q, q.bit_length()
+            along = (cell * q + p) / q
         else:
-            along, bits = cell + frac, 53
+            along = cell + frac
         if axis == "v":
-            return a * line / d + fb * along, c * line / d + fe * along, bits
-        return fa * along + b * line / d, fc * along + e * line / d, bits
+            return a * line / d + fb * along, c * line / d + fe * along
+        return fa * along + b * line / d, fc * along + e * line / d
 
     def particle_on(self, edge: GridEdge, frac, side: int = 1) -> Particle:
         """Particle at frac in (0, 1) along the open edge, else ValueError,
@@ -238,7 +234,7 @@ class GridTiling:
         position takes `float_point`'s float formula, which rounds so, and
         an exact one `point_on` itself."""
         if type(moved[3]) is not tuple:
-            return self.float_point(moved[:3], moved[3])[:2]
+            return self.float_point(moved[:3], moved[3])
         hit = from_tuple(moved)
         point = self.point_on(hit.edge, hit.pos)
         return float(point.x), float(point.y)

@@ -23,6 +23,7 @@ solver's bracketed Newton iteration uses.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
@@ -57,10 +58,14 @@ class Sunburst:
             raise InvalidSunburst("ray angles must be a list") from None
         if len(angles) < 3:
             raise InvalidSunburst("a sunburst needs at least 3 rays")
-        if not all((type(t) is float or type(t) is int
-                    or isinstance(t, Real) and not isinstance(t, bool))
-                   and math.isfinite(t) for t in angles):
-            raise InvalidSunburst("ray angles must be finite real numbers")
+        for t in angles:
+            # An exact comparison, which a value beyond float range cannot
+            # overflow, as math.isfinite would.
+            if not ((type(t) is float or type(t) is int
+                     or isinstance(t, Real) and not isinstance(t, bool))
+                    and abs(t) <= sys.float_info.max):
+                raise InvalidSunburst(f"ray angles must be finite real "
+                                      f"numbers within float range, got {t!r}")
         angles = tuple(map(float, angles))
         n = len(angles)
         total = 0.0

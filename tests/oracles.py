@@ -18,7 +18,7 @@ from symtiling.errors import (DegenerateStep, EmptyInterval,
                               ParallelWitnessLines, VertexHit)
 from symtiling.exact import Vec2, unit_from_angle
 from symtiling.linkage import Polygon
-from symtiling.moduli import HyperbolicPoint, area_form, reference_point
+from symtiling.moduli import HyperbolicPoint, area_form, cyclic_fixed_point
 from symtiling.tilings import Particle
 from symtiling.weave import (HolonomyReport, PhaseInterval, SunburstPair,
                              orbit_points, phase_arcs)
@@ -141,10 +141,12 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     The run is exact when both grids are exact, and then holds every
     position as its exact ratio, a float start position's included; when
     either grid is a float grid every position is a float from the start
-    on.  The kept states hold the start so.  The record's points and bit
-    lengths come from `GridTiling.float_point`, given each position as
-    `tilings.to_tuple` holds it, in float work that takes no gcd.  Exact
-    keys hold a position as its (numerator, denominator).
+    on.  The kept states hold the start so.  The record's points come
+    from `GridTiling.float_point`, given each position as
+    `tilings.to_tuple` holds it, in float work that takes no gcd.  Its
+    bit lengths are read off the held positions: q's for a (p, q), and
+    53 for a float.  Exact keys hold a position as its (numerator,
+    denominator).
     """
     if not tilings.is_transverse(a_tiling, b_tiling):
         raise NonTransverseEdges("the two grids have parallel edges")
@@ -166,11 +168,10 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
 
     def record_state(st: PairState):
         a, b = held(st.a), held(st.b)
-        ax, ay, a_bits = a_tiling.float_point(a[:3], a[3])
-        bx, by, b_bits = b_tiling.float_point(b[:3], b[3])
-        a_points.append((ax, ay))
-        b_points.append((bx, by))
-        bit_lengths.append(max(a_bits, b_bits))
+        a_points.append(a_tiling.float_point(a[:3], a[3]))
+        b_points.append(b_tiling.float_point(b[:3], b[3]))
+        bit_lengths.append(max(pos[1].bit_length() if type(pos) is tuple
+                               else 53 for pos in (a[3], b[3])))
 
     def check_recurrence(st: PairState, idx: int):
         ka, kb = _key(st.a, tol), _key(st.b, tol)
@@ -435,7 +436,7 @@ def oracle_wall_intersection(wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
     q = form.pairing(v, v)
     assert q > 0, "walls do not meet on the hyperboloid"
     v = v / math.sqrt(q)
-    if form.pairing(reference_point(form.n), v) < 0:
+    if form.pairing(cyclic_fixed_point(form.n).coords, v) < 0:
         v = -v
     return v
 

@@ -280,7 +280,7 @@ def test_regular_60_gon_converts_and_embeds(tmp_path):
     assert cli.main(["moduli-embed", str(ppath), "--json", str(jpath)]) == 0
     assert time.perf_counter() - start < 30.0
     coords = np.array(json.loads(jpath.read_text())["point"]["coords"])
-    ref = moduli.reference_point(60)
+    ref = moduli.cyclic_fixed_point(60).coords
     assert np.max(np.abs(coords - ref)) <= 1e-9
 
 
@@ -302,6 +302,7 @@ def test_angle_and_edge_parsing():
     assert cli.parse_angle("pi/4") == pytest.approx(math.pi / 4)
     assert cli.parse_angle("3pi/8") == pytest.approx(3 * math.pi / 8)
     assert cli.parse_angle("0.75") == 0.75
+    assert cli.parse_angle("-pi/2") == -math.pi / 2
     edge = cli.parse_edge("--edge-a", "h:2:-1")
     assert (edge.axis, edge.line, edge.cell) == ("h", 2, -1)
     with pytest.raises(ValueError, match="^--edge-a must look like"):
@@ -449,13 +450,23 @@ def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     (["grid-portrait", "--t", "1/0", "--resolution", "2x2"], "--t"),
     (["grid-orbit", "--frac-a", "1/0"], "--frac-a"),
     (["grid-orbit", "--frac-b", "1/0"], "--frac-b"),
+    (["grid-orbit", "--angle", "2pi/3/4"], "--angle"),
+    (["grid-orbit", "--angle", "pi/x"], "--angle"),
+    (["grid-portrait", "--angle", "abc", "--resolution", "2x2"], "--angle"),
+    (["grid-orbit", "--angle", "pi/0"], "--angle"),
+    (["grid-portrait", "--resolution", "x3"], "--resolution"),
+    (["grid-portrait", "--resolution", "3x"], "--resolution"),
+    (["grid-portrait", "--resolution", "3x0"], "--resolution"),
 ])
 def test_zero_denominator_exits_two_naming_its_flag(tmp_path, capsys, argv,
                                                     flag):
+    """A refused --t, --frac-a, --frac-b, --angle or --resolution value
+    is named in full, after its flag."""
     jpath = tmp_path / "run.json"
     assert cli.main(argv + ["--json", str(jpath)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {flag} ") and "'1/0'" in err
+    value = argv[argv.index(flag) + 1]
+    assert err.startswith(f"error: {flag} ") and f"got {value!r}" in err
     assert not jpath.exists()
 
 
@@ -642,8 +653,8 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
             assert done.stderr.startswith(f"error: {flag} "), done.stderr
 
 
-# Polygon coordinates refused for their value: not finite, or beyond
-# float range.
+# Polygon coordinates and ray angles refused for their value: not
+# finite, or beyond float range.
 REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400)
 
 
@@ -660,6 +671,7 @@ REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400)
       for command in ("linkage-convert", "moduli-embed")),
     ("linkage-convert", [[0, 0], [1, 0], [math.inf, 1]]),
     ("moduli-embed", [[0, 0], [1, 0], [0, 10 ** 400]]),
+    ("sunburst-solve", [0, 2, 4, 10 ** 400]),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"
@@ -669,9 +681,10 @@ def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert not jpath.exists()
-    # A coordinate refused for its value is named in the refusal.
-    refused = [c for vertex in (data if isinstance(data, list) else ())
-               if isinstance(vertex, list) for c in vertex
+    # A coordinate or ray angle refused for its value is named in the
+    # refusal.
+    refused = [c for item in (data if isinstance(data, list) else ())
+               for c in (item if isinstance(item, list) else [item])
                if c in REFUSED_COORDINATES]
     if refused:
         assert err.rstrip().endswith(f"got {refused[0]!r}"), err

@@ -11,8 +11,7 @@ from symtiling import dynamics, serialize, svgout, tilings
 from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE, PERIODIC,
                                 SINGULAR, UNBOUNDED_DRIFT, OrbitRecord,
                                 PairState, Termination, certify, classify,
-                                phase_portrait, portrait_cell, run_orbit,
-                                step)
+                                phase_portrait, run_orbit, step)
 from symtiling.errors import NonTransverseEdges, VertexHit
 from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
@@ -295,9 +294,8 @@ def test_float_point_matches_point_on_bit_for_bit():
             edge = GridEdge(rng.choice("vh"), rng.randint(-span, span),
                             rng.randint(-span, span))
             pos = rng.uniform(0.0, 1.0) or 0.5
-            (x, y), bits = recorded(tiling, Particle(edge, pos, 1))
-            assert tiling.float_point(edge, pos) == (x, y, bits) == (
-                x, y, 53)
+            point = recorded(tiling, Particle(edge, pos, 1))[0]
+            assert tiling.float_point(edge, pos) == point
             end = rng.choice((pos, pos * 1e-9, 1 - pos * 1e-9))
             moved = (*edge, end, 1)
             want = recorded(tiling, tilings.from_tuple(moved))[0]
@@ -393,12 +391,12 @@ def test_long_exact_orbit_takes_only_big_by_small_gcds(monkeypatch):
 def test_float_position_on_an_exact_pair_is_held_exactly():
     """The exact 1/3 pair holds A's float 0.25 as 1/4, so the record is
     exact and its first bit length is 3, that of 1/4, above B's 1/2.
-    `float_point`, handed the float itself, still reads 53 bits."""
+    `float_point`, handed the float itself, gives its world point."""
     a = GridTiling.standard()
     b = GridTiling.from_parameter(Fraction(1, 3))
     start = PairState(Particle(GridEdge("v", 0, 0), 0.25, 1),
                       b.particle_on(GridEdge("h", 0, 0), Fraction(1, 2), -1))
-    assert a.float_point(start.a.edge, start.a.pos) == (0.0, 0.25, 53)
+    assert a.float_point(start.a.edge, start.a.pos) == (0.0, 0.25)
     rec = check_recording(a, b, start, 40)
     assert rec.exact and rec.bit_lengths[0] == 3
     assert rec.states[0].a.pos == Fraction(1, 4)
@@ -995,17 +993,20 @@ def test_classify_terminations_map_to_verdicts():
 
 
 def test_portrait_cell_and_grid():
-    a = GridTiling.standard()
-    b = GridTiling.from_parameter(Fraction(1, 3))
+    """Cell (i, j) of a 3x2 raster is the verdict of the orbit from its
+    centre, (2i+1)/6 along edge_a and (2j+1)/4 along edge_b, on an exact
+    pair and on a float pair, neither of whose rasters is constant."""
     edge = GridEdge("v", 0, 0)
-    single = phase_portrait(a, b, edge, edge, (1, 1), max_steps=40)
-    assert single == [[portrait_cell(a, b, edge, edge, Fraction(1, 2),
-                                     Fraction(1, 2), 40)]]
-    rows = phase_portrait(a, b, edge, edge, (3, 2), max_steps=30)
-    assert len(rows) == 2 and all(len(r) == 3 for r in rows)
-    allowed = {PERIODIC, UNBOUNDED_DRIFT, BOUNDED_ATTRACTED, SINGULAR,
-               INCONCLUSIVE}
-    assert all(v in allowed for row in rows for v in row)
+    for a, b, max_steps in (
+            (GridTiling.standard(), GridTiling.from_parameter(Fraction(3, 7)),
+             30),
+            (float_a(), float_grid(theta=math.pi / 5), 60)):
+        rows = phase_portrait(a, b, edge, edge, (3, 2), max_steps=max_steps)
+        assert rows == [[classify(run_orbit(a, b, PairState(
+            a.particle_on(edge, Fraction(2 * i + 1, 6)),
+            b.particle_on(edge, Fraction(2 * j + 1, 4))), max_steps)).verdict
+            for i in range(3)] for j in range(2)]
+        assert len({v for row in rows for v in row}) > 1
 
 
 def test_portrait_rejects_parallel_edges():

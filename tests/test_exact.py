@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symtiling.exact import (Vec2, rational, rational_circle_point, rotate,
+from symtiling.exact import (Vec2, rational_circle_point, rotate,
                              unit_from_angle)
 
 from oracles import bit_length, dot
@@ -19,11 +19,15 @@ def rand_vec(rng):
 
 
 def test_rational_parsing():
-    assert rational("3/4") == Fraction(3, 4)
-    assert rational(5) == Fraction(5)
-    assert rational(Fraction(-2, 7)) == Fraction(-2, 7)
+    """The circle parameter is an int, a Fraction or a 'p/q' string,
+    each giving the exact point of its Fraction; a float is refused."""
+    for t, q in (("3/4", Fraction(3, 4)), (5, Fraction(5)),
+                 (Fraction(-2, 7), Fraction(-2, 7))):
+        point = rational_circle_point(t)
+        assert point == Vec2((1 - q * q) / (1 + q * q), 2 * q / (1 + q * q))
+        assert type(point.x) is Fraction and type(point.y) is Fraction
     with pytest.raises(TypeError):
-        rational(0.5)
+        rational_circle_point(0.5)
 
 
 def test_bit_length_tracks_numerator_and_denominator():

@@ -6,8 +6,8 @@ import pytest
 
 from symtiling.errors import NonPositiveArea, ParallelWitnessLines
 from symtiling.moduli import (area_form, cyclic_fixed_point, pentagon_report,
-                              pentagon_walls, reference_point, to_disk,
-                              to_hyperbolic, wall_normal)
+                              pentagon_walls, to_disk, to_hyperbolic,
+                              wall_normal)
 
 from symtiling.linkage import random_convex_equilateral
 from symtiling.pipeline import equilateral_to_hyperbolic
@@ -243,7 +243,7 @@ def test_wall_normals_are_spacelike_and_point_inward():
     for n in range(5, 65):
         form = area_form(n)
         q = -1.0 / math.tan(2.0 * math.pi / n)
-        ref = reference_point(n)
+        ref = cyclic_fixed_point(n).coords
         for k in range(n):
             e = form.reduce(np.eye(n)[k])
             assert math.isclose(form.pairing(e, e), q, rel_tol=1e-12)
@@ -276,14 +276,18 @@ def test_nonconsecutive_butterflies_commute():
 
 
 def test_walls_are_normalized_and_adjacent_orthogonal():
+    """The report's pairings are those of its walls adjacent in its
+    order, bit for bit, and vanish."""
     form = area_form(5)
     walls = pentagon_walls()
-    order = pentagon_report()["order"]
+    report = pentagon_report()
+    order = report["order"]
     for w in walls:
         assert abs(form.pairing(w, w) + 1.0) <= 1e-9
     for i in range(5):
         wa = walls[order[i]]
         wb = walls[order[(i + 1) % 5]]
+        assert report["pairings"][i] == form.pairing(wa, wb)
         assert abs(form.pairing(wa, wb)) <= 1e-9
 
 
@@ -359,8 +363,6 @@ def test_cyclic_fixed_point_is_fixed():
     assert np.max(np.abs(cq @ x - x)) <= 1e-9
     regular = to_hyperbolic(np.ones(5))
     assert np.max(np.abs(as_array(regular) - x)) <= 1e-9
-    ref = reference_point(5)
-    assert np.max(np.abs(ref - x)) <= 1e-9
 
 
 def test_fixed_point_inside_wall_pentagon():

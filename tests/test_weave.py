@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
@@ -36,6 +37,11 @@ def test_sunburst_validation():
                    5):
         with pytest.raises(InvalidSunburst):
             Sunburst(angles)
+    # Beyond float range, where math.isfinite would overflow.
+    for huge in (10 ** 400, Fraction(10 ** 400, 3)):
+        with pytest.raises(InvalidSunburst) as refused:
+            Sunburst([0, 2, 4, huge])
+        assert str(refused.value).endswith(f"got {huge!r}")
     for n in (2, 0, -1):
         with pytest.raises(InvalidSunburst, match="at least 3 rays"):
             random_balanced_sunburst(random.Random(1), n)
