@@ -83,7 +83,11 @@ def parse_resolution(text: str):
 
 def parse_steps(text: str) -> int:
     """A --max-steps budget: a whole number of steps, 0 or more."""
-    steps = int(text)
+    try:
+        steps = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a whole number, 0 or more, got {text!r}") from None
     if steps < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {steps}")
     return steps
@@ -131,6 +135,11 @@ def start_state(a, b, args) -> PairState:
                            if key not in given})
         fa = parse_fraction("--frac-a", args.frac_a)
         fb = parse_fraction("--frac-b", args.frac_b)
+        # A float grid holds float(frac), which may round to 0 or 1.
+        for flag, grid, frac, text in (("--frac-a", a, fa, args.frac_a),
+                                       ("--frac-b", b, fb, args.frac_b)):
+            if not 0 < frac < 1 or not (grid.exact or 0 < float(frac) < 1):
+                raise ValueError(f"{flag} must lie in (0, 1), got {text!r}")
         sa, sb = args.side_a, args.side_b
     return PairState(
         a.particle_on(parse_edge("--edge-a", args.edge_a), fa, sa),

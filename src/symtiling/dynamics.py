@@ -12,30 +12,9 @@ moves along one of two chords, the other grid's edge directions in its
 own grid's frame, and reads that chord's branch data from the entries
 its grid keeps per other grid (`GridTiling.branches`).
 
-`step` and `run_orbit` move particles in one way.  Both start in
-`_hold`, which decides the one arithmetic of the step or run from the
-grids alone: exact when both grids are exact, else float.  It holds each
-particle as the plain tuple (axis, line, cell, pos, across) that the
-pair's move steps: on an exact pair `tilings.move`, with every position
-its exact ratio, a coprime pair (p, q) of ints, a float start position's
-included, and on a pair with a float grid `tilings.move_float`, with
-every position a float from the start, so a float run rounds a rational
-start position once.  It also reads both grids' branch entries from
-`GridTiling.branches`, the one set-up of a pair of grids, which refuses
-a pair with parallel edges before it builds a table.  Both `step` and
-`run_orbit` then pick the pair's move once from that arithmetic,
-`run_orbit` with its whole loop, and build a `Particle` only where they
-report one.  Over rationals, a position's bit length grows with every
-step, while chords and grid bases stay small; so a move is integer work
-that reduces a big integer only by gcds with a small one, and costs time
-linear in the bit length.  A run keeps each state once, as its pair of
-particle tuples in the run's trace: its recurrence indexes hold trace
-indices, and its kept states and its record's float world points
-(`GridTiling.float_point`) and bit lengths are built from the trace, the
-points and bit lengths on their first read, with no gcd.
-`classify` reads them only for a run that stops as 'attracted' or at its
-step budget, so a run that ends at a vertex or a recurrence never builds
-them.
+`run_orbit` iterates the map, and `step` is its first step, so the map
+is stepped in one place per arithmetic: `run_orbit`'s exact and float
+loops.
 
 Recurrence detection is one keyed lookup.  A state is keyed by its
 position within the period lattices (edge axis, position along the
@@ -49,24 +28,12 @@ same shifts, and no later state under a key closes unless the first
 one does.  Over rationals the key and the comparison are exact and the
 verdict is proved, and a step reads one dict entry.  In float mode
 positions are snapped to steps of the grid kernel's tolerance,
-`tilings.FLOAT_TOL`, and the comparison allows that tolerance.  The
-float states are kept in a two-level index: the outer key is A's
-snapped step, an int, and the inner key holds both edge axes and
-crossing signs and B's snapped step.  A step looks up the outer keys of
-A's step and the steps one below and one above, and builds and reads
-the three inner keys of B's steps only under an outer key that is
-there, so it meets the same first states as a lookup of its key and the
-eight keys one step away, in three int lookups where keys rarely
-repeat.  A state is kept by a new one-entry dict under a new outer key,
-and by one insert into the inner dict that is there.  A candidate is
-compared with the state as two trace entries (`_closure`): exactly in
-exact mode, and in float mode by the float formula of
+`tilings.FLOAT_TOL`, and the comparison allows that tolerance.  A
+candidate is compared with the state as two trace entries (`_closes`):
+exactly in exact mode, and in float mode by the float formula of
 `GridTiling.float_point`, so that a float run does no Fraction
-arithmetic once `_hold` has held its start.  The float loop makes the
-index's common case in its own body: it snaps both positions, looks up
-the three outer keys, and, when none is there, keeps the state under a
-new outer key.  It searches candidates only under an outer key that is
-there.
+arithmetic.  In float mode the state's key and the eight keys one step
+away are looked up, in `_run_float`'s two-level index.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
@@ -225,38 +192,17 @@ class Classification:
     evidence: dict
 
 
-def _hold(a_tiling, b_tiling, state: PairState) -> tuple:
-    """(exact, a, b, branches_a, branches_b): the arithmetic of a step or
-    run from the state, its two particles as `tilings.to_tuple` holds
-    them for it, and each grid's branch entries against the other
-    (`GridTiling.branches`), keyed by (the particle's axis, its across,
-    the other particle's axis).  Raises NonTransverseEdges, from
-    `GridTiling.branches` before it builds a table, when the grids have
-    parallel edges.
-    """
-    branches = a_tiling.branches(b_tiling), b_tiling.branches(a_tiling)
-    exact = a_tiling.exact and b_tiling.exact
-    return (exact, tilings.to_tuple(state.a, exact),
-            tilings.to_tuple(state.b, exact)) + branches
-
-
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
-    """One move of each particle, each along the direction of the edge
-    currently holding the other particle, in the arithmetic and by the
-    move of a `run_orbit` step.  The two moves commute; the update reads
-    only the incoming state.  Raises NonTransverseEdges when the grids
-    have parallel edges, and VertexHit, A's first, at the world point of
-    a grid vertex that a move meets.
+    """The state one `run_orbit` step after state: each particle moves
+    along the direction of the edge currently holding the other, in the
+    run's arithmetic and by its move.  Raises NonTransverseEdges when the
+    grids have parallel edges, and VertexHit, A's first, at the world
+    point of a grid vertex that a move meets.
     """
-    exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, state)
-    move = tilings.move if exact else tilings.move_float
-    next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
-    next_b, inside_b = move(branches_b[b[0], b[4], a[0]], b)
-    if not inside_a:
-        raise VertexHit(a_tiling.vertex_location(next_a))
-    if not inside_b:
-        raise VertexHit(b_tiling.vertex_location(next_b))
-    return _pair(next_a, next_b)
+    record = run_orbit(a_tiling, b_tiling, state, 1, keep_states=True)
+    if record.termination.kind == "vertex":
+        raise VertexHit(record.termination.location)
+    return record.states[1]
 
 
 def _shift(tiling, now: tuple, prev: tuple) -> tuple:
@@ -278,25 +224,6 @@ def _shift(tiling, now: tuple, prev: tuple) -> tuple:
     along += frac
     local = Vec2(normal, along) if axis == "v" else Vec2(along, normal)
     return local, Vec2(x, y)
-
-
-def _closure(a_tiling, b_tiling, now: tuple, prev: tuple):
-    """(residual, drift) of now against prev, two trace entries of
-    `run_orbit`, each the (A, B) pair of held particles of a state with
-    the same key, in the scalars' arithmetic.
-
-    The residual is the largest of the gap between the two particles'
-    world translations and the distance of each translation, in its own
-    grid-local coordinates, from the nearest integer vector.  drift is
-    the A-local integer vector nearest the A translation.
-    """
-    (la, va), (lb, vb) = (_shift(a_tiling, now[0], prev[0]),
-                          _shift(b_tiling, now[1], prev[1]))
-    drift = (round(la.x), round(la.y))
-    residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
-                   abs(la.x - drift[0]), abs(la.y - drift[1]),
-                   abs(lb.x - round(lb.x)), abs(lb.y - round(lb.y)))
-    return residual, drift
 
 
 @functools.lru_cache(maxsize=1024)
@@ -356,17 +283,24 @@ def _contraction(tiling, other, symbols):
 def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
               keep_states: bool = False) -> OrbitRecord:
     """Iterate the pair map from start until a recurrence, a vertex hit
-    or max_steps steps, in the arithmetic that `_hold` picks from the
-    grids.
+    or max_steps steps.
 
-    Raises NonTransverseEdges before the first step when the grids have
-    parallel edges.  The termination's kind is 'periodic' or
-    'translation' when a state closes with an earlier one kept under a
-    matching key, at zero or at a nonzero common lattice translation;
-    'attracted' when an exact run's itinerary certificate holds
-    (`certify`); 'vertex' when a move meets a grid vertex, which is
-    recorded rather than raised; and 'max-steps' when none of these
-    comes within max_steps steps.
+    The grids alone decide the run's one arithmetic: exact when both
+    are exact, else float.  The run holds each particle as the tuple
+    that the pair's move steps (`tilings.to_tuple`), on an exact pair
+    with every position its exact ratio, a float start position's
+    included, and on a pair with a float grid with every position a
+    float from the start, so a float run rounds a rational start once.
+    It reads both grids' branch entries from `GridTiling.branches`, the
+    one set-up of a pair of grids, which raises NonTransverseEdges
+    before the first step when the grids have parallel edges.
+
+    The termination's kind is 'periodic' or 'translation' when a state
+    closes with an earlier one kept under a matching key, at zero or at
+    a nonzero common lattice translation; 'attracted' when an exact
+    run's itinerary certificate holds (`certify`); 'vertex' when a move
+    meets a grid vertex, which is recorded rather than raised; and
+    'max-steps' when none of these comes within max_steps steps.
 
     The record's start is the caller's start.  With keep_states its
     states are the run's states from the start's on, as `PairState`s
@@ -374,12 +308,16 @@ def run_orbit(a_tiling, b_tiling, start: PairState, max_steps: int = 1000,
     (`OrbitRecord.traced`) builds its a_points, b_points and bit_lengths
     from the run's trace on their first read.
     """
-    exact, a, b, branches_a, branches_b = _hold(a_tiling, b_tiling, start)
-    trace = [(a, b)]
+    branches_a = a_tiling.branches(b_tiling)
+    branches_b = b_tiling.branches(a_tiling)
+    exact = a_tiling.exact and b_tiling.exact
+    trace = [(tilings.to_tuple(start.a, exact),
+              tilings.to_tuple(start.b, exact))]
     run = _run_exact if exact else _run_float
     termination = run(a_tiling, b_tiling, branches_a, branches_b, trace,
                       max_steps)
-    states = [_pair(a, b) for a, b in trace] if keep_states else None
+    states = ([PairState(tilings.from_tuple(a), tilings.from_tuple(b))
+               for a, b in trace] if keep_states else None)
     return OrbitRecord.traced(start, termination, exact, states,
                               (a_tiling, b_tiling), trace)
 
@@ -451,10 +389,14 @@ def _run_float(a_tiling, b_tiling, branches_a, branches_b, trace: list,
     """The float loop of `run_orbit`, as `_run_exact` is the exact one.
     It reads `tilings.FLOAT_TOL` once, and each state makes, in the loop
     itself: the three outer lookups, the closure test of each candidate,
-    the keeping of the state, then the move.  Its common case is three
-    lookups that find no key and a new outer key.  The candidate search
-    runs only under an outer key that is there, and tries the candidates
-    earliest first: the first that closes wins."""
+    the keeping of the state, then the move.  The outer lookups read A's
+    snapped step and the steps one below and one above, and the inner
+    lookups B's three steps under each outer key that is there, so a
+    state meets the first states under its key and the eight keys one
+    step away.  Its common case is three lookups that find no key and a
+    new outer key.  The candidate search runs only under an outer key
+    that is there, and tries the candidates earliest first: the first
+    that closes wins."""
     tol = tilings.FLOAT_TOL
     move, floor = tilings.move_float, math.floor
     # Outer key: A's snapped step; inner key: both axes and acrosses and
@@ -494,9 +436,21 @@ def _run_float(a_tiling, b_tiling, branches_a, branches_b, trace: list,
 def _closes(a_tiling, b_tiling, trace: list, idx: int, prev_idx: int, tol):
     """The recurrence termination of trace[idx] against trace[prev_idx],
     a state kept under a matching key, or None when their closure
-    residual exceeds tol."""
-    residual, drift = _closure(a_tiling, b_tiling, trace[idx],
-                               trace[prev_idx])
+    residual exceeds tol.  Each trace entry is the (A, B) pair of held
+    particles of a state, compared in the scalars' arithmetic.
+
+    The residual is the largest of the gap between the two particles'
+    world translations and the distance of each translation, in its own
+    grid-local coordinates, from the nearest integer vector.  The drift
+    is the A-local integer vector nearest the A translation.
+    """
+    now, prev = trace[idx], trace[prev_idx]
+    (la, va), (lb, vb) = (_shift(a_tiling, now[0], prev[0]),
+                          _shift(b_tiling, now[1], prev[1]))
+    drift = (round(la.x), round(la.y))
+    residual = max(abs(vb.x - va.x), abs(vb.y - va.y),
+                   abs(la.x - drift[0]), abs(la.y - drift[1]),
+                   abs(lb.x - round(lb.x)), abs(lb.y - round(lb.y)))
     if residual > tol:
         return None
     if drift == (0, 0):
@@ -509,15 +463,11 @@ def _closes(a_tiling, b_tiling, trace: list, idx: int, prev_idx: int, tol):
 def _vertex(a_tiling, b_tiling, next_a, inside_a: bool, next_b,
             index: int) -> Termination:
     """The termination of a step to index whose moves, to next_a and
-    next_b, meet a vertex: A's when inside_a is False, as `step` raises
-    it first, else B's."""
+    next_b, meet a vertex: A's when inside_a is False, else B's.  So when
+    both moves meet one, A's is reported, and `step` raises it."""
     tiling, hit = ((a_tiling, next_a) if not inside_a
                    else (b_tiling, next_b))
     return Termination("vertex", index, location=tiling.vertex_location(hit))
-
-
-def _pair(a: tuple, b: tuple) -> PairState:
-    return PairState(tilings.from_tuple(a), tilings.from_tuple(b))
 
 
 def _bbox_diameters(a_points, b_points, half: int) -> tuple:

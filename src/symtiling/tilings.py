@@ -29,10 +29,10 @@ ratios and `move_float` over floats, and both work on a plain tuple
 (axis, line, cell, pos, across) (`to_tuple`) whose position has the
 pair's type: on two exact grids it is the position's exact ratio, a
 coprime pair (p, q) of ints, which a float position has too, and on a
-pair with a float grid it is a float from the start.  `dynamics.step`
-and `dynamics.run_orbit` both pick the move once from the pair's
-arithmetic, step such tuples with it, and build a `Particle`
-(`from_tuple`) only where they report one.
+pair with a float grid it is a float from the start.
+`dynamics.run_orbit` picks the move once from the pair's arithmetic,
+steps such tuples with it, and builds a `Particle` (`from_tuple`) only
+where it reports one.
 
 Exact positions grow by some bits every step, while chords and grid
 bases stay small.  So an exact move does integer work whose every gcd

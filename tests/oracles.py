@@ -12,7 +12,7 @@ import numpy as np
 
 from symtiling import tilings
 from symtiling.dynamics import (MAX_PERIOD, OrbitRecord, PairState,
-                                Termination, certify, step)
+                                Termination, certify)
 from symtiling.errors import (DegenerateStep, EmptyInterval,
                               NonTransverseEdges, NotConvex,
                               ParallelWitnessLines, VertexHit)
@@ -52,8 +52,7 @@ def move_particle(tiling, particle: Particle, table: dict) -> Particle:
     by `tilings.move` when held as its (p, q), from a rational position
     on an exact chord, and else by `tilings.move_float` as a float, so a
     float position on an exact chord, which no run makes, moves in
-    floats.  Raises VertexHit at a
-    grid vertex, as `step` does."""
+    floats.  Raises VertexHit at a grid vertex."""
     branch = table[particle.edge.axis][particle.across > 0]
     exact = branch[2] is not None and not isinstance(particle.pos, float)
     move = tilings.move if exact else tilings.move_float
@@ -63,9 +62,9 @@ def move_particle(tiling, particle: Particle, table: dict) -> Particle:
     return tilings.from_tuple(moved)
 
 
-# The orbit loop on Particles: one `step` of a PairState per step, and
-# keys read from Particles.  run_orbit, which steps tuples, must give
-# the same record.
+# The orbit loop on Particles: each particle moved by `move_particle` per
+# step, and keys read from Particles.  run_orbit, which steps tuples,
+# must give the same record.
 
 def _key(particle: Particle, snap):
     """(edge axis, position along the edge, crossing sign): invariant
@@ -126,7 +125,10 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     one away for each particle are looked up.  The earliest matching
     state wins.  Zero translation is a periodic orbit, nonzero a drift
     orbit.  Vertex hits terminate the run and are recorded rather than
-    raised.
+    raised; when both moves of a step meet one, A's is recorded.  Each
+    particle moves by `move_particle` on the `tilings.branch_table` of
+    the other particle's edge direction in its own grid's frame, built
+    here per grid and axis.
 
     An exact run also records each step's joint branch symbol (see
     `certify`).  Once the last 2p symbols repeat with a period p <=
@@ -229,12 +231,24 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
             then = before[then]
         return None
 
+    tables = {}
+
+    def advance(tiling, other, particle: Particle, other_axis: str):
+        key = tiling is a_tiling, other_axis
+        if key not in tables:
+            tables[key] = tilings.branch_table(
+                tiling.to_local(other.direction_of(other_axis)))
+        return move_particle(tiling, particle, tables[key])
+
     record_state(state)
     check_recurrence(state, 0)
     while termination is None and index < max_steps:
         prev = state
         try:
-            state = step(a_tiling, b_tiling, state)
+            # A's move first, so that A's vertex is the one recorded.
+            state = PairState(
+                advance(a_tiling, b_tiling, prev.a, prev.b.edge.axis),
+                advance(b_tiling, a_tiling, prev.b, prev.a.edge.axis))
         except VertexHit as hit:
             termination = Termination("vertex", index + 1,
                                       location=hit.location)

@@ -457,11 +457,16 @@ def test_non_finite_angle_exits_two(tmp_path, capsys, argv):
     (["grid-portrait", "--resolution", "x3"], "--resolution"),
     (["grid-portrait", "--resolution", "3x"], "--resolution"),
     (["grid-portrait", "--resolution", "3x0"], "--resolution"),
+    (["grid-orbit", "--frac-a", "2"], "--frac-a"),
+    (["grid-orbit", "--frac-b", "0"], "--frac-b"),
+    (["grid-orbit", "--angle", "pi/5", "--frac-a",
+      "99999999999999999/100000000000000000"], "--frac-a"),
 ])
 def test_zero_denominator_exits_two_naming_its_flag(tmp_path, capsys, argv,
                                                     flag):
-    """A refused --t, --frac-a, --frac-b, --angle or --resolution value
-    is named in full, after its flag."""
+    """A refused --t, --frac-a, --frac-b, --angle or --resolution value,
+    an edge fraction outside (0, 1) included, or one that rounds to 1 on
+    a float grid, is named in full, after its flag."""
     jpath = tmp_path / "run.json"
     assert cli.main(argv + ["--json", str(jpath)]) == 2
     err = capsys.readouterr().err
@@ -475,6 +480,17 @@ def test_negative_step_budget_exits_two(tmp_path, capsys, command):
     jpath = tmp_path / "run.json"
     assert cli.main([command, "--max-steps", "-1", "--json", str(jpath)]) == 2
     assert "--max-steps: must be at least 0, got -1" in capsys.readouterr().err
+    assert not jpath.exists()
+
+
+@pytest.mark.parametrize("command, value", [("grid-orbit", "x"),
+                                            ("grid-portrait", "1.5")])
+def test_step_budget_that_is_not_a_whole_number_exits_two(tmp_path, capsys,
+                                                          command, value):
+    jpath = tmp_path / "run.json"
+    assert cli.main([command, "--max-steps", value, "--json", str(jpath)]) == 2
+    assert (f"--max-steps: must be a whole number, 0 or more, got {value!r}"
+            in capsys.readouterr().err)
     assert not jpath.exists()
 
 

@@ -125,18 +125,28 @@ def test_step_rejects_parallel_chord():
 
 
 def test_run_orbit_replay_and_states():
-    a = GridTiling.standard()
-    b = GridTiling.from_parameter(Fraction(1, 3))
-    state = PairState(a.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), 1),
-                      b.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -1))
-    rec1 = run_orbit(a, b, state, max_steps=120, keep_states=True)
-    rec2 = run_orbit(a, b, state, max_steps=120, keep_states=True)
-    assert rec1.termination == rec2.termination
-    assert rec1.a_points == rec2.a_points
-    assert rec1.states is not None
-    assert len(rec1.states) == rec1.steps + 1
-    for prev, nxt in zip(rec1.states, rec1.states[1:]):
-        assert step(a, b, prev) == nxt
+    """On the exact 1/3 pair and on the float pi/5 pair, two runs from one
+    start agree, and `step` moves each kept state to the next.  The
+    float run ends at a vertex after 64 steps, which `step` raises from
+    its last state."""
+    exact_b = GridTiling.from_parameter(Fraction(1, 3))
+    pairs = [(GridTiling.standard(), exact_b),
+             (float_a(), float_grid(theta=math.pi / 5))]
+    for a, b in pairs:
+        state = PairState(
+            a.particle_on(GridEdge("v", 0, 0), Fraction(2, 7), 1),
+            b.particle_on(GridEdge("h", 0, 0), Fraction(3, 5), -1))
+        rec1 = run_orbit(a, b, state, max_steps=120, keep_states=True)
+        rec2 = run_orbit(a, b, state, max_steps=120, keep_states=True)
+        assert rec1.termination == rec2.termination
+        assert rec1.a_points == rec2.a_points
+        assert rec1.states is not None
+        assert len(rec1.states) == rec1.steps + 1
+        for prev, nxt in zip(rec1.states, rec1.states[1:]):
+            assert step(a, b, prev) == nxt
+    assert (rec1.termination.kind, rec1.steps) == ("vertex", 64)
+    with pytest.raises(VertexHit):
+        step(a, b, rec1.states[-1])
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -1057,13 +1067,13 @@ def test_exact_run_checks_one_earlier_state_per_step(monkeypatch):
     state = PairState(a.particle_on(edge, Fraction(27, 50), -1),
                       b.particle_on(edge, Fraction(23, 50), -1))
     calls = []
-    closure = dynamics._closure
+    closes = dynamics._closes
 
     def counted(*args):
         calls.append(1)
-        return closure(*args)
+        return closes(*args)
 
-    monkeypatch.setattr(dynamics, "_closure", counted)
+    monkeypatch.setattr(dynamics, "_closes", counted)
     rec = run_orbit(a, b, state, max_steps=1000, keep_states=False)
     assert rec.termination.kind == "max-steps"
     assert 0 < len(calls) <= 1000
@@ -1084,8 +1094,8 @@ def check_same_record(a, b, start, max_steps, keep_states):
 
 def test_run_orbit_matches_the_particle_loop(monkeypatch):
     """run_orbit steps each particle as a tuple, holding an exact position
-    as a pair of ints; the oracle steps Particles through `step`.  Whole
-    records agree, certificates and vertex locations included, with and
+    as a pair of ints; the oracle moves Particles by `move_particle`.
+    Whole records agree, certificates and vertex locations included, with and
     without kept states: on the three rotation pairs, on integer pairs,
     on float grids against an exact and a float A, from float positions
     on exact grids, at a vertex on the first step, at a zero budget, on
@@ -1151,9 +1161,9 @@ def test_run_orbit_matches_the_particle_loop(monkeypatch):
         assert t.kind == "vertex" and t.step == 1
         assert math.dist(t.location, (0, 1)) < tilings.FLOAT_TOL
     turned = next(key_arc_starts(lambda x: x, theta=math.pi / 4 + 2e-10))
-    closures, closure = [], dynamics._closure
-    monkeypatch.setattr(dynamics, "_closure", lambda *args: (
-        closures.append(1) or closure(*args)))
+    closures, closes = [], dynamics._closes
+    monkeypatch.setattr(dynamics, "_closes", lambda *args: (
+        closures.append(1) or closes(*args)))
     assert check_same_record(*turned, 40, keep_states=True).kind == (
         "max-steps")
     assert closures
@@ -1239,18 +1249,18 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
     """run_orbit and classify call `GridTiling.float_point` on no state
     of a run that ends at a vertex or a recurrence.  A float run calls it
     only to locate a vertex hit, once, and to compare a candidate state,
-    twice per `_closure`, once per particle's world translation; an exact
+    twice per `_closes`, once per particle's world translation; an exact
     run never.  The first read of either point list builds both, with
     one call per particle and state.  The bit lengths are built on their
     own first read, with no call: from the positions' denominators, or
     as 53 for floats.  Later reads build nothing.  An attribute that a
     record does not have raises AttributeError and builds nothing."""
     calls, closures = [], []
-    float_point, closure = GridTiling.float_point, dynamics._closure
+    float_point, closes = GridTiling.float_point, dynamics._closes
     monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
         calls.append(1) or float_point(self, *args)))
-    monkeypatch.setattr(dynamics, "_closure", lambda *args: (
-        closures.append(1) or closure(*args)))
+    monkeypatch.setattr(dynamics, "_closes", lambda *args: (
+        closures.append(1) or closes(*args)))
     fa, fb = float_a(), float_grid(theta=math.pi / 5)
     ea, eb = GridTiling(Vec2(-3, 0), Vec2(-1, 1)), GridTiling(Vec2(3, 2),
                                                               Vec2(0, 3))
