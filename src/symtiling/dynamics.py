@@ -186,10 +186,46 @@ class OrbitRecord:
         return t.step - 1 if t.kind == "vertex" else t.step
 
 
+class _Pending:
+    # An attracted run's record, held until its classification's
+    # evidence is first read.  It is a base class's slot because a
+    # dataclass made with slots=True makes slots for its own fields only
+    # and keeps its bases' slots, and pickling, copying, `==` and repr
+    # read the fields alone.
+    __slots__ = ("_record",)
+
+
 @dataclass(frozen=True, slots=True)
-class Classification:
+class Classification(_Pending):
+    """An orbit's verdict and the evidence for it (`classify`).
+
+    The classification of an 'attracted' run holds its verdict and the
+    run's record with its evidence unset.  The first read of evidence
+    builds it from the record, the certificate's fields and then the
+    trace measures (`_trace_measures`), stores it and drops the record;
+    later reads find it set.  So a caller that reads the verdict alone,
+    as `phase_portrait` does, builds no trace point, while `==`, repr,
+    copying, pickling and the wire rule, which read every field, see the
+    evidence built eagerly.
+    """
+
     verdict: str
     evidence: dict
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: on an attracted
+        # run's classification, evidence before its first read.
+        if name != "evidence":
+            raise AttributeError(name)
+        record = self._record
+        t = record.termination
+        a, b = t.certificate
+        object.__setattr__(self, "evidence", dict(
+            lock=t.lock, period=t.period, lambda_a=a.lam, lambda_b=b.lam,
+            cylinder_a=a.cylinder, cylinder_b=b.cylinder, limit_a=a.limit,
+            limit_b=b.limit, **_trace_measures(record)[1]))
+        object.__delattr__(self, "_record")
+        return self.evidence
 
 
 def step(a_tiling, b_tiling, state: PairState) -> PairState:
@@ -483,6 +519,25 @@ def _bbox_diameters(a_points, b_points, half: int) -> tuple:
                        max(y1, max(rest_ys)) - min(y0, min(rest_ys))))
 
 
+def _trace_measures(record: OrbitRecord) -> tuple:
+    """(peak_end, measures) of a record of at least three states: the
+    largest bit length above the start's, and the trace measures
+    bit_growth, bbox_spread, steps and diameter that `classify` reports
+    (its docstring defines them).  This is the one reader of the
+    record's points and bit lengths in `classify`."""
+    n = record.steps + 1
+    half = n // 2
+    bits = record.bit_lengths
+    peak_half = max(bits[:half]) - bits[0]
+    peak_end = max(peak_half, max(bits[half:]) - bits[0])
+    diam_half, diam_end = _bbox_diameters(record.a_points, record.b_points,
+                                          half)
+    growth = peak_end / peak_half if peak_half > 0 else math.inf
+    spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
+    return peak_end, {"bit_growth": growth, "bbox_spread": spread,
+                      "steps": n - 1, "diameter": diam_end}
+
+
 def classify(record: OrbitRecord) -> Classification:
     """Verdict for an orbit record.
 
@@ -490,18 +545,20 @@ def classify(record: OrbitRecord) -> Classification:
     'attracted': its itinerary certificate proves bounded-attracted, and
     the evidence holds the proof: the lock step, the period and each
     particle's lam, cylinder and limit (lambda_a, cylinder_a, limit_a,
-    and the same for B), next to the trace measures below.  A run that
-    hit the step budget is called bounded-attracted when the coordinate
-    complexity keeps climbing (the running-max bit-length growth over the
-    start at least doubled during the second half) while the bounding
-    box of both particles' trace points has settled (its diameter grew
-    by less than 1 percent during the second half); that
-    verdict is heuristic and ships its evidence.  The growth measure is
-    baseline-subtracted so that steady linear bit growth from a simple
-    start counts as climbing.  The bit lengths are the positions' own,
-    so scaling a grid moves no verdict.  Only these trace measures read
-    the record's points and bit lengths, so a recurrence or a vertex hit
-    is classified without building them.
+    and the same for B), next to the trace measures below.  Since the
+    verdict needs no measure, that evidence is built on its first read
+    (`Classification`).  A run that hit the step budget is called
+    bounded-attracted when the coordinate complexity keeps climbing (the
+    running-max bit-length growth over the start at least doubled during
+    the second half) while the bounding box of both particles' trace
+    points has settled (its diameter grew by less than 1 percent during
+    the second half); that verdict is heuristic and ships its evidence.
+    The growth measure is baseline-subtracted so that steady linear bit
+    growth from a simple start counts as climbing.  The bit lengths are
+    the positions' own, so scaling a grid moves no verdict.  Only these
+    trace measures read the record's points and bit lengths, so a
+    recurrence, a vertex hit, and an attracted run whose evidence is not
+    read are classified without building them.
     """
     t = record.termination
     if t.kind == "periodic":
@@ -513,28 +570,18 @@ def classify(record: OrbitRecord) -> Classification:
     if t.kind == "vertex":
         return Classification(SINGULAR, {"step": t.step,
                                          "location": t.location})
-    n = record.steps + 1
-    # A certificate needs two periods, so an 'attracted' record has at
-    # least three states.
-    if n < 4 and t.kind != "attracted":
-        return Classification(INCONCLUSIVE, {"steps": n - 1})
-    half = n // 2
-    bits = record.bit_lengths
-    peak_half = max(bits[:half]) - bits[0]
-    peak_end = max(peak_half, max(bits[half:]) - bits[0])
-    diam_half, diam_end = _bbox_diameters(record.a_points, record.b_points,
-                                          half)
-    growth = peak_end / peak_half if peak_half > 0 else math.inf
-    spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
-    evidence = {"bit_growth": growth, "bbox_spread": spread,
-                "steps": n - 1, "diameter": diam_end}
     if t.kind == "attracted":
-        a, b = t.certificate
-        return Classification(BOUNDED_ATTRACTED, dict(
-            lock=t.lock, period=t.period, lambda_a=a.lam, lambda_b=b.lam,
-            cylinder_a=a.cylinder, cylinder_b=b.cylinder, limit_a=a.limit,
-            limit_b=b.limit, **evidence))
-    if peak_end > 0 and growth >= 2.0 and spread < 0.01:
+        # A certificate needs two periods, so the record has at least
+        # three states, as `_trace_measures` needs.
+        pending = Classification.__new__(Classification)
+        object.__setattr__(pending, "verdict", BOUNDED_ATTRACTED)
+        object.__setattr__(pending, "_record", record)
+        return pending
+    if record.steps < 3:
+        return Classification(INCONCLUSIVE, {"steps": record.steps})
+    peak_end, evidence = _trace_measures(record)
+    if (peak_end > 0 and evidence["bit_growth"] >= 2.0
+            and evidence["bbox_spread"] < 0.01):
         return Classification(BOUNDED_ATTRACTED, evidence)
     return Classification(INCONCLUSIVE, evidence)
 

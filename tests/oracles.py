@@ -11,8 +11,10 @@ from fractions import Fraction
 import numpy as np
 
 from symtiling import tilings
-from symtiling.dynamics import (MAX_PERIOD, OrbitRecord, PairState,
-                                Termination, certify)
+from symtiling.dynamics import (BOUNDED_ATTRACTED, INCONCLUSIVE,
+                                MAX_PERIOD, PERIODIC, SINGULAR,
+                                UNBOUNDED_DRIFT, Classification, OrbitRecord,
+                                PairState, Termination, certify)
 from symtiling.errors import (DegenerateStep, EmptyInterval,
                               NonTransverseEdges, NotConvex,
                               ParallelWitnessLines, VertexHit)
@@ -264,6 +266,51 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
         termination = Termination("max-steps", index)
     return OrbitRecord(start, termination, a_points, b_points, bit_lengths,
                        exact, states)
+
+
+def _diameter(points) -> float:
+    """Diagonal of the bounding box of points."""
+    xs, ys = zip(*points)
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+
+
+def oracle_classify(record: OrbitRecord) -> Classification:
+    """The classification that `classify` gives, built eagerly: every
+    verdict's evidence is set when it returns, an attracted run's trace
+    measures included, and the bounding boxes are scans of the points
+    each covers."""
+    t = record.termination
+    if t.kind == "periodic":
+        return Classification(PERIODIC, {"period": t.period,
+                                         "residual": t.residual})
+    if t.kind == "translation":
+        return Classification(UNBOUNDED_DRIFT, {
+            "period": t.period, "drift": t.drift, "residual": t.residual})
+    if t.kind == "vertex":
+        return Classification(SINGULAR, {"step": t.step,
+                                         "location": t.location})
+    n = record.steps + 1
+    if n < 4 and t.kind != "attracted":
+        return Classification(INCONCLUSIVE, {"steps": n - 1})
+    half = n // 2
+    bits = record.bit_lengths
+    peak_half = max(bits[:half]) - bits[0]
+    peak_end = max(bits) - bits[0]
+    diam_half = _diameter(record.a_points[:half] + record.b_points[:half])
+    diam_end = _diameter(record.a_points + record.b_points)
+    growth = peak_end / peak_half if peak_half > 0 else math.inf
+    spread = (diam_end - diam_half) / diam_end if diam_end > 0 else 0.0
+    evidence = {"bit_growth": growth, "bbox_spread": spread,
+                "steps": n - 1, "diameter": diam_end}
+    if t.kind == "attracted":
+        a, b = t.certificate
+        return Classification(BOUNDED_ATTRACTED, dict(
+            lock=t.lock, period=t.period, lambda_a=a.lam, lambda_b=b.lam,
+            cylinder_a=a.cylinder, cylinder_b=b.cylinder, limit_a=a.limit,
+            limit_b=b.limit, **evidence))
+    if peak_end > 0 and growth >= 2.0 and spread < 0.01:
+        return Classification(BOUNDED_ATTRACTED, evidence)
+    return Classification(INCONCLUSIVE, evidence)
 
 
 # Polygons.

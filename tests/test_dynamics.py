@@ -1,7 +1,10 @@
 import collections
+import copy
+import gc
 import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,7 +20,8 @@ from symtiling.exact import Vec2, rational_circle_point
 from symtiling.tilings import GridEdge, GridTiling, Particle
 
 import oracles
-from oracles import move_particle, oracle_run_orbit
+from golden import record as golden
+from oracles import move_particle, oracle_classify, oracle_run_orbit
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -1019,6 +1023,29 @@ def test_portrait_cell_and_grid():
         assert len({v for row in rows for v in row}) > 1
 
 
+def test_certified_portrait_builds_no_trace(monkeypatch):
+    """Every cell of the 1/3 portrait over 8x8 certifies, so the
+    portrait, which reads verdicts alone, calls
+    `GridTiling.float_point` on no state; its rows are still each
+    cell's `classify` verdict."""
+    a, b = GridTiling.standard(), GridTiling.from_parameter(Fraction(1, 3))
+    edge = GridEdge("v", 0, 0)
+    calls = []
+    float_point = GridTiling.float_point
+    monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
+        calls.append(1) or float_point(self, *args)))
+    rows = phase_portrait(a, b, edge, edge, (8, 8))
+    assert not calls
+    records = [[run_orbit(a, b, PairState(
+        a.particle_on(edge, Fraction(2 * i + 1, 16)),
+        b.particle_on(edge, Fraction(2 * j + 1, 16))), 200)
+        for i in range(8)] for j in range(8)]
+    assert {rec.termination.kind for row in records for rec in row} \
+        == {"attracted"}
+    assert rows == [[classify(rec).verdict for rec in row]
+                    for row in records]
+
+
 def test_portrait_rejects_parallel_edges():
     a = GridTiling.standard()
     b = a.transformed(2, 0, 0, 3)
@@ -1298,6 +1325,35 @@ def test_trace_is_built_once_on_first_read(monkeypatch):
                 done |= {read, "points"} if points else {read}
 
 
+def test_attracted_verdict_builds_no_trace(monkeypatch):
+    """`classify` proves an attracted run's verdict with no trace
+    measure: reading the verdict calls `GridTiling.float_point` on no
+    state and builds none of the record's lists.  The first read of the
+    evidence builds them, with one call per particle and state, and
+    drops the classification's hold on the record; a second read builds
+    nothing.  An attribute that a classification does not have raises
+    AttributeError and builds nothing."""
+    calls = []
+    float_point = GridTiling.float_point
+    monkeypatch.setattr(GridTiling, "float_point", lambda self, *args: (
+        calls.append(1) or float_point(self, *args)))
+    lists = {"a_points", "b_points", "bit_lengths"}
+    rec = run_orbit(*seven_elevenths_start(), 200, keep_states=False)
+    assert rec.termination.kind == "attracted"
+    cls = classify(rec)
+    with pytest.raises(AttributeError, match="lock"):
+        cls.lock
+    assert cls.verdict == BOUNDED_ATTRACTED
+    assert not calls and not lists & set(vars(rec))
+    assert any(ref is rec for ref in gc.get_referents(cls))
+    evidence = cls.evidence
+    assert len(calls) == 2 * (rec.steps + 1) and lists <= set(vars(rec))
+    assert not any(ref is rec for ref in gc.get_referents(cls))
+    calls.clear()
+    assert cls.evidence is evidence and not calls
+    assert evidence == oracle_classify(rec).evidence
+
+
 def test_traced_record_writes_as_the_eager_record():
     """A record that builds its lists on first read gives the JSON text,
     key order included, and the figure of the oracle's record, which is
@@ -1323,6 +1379,35 @@ def test_traced_record_writes_as_the_eager_record():
         kinds.append((got.termination.kind, got.exact))
     assert kinds[:2] == [("attracted", True), ("max-steps", True)]
     assert kinds[2][1] is False
+
+
+def test_classify_matches_the_eager_oracle_on_the_exact_pool(tmp_path):
+    """On every `grid-exact` bench pool start, `classify` gives the
+    classification of `oracle_classify`, which builds each evidence
+    eagerly: by `==` and repr, in the wire rule's JSON, which holds the
+    verdict and the evidence alone, and through `copy.copy` and pickling,
+    to the same bytes.  Each is checked as the first read of a deferred
+    evidence, and again after it."""
+    workload = golden.load_workloads().WORKLOADS["grid-exact"]()
+    workload.prepare(str(tmp_path))
+    kinds = collections.Counter()
+    for s, stratum in enumerate(workload.strata):
+        for v in range(len(stratum)):
+            rec, got = workload.run((s, v, None))
+            want = oracle_classify(workload.run((s, v, None))[0])
+            text = json.dumps(want, default=serialize.encode)
+            assert list(json.loads(text)) == ["verdict", "evidence"]
+            fresh = [got] + [classify(rec) for _ in range(4)]
+            for _ in range(2):
+                first, second, third, fourth, fifth = fresh
+                assert first == want
+                assert repr(second) == repr(want)
+                assert json.dumps(third, default=serialize.encode) == text
+                assert copy.copy(fourth) == want
+                assert pickle.dumps(fifth) == pickle.dumps(want)
+                assert pickle.loads(pickle.dumps(fifth)) == want
+            kinds[rec.termination.kind] += 1
+    assert kinds["attracted"] == 1504 and sum(kinds.values()) == 1728
 
 
 def test_affine_naturality_single_map():
