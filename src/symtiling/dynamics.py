@@ -37,14 +37,16 @@ away are looked up, in `_run_float`'s two-level index.
 
 An exact orbit also stops once an itinerary certificate proves that it
 contracts.  Each step's joint branch symbol says, per particle, which
-branch of its table it took.  When the symbols repeat with a period of
-at most `MAX_PERIOD` steps and both particles are back on their edges
-of one period before, `certify` composes each particle's branch maps
-over the period, read from the same tables, and checks that the
-composite contracts a cylinder of positions into itself.  Such an orbit
-converges to a fixed pair of points, and the run ends as 'attracted',
-which `classify` calls bounded-attracted with the proof as evidence.
-Float runs record no symbols.
+branch of its table it took.  The one period a step tries is the
+distance back to the last visit of both particles' edges, at most
+`MAX_PERIOD` steps.  When the symbols repeat with that period, so that
+both particles are back on their edges of one period before, `certify`
+composes each particle's branch maps over the period, read from the
+same tables, and checks that the composite contracts a cylinder of
+positions into itself.  Such an orbit converges to a fixed pair of
+points, and the run ends as 'attracted', which `classify` calls
+bounded-attracted with the proof as evidence.  Float runs record no
+symbols.
 
 Sunburst orbits have a closed form and live in `weave`.
 """
@@ -72,7 +74,8 @@ VERDICTS = (PERIODIC, UNBOUNDED_DRIFT, BOUNDED_ATTRACTED, SINGULAR,
             INCONCLUSIVE)
 
 # Longest period of the joint branch word that an exact run tries to
-# certify (`certify`).
+# certify (`certify`): a step compares symbols for its one candidate
+# period only when the period is at most this.
 MAX_PERIOD = 12
 
 
@@ -364,19 +367,17 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
     appends each state to trace and returns the run's termination.  Each
     state makes, in the loop itself: one keyed lookup, the closure test
     against the first state under its key, and, from step 1 on, its
-    symbol and the certificate search; then the move.  The candidate
-    periods p are the distances back to the earlier visits of the same
-    pair of edges, so a step that meets none costs one lookup in a dict
-    of edge pairs; the run stops as 'attracted' once the last 2p symbols
-    repeat and `certify` proves the word contracting, and a candidate
-    that `certify` refuses ends the search.  A lock with a nonzero
-    lattice shift runs on, since its edges one period back are not its
-    own."""
+    symbol and the certificate search; then the move.  The search tries
+    one period p: the distance back to the last visit of both particles'
+    edges, at most `MAX_PERIOD`, so a step costs one lookup in a dict of
+    edge pairs and at most one comparison of symbols.  The run stops as
+    'attracted' once the last 2p symbols repeat and `certify` proves the
+    word contracting.  A lock with a nonzero lattice shift runs on, since
+    its edges one period back are not its own."""
     move = tilings.move
     seen = {}
     symbols = []
     last_at = {}        # A's edge + B's edge -> the last step there
-    before = [None]     # per step, the step before it at the same edges
     a, b = trace[0]
     index = 0
     while True:
@@ -393,21 +394,18 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
             symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
                             a[0], b[0]))
             edges = a[:3] + b[:3]
-            then = last_at.get(edges)
+            # A first visit of the edges gives p > MAX_PERIOD.
+            p = index - last_at.get(edges, -MAX_PERIOD)
             last_at[edges] = index
-            before.append(then)
-            while then is not None and index - then <= MAX_PERIOD:
-                p = index - then
-                if 2 * p <= index and symbols[-p:] == symbols[-2 * p:-p]:
-                    proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
-                    if proof is None:
-                        break
+            if (p <= MAX_PERIOD and 2 * p <= index
+                    and symbols[-p:] == symbols[-2 * p:-p]):
+                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+                if proof is not None:
                     lock = index - 2 * p
                     while lock and symbols[lock - 1] == symbols[lock - 1 + p]:
                         lock -= 1
                     return Termination("attracted", index, period=p,
                                        lock=lock, certificate=proof)
-                then = before[then]
         if index >= max_steps:
             return Termination("max-steps", index)
         next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)

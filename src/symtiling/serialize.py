@@ -35,11 +35,16 @@ def encode(obj):
 def _coordinate(value):
     """A JSON number, which `json.load` makes an int or a float, or a
     "p/q" string, within float range; a boolean, a value that is not
-    finite and one beyond float range are refused, naming the value."""
+    finite, one beyond float range and a string that is not a rational
+    are refused, naming the value."""
     if type(value) in (float, int, str):
-        coordinate = Fraction(value) if type(value) is str else value
-        if abs(coordinate) <= sys.float_info.max:
-            return coordinate
+        try:
+            coordinate = Fraction(value) if type(value) is str else value
+        except (ValueError, ZeroDivisionError):
+            pass        # a string Fraction cannot read: refused below
+        else:
+            if abs(coordinate) <= sys.float_info.max:
+                return coordinate
     raise ValueError(f"a polygon coordinate is a finite number or a \"p/q\" "
                      f"string within float range, got {value!r}")
 

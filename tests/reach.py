@@ -24,7 +24,9 @@ It then prints two lists:
 
 Child processes that a test starts are not traced, so a line that only
 they run is listed as unrun.  A function behind a cache runs only on a
-miss, so its callers are those of its misses.
+miss, so its callers are those of its misses.  Functions are named by
+their qualified names, which code objects carry from Python 3.11 on;
+on 3.10 a method prints without its class.
 """
 
 import os
@@ -47,6 +49,12 @@ def _zone(filename):
     return ZONES.get(os.path.dirname(os.path.realpath(filename)))
 
 
+def _qualname(code):
+    """The code object's qualified name, or its bare name before Python
+    3.11, which added `co_qualname`."""
+    return getattr(code, "co_qualname", code.co_name)
+
+
 def _owned_lines(code, module, owner):
     """(line, owner) for each executable line of code and of the code
     objects it holds.  owner is the `module.function` qualname of the
@@ -54,7 +62,7 @@ def _owned_lines(code, module, owner):
     counting as part of its enclosing function, or the module's name for
     top-level code."""
     if not code.co_name.startswith("<"):
-        owner = f"{module}.{code.co_qualname}"
+        owner = f"{module}.{_qualname(code)}"
     for _, _, line in code.co_lines():
         if line:
             yield line, owner
@@ -110,7 +118,7 @@ def report(ran, callers):
                   if (str(path), line) not in ran]
     test_only = sorted(
         f"  {os.path.relpath(code.co_filename, ROOT)}:{code.co_firstlineno}: "
-        f"{code.co_qualname}"
+        f"{_qualname(code)}"
         for code, zones in callers.items()
         if zones == {"test"} and not code.co_name.startswith("<"))
     return ([f"executable package lines no test runs: {len(unrun)}", *unrun,

@@ -670,8 +670,9 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
 
 
 # Polygon coordinates and ray angles refused for their value: not
-# finite, or beyond float range.
-REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400)
+# finite, beyond float range, or a string that is not a rational.
+REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400, "1/0", "abc", "nan",
+                       "inf")
 
 
 @pytest.mark.parametrize("command, data", [
@@ -688,6 +689,10 @@ REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400)
     ("linkage-convert", [[0, 0], [1, 0], [math.inf, 1]]),
     ("moduli-embed", [[0, 0], [1, 0], [0, 10 ** 400]]),
     ("sunburst-solve", [0, 2, 4, 10 ** 400]),
+    ("linkage-convert", [[0, 0], ["1/0", 0], [1, 1]]),
+    ("moduli-embed", [[0, 0], [1, 0], ["abc", 1]]),
+    ("linkage-convert", [[0, 0], [1, "nan"], [1, 1]]),
+    ("moduli-embed", [[0, 0], [1, 0], [1, "inf"]]),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"

@@ -1201,6 +1201,40 @@ def test_run_orbit_matches_the_particle_loop(monkeypatch):
                              keep_states=False).kind == "max-steps"
 
 
+def test_one_candidate_search_matches_the_chain_walk_across_pair_families():
+    """`_run_exact` tries one period per step, the distance back to the
+    last visit of both particles' edges; the oracle walks back through
+    every earlier visit within MAX_PERIOD.  Two seeded starts on each
+    rotation pair t = p/q with 0 < p < q <= 20 (127 pairs) and on each
+    integer B with entries in {-2, -1, 1, 2} that is transverse to the
+    standard grid (208 pairs) end the same way after either search."""
+    rng = random.Random(44)
+    a = GridTiling.standard()
+    pairs = [GridTiling.from_parameter(Fraction(p, q))
+             for q in range(2, 21) for p in range(1, q)
+             if math.gcd(p, q) == 1]
+    assert len(pairs) == 127
+    entries = (-2, -1, 1, 2)
+    integer = [GridTiling(Vec2(w, x), Vec2(y, z))
+               for w, x, y, z in itertools.product(entries, repeat=4)
+               if w * z != x * y]
+    integer = [b for b in integer if tilings.is_transverse(a, b)]
+    assert len(integer) == 208
+    kinds = collections.Counter()
+    for b in pairs + integer:
+        for _ in range(2):
+            start = PairState(*(
+                grid.particle_on(GridEdge(rng.choice("vh"), 0, 0),
+                                 Fraction(rng.randint(1, 999), 1000),
+                                 rng.choice((1, -1))) for grid in (a, b)))
+            got = run_orbit(a, b, start, 200).termination
+            want = oracle_run_orbit(a, b, start, 200,
+                                    keep_states=False).termination
+            assert got == want, (b, start)
+            kinds[got.kind] += 1
+    assert kinds["attracted"] > 0
+
+
 def test_transversality_is_decided_once_per_grid_pair(monkeypatch):
     """A second run on the same pair of grids takes no cross product:
     `GridTiling.branches` decides transversality when the first run
