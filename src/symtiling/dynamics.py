@@ -36,17 +36,18 @@ arithmetic.  In float mode the state's key and the eight keys one step
 away are looked up, in `_run_float`'s two-level index.
 
 An exact orbit also stops once an itinerary certificate proves that it
-contracts.  Each step's joint branch symbol says, per particle, which
-branch of its table it took.  The one period a step tries is the
+contracts.  Each state's symbol holds, per particle, the key of the
+branch entry that its move reads: its edge axis and across, and the
+other particle's edge axis.  The one period a state tries is the
 distance back to the last visit of both particles' edges, at most
 `MAX_PERIOD` steps.  When the symbols repeat with that period, so that
 both particles are back on their edges of one period before, `certify`
-composes each particle's branch maps over the period, read from the
-same tables, and checks that the composite contracts a cylinder of
-positions into itself.  Such an orbit converges to a fixed pair of
-points, and the run ends as 'attracted', which `classify` calls
-bounded-attracted with the proof as evidence.  Float runs record no
-symbols.
+composes each particle's branch maps over the period, each move's
+branch read from the next state's axis, and checks that the composite
+contracts a cylinder of positions into itself.  Such an orbit converges
+to a fixed pair of points, and the run ends as 'attracted', which
+`classify` calls bounded-attracted with the proof as evidence.  Float
+runs record no symbols.
 
 Sunburst orbits have a closed form and live in `weave`.
 """
@@ -73,8 +74,8 @@ INCONCLUSIVE = "inconclusive"
 VERDICTS = (PERIODIC, UNBOUNDED_DRIFT, BOUNDED_ATTRACTED, SINGULAR,
             INCONCLUSIVE)
 
-# Longest period of the joint branch word that an exact run tries to
-# certify (`certify`): a step compares symbols for its one candidate
+# Longest period of the state symbols that an exact run tries to
+# certify (`certify`): a state compares symbols for its one candidate
 # period only when the period is at most this.
 MAX_PERIOD = 12
 
@@ -270,13 +271,14 @@ def certify(a_tiling, b_tiling, word: tuple):
     """The pair (A, B) of `Contraction`s that prove an exact orbit which
     follows the word forever, else None.
 
-    The word is one period of joint branch symbols, as `run_orbit`
-    records them: per step, (A's edge axis, A's across, B's edge axis,
-    B's across, A's next edge axis, B's next edge axis).  A particle went
-    to the parallel line when its next axis is its axis.  So each step
-    names, per particle, one map and open interval of the branch table
-    that the move read (`tilings.branch_table`, from
-    `GridTiling.branches`).
+    The word is one period of state symbols, as `run_orbit` records
+    them: per state, (A's edge axis, A's across, B's edge axis, B's
+    across), which holds the keys of both particles' entries in
+    `GridTiling.branches`.  A particle's move goes to the parallel line
+    when its axis in the next state is the same, and the state after the
+    word's last is the word's first again, whose axes it shares.  So each
+    state names, per particle, one map and open interval of the branch
+    table that its move reads (`tilings.branch_table`).
     Composing a particle's maps over the word gives pos -> lam * pos + c,
     and pulling each interval back to the word's start gives the cylinder
     of positions that follow the word.
@@ -292,23 +294,22 @@ def certify(a_tiling, b_tiling, word: tuple):
     |lam| per period, on edges that repeat with the period.  The result
     depends only on the grids and the word, and is memoised.
     """
-    proof = (_contraction(a_tiling, b_tiling,
-                          [(s[0], s[1], s[2], s[4]) for s in word]),
+    proof = (_contraction(a_tiling, b_tiling, [s[:3] for s in word]),
              _contraction(b_tiling, a_tiling,
-                          [(s[2], s[3], s[0], s[5]) for s in word]))
+                          [(s[2], s[3], s[0]) for s in word]))
     return proof if all(proof) else None
 
 
-def _contraction(tiling, other, symbols):
-    """One particle's `Contraction` over its symbols (axis, across, other
-    particle's axis, next axis), or None when it does not contract into
-    its cylinder."""
+def _contraction(tiling, other, keys):
+    """One particle's `Contraction` over one period of its branch keys
+    (axis, across, other particle's axis), or None when it does not
+    contract into its cylinder.  Each move's branch is read from the next
+    key's axis, and the last move's from the first key's."""
     lam, c = Fraction(1), Fraction(0)
     lo, hi = Fraction(0), Fraction(1)
     branches = tiling.branches(other)
-    for axis, across, other_axis, next_axis in symbols:
-        maps = branches[axis, across, other_axis][3]
-        m, shift, low, high = maps[next_axis == axis]
+    for key, (next_axis, _, _) in zip(keys, keys[1:] + keys[:1]):
+        m, shift, low, high = branches[key][3][next_axis == key[0]]
         ends = sorted(((low - c) / lam, (high - c) / lam))
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
         lam, c = m * lam, m * c + shift
@@ -366,14 +367,15 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
     """The exact loop of `run_orbit`: from the state in trace[0] on, it
     appends each state to trace and returns the run's termination.  Each
     state makes, in the loop itself: one keyed lookup, the closure test
-    against the first state under its key, and, from step 1 on, its
-    symbol and the certificate search; then the move.  The search tries
-    one period p: the distance back to the last visit of both particles'
-    edges, at most `MAX_PERIOD`, so a step costs one lookup in a dict of
-    edge pairs and at most one comparison of symbols.  The run stops as
+    against the first state under its key, and the certificate search;
+    then it appends its symbol and moves.  So at state index the symbols
+    are those of states 0 to index - 1.  The search tries one period p:
+    the distance back to the last visit of both particles' edges, at
+    most `MAX_PERIOD`, so a state costs one lookup in a dict of edge
+    pairs and at most one comparison of symbols.  The run stops as
     'attracted' once the last 2p symbols repeat and `certify` proves the
-    word contracting.  A lock with a nonzero lattice shift runs on, since
-    its edges one period back are not its own."""
+    word, the last p, contracting.  A lock with a nonzero lattice shift
+    runs on, since its edges one period back are not its own."""
     move = tilings.move
     seen = {}
     symbols = []
@@ -389,25 +391,23 @@ def _run_exact(a_tiling, b_tiling, branches_a, branches_b, trace: list,
             termination = _closes(a_tiling, b_tiling, trace, index, hit, 0)
             if termination is not None:
                 return termination
-        if index:       # the start made no step, so it has no symbol
-            prev_a, prev_b = trace[index - 1]
-            symbols.append((prev_a[0], prev_a[4], prev_b[0], prev_b[4],
-                            a[0], b[0]))
-            edges = a[:3] + b[:3]
-            # A first visit of the edges gives p > MAX_PERIOD.
-            p = index - last_at.get(edges, -MAX_PERIOD)
-            last_at[edges] = index
-            if (p <= MAX_PERIOD and 2 * p <= index
-                    and symbols[-p:] == symbols[-2 * p:-p]):
-                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
-                if proof is not None:
-                    lock = index - 2 * p
-                    while lock and symbols[lock - 1] == symbols[lock - 1 + p]:
-                        lock -= 1
-                    return Termination("attracted", index, period=p,
-                                       lock=lock, certificate=proof)
+        edges = a[:3] + b[:3]
+        # A first visit of the edges gives p = index + MAX_PERIOD, which
+        # fails 2p <= index.
+        p = index - last_at.get(edges, -MAX_PERIOD)
+        last_at[edges] = index
+        if (p <= MAX_PERIOD and 2 * p <= index
+                and symbols[-p:] == symbols[-2 * p:-p]):
+            proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+            if proof is not None:
+                lock = index - 2 * p
+                while lock and symbols[lock - 1] == symbols[lock - 1 + p]:
+                    lock -= 1
+                return Termination("attracted", index, period=p, lock=lock,
+                                   certificate=proof)
         if index >= max_steps:
             return Termination("max-steps", index)
+        symbols.append((a[0], a[4], b[0], b[4]))
         next_a, inside_a = move(branches_a[a[0], a[4], b[0]], a)
         next_b, inside_b = move(branches_b[b[0], b[4], a[0]], b)
         if not (inside_a and inside_b):

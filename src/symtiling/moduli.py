@@ -124,7 +124,7 @@ def area_form(n: int) -> AreaForm:
     is built here too, once per N.
     """
     if n < 4:
-        raise ValueError("area form needs at least 4 families")
+        raise ValueError(f"the area form needs at least 4 vertices, got {n}")
     return AreaForm(n, (1, n - 3), _fourier_frame(n))
 
 

@@ -107,6 +107,13 @@ def _closure(a_tiling, b_tiling, now: PairState, prev: PairState):
     return residual, drift
 
 
+def state_symbol(state: PairState) -> tuple:
+    """A state's symbol as `certify` reads it: (A's edge axis, A's
+    across, B's edge axis, B's across)."""
+    return (state.a.edge.axis, state.a.across, state.b.edge.axis,
+            state.b.across)
+
+
 def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
                      max_steps: int = 1000,
                      keep_states: bool = True) -> OrbitRecord:
@@ -132,15 +139,17 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     the other particle's edge direction in its own grid's frame, built
     here per grid and axis.
 
-    An exact run also records each step's joint branch symbol (see
-    `certify`).  Once the last 2p symbols repeat with a period p <=
+    An exact run also records each step's joint branch symbol: the
+    `state_symbol` of the state it leaves and both particles' next edge
+    axes.  Once the last 2p symbols repeat with a period p <=
     MAX_PERIOD, both particles' edges are those of p steps before (zero
-    lattice shift) and `certify` proves the word contracting, the run
-    stops as 'attracted': from then on the orbit converges to a fixed
-    pair of points.  The candidate periods are the distances back to the
-    earlier visits of the same pair of edges, so a step that meets none
-    costs one lookup in a dict of edge pairs.  A lock with a nonzero
-    shift runs on.  Float runs record no symbols.
+    lattice shift) and `certify` proves the word of the period's state
+    symbols contracting, the run stops as 'attracted': from then on the
+    orbit converges to a fixed pair of points.  The candidate periods
+    are the distances back to the earlier visits of the same pair of
+    edges, so a step that meets none costs one lookup in a dict of edge
+    pairs.  A lock with a nonzero shift runs on.  Float runs record no
+    symbols.
 
     The run is exact when both grids are exact, and then holds every
     position as its exact ratio, a float start position's included; when
@@ -212,9 +221,7 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
     before = [None]     # per step, the step before it at the same edges
 
     def check_certificate(prev: PairState, st: PairState, idx: int):
-        a, b = prev.a, prev.b
-        symbols.append((a.edge.axis, a.across, b.edge.axis, b.across,
-                        st.a.edge.axis, st.b.edge.axis))
+        symbols.append(state_symbol(prev) + (st.a.edge.axis, st.b.edge.axis))
         edges = st.a.edge, st.b.edge
         then = last_at.get(edges)
         last_at[edges] = idx
@@ -222,7 +229,8 @@ def oracle_run_orbit(a_tiling, b_tiling, start: PairState,
         while then is not None and idx - then <= MAX_PERIOD:
             p = idx - then
             if 2 * p <= idx and symbols[-p:] == symbols[-2 * p:-p]:
-                proof = certify(a_tiling, b_tiling, tuple(symbols[-p:]))
+                proof = certify(a_tiling, b_tiling,
+                                tuple(s[:4] for s in symbols[-p:]))
                 if proof is None:
                     return None
                 lock = idx - 2 * p

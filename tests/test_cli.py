@@ -658,6 +658,7 @@ FAR_EDGES = ("v:0:1" + "0" * 400, f"v:{10 ** 400}:0")
       "--max-steps", "2"], 2),
     (["grid-portrait", "--t", "1/3", "--edge-b", FAR_EDGES[0],
       "--max-steps", "2", "--resolution", "2x2"], 2),
+    (["moduli-embed", "--n", "3", "--seed", "1"], 2),
 ])
 def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
     jpath = tmp_path / "out.json"
@@ -673,6 +674,9 @@ def test_polygon_commands_finish_in_bounded_time(tmp_path, argv, code):
 # finite, beyond float range, or a string that is not a rational.
 REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400, "1/0", "abc", "nan",
                        "inf")
+
+
+EQUILATERAL_TRIANGLE = [[0, 0], [1, 0], [0.5, math.sqrt(3) / 2]]
 
 
 @pytest.mark.parametrize("command, data", [
@@ -693,6 +697,7 @@ REFUSED_COORDINATES = ("1e400", math.inf, 10 ** 400, "1/0", "abc", "nan",
     ("moduli-embed", [[0, 0], [1, 0], ["abc", 1]]),
     ("linkage-convert", [[0, 0], [1, "nan"], [1, 1]]),
     ("moduli-embed", [[0, 0], [1, 0], [1, "inf"]]),
+    ("moduli-embed", EQUILATERAL_TRIANGLE),
 ])
 def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
     path = tmp_path / "in.json"
@@ -709,6 +714,18 @@ def test_malformed_input_files_exit_two(tmp_path, capsys, command, data):
                if c in REFUSED_COORDINATES]
     if refused:
         assert err.rstrip().endswith(f"got {refused[0]!r}"), err
+
+
+def test_moduli_embed_refuses_a_triangle_by_its_vertex_count(tmp_path,
+                                                            capsys):
+    """A drawn triangle and a triangle file are refused alike, by the
+    polygon's vertex count."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(EQUILATERAL_TRIANGLE))
+    for argv in (["--n", "3", "--seed", "1"], [str(path)]):
+        assert cli.main(["moduli-embed"] + argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the area form needs at least 4 vertices, got 3\n")
 
 
 @pytest.mark.parametrize("command", ["sunburst-solve", "linkage-convert",

@@ -21,7 +21,8 @@ from symtiling.tilings import GridEdge, GridTiling, Particle
 
 import oracles
 from golden import record as golden
-from oracles import move_particle, oracle_classify, oracle_run_orbit
+from oracles import (move_particle, oracle_classify, oracle_run_orbit,
+                     state_symbol)
 
 
 def oracle_advance(tiling, particle, chord_dir, window=64):
@@ -804,15 +805,9 @@ def test_exact_bounded_orbit_classifies():
     assert cls.evidence["bbox_spread"] < 0.01
 
 
-def joint_symbol(prev, now):
-    """The joint branch symbol of the step from prev to now."""
-    return (prev.a.edge.axis, prev.a.across, prev.b.edge.axis,
-            prev.b.across, now.a.edge.axis, now.b.edge.axis)
-
-
 def test_certified_orbits_keep_their_certificate():
     """Certified starts on three rotation pairs, stepped 400 more times:
-    no vertex is hit, the joint word keeps repeating, and one period
+    no vertex is hit, the state symbols keep repeating, and one period
     apart each particle is back on its edge, inside its cylinder, and
     lam times as far from its limit as before."""
     rng = random.Random(19)
@@ -834,13 +829,11 @@ def test_certified_orbits_keep_their_certificate():
                 continue
             certified += 1
             p, proof = term.period, term.certificate
-            word = [joint_symbol(prev, now) for prev, now in
-                    zip(rec.states[-1 - p:-1], rec.states[-p:])]
+            word = [state_symbol(st) for st in rec.states[-1 - p:-1]]
             state = base = rec.states[-1]
             for k in range(1, 401):
-                nxt = step(a, b, state)
-                assert joint_symbol(state, nxt) == word[(k - 1) % p]
-                state = nxt
+                assert state_symbol(state) == word[(k - 1) % p]
+                state = step(a, b, state)
                 if k % p:
                     continue
                 for part, prev, now in zip(proof, (base.a, base.b),
@@ -850,6 +843,49 @@ def test_certified_orbits_keep_their_certificate():
                     assert abs(now.pos - part.limit) == abs(part.lam) * abs(
                         prev.pos - part.limit)
                 base = state
+
+
+def test_a_certificate_holds_on_its_whole_cylinder():
+    """Positions drawn inside both particles' cylinders of a certified
+    run, on the certifying state's edges and acrosses, follow the word
+    for one period: the states' symbols are the word, both particles end
+    back on their edges, and each position goes exactly to lam * pos +
+    limit * (1 - lam).  Six runs each on three rotation pairs and two
+    integer pairs, at least four of which certify, with ten draws per
+    certified run."""
+    rng = random.Random(45)
+    a = GridTiling.standard()
+    pairs = [GridTiling.from_parameter(t)
+             for t in (Fraction(1, 3), Fraction(3, 7), Fraction(7, 11))]
+    pairs += [GridTiling(Vec2(1, 1), Vec2(-1, 2)),
+              GridTiling(Vec2(1, -2), Vec2(2, 2))]
+    for b in pairs:
+        runs = [run_orbit(a, b, random_state(rng, a, b), 200,
+                          keep_states=True) for _ in range(6)]
+        certified = [rec for rec in runs
+                     if rec.termination.kind == "attracted"]
+        assert len(certified) >= 4, b
+        for rec in certified:
+            term = rec.termination
+            p, proof = term.period, term.certificate
+            word = [state_symbol(st) for st in rec.states[-1 - p:-1]]
+            there = rec.states[-1]
+            for _ in range(10):
+                drawn = []
+                for now, part in zip((there.a, there.b), proof):
+                    lo, hi = part.cylinder
+                    frac = Fraction(rng.randint(1, 999), 1000)
+                    drawn.append(Particle(now.edge, lo + (hi - lo) * frac,
+                                          now.across))
+                state, symbols = PairState(*drawn), []
+                for _ in range(p):
+                    symbols.append(state_symbol(state))
+                    state = step(a, b, state)
+                assert symbols == word, b
+                for part, was, now in zip(proof, drawn, (state.a, state.b)):
+                    assert now.edge == was.edge
+                    assert now.pos == (part.lam * was.pos
+                                       + part.limit * (1 - part.lam))
 
 
 def test_rotation_pairs_contract_by_the_fourth_power_of_the_circle_ratio():
@@ -911,8 +947,8 @@ def test_a_lock_with_a_lattice_shift_runs_on():
                       b.particle_on(GridEdge("v", 0, 0), Fraction(39, 50), 1))
     rec = run_orbit(a, b, start, 60, keep_states=True)
     assert rec.termination.kind == "max-steps"
-    symbols = [joint_symbol(prev, now)
-               for prev, now in zip(rec.states, rec.states[1:])]
+    # The symbols the run holds at its last state: those before it.
+    symbols = [state_symbol(st) for st in rec.states[:-1]]
     word = tuple(symbols[-2:])
     assert symbols[-40:] == list(word) * 20
     assert certify(a, b, word) is not None
@@ -935,7 +971,7 @@ class OneBranchGrid:
 
 def test_certify_accepts_only_maps_that_contract_into_their_cylinder():
     half = Fraction(1, 2)
-    word = (("v", 1, "h", -1, "v", "h"),)
+    word = (("v", 1, "h", -1),)
     into = OneBranchGrid(half, 0, 0, half)
     flip = OneBranchGrid(-half, half)
     a, b = certify(into, flip, word)
